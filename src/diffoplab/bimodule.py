@@ -170,10 +170,11 @@ class Bimodule:
         field = algebra.field
 
         def dense(triples):
-            mats = [Matrix.zeros(field, dim, dim) for _ in range(algebra.dim)]
+            rows = [[[field.zero()] * dim for _ in range(dim)]
+                    for _ in range(algebra.dim)]
             for i, r, c, v in triples:
-                mats[int(i)].data[int(r)][int(c)] = field.coerce(v)
-            return mats
+                rows[int(i)][int(r)][int(c)] = field.coerce(v)
+            return [Matrix(field, m, dim) for m in rows]
 
         return Bimodule(algebra, dim, dense(d["left"]), dense(d["right"]),
                         d.get("parity"), d.get("second_kind", "right"),
@@ -237,14 +238,9 @@ def direct_sum(p: Bimodule, q: Bimodule) -> Bimodule:
     dim = p.dim + q.dim
 
     def block(mp, mq):
-        out = Matrix.zeros(f, dim, dim)
-        for r in range(mp.rows):
-            for c in range(mp.cols):
-                out.data[r][c] = mp.data[r][c]
-        for r in range(mq.rows):
-            for c in range(mq.cols):
-                out.data[p.dim + r][p.dim + c] = mq.data[r][c]
-        return out
+        zp, zq = [f.zero()] * p.dim, [f.zero()] * q.dim
+        rows = [r + zq for r in mp.data] + [zp + r for r in mq.data]
+        return Matrix(f, rows, dim)
 
     left = [block(a, b) for a, b in zip(p.left, q.left)]
     right = [block(a, b) for a, b in zip(p.right, q.right)]

@@ -15,7 +15,7 @@ from . import __version__
 from .algebra import AlgebraError, FiniteAlgebra, catalog, catalog_names
 from .bimodule import Bimodule, ModuleError, free_module, regular_bimodule
 from .cartan import build_cartan_pair, cartan_vs_definitions, two_sided_hats_are_first_order
-from .cecalc import CochainComplex, ce_duality_check
+from .cecalc import DEGREE_CAP, CochainComplex, ce_duality_check
 from .derivations import derivations
 from .diffops import (
     OrderCapError,
@@ -27,10 +27,10 @@ from .diffops import (
     two_sided_filtration,
 )
 from .fields import field_from_name
-from .gradedce import GradedCochainComplex
+from .gradedce import GRADED_DEGREE_CAP, GradedCochainComplex
 from .jets import jet_module, jk_is_diffop, two_sided_jet, two_sided_representability
 from .scenarios import canonical_json, run_all
-from .universal import UniversalCalculus
+from .universal import UNIVERSAL_DEGREE_CAP, UniversalCalculus
 
 USAGE_ERROR = 2
 EXPECTATION_ERROR = 1
@@ -62,13 +62,27 @@ def pick_module(a: FiniteAlgebra, target: str) -> Bimodule:
     if target in (None, "regular"):
         return regular_bimodule(a)
     if target.startswith("free:"):
-        return free_module(a, int(target.split(":", 1)[1]))
+        text = target.split(":", 1)[1]
+        try:
+            rank = int(text)
+        except ValueError:
+            rank = 0
+        if rank < 1:
+            raise UsageError(f"free module rank must be an integer >= 1, got {text!r}")
+        return free_module(a, rank)
     if target.endswith(".json"):
         try:
             return Bimodule.load(target, a)
         except (OSError, KeyError, ValueError, ModuleError) as exc:
             raise UsageError(f"cannot load module spec {target!r}: {exc}") from exc
     raise UsageError(f"unknown module target {target!r}")
+
+
+def checked_degree(value: int, cap: int) -> int:
+    """A ``--max-degree`` value, which must lie in 1..cap."""
+    if not 1 <= value <= cap:
+        raise UsageError(f"--max-degree must be between 1 and {cap}, got {value}")
+    return value
 
 
 def emit(report: dict, json_path: str = None, text_lines=None):
@@ -199,7 +213,7 @@ def cmd_two_sided(args):
 
 def cmd_ce(args):
     a = load_algebra(args.algebra, args.field)
-    cx = CochainComplex(a, cap=args.max_degree)
+    cx = CochainComplex(a, cap=checked_degree(args.max_degree, DEGREE_CAP))
     ok = cx.d_squared_is_zero()
     duality = ce_duality_check(a)
     lines = [f"center-multilinear complex over {a.name}: "
@@ -213,7 +227,7 @@ def cmd_ce(args):
 
 def cmd_graded_ce(args):
     a = load_algebra(args.algebra, args.field)
-    cx = GradedCochainComplex(a, cap=min(args.max_degree, 2))
+    cx = GradedCochainComplex(a, cap=checked_degree(args.max_degree, GRADED_DEGREE_CAP))
     ok = cx.d_squared_is_zero()
     lines = [f"graded complex over {a.name}: dims {[s.dim for s in cx.forms]}",
              f"δ∘δ = 0 on the algebra-linear subcomplex: {ok}"]
@@ -223,8 +237,8 @@ def cmd_graded_ce(args):
 
 def cmd_universal(args):
     a = load_algebra(args.algebra, args.field)
-    cap = 2 if args.max_degree is None else min(args.max_degree, 2)
-    uc = UniversalCalculus(a, cap=max(cap, 1))
+    cap = checked_degree(args.max_degree, UNIVERSAL_DEGREE_CAP)
+    uc = UniversalCalculus(a, cap=cap)
     ker_ok = uc.omega1_equals_multiplication_kernel()
     leib = uc.leibniz_holds()
     witness = uc.central_commutation_witness()
@@ -380,17 +394,17 @@ def build_parser():
 
     p = sub.add_parser("ce", help="center-multilinear form complex")
     common(p, module_args=False)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=int, default=DEGREE_CAP)
     p.set_defaults(func=cmd_ce)
 
     p = sub.add_parser("graded-ce", help="graded form complex")
     common(p, module_args=False)
-    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--max-degree", type=int, default=GRADED_DEGREE_CAP)
     p.set_defaults(func=cmd_graded_ce)
 
     p = sub.add_parser("universal", help="universal one- and two-forms")
     common(p, module_args=False)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=int, default=UNIVERSAL_DEGREE_CAP)
     p.set_defaults(func=cmd_universal)
 
     p = sub.add_parser("cartan", help="vector fields from calculus duals")

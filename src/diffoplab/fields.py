@@ -1,13 +1,22 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Scalars are plain ``fractions.Fraction`` values in characteristic 0 and
-ints in ``range(p)`` in characteristic ``p``; a :class:`Field` descriptor
-supplies the arithmetic so that all higher layers stay field-agnostic.
+In characteristic 0 a scalar is a plain ``int`` when it is integral and a
+``fractions.Fraction`` with denominator above 1 otherwise; in characteristic
+``p`` it is an int in ``range(p)``.  A :class:`Field` descriptor supplies the
+arithmetic, and keeps that form, so that all higher layers stay
+field-agnostic.  Since ``Fraction(n) == n`` and both hash alike, subspaces,
+equality and formatting do not depend on which of the two forms a rational
+integer takes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _q(x):
+    """A rational in integer-first form: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _is_prime(p: int) -> bool:
@@ -47,17 +56,15 @@ class Field:
     # -- construction -----------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.char == 0 else 1
+        return 1
 
     def coerce(self, x):
         """Coerce an int, Fraction or "p/q" string into a scalar."""
         if self.char == 0:
-            if isinstance(x, str):
-                return Fraction(x)
-            return Fraction(x)
+            return x if type(x) is int else _q(Fraction(x))
         if isinstance(x, str):
             if "/" in x:
                 num, den = x.split("/")
@@ -70,22 +77,22 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        return _q(a + b) if self.char == 0 else (a + b) % self.char
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        return _q(a - b) if self.char == 0 else (a - b) % self.char
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        return _q(a * b) if self.char == 0 else (a * b) % self.char
 
     def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
+        return _q(-a) if self.char == 0 else (-a) % self.char
 
     def inv(self, a):
         if self.char == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / a
+            return _q(Fraction(a.denominator, a.numerator))
         if a % self.char == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.char - 2, self.char)

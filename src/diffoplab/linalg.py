@@ -3,26 +3,43 @@
 Everything is computed exactly.  Over the rationals the elimination core
 works on integer rows (cleared denominators, gcd-normalized) so that the
 bulk of the arithmetic is fast Python-int work; reduced row echelon bases
-are produced with ``Fraction`` entries only at the end.  Subspaces are
-always stored through their reduced row echelon basis with zero rows
-dropped, so two equal subspaces have bitwise identical representations.
+are produced at the end in the integer-first form of :mod:`.fields` (an
+``int`` wherever the pivot divides the entry, a ``Fraction`` otherwise).
+Subspaces are always stored through their reduced row echelon basis with
+zero rows dropped, so two equal subspaces have bitwise identical
+representations.
+
+Matrices are stored dense, but products visit only pairs of non-zero
+entries.  ``m.apply(v)`` takes each non-zero ``v[j]`` against the cached
+non-zero entries of column j of ``m``; ``a @ b`` takes each non-zero
+``a[i][k]`` against the cached non-zero entries of row k of ``b``.  The
+Kronecker-structured operators of the higher layers, and the sparse vectors
+they act on, make that a small fraction of the dense work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .fields import Field
+from .fields import Field, _q
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix over a :class:`Field`."""
+    """Dense matrix over a :class:`Field`; immutable once constructed.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    ``data`` must not be written after construction: ``apply`` caches the
+    non-zero entries of every column and ``other @ self`` those of every
+    row, and a later write would silently leave those caches stale.  Build
+    the rows first, then construct the matrix.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "_nzr", "_nzc")
 
     def __init__(self, field: Field, data, cols: int = None):
         self.field = field
+        self._nzr = None
+        self._nzc = None
         self.data = [list(r) for r in data]
         self.rows = len(self.data)
         if self.data:
@@ -63,9 +80,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.field!r})"
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data)
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
@@ -83,51 +97,74 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
-        add = self.field.add
-        return Matrix(self.field, [[add(a, b) for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)])
+        red = self._reduced
+        return Matrix(self.field, [red([a + b for a, b in zip(r1, r2)])
+                                   for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
-        sub = self.field.sub
-        return Matrix(self.field, [[sub(a, b) for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)])
+        red = self._reduced
+        return Matrix(self.field, [red([a - b for a, b in zip(r1, r2)])
+                                   for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in r] for r in self.data])
+        red = self._reduced
+        return Matrix(self.field, [red([-a for a in r]) for r in self.data], self.cols)
 
     def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        zero = self.field.zero()
-        return Matrix(self.field,
-                      [[mul(c, a) if a else zero for a in r] for r in self.data],
-                      self.cols)
+        red = self._reduced
+        return Matrix(self.field, [red([c * a for a in r]) for r in self.data], self.cols)
+
+    def _nonzero_rows(self):
+        """Per row, the ``(col, value)`` pairs of its non-zero entries."""
+        if self._nzr is None:
+            self._nzr = [[(j, x) for j, x in enumerate(r) if x] for r in self.data]
+        return self._nzr
+
+    def _nonzero_cols(self):
+        """Per column, the ``(row, value)`` pairs of its non-zero entries."""
+        if self._nzc is None:
+            cols = [[] for _ in range(self.cols)]
+            for i, r in enumerate(self.data):
+                for j, x in enumerate(r):
+                    if x:
+                        cols[j].append((i, x))
+            self._nzc = cols
+        return self._nzc
+
+    def _reduced(self, sums):
+        """Entries computed with plain ``+``/``*``, back in the field's scalar form."""
+        p = self.field.char
+        if p:
+            return [x % p for x in sums]
+        return [x if type(x) is int else _q(x) for x in sums]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        p = self.field.char
-        ot = list(zip(*other.data))
+        right = other._nonzero_rows()
+        n = other.cols
         out = []
-        if p == 0:
-            for r in self.data:
-                out.append([sum(a * b for a, b in zip(r, c) if a and b) or Fraction(0)
-                            for c in ot])
-        else:
-            for r in self.data:
-                out.append([sum(a * b for a, b in zip(r, c)) % p for c in ot])
-        return Matrix(self.field, out, other.cols)
+        for r in self.data:
+            acc = [0] * n
+            for k, a in enumerate(r):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+            out.append(self._reduced(acc))
+        return Matrix(self.field, out, n)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list of scalars)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        p = self.field.char
-        if p == 0:
-            return [sum(a * b for a, b in zip(r, vec) if a and b) or Fraction(0)
-                    for r in self.data]
-        return [sum(a * b for a, b in zip(r, vec)) % p for r in self.data]
+        cols = self._nonzero_cols()
+        out = [0] * self.rows
+        for j, x in enumerate(vec):
+            if x:
+                for i, a in cols[j]:
+                    out[i] += a * x
+        return self._reduced(out)
 
     def _check_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -206,16 +243,11 @@ class Echelon:
         return len(self.pivots)
 
     def _int_row(self, vec):
-        den = 1
-        for x in vec:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                if d != 1:
-                    den = den * d // gcd(den, d)
-        if den == 1:
-            return [x.numerator if isinstance(x, Fraction) else int(x) for x in vec]
-        return [int(x * den) if isinstance(x, Fraction) else int(x) * den
-                for x in vec]
+        dens = [x.denominator for x in vec if type(x) is not int]
+        if not dens:
+            return list(vec)
+        den = lcm(*dens)
+        return [(x * den).numerator for x in vec]
 
     def _reduce_int(self, row):
         pivots = self.pivots
@@ -304,8 +336,9 @@ class Echelon:
             out = []
             for c in cols:
                 r = rows[c]
-                piv = Fraction(r[c])
-                out.append(tuple(Fraction(v) / piv for v in r))
+                piv = r[c]
+                out.append(tuple(v // piv if v % piv == 0 else Fraction(v, piv)
+                                 for v in r))
             return out
         p = self.field.char
         rows = {c: self.pivots[c][:] for c in cols}

@@ -18,9 +18,10 @@ from . import __version__
 from .algebra import catalog
 from .bimodule import free_module, regular_bimodule
 from .cartan import build_cartan_pair, cartan_vs_definitions, two_sided_hats_are_first_order
-from .cecalc import CochainComplex, ce_forms, exact_one_form, wedge
+from .cecalc import DEGREE_CAP, CochainComplex, ce_forms, exact_one_form, wedge
 from .derivations import derivations, first_order_decomposition
 from .diffops import (
+    MAX_ORDER,
     compare_definitions,
     dv_first_order,
     graded_diff,
@@ -28,7 +29,7 @@ from .diffops import (
     lunts_filtration,
     two_sided_filtration,
 )
-from .gradedce import GradedCochainComplex
+from .gradedce import GRADED_DEGREE_CAP, GradedCochainComplex
 from .homspace import HomSpace
 from .jets import jet_module, left_jet_identity_witness, two_sided_jet, two_sided_representability
 from .universal import UniversalCalculus
@@ -576,9 +577,9 @@ def run_all(only=None) -> dict:
         "environment": {
             "field": "q",
             "version": __version__,
-            "degree_cap": 3,
-            "graded_degree_cap": 2,
-            "order_cap": 4,
+            "degree_cap": DEGREE_CAP,
+            "graded_degree_cap": GRADED_DEGREE_CAP,
+            "order_cap": MAX_ORDER,
         },
         "scenarios": results,
         "all_expectations_met": all(r["all_expectations_met"] for r in results),

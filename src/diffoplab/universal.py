@@ -26,6 +26,9 @@ from .linalg import (
     vstack,
 )
 
+# Forms are materialized up to this degree.
+UNIVERSAL_DEGREE_CAP = 2
+
 
 class Calculus:
     """A differential calculus truncated at degree 2: spaces, products, d.
@@ -61,9 +64,10 @@ def zero_calculus(algebra: FiniteAlgebra) -> Calculus:
 class UniversalCalculus:
     """Ω⁰ = A, Ω¹ ⊂ A⊗A, Ω² = Ω¹ ⊗_A Ω¹, with d and the products."""
 
-    def __init__(self, algebra: FiniteAlgebra, cap: int = 2):
-        if cap < 1 or cap > 2:
-            raise ValueError("universal calculus is materialized at degrees 1..2")
+    def __init__(self, algebra: FiniteAlgebra, cap: int = UNIVERSAL_DEGREE_CAP):
+        if cap < 1 or cap > UNIVERSAL_DEGREE_CAP:
+            raise ValueError("universal calculus is materialized at degrees "
+                             f"1..{UNIVERSAL_DEGREE_CAP}")
         self.algebra = algebra
         self.cap = cap
         f = algebra.field

@@ -94,6 +94,26 @@ def gauss_nullspace(rows):
     return out
 
 
+def gauss_rref(rows):
+    """Non-zero rows of the reduced row echelon form, by plain elimination."""
+    m = [r[:] for r in frac_rows(rows)]
+    cols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        pr = m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], pr)]
+        rank += 1
+    return m[:rank]
+
+
 def mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]

@@ -6,6 +6,7 @@ import pytest
 from diffoplab.fields import Field, QQ, field_from_name
 from diffoplab.linalg import (
     AffineSolution,
+    Echelon,
     Matrix,
     Subspace,
     closure,
@@ -19,10 +20,18 @@ from diffoplab.linalg import (
     vstack,
 )
 
-from oracles import gauss_rank, multiplication_matrix, nullity
+from oracles import (
+    gauss_nullspace,
+    gauss_rank,
+    gauss_rref,
+    multiplication_matrix,
+    nullity,
+    random_rational,
+)
 
 GF2 = Field(2)
 GF5 = Field(5)
+GF32003 = Field(32003)
 
 
 def M(rows, field=QQ):
@@ -188,3 +197,111 @@ def test_vstack_and_matmul():
     b = M([[3, 4]])
     assert vstack([a, b]) == M([[1, 2], [3, 4]])
     assert (M([[1, 2], [3, 4]]) @ M([[1], [1]])).col(0) == [Fraction(3), Fraction(7)]
+
+
+# -- sparse-row products and integer-first rationals --------------------------
+
+# (rows, inner, cols): empty shapes on every side, thin and square ones
+PRODUCT_SHAPES = [(0, 4, 3), (3, 0, 4), (4, 3, 0), (0, 0, 0), (1, 9, 1),
+                  (5, 7, 6), (12, 12, 12)]
+
+
+def random_matrix(rng, field, rows, cols, density):
+    """Seeded matrix with about ``density`` non-zero entries; some rows all zero."""
+    data = []
+    for _ in range(rows):
+        zero_row = rng.random() < 0.2
+        data.append([field.coerce(random_rational(rng))
+                     if not zero_row and rng.random() < density else field.zero()
+                     for _ in range(cols)])
+    return Matrix(field, data, cols)
+
+
+def dense_product(field, a, b, cols):
+    """Row-by-column sums over every entry, zeros included."""
+    p = field.char
+    out = [[sum(r[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+           for r in a]
+    return [[x % p for x in r] for r in out] if p else out
+
+
+def dense_apply(field, a, vec):
+    return [r[0] for r in dense_product(field, a, [[x] for x in vec], 1)]
+
+
+def assert_integer_first(values):
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_products_match_dense_reference(field):
+    rng = random.Random(2024)
+    for rows, inner, cols in PRODUCT_SHAPES:
+        for density in (0.05, 0.3, 1.0):
+            a = random_matrix(rng, field, rows, inner, density)
+            b = random_matrix(rng, field, inner, cols, density)
+            vec = [field.coerce(random_rational(rng)) for _ in range(inner)]
+            prod = a @ b
+            assert (prod.rows, prod.cols) == (rows, cols)
+            assert prod.data == dense_product(field, a.data, b.data, cols)
+            applied = a.apply(vec)
+            assert applied == dense_apply(field, a.data, vec)
+            # a second use reads the cached non-zero rows and must agree
+            assert a @ b == prod and a.apply(vec) == applied
+            if field == QQ:
+                assert_integer_first([x for r in prod.data for x in r] + applied)
+            else:
+                assert all(0 <= x < field.char for r in prod.data for x in r)
+
+
+def test_rational_field_arithmetic_is_integer_first():
+    rng = random.Random(5)
+    samples = ([random_rational(rng) for _ in range(30)]
+               + [Fraction(4, 2), Fraction(-3), Fraction(0), 7, -1, 0])
+    out = [QQ.zero(), QQ.one()]
+    for x in samples:
+        out += [QQ.coerce(x), QQ.coerce(str(x)), QQ.neg(x)]
+        for y in samples[::3]:
+            out += [QQ.add(x, y), QQ.sub(x, y), QQ.mul(x, y)]
+            if y != 0:
+                out += [QQ.inv(y), QQ.div(x, y)]
+    assert_integer_first(out)
+    assert QQ.coerce("6/3") == 2 and type(QQ.coerce("6/3")) is int
+
+
+def test_rational_inverse_is_exact():
+    for x in [1, -1, 2, -3, 7, Fraction(2, 3), Fraction(-5, 4), Fraction(6, 3)]:
+        inv = QQ.inv(x)
+        assert type(inv) is not float
+        assert inv * x == 1
+    assert QQ.inv(3) == Fraction(1, 3) and QQ.inv(-1) == -1
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_kernel_basis_rows_closure_canonical_and_integer_first():
+    rng = random.Random(13)
+    for _ in range(25):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 8)
+        m = random_matrix(rng, QQ, rows, cols, rng.choice((0.3, 0.7)))
+        k = kernel(m)
+        assert [list(r) for r in k.basis] == gauss_rref(gauss_nullspace(m.data))
+        for r in k.basis:
+            assert_integer_first(r)
+            assert all(x == 0 for x in m.apply(list(r)))
+        ech = Echelon(QQ, cols)
+        for r in m.data:
+            ech.add(r)
+        basis = ech.basis_rows()
+        assert [list(r) for r in basis] == gauss_rref(m.data)
+        assert_integer_first([x for r in basis for x in r])
+        # closure of one vector under one operator: the Krylov span
+        op = random_matrix(rng, QQ, cols, cols, 0.4)
+        seed = [QQ.coerce(random_rational(rng)) for _ in range(cols)]
+        krylov = [seed]
+        for _ in range(cols):
+            krylov.append(dense_apply(QQ, op.data, krylov[-1]))
+        c = closure(QQ, cols, [seed], [op])
+        assert [list(r) for r in c.basis] == gauss_rref(krylov)
+        assert_integer_first([x for r in c.basis for x in r])

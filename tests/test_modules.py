@@ -133,8 +133,9 @@ def test_module_json_round_trip(tmp_path):
 def test_module_validation_catches_broken_action():
     a = trunc_poly(2)
     reg = regular_bimodule(a)
-    bad_left = [m.copy() for m in reg.left]
-    bad_left[1].data[0][0] = Fraction(1)  # x no longer acts nilpotently
+    rows = [list(r) for r in reg.left[1].data]
+    rows[0][0] = Fraction(1)  # x no longer acts nilpotently
+    bad_left = [reg.left[0], Matrix(a.field, rows)]
     bad = Bimodule(a, 2, bad_left, reg.right)
     rep = bad.validate()
     assert not rep.ok

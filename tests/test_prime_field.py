@@ -1,5 +1,7 @@
 """The whole pipeline over a prime field: nothing below assumes rationals."""
 
+import random
+
 import pytest
 
 from diffoplab.algebra import AlgebraError, catalog
@@ -13,13 +15,15 @@ from diffoplab.diffops import (
     lunts_filtration,
     two_sided_filtration,
 )
-from diffoplab.fields import Field
+from diffoplab.fields import QQ, Field
 from diffoplab.gradedce import GradedCochainComplex
 from diffoplab.jets import hom_space_out_of_jet, jet_module
+from diffoplab.linalg import Matrix, closure, kernel
 from diffoplab.universal import UniversalCalculus, bimodule_hom_space, universal_factorize
 
 GF7 = Field(7)
 GF5 = Field(5)
+GF32003 = Field(32003)
 
 
 def test_catalog_validates_mod_p():
@@ -105,3 +109,39 @@ def test_char2_graded_paths_refuse():
     assert a.validate().ok  # ungraded char-2 algebra itself is fine
     reg = regular_bimodule(a)
     assert grothendieck_diff(reg, reg, 1).dim >= 2  # ungraded ops still work
+
+
+def test_products_mod_p_reduce_the_rational_ones():
+    # integer matrices: the GF(32003) products are the Q products mod p
+    rng = random.Random(31)
+    p = GF32003.char
+    for rows, inner, cols in [(0, 3, 2), (4, 0, 3), (6, 8, 5), (9, 9, 9)]:
+        data_a = [[rng.choice((0, 0, 0, rng.randrange(-40000, 40000)))
+                   for _ in range(inner)] for _ in range(rows)]
+        data_b = [[rng.choice((0, 0, rng.randrange(-9, 10)))
+                   for _ in range(cols)] for _ in range(inner)]
+        vec = [rng.randrange(-50, 50) for _ in range(inner)]
+        qa, qb = Matrix(QQ, data_a, inner), Matrix(QQ, data_b, cols)
+        pa = Matrix(GF32003, [[x % p for x in r] for r in data_a], inner)
+        pb = Matrix(GF32003, [[x % p for x in r] for r in data_b], cols)
+        assert (pa @ pb).data == [[x % p for x in r] for r in (qa @ qb).data]
+        assert pa.apply([x % p for x in vec]) == [x % p for x in qa.apply(vec)]
+
+
+def test_mod_p_kernels_and_closures_stay_reduced():
+    rng = random.Random(17)
+    p = GF32003.char
+    for _ in range(10):
+        n = rng.randrange(2, 8)
+        m = Matrix(GF32003, [[rng.choice((0, rng.randrange(p))) for _ in range(n)]
+                             for _ in range(rng.randrange(1, 6))], n)
+        k = kernel(m)
+        for r in k.basis:
+            assert all(type(x) is int and 0 <= x < p for x in r)
+            assert m.apply(list(r)) == [0] * m.rows
+        op = Matrix(GF32003, [[rng.choice((0, 0, rng.randrange(p))) for _ in range(n)]
+                              for _ in range(n)], n)
+        c = closure(GF32003, n, [[rng.randrange(p) for _ in range(n)]], [op])
+        assert all(type(x) is int and 0 <= x < p for r in c.basis for x in r)
+        for r in c.basis:
+            assert c.contains(op.apply(list(r)))

@@ -7,7 +7,9 @@ import pytest
 
 from diffoplab.algebra import catalog
 from diffoplab.bimodule import regular_bimodule
+from diffoplab.cecalc import DEGREE_CAP
 from diffoplab.cli import main
+from diffoplab.gradedce import GRADED_DEGREE_CAP
 from diffoplab.scenarios import (
     REQUIRED_CLAIMS,
     builtin_scenarios,
@@ -15,6 +17,7 @@ from diffoplab.scenarios import (
     run_all,
     run_scenario,
 )
+from diffoplab.universal import UNIVERSAL_DEGREE_CAP
 
 
 def test_every_required_claim_is_covered():
@@ -126,6 +129,29 @@ def test_cli_misc_commands(tmp_path):
     assert main(["diff-space", "trunc_poly:2", "--definition", "dv",
                  "--order", "2"]) == 2
     assert main(["jets", "matrix:2", "--order", "1"]) == 2  # noncommutative
+
+
+@pytest.mark.parametrize("argv", [
+    ["derivations", "trunc_poly:2", "--target", "free:abc"],
+    ["derivations", "trunc_poly:2", "--target", "free:0"],
+    ["compare-defs", "trunc_poly:2", "--module", "free:-1"],
+    ["ce", "trunc_poly:2", "--max-degree", str(DEGREE_CAP + 1)],
+    ["ce", "trunc_poly:2", "--max-degree", "0"],
+    ["graded-ce", "grassmann:1", "--max-degree", str(GRADED_DEGREE_CAP + 1)],
+    ["graded-ce", "grassmann:1", "--max-degree", "0"],
+    ["universal", "trunc_poly:2", "--max-degree", str(UNIVERSAL_DEGREE_CAP + 1)],
+    ["universal", "trunc_poly:2", "--max-degree", "-1"],
+])
+def test_cli_bad_rank_or_degree_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_degree_caps_are_accepted():
+    assert main(["derivations", "trunc_poly:2", "--target", "free:1"]) == 0
+    assert main(["universal", "trunc_poly:2", "--max-degree", "1"]) == 0
+    assert main(["graded-ce", "grassmann:1", "--max-degree", "1"]) == 0
 
 
 def test_cli_entry_point_runs_as_module():
