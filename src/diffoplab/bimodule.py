@@ -173,7 +173,12 @@ class Bimodule:
             rows = [[[field.zero()] * dim for _ in range(dim)]
                     for _ in range(algebra.dim)]
             for i, r, c, v in triples:
-                rows[int(i)][int(r)][int(c)] = field.coerce(v)
+                i, r, c = int(i), int(r), int(c)
+                if not (0 <= i < algebra.dim and 0 <= r < dim and 0 <= c < dim):
+                    raise ModuleError(
+                        f"action entry [{i}, {r}, {c}] out of range for a "
+                        f"{dim}-dim module over a {algebra.dim}-dim algebra")
+                rows[i][r][c] = field.coerce(v)
             return [Matrix(field, m, dim) for m in rows]
 
         return Bimodule(algebra, dim, dense(d["left"]), dense(d["right"]),

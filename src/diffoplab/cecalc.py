@@ -13,12 +13,23 @@ bimodule-and-wedge closure of the exact one-forms.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, product
 
 from .algebra import FiniteAlgebra
 from .bimodule import Bimodule, regular_bimodule
 from .derivations import DerivationSpace, derivations, lie_bracket
-from .linalg import Matrix, Subspace, closure, kernel, kron, restrict_operator, vstack
+from .homspace import HomSpace
+from .linalg import (
+    Matrix,
+    Subspace,
+    closure,
+    factor_through,
+    kernel,
+    kron,
+    restrict_operator,
+    vstack,
+)
 
 DEGREE_CAP = 3
 
@@ -319,7 +330,8 @@ class MinimalCalculus:
     """The differential subalgebra generated by the exact one-forms.
 
     Degree 1 is the bimodule closure of {da}; degree 2 is spanned by wedges
-    of degree-1 elements (already closed under both multiplications).
+    of degree-1 elements (already closed under both multiplications), and
+    is only built when first read.
     """
 
     def __init__(self, algebra: FiniteAlgebra, der: DerivationSpace = None):
@@ -332,10 +344,15 @@ class MinimalCalculus:
         gens = [exact_one_form(algebra, self.der, algebra.basis_vector(i))
                 for i in range(n)]
         self.one_forms = closure(f, n * d, gens, left1 + right1)
-        pair_wedges = [wedge(algebra, self.der, list(w1), 1, list(w2), 1)
+
+    @cached_property
+    def two_forms(self) -> Subspace:
+        algebra, der = self.algebra, self.der
+        pair_wedges = [wedge(algebra, der, list(w1), 1, list(w2), 1)
                        for w1 in self.one_forms.basis for w2 in self.one_forms.basis]
-        left2, right2 = form_multiplication_ops(algebra, self.der, 2)
-        self.two_forms = closure(f, n * d * d, pair_wedges, left2 + right2)
+        left2, right2 = form_multiplication_ops(algebra, der, 2)
+        return closure(algebra.field, algebra.dim * der.dim ** 2, pair_wedges,
+                       left2 + right2)
 
     def one_forms_bimodule(self) -> Bimodule:
         return form_bimodule(self.algebra, self.der, 1, self.one_forms,
@@ -384,58 +401,25 @@ def ce_duality_check(algebra: FiniteAlgebra, minimal: MinimalCalculus = None) ->
     if minimal is None:
         minimal = MinimalCalculus(algebra)
     der = minimal.der
-    f = algebra.field
-    n = algebra.dim
-    o1 = minimal.one_forms_bimodule()
-    t = o1.dim
-    # Hom_{A-A}(O^1, A): F with F L_O(i) = L_A(i) F and F R_O(i) = R_A(i) F
-    eye_t = Matrix.identity(f, t)
-    eye_n = Matrix.identity(f, n)
-    blocks = []
-    for i in range(n):
-        blocks.append(kron(eye_n, o1.left[i].transpose())
-                      - kron(algebra.left_mult_basis(i), eye_t))
-        blocks.append(kron(eye_n, o1.right[i].transpose())
-                      - kron(algebra.right_mult_basis(i), eye_t))
-    hom_space = kernel(vstack(blocks))
+    # Hom_{A-A}(O^1, A): maps that commute with both actions
+    hom = HomSpace(minimal.one_forms_bimodule(), regular_bimodule(algebra))
+    hom_space = kernel(vstack(hom.delta_ops() + hom.bar_delta_ops()))
     gen_coords = minimal.d0_matrix()  # columns: coords of d(e_i) in O^1 basis
     round_trip = True
-    # u ↦ φ_u ↦ u (on the derivation basis)
+    # u ↦ φ_u ↦ u (on the derivation basis): φ_u is the bimodule map with
+    # φ_u(d e_i) = u(e_i), unique because the d e_i generate O^1
     for u in der.basis_maps():
-        target = [x for row in (u.data) for x in row]
-        sys_rows = []
-        rhs = []
-        for i in range(n):
-            gcol = gen_coords.col(i)
-            for m in range(n):
-                row = [f.zero()] * (n * t)
-                for c in range(t):
-                    if gcol[c] != 0:
-                        row[m * t + c] = gcol[c]
-                sys_rows.append(row)
-                rhs.append(u.data[m][i])
-        sys_rows_m = Matrix(f, sys_rows, n * t)
-        cons = hom_space.constraint_matrix()
-        from .linalg import solve_affine
-        sol = solve_affine([(sys_rows_m, rhs),
-                            (cons, [f.zero()] * cons.rows)])
-        if not sol.consistent or not sol.is_unique:
+        if not factor_through(hom_space, gen_coords, u).ok:
             round_trip = False
-            continue
-        fmat = Matrix(f, [sol.point[r * t:(r + 1) * t] for r in range(n)], t)
-        back = fmat @ gen_coords  # u_φ(e_i) = φ(d e_i)
-        if back != u:
-            round_trip = False
-    # φ ↦ u_φ ↦ φ (on the bimodule-dual basis)
-    for row in hom_space.basis:
-        fmat = Matrix(f, [list(row[r * t:(r + 1) * t]) for r in range(n)], t)
+    # φ ↦ u_φ ↦ φ (on the bimodule-dual basis): u_φ = φ∘d is a derivation,
+    # and factoring it back through d must return φ itself
+    for phi in hom_space.basis:
+        fmat = hom.from_flat(phi).matrix
         u = fmat @ gen_coords
         if not der.contains(u):
             round_trip = False
             continue
-        # φ_{u_φ} agrees with φ on generators; generators span O^1 as a
-        # bimodule and φ is a bimodule map, so equality on them is equality
-        for i in range(n):
-            if fmat.apply(gen_coords.col(i)) != u.col(i):
-                round_trip = False
+        back = factor_through(hom_space, gen_coords, u)
+        if not back.ok or back.f_matrix != fmat:
+            round_trip = False
     return DualityReport(der.dim, hom_space.dim, round_trip)

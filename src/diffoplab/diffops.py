@@ -20,7 +20,7 @@ from itertools import product
 from .algebra import AlgebraError
 from .bimodule import Bimodule
 from .homspace import HomSpace, LinMap
-from .linalg import Matrix, Subspace, closure, kernel, vstack
+from .linalg import Matrix, Subspace, closure, kernel, preimage, vstack
 
 MAX_ORDER = 4
 
@@ -97,13 +97,9 @@ def vanishing_chain(ops, field, dim, k):
     all (j+1)-fold op-composites, so the full tuple condition reduces to
     this recursion.
     """
-    chain = []
-    current = kernel(vstack(ops))
-    chain.append(current)
+    chain = [preimage(ops, Subspace.zero(field, dim))]
     for _ in range(k):
-        cons = current.constraint_matrix()
-        current = kernel(vstack([cons @ op for op in ops]))
-        chain.append(current)
+        chain.append(preimage(ops, chain[-1]))
     return chain
 
 
@@ -144,12 +140,10 @@ def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
 
 
 def dv_first_order(p: Bimodule, q: Bimodule) -> DiffSpace:
-    """First-order operators on bimodules: δ_a∘δ̄_b Δ = 0 for all a, b."""
+    """First-order operators on bimodules: δ_a∘δ̄_b Δ = 0 for all a, b,
+    i.e. every δ̄_b Δ lies in the common kernel of the δ_a."""
     hom = HomSpace(p, q)
-    deltas = hom.delta_ops()
-    bars = hom.bar_delta_ops()
-    blocks = [d @ b for d in deltas for b in bars]
-    space = kernel(vstack(blocks))
+    space = preimage(hom.bar_delta_ops(), kernel(vstack(hom.delta_ops())))
     return DiffSpace("dv_first_order", 1, space, hom)
 
 
@@ -218,15 +212,37 @@ def dv_split(p: Bimodule, q: Bimodule, delta: LinMap) -> DvSplit:
     return split
 
 
-def _zero_order_space(hom: HomSpace, side: str) -> Subspace:
+def _side_ops(hom: HomSpace, side: str):
+    """(deltas, multiplications, bullet multiplications) of one side."""
     if side == "left":
-        dops = hom.delta_ops()
-        cops = hom.action_ops("left") + hom.action_ops("left_bullet")
-    else:
-        dops = hom.bar_delta_ops()
-        cops = hom.action_ops("right") + hom.action_ops("right_bullet")
-    z0 = kernel(vstack(dops))
-    return closure(hom.algebra.field, hom.dim, [list(r) for r in z0.basis], cops)
+        return hom.delta_ops(), hom.action_ops("left"), hom.action_ops("left_bullet")
+    if side == "right":
+        return hom.bar_delta_ops(), hom.action_ops("right"), hom.action_ops("right_bullet")
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def _step(hom: HomSpace, side: str, prev: Subspace, presented: bool) -> Subspace:
+    """The next filtration term after ``prev`` on one side.
+
+    Both forms start from the preimage {Φ : δ_aΦ ∈ prev for all a}.  The
+    center form takes its closure under all four actions of the side; the
+    presented form spans its images under the multiplications, plus prev.
+    """
+    deltas, mults, bullets = _side_ops(hom, side)
+    pre = preimage(deltas, prev)
+    if not presented:
+        return closure(hom.algebra.field, hom.dim, [list(b) for b in pre.basis],
+                       mults + bullets)
+    vecs = [m.apply(list(b)) for b in pre.basis for m in mults]
+    vecs.extend(list(b) for b in prev.basis)
+    return Subspace.from_spanning(hom.algebra.field, hom.dim, vecs)
+
+
+def _one_sided_terms(hom: HomSpace, side: str, r: int, presented: bool):
+    terms = [_step(hom, side, Subspace.zero(hom.algebra.field, hom.dim), presented)]
+    for _ in range(r):
+        terms.append(_step(hom, side, terms[-1], presented))
+    return terms
 
 
 def lunts_filtration(p: Bimodule, q: Bimodule, r: int, side: str = "left") -> Filtration:
@@ -238,22 +254,8 @@ def lunts_filtration(p: Bimodule, q: Bimodule, r: int, side: str = "left") -> Fi
     materialized.  The right side mirrors with δ̄ and the right actions.
     """
     _check_order(r)
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     hom = HomSpace(p, q)
-    if side == "left":
-        dops = hom.delta_ops()
-        cops = hom.action_ops("left") + hom.action_ops("left_bullet")
-    else:
-        dops = hom.bar_delta_ops()
-        cops = hom.action_ops("right") + hom.action_ops("right_bullet")
-    field = hom.algebra.field
-    terms = [_zero_order_space(hom, side)]
-    for _ in range(r):
-        cons = terms[-1].constraint_matrix()
-        z = kernel(vstack([cons @ d for d in dops]))
-        terms.append(closure(field, hom.dim, [list(b) for b in z.basis], cops))
-    return Filtration("lunts", side, terms, hom)
+    return Filtration("lunts", side, _one_sided_terms(hom, side, r, False), hom)
 
 
 def lunts_filtration_presented(p: Bimodule, q: Bimodule, r: int,
@@ -265,23 +267,7 @@ def lunts_filtration_presented(p: Bimodule, q: Bimodule, r: int,
     """
     _check_order(r)
     hom = HomSpace(p, q)
-    if side == "left":
-        dops = hom.delta_ops()
-        mults = hom.action_ops("left")
-    else:
-        dops = hom.bar_delta_ops()
-        mults = hom.action_ops("right")
-    field = hom.algebra.field
-    z0 = kernel(vstack(dops))
-    terms = [Subspace.from_spanning(field, hom.dim,
-                                    [m.apply(list(b)) for b in z0.basis for m in mults])]
-    for _ in range(r):
-        cons = terms[-1].constraint_matrix()
-        pre = kernel(vstack([cons @ d for d in dops]))
-        vecs = [m.apply(list(b)) for b in pre.basis for m in mults]
-        vecs.extend(list(b) for b in terms[-1].basis)
-        terms.append(Subspace.from_spanning(field, hom.dim, vecs))
-    return Filtration("lunts_presented", side, terms, hom)
+    return Filtration("lunts_presented", side, _one_sided_terms(hom, side, r, True), hom)
 
 
 def two_sided_filtration(p: Bimodule, q: Bimodule, r: int) -> Filtration:
@@ -293,13 +279,9 @@ def two_sided_filtration(p: Bimodule, q: Bimodule, r: int) -> Filtration:
     """
     _check_order(r)
     hom = HomSpace(p, q)
-    field = hom.algebra.field
-    deltas = hom.delta_ops()
-    bars = hom.bar_delta_ops()
-    lmults = hom.action_ops("left")
-    rmults = hom.action_ops("right")
-    left_zero = _zero_order_space(hom, "left")
-    right_zero = _zero_order_space(hom, "right")
+    zero = Subspace.zero(hom.algebra.field, hom.dim)
+    left_zero = _step(hom, "left", zero, presented=False)
+    right_zero = _step(hom, "right", zero, presented=False)
     ts = left_zero.sum(right_zero)
     # the set-theoretic "either left or right" base is the plain union; when
     # neither side contains the other, the union is not a subspace and the
@@ -309,16 +291,8 @@ def two_sided_filtration(p: Bimodule, q: Bimodule, r: int) -> Filtration:
     terms = [ts]
     for _ in range(r):
         prev = terms[-1]
-        cons = prev.constraint_matrix()
-        pre_l = kernel(vstack([cons @ d for d in deltas]))
-        vec_l = [m.apply(list(b)) for b in pre_l.basis for m in lmults]
-        vec_l.extend(list(b) for b in prev.basis)
-        left_form = Subspace.from_spanning(field, hom.dim, vec_l)
-        pre_r = kernel(vstack([cons @ d for d in bars]))
-        vec_r = [m.apply(list(b)) for b in pre_r.basis for m in rmults]
-        vec_r.extend(list(b) for b in prev.basis)
-        right_form = Subspace.from_spanning(field, hom.dim, vec_r)
-        terms.append(left_form.intersect(right_form))
+        terms.append(_step(hom, "left", prev, presented=True)
+                     .intersect(_step(hom, "right", prev, presented=True)))
     out = Filtration("two_sided", None, terms, hom)
     out.base_union_is_subspace = union_is_subspace
     out.base_dims = {"left_zero": left_zero.dim, "right_zero": right_zero.dim,

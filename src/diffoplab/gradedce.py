@@ -235,50 +235,51 @@ class GradedCochainComplex:
         ext = self.ext
         monos = ext.monomials(k)
         flat = self.flat_dim(k)
-        total = None
         from itertools import product as iproduct
+        rows = []
+        # constraints come from every argument tuple, not only the
+        # normal-form ones: scaling one slot of a degenerate tuple
+        # still relates honest monomial values
+        for factors in iproduct(range(self.der.dim), repeat=k):
+            factors = list(factors)
+            base = ext.normalize(factors)
+            for t in range(k):
+                prefix_par = sum(ext.parities[x] for x in factors[:t]) % 2
+                for ai in range(n):
+                    apar = algebra.parity[ai]
+                    # scaling slot t crosses the earlier factors only:
+                    # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
+                    sign_neg = (apar * prefix_par) % 2 == 1
+                    la = algebra.left_mult_basis(ai)
+                    scaled = self._scaled_derivation_coords(ai, factors[t])
+                    for m in range(n):
+                        row = [f.zero()] * flat
+                        for b, c in enumerate(scaled):
+                            if c == 0:
+                                continue
+                            norm = ext.normalize(factors[:t] + [b] + factors[t + 1:])
+                            if norm is None:
+                                continue
+                            sgn, mono2 = norm
+                            lo, _ = self._slice(k, mono2)
+                            v = f.mul(c, f.one() if sgn > 0 else f.neg(f.one()))
+                            row[lo + m] = f.add(row[lo + m], v)
+                        if base is not None:
+                            bsgn, bmono = base
+                            lo0, _ = self._slice(k, bmono)
+                            for m2 in range(n):
+                                v = la.data[m][m2]
+                                if v != 0:
+                                    if (bsgn < 0) != sign_neg:
+                                        row[lo0 + m2] = f.add(row[lo0 + m2], v)
+                                    else:
+                                        row[lo0 + m2] = f.sub(row[lo0 + m2], v)
+                        if any(x != 0 for x in row):
+                            rows.append(row)
+        total = None
         for par in (0, 1):
-            rows = []
-            # constraints come from every argument tuple, not only the
-            # normal-form ones: scaling one slot of a degenerate tuple
-            # still relates honest monomial values
-            for factors in iproduct(range(self.der.dim), repeat=k):
-                factors = list(factors)
-                base = ext.normalize(factors)
-                for t in range(k):
-                    prefix_par = sum(ext.parities[x] for x in factors[:t]) % 2
-                    for ai in range(n):
-                        apar = algebra.parity[ai]
-                        # scaling slot t crosses the earlier factors only:
-                        # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
-                        sign_neg = (apar * prefix_par) % 2 == 1
-                        la = algebra.left_mult_basis(ai)
-                        scaled = self._scaled_derivation_coords(ai, factors[t])
-                        for m in range(n):
-                            row = [f.zero()] * flat
-                            for b, c in enumerate(scaled):
-                                if c == 0:
-                                    continue
-                                norm = ext.normalize(factors[:t] + [b] + factors[t + 1:])
-                                if norm is None:
-                                    continue
-                                sgn, mono2 = norm
-                                lo, _ = self._slice(k, mono2)
-                                v = f.mul(c, f.one() if sgn > 0 else f.neg(f.one()))
-                                row[lo + m] = f.add(row[lo + m], v)
-                            if base is not None:
-                                bsgn, bmono = base
-                                lo0, _ = self._slice(k, bmono)
-                                for m2 in range(n):
-                                    v = la.data[m][m2]
-                                    if v != 0:
-                                        if (bsgn < 0) != sign_neg:
-                                            row[lo0 + m2] = f.add(row[lo0 + m2], v)
-                                        else:
-                                            row[lo0 + m2] = f.sub(row[lo0 + m2], v)
-                            if any(x != 0 for x in row):
-                                rows.append(row)
             # homogeneity selector: coords off the parity-π support vanish
+            selector = []
             for monomial in monos:
                 mpar = ext.monomial_parity(monomial)
                 for m in range(n):
@@ -286,8 +287,8 @@ class GradedCochainComplex:
                         row = [f.zero()] * flat
                         lo, _ = self._slice(k, monomial)
                         row[lo + m] = f.one()
-                        rows.append(row)
-            space = kernel(Matrix(f, rows, flat))
+                        selector.append(row)
+            space = kernel(Matrix(f, rows + selector, flat))
             total = space if total is None else total.sum(space)
         return total
 

@@ -13,17 +13,17 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import AlgebraError, FiniteAlgebra
-from .bimodule import Bimodule, SandwichModule, tensor_algebra_module
+from .bimodule import Bimodule, SandwichModule, regular_bimodule, tensor_algebra_module
 from .diffops import dv_first_order
 from .homspace import HomSpace, LinMap
 from .linalg import (
+    Factorization,
     Matrix,
     Subspace,
     closure,
+    factor_through,
     kernel,
-    kron,
-    quotient_basis,
-    solve_affine,
+    quotient_projection,
     vstack,
 )
 
@@ -68,17 +68,16 @@ class JetModule:
         }
 
 
-def _quotient_data(field, ambient_dim, mu: Subspace):
-    reps = quotient_basis(Subspace.full(field, ambient_dim), mu)
-    cols = [list(r) for r in mu.basis] + reps
-    big = Matrix(field, [[cols[c][r] for c in range(ambient_dim)]
-                         for r in range(ambient_dim)], ambient_dim)
-    from .universal import _invert
-    inv = _invert(big)
-    proj = Matrix(field, inv.data[mu.dim:], ambient_dim)
-    lift = Matrix(field, [[reps[c][r] for c in range(len(reps))]
-                          for r in range(ambient_dim)], len(reps))
-    return reps, proj, lift
+def _unit_tensors(algebra: FiniteAlgebra, p: Bimodule, sandwich: bool = False):
+    """Flat 1 ⊗ e_l in A ⊗ P, or 1 ⊗ e_l ⊗ 1 in A ⊗ P ⊗ A, for each basis vector e_l of P."""
+    f = algebra.field
+    out = []
+    for l in range(p.dim):
+        vec = [f.mul(u, x) for u in algebra.unit for x in p.basis_vector(l)]
+        if sandwich:
+            vec = [f.mul(x, u) for x in vec for u in algebra.unit]
+        out.append(vec)
+    return out
 
 
 def jet_module(algebra: FiniteAlgebra, p: Bimodule, k: int,
@@ -103,18 +102,11 @@ def jet_module(algebra: FiniteAlgebra, p: Bimodule, k: int,
     for _ in range(k + 1):
         level = [d.apply(v) for v in level for d in deltas]
     mu = closure(f, ambient.dim, level, ambient.left + ambient.right)
-    reps, proj, lift = _quotient_data(f, ambient.dim, mu)
+    reps, proj = quotient_projection(mu)
+    lift = Matrix(f, reps, ambient.dim).transpose()
     left_ops = [proj @ ambient.left[i] @ lift for i in range(n)]
     second_ops = [proj @ ambient.right[i] @ lift for i in range(n)]
-    unit_tensor_cols = []
-    for l in range(p.dim):
-        vec = [f.zero()] * ambient.dim
-        for i, u in enumerate(algebra.unit):
-            if u != 0:
-                vec[i * p.dim + l] = u
-        unit_tensor_cols.append(proj.apply(vec))
-    jk = Matrix(f, [[unit_tensor_cols[c][r] for c in range(p.dim)]
-                    for r in range(len(reps))], p.dim)
+    jk = proj @ Matrix(f, _unit_tensors(algebra, p), ambient.dim).transpose()
     return JetModule(algebra, p, k, ambient.dim, mu, proj, reps,
                      left_ops, second_ops, jk)
 
@@ -133,57 +125,17 @@ def hom_space_out_of_jet(jm: JetModule, q: Bimodule,
     With ``bimodule_maps`` the right structures are intertwined as well
     (used by the two-sided jets).
     """
-    f = jm.algebra.field
-    jd = jm.dim
-    mq = q.dim
-    eye_j = Matrix.identity(f, jd)
-    eye_q = Matrix.identity(f, mq)
-    blocks = []
-    for i in range(jm.algebra.dim):
-        blocks.append(kron(eye_q, jm.left_ops[i].transpose())
-                      - kron(q.left[i], eye_j))
-        if bimodule_maps:
-            blocks.append(kron(eye_q, jm.second_ops[i].transpose())
-                          - kron(q.right[i], eye_j))
-    return kernel(vstack(blocks))
-
-
-class JetFactorization:
-    def __init__(self, f_matrix, residual_zero, unique):
-        self.f_matrix = f_matrix
-        self.residual_zero = residual_zero
-        self.unique = unique
-
-    @property
-    def ok(self):
-        return self.residual_zero and self.unique
+    hom = HomSpace(jm.quotient_bimodule(), q)
+    ops = hom.delta_ops() + (hom.bar_delta_ops() if bimodule_maps else [])
+    return kernel(vstack(ops))
 
 
 def factorize(jm: JetModule, q: Bimodule, delta: Matrix,
-              hom_space: Subspace = None) -> JetFactorization:
+              hom_space: Subspace = None) -> Factorization:
     """Write an order-k operator as (module map out of the jet) ∘ J_k."""
-    f = jm.algebra.field
-    jd = jm.dim
-    mq = q.dim
     if hom_space is None:
         hom_space = hom_space_out_of_jet(jm, q, bimodule_maps=jm.two_sided)
-    basis_images = []
-    for row in hom_space.basis:
-        fmat = Matrix(f, [list(row[r * jd:(r + 1) * jd]) for r in range(mq)], jd)
-        basis_images.append(fmat @ jm.jk)
-    rows = []
-    rhs = []
-    for i in range(jm.source.dim):
-        for m in range(mq):
-            rows.append([img.data[m][i] for img in basis_images])
-            rhs.append(delta.data[m][i])
-    sol = solve_affine([(Matrix(f, rows, hom_space.dim), rhs)])
-    if not sol.consistent:
-        return JetFactorization(None, False, False)
-    flat = hom_space.linear_combination(sol.point)
-    fmat = Matrix(f, [flat[r * jd:(r + 1) * jd] for r in range(mq)], jd)
-    residual = (fmat @ jm.jk) - delta
-    return JetFactorization(fmat, residual.is_zero(), sol.homogeneous.dim == 0)
+    return factor_through(hom_space, jm.jk, delta)
 
 
 def two_sided_jet(algebra: FiniteAlgebra, p: Bimodule) -> JetModule:
@@ -193,35 +145,19 @@ def two_sided_jet(algebra: FiniteAlgebra, p: Bimodule) -> JetModule:
     sw = SandwichModule(algebra, p)
     deltas = [sw.bimodule.left[i] - sw.mid_left[i] for i in range(n)]
     bar_deltas = [sw.bimodule.right[i] - sw.mid_right[i] for i in range(n)]
+    units = _unit_tensors(algebra, p, sandwich=True)
     gens = []
-    for l in range(p.dim):
-        vec = [f.zero()] * sw.dim
-        for i, u in enumerate(algebra.unit):
-            if u == 0:
-                continue
-            for kx, u2 in enumerate(algebra.unit):
-                if u2 != 0:
-                    vec[sw.flat_index(i, l, kx)] = f.mul(u, u2)
+    for vec in units:
         for b in range(n):
             inner = deltas[b].apply(vec)
             for c in range(n):
                 gens.append(bar_deltas[c].apply(inner))
     mu = closure(f, sw.dim, gens, sw.bimodule.left + sw.bimodule.right)
-    reps, proj, lift = _quotient_data(f, sw.dim, mu)
+    reps, proj = quotient_projection(mu)
+    lift = Matrix(f, reps, sw.dim).transpose()
     left_ops = [proj @ sw.bimodule.left[i] @ lift for i in range(n)]
     right_ops = [proj @ sw.bimodule.right[i] @ lift for i in range(n)]
-    jk_cols = []
-    for l in range(p.dim):
-        vec = [f.zero()] * sw.dim
-        for i, u in enumerate(algebra.unit):
-            if u == 0:
-                continue
-            for kx, u2 in enumerate(algebra.unit):
-                if u2 != 0:
-                    vec[sw.flat_index(i, l, kx)] = f.mul(u, u2)
-        jk_cols.append(proj.apply(vec))
-    jk = Matrix(f, [[jk_cols[c][r] for c in range(p.dim)]
-                    for r in range(len(reps))], p.dim)
+    jk = proj @ Matrix(f, units, sw.dim).transpose()
     return JetModule(algebra, p, 1, sw.dim, mu, proj, reps,
                      left_ops, right_ops, jk, two_sided=True)
 
@@ -273,36 +209,21 @@ def left_jet_identity_witness(algebra: FiniteAlgebra, p: Bimodule, k: int = 1):
     n = algebra.dim
     ambient = tensor_algebra_module(algebra, p)
     # left-linear maps f: A⊗P → A, i.e. f ∘ L(b) = L_A(b) ∘ f
-    eye_amb = Matrix.identity(f, ambient.dim)
-    eye_a = Matrix.identity(f, n)
-    blocks = [kron(eye_a, ambient.left[i].transpose())
-              - kron(algebra.left_mult_basis(i), eye_amb) for i in range(n)]
-    maps = kernel(vstack(blocks))
+    hom = HomSpace(ambient, regular_bimodule(algebra))
+    maps = kernel(vstack(hom.delta_ops()))
     deltas = [ambient.left[i] - ambient.right[i] for i in range(n)]
+    units = _unit_tensors(algebra, p)
+    unit_cols = Matrix(f, units, ambient.dim).transpose()
     for row in maps.basis:
-        fmat = Matrix(f, [list(row[r * ambient.dim:(r + 1) * ambient.dim])
-                          for r in range(n)], ambient.dim)
-        cols = []
-        for l in range(p.dim):
-            vec = [f.zero()] * ambient.dim
-            for i, u in enumerate(algebra.unit):
-                if u != 0:
-                    vec[i * p.dim + l] = u
-            cols.append(fmat.apply(vec))
-        fj = Matrix(f, [[cols[c][r] for c in range(p.dim)] for r in range(n)],
-                    p.dim)
+        fmat = hom.from_flat(row).matrix
+        fj = fmat @ unit_cols
         for b0, b1 in product(range(n), repeat=2):
             lhs = (algebra.left_mult_basis(b0) @ algebra.left_mult_basis(b1) @ fj
                    - algebra.left_mult_basis(b0) @ fj @ p.left[b1]
                    - algebra.left_mult_basis(b1) @ fj @ p.left[b0]
                    + fj @ p.left[b1] @ p.left[b0])
             for l in range(p.dim):
-                vec = [f.zero()] * ambient.dim
-                for i, u in enumerate(algebra.unit):
-                    if u != 0:
-                        vec[i * p.dim + l] = u
-                img = deltas[b1].apply(vec)
-                img = deltas[b0].apply(img)
+                img = deltas[b0].apply(deltas[b1].apply(units[l]))
                 rhs_col = fmat.apply(img)
                 if lhs.col(l) != rhs_col:
                     diff = [f.sub(x, y) for x, y in zip(lhs.col(l), rhs_col)]

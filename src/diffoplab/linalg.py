@@ -15,6 +15,12 @@ non-zero entries of column j of ``m``; ``a @ b`` takes each non-zero
 ``a[i][k]`` against the cached non-zero entries of row k of ``b``.  The
 Kronecker-structured operators of the higher layers, and the sparse vectors
 they act on, make that a small fraction of the dense work.
+
+Besides ``kernel`` and ``closure``, the constructions of the higher layers
+rest on four helpers: ``preimage`` (the vectors that a family of operators
+sends into a subspace), ``inverse``, ``quotient_projection`` (coset
+representatives of K^n/S and the projection onto their coordinates), and
+``factor_through`` (write Δ = F∘J with F in a given space of maps).
 """
 
 from __future__ import annotations
@@ -609,11 +615,77 @@ def solve_unique(m: Matrix, target):
     return sol.point
 
 
-def preimage(m: Matrix, target: Subspace) -> Subspace:
-    """{v : m v ∈ target} computed through the target's annihilator."""
-    if m.rows != target.ambient_dim:
+def preimage(ops, target: Subspace) -> Subspace:
+    """{v : m v ∈ target for every m in ops}, through the target's annihilator."""
+    ops = list(ops)
+    if any(m.rows != target.ambient_dim for m in ops):
         raise ValueError("operator/target dimension mismatch")
-    return kernel(target.constraint_matrix() @ m)
+    if target.dim == 0:  # the annihilator is the identity: skip the products
+        return kernel(vstack(ops))
+    cons = target.constraint_matrix()
+    return kernel(vstack(cons @ m for m in ops))
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Inverse of a square matrix, by elimination on the block [m | I]."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("matrix is not square")
+    red = rref(hstack([m, Matrix.identity(m.field, n)]))
+    if any(red.data[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(m.field, [r[n:] for r in red.data], n)
+
+
+def quotient_projection(sub: Subspace):
+    """Coset representatives of K^n/sub and the projection onto their coordinates.
+
+    Returns ``(reps, proj)``: ``reps`` extend the basis of ``sub`` to a basis
+    of K^n, and ``proj`` maps v to the coordinates of v + sub in the basis
+    of the cosets of ``reps``.
+    """
+    n = sub.ambient_dim
+    reps = quotient_basis(Subspace.full(sub.field, n), sub)
+    columns = Matrix(sub.field, list(sub.basis) + reps, n).transpose()
+    return reps, Matrix(sub.field, inverse(columns).data[sub.dim:], n)
+
+
+class Factorization:
+    """Outcome of ``factor_through``: F (or None), and whether it is exact and unique."""
+
+    __slots__ = ("f_matrix", "residual_zero", "unique")
+
+    def __init__(self, f_matrix, residual_zero, unique):
+        self.f_matrix = f_matrix
+        self.residual_zero = residual_zero
+        self.unique = unique
+
+    @property
+    def ok(self):
+        return self.residual_zero and self.unique
+
+
+def factor_through(maps: Subspace, j: Matrix, delta: Matrix) -> Factorization:
+    """Solve F @ j = delta for F in ``maps``.
+
+    ``maps`` holds (delta.rows)×(j.rows) matrices, flattened row-major; the
+    system is solved in the coordinates of its canonical basis.
+    """
+    f = j.field
+    rows, width = delta.rows, j.rows
+
+    def unflatten(flat):
+        return Matrix(f, [list(flat[r * width:(r + 1) * width]) for r in range(rows)], width)
+
+    images = [unflatten(row) @ j for row in maps.basis]
+    system = [[img.data[m][i] for img in images]
+              for i in range(delta.cols) for m in range(rows)]
+    rhs = [delta.data[m][i] for i in range(delta.cols) for m in range(rows)]
+    sol = solve_affine([(Matrix(f, system, maps.dim), rhs)])
+    if not sol.consistent:
+        return Factorization(None, False, False)
+    fmat = unflatten(maps.linear_combination(sol.point))
+    return Factorization(fmat, (fmat @ j - delta).is_zero(), sol.homogeneous.dim == 0)
 
 
 def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:

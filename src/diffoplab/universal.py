@@ -14,13 +14,16 @@ from itertools import product
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .bimodule import Bimodule
+from .homspace import HomSpace
 from .linalg import (
+    Factorization,
     Matrix,
     Subspace,
     closure,
+    factor_through,
     kernel,
     kron,
-    quotient_basis,
+    quotient_projection,
     restrict_operator,
     solve_affine,
     vstack,
@@ -164,16 +167,8 @@ class UniversalCalculus:
                             vec[wi * t + y] = f.sub(vec[wi * t + y], c)
                     rel_vecs.append(vec)
         self.middle_relations = Subspace.from_spanning(f, t * t, rel_vecs)
-        reps = quotient_basis(Subspace.full(f, t * t), self.middle_relations)
-        q2 = len(reps)
-        self.omega2_dim = q2
-        cols = [list(r) for r in self.middle_relations.basis] + reps
-        big = Matrix(f, [[cols[c][r] for c in range(t * t)] for r in range(t * t)],
-                     t * t)
-        inv = _invert(big)
-        mu = self.middle_relations.dim
-        self.proj2 = Matrix(f, inv.data[mu:], t * t)
-        self.reps2 = reps
+        self.reps2, self.proj2 = quotient_projection(self.middle_relations)
+        q2 = self.omega2_dim = len(self.reps2)
         # d1 on basis vectors of Ω¹ via their ambient A⊗A coordinates:
         # Σ x_{ij} e_i d e_j  ↦  Σ x_{ij} d e_i · d e_j
         des = [self.omega1.coords_of(
@@ -325,51 +320,15 @@ class UniversalCalculus:
         return Calculus(self.algebra, dims, d_mats, mul)
 
 
-def _invert(m: Matrix) -> Matrix:
-    """Inverse via elimination on the augmented block."""
-    f = m.field
-    nn = m.rows
-    aug = Matrix(f, [list(r) + list(e) for r, e in
-                     zip(m.data, Matrix.identity(f, nn).data)], 2 * nn)
-    from .linalg import rref
-    red = rref(aug)
-    for i in range(nn):
-        if red.data[i][i] != f.one():
-            raise ValueError("matrix is singular")
-    return Matrix(f, [r[nn:] for r in red.data[:nn]], nn)
-
-
-class FactorizationResult:
-    def __init__(self, f_matrix, residual_zero, unique):
-        self.f_matrix = f_matrix
-        self.residual_zero = residual_zero
-        self.unique = unique
-
-    @property
-    def ok(self):
-        return self.residual_zero and self.unique
-
-
 def bimodule_hom_space(uc: UniversalCalculus, target: Bimodule) -> Subspace:
     """Hom_{A-A}(Ω¹, target) in flat (dim target)×(dim Ω¹) coordinates."""
-    alg = uc.algebra
-    f = alg.field
-    t = uc.omega1.dim
-    mp = target.dim
-    eye_t = Matrix.identity(f, t)
-    eye_p = Matrix.identity(f, mp)
-    blocks = []
-    for i in range(alg.dim):
-        blocks.append(kron(eye_p, uc.left1[i].transpose())
-                      - kron(target.left[i], eye_t))
-        blocks.append(kron(eye_p, uc.right1[i].transpose())
-                      - kron(target.right[i], eye_t))
-    return kernel(vstack(blocks))
+    hom = HomSpace(uc.omega1_bimodule(), target)
+    return kernel(vstack(hom.delta_ops() + hom.bar_delta_ops()))
 
 
 def universal_factorize(uc: UniversalCalculus, target: Bimodule,
                         derivation: Matrix,
-                        hom_space: Subspace = None) -> FactorizationResult:
+                        hom_space: Subspace = None) -> Factorization:
     """Factor a target-valued derivation through d as a bimodule map on Ω¹.
 
     Solves f(d a) = Δ(a) inside Hom_{A-A}(Ω¹, target); the system must be
@@ -377,33 +336,9 @@ def universal_factorize(uc: UniversalCalculus, target: Bimodule,
     the exact forms).  Pass a precomputed ``hom_space`` when factoring many
     derivations into one target.
     """
-    alg = uc.algebra
-    f = alg.field
-    n = alg.dim
-    t = uc.omega1.dim
-    mp = target.dim
     if hom_space is None:
         hom_space = bimodule_hom_space(uc, target)
-    h = hom_space.dim
-    # generator conditions in hom-space coordinates: for each basis a and
-    # output coordinate, sum_r alpha_r (H_r @ d0)[m][i] = Δ[m][i]
-    basis_images = []
-    for row in hom_space.basis:
-        hmat = Matrix(f, [list(row[r * t:(r + 1) * t]) for r in range(mp)], t)
-        basis_images.append(hmat @ uc.d0)
-    rows = []
-    rhs = []
-    for i in range(n):
-        for m in range(mp):
-            rows.append([basis_images[r].data[m][i] for r in range(h)])
-            rhs.append(derivation.data[m][i])
-    sol = solve_affine([(Matrix(f, rows, h), rhs)])
-    if not sol.consistent:
-        return FactorizationResult(None, False, False)
-    flat = hom_space.linear_combination(sol.point)
-    fmat = Matrix(f, [flat[r * t:(r + 1) * t] for r in range(mp)], t)
-    residual = (fmat @ uc.d0) - derivation
-    return FactorizationResult(fmat, residual.is_zero(), sol.homogeneous.dim == 0)
+    return factor_through(hom_space, uc.d0, derivation)
 
 
 class ExtensionResult:

@@ -23,7 +23,7 @@ from diffoplab.fields import QQ
 from diffoplab.homspace import HomSpace, LinMap
 from diffoplab.linalg import Matrix, Subspace
 
-from oracles import nullity
+from oracles import gauss_nullspace, nullity
 
 
 COMMUTATIVE = ["trunc_poly:3", "square_zero:2", "group_z:3"]
@@ -92,6 +92,14 @@ def test_dv_dim_m2_against_oracle():
     zero_right = Subspace.from_spanning(
         QQ, 16, [flat(a.right_mult(a.basis_vector(q))) for q in range(4)])
     assert zero_right.sum(der.space) == space.space
+
+
+@pytest.mark.parametrize("spec", ["matrix:2", "quaternion", "trunc_poly:3"])
+def test_dv_space_against_oracle(spec):
+    a, reg = reg_pair(spec)
+    oracle = Subspace.from_spanning(QQ, a.dim ** 2,
+                                    gauss_nullspace(dv_condition_rows(a, reg)))
+    assert dv_first_order(reg, reg).space == oracle
 
 
 def test_dv_reduces_to_grothendieck_on_commutative():

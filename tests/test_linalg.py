@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,9 +11,12 @@ from diffoplab.linalg import (
     Matrix,
     Subspace,
     closure,
+    factor_through,
+    inverse,
     kernel,
     preimage,
     quotient_basis,
+    quotient_projection,
     rank,
     restrict_operator,
     rref,
@@ -160,8 +164,51 @@ def test_solve_affine_tautology_and_inconsistent():
 def test_preimage():
     m = M([[1, 0], [0, 0]])
     target = Subspace.zero(QQ, 2)
-    pre = preimage(m, target)
+    pre = preimage([m], target)
     assert pre.dim == 1 and pre.contains([0, 1])
+    # two operators and a non-zero target, against all of GF(3)^3
+    gf3 = Field(3)
+    rows1 = [[1, 1, 0], [2, 2, 1], [0, 0, 1]]  # alone: preimage of dim 2
+    rows2 = [[0, 1, 1], [0, 2, 2], [1, 0, 2]]  # alone: preimage of dim 2
+    gen = [1, 2, 0]
+    pre = preimage([M(rows1, gf3), M(rows2, gf3)], Subspace.from_spanning(gf3, 3, [gen]))
+
+    def image(rows, v):
+        return tuple(sum(a * b for a, b in zip(r, v)) % 3 for r in rows)
+
+    line = {tuple(c * x % 3 for x in gen) for c in range(3)}
+    expected = {v for v in product(range(3), repeat=3)
+                if image(rows1, v) in line and image(rows2, v) in line}
+    spanned = {tuple(sum(c * b[j] for c, b in zip(cs, pre.basis)) % 3 for j in range(3))
+               for cs in product(range(3), repeat=pre.dim)}
+    assert spanned == expected and pre.dim == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003])
+def test_inverse_and_quotient_projection(field):
+    m = M([[2, 1, 0], [0, 1, 3], [1, 0, 1]], field)
+    assert inverse(m) @ m == Matrix.identity(field, 3)
+    with pytest.raises(ValueError):
+        inverse(M([[1, 2], [2, 4]], field))
+    sub = Subspace.from_spanning(field, 3, [[1, 1, 0], [0, 2, 1]])
+    reps, proj = quotient_projection(sub)
+    assert len(reps) == 1 and proj.rows == 1 and proj.cols == 3
+    assert all(x == 0 for b in sub.basis for x in proj.apply(list(b)))
+    assert proj.apply(reps[0]) == [1]
+
+
+def test_factor_through():
+    # F @ J = Δ with F in the 2×2 upper triangular maps and J = [[1, 1], [0, 1]]
+    upper = Subspace.from_spanning(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    j = M([[1, 1], [0, 1]])
+    fac = factor_through(upper, j, M([[2, 5], [0, 4]]))
+    assert fac.ok and fac.f_matrix == M([[2, 3], [0, 4]])
+    assert fac.f_matrix @ j == M([[2, 5], [0, 4]])
+    miss = factor_through(upper, j, M([[0, 0], [1, 1]]))
+    assert not miss.ok and miss.f_matrix is None
+    # J with a zero row leaves that column of F free: exact but not unique
+    loose = factor_through(upper, M([[1, 0], [0, 0]]), M([[1, 0], [0, 0]]))
+    assert loose.residual_zero and not loose.unique and not loose.ok
 
 
 def test_closure_generates_invariant_subspace():

@@ -148,6 +148,20 @@ def test_cli_bad_rank_or_degree_is_a_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", [[0, 5, 0, "1"], [0, -1, 0, "1"]])
+def test_cli_module_entry_out_of_range_is_a_usage_error(entry, tmp_path, capsys):
+    a = catalog("trunc_poly:2")
+    apath = tmp_path / "alg.json"
+    a.save(apath)
+    spec = regular_bimodule(a).to_json_dict()
+    spec["left"].append(entry)
+    mpath = tmp_path / "mod.json"
+    mpath.write_text(json.dumps(spec))
+    assert main(["check-module", str(apath), "--module", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_degree_caps_are_accepted():
     assert main(["derivations", "trunc_poly:2", "--target", "free:1"]) == 0
     assert main(["universal", "trunc_poly:2", "--max-degree", "1"]) == 0
