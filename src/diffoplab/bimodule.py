@@ -9,6 +9,7 @@ A ⊗ P carry two commuting *left* structures instead, which is recorded in
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import product
 
 from .algebra import FiniteAlgebra
@@ -310,13 +311,24 @@ class DualModule:
     """A space of A-valued functionals on Q realized inside Hom_K(Q, A).
 
     ``space`` lives in the flat coordinates of (dim A)×(dim Q) matrices
-    (row-major); ``bimodule`` carries the induced actions restricted to it.
+    (row-major); ``bimodule`` carries the induced actions restricted to it,
+    and is built from the flat action operators when first read.
     """
 
-    def __init__(self, bimodule: Bimodule, space: Subspace, source: Bimodule):
-        self.bimodule = bimodule
+    def __init__(self, space: Subspace, source: Bimodule, left_flat, right_flat,
+                 name: str):
         self.space = space
         self.source = source
+        self._flat_actions = (left_flat, right_flat)
+        self._name = name
+
+    @cached_property
+    def bimodule(self) -> Bimodule:
+        left, right = self._flat_actions
+        return Bimodule(self.source.algebra, self.space.dim,
+                        [restrict_operator(m, self.space) for m in left],
+                        [restrict_operator(m, self.space) for m in right],
+                        name=self._name)
 
     @property
     def dim(self):
@@ -325,7 +337,7 @@ class DualModule:
     def as_map(self, coords) -> Matrix:
         """The functional with the given dual coordinates, as an n×(dim Q) matrix."""
         flat = self.space.linear_combination(coords)
-        n = self.bimodule.algebra.dim
+        n = self.source.algebra.dim
         mq = self.source.dim
         return Matrix(self.space.field,
                       [flat[r * mq:(r + 1) * mq] for r in range(n)])
@@ -354,11 +366,7 @@ def right_dual(q: Bimodule) -> DualModule:
     a = q.algebra
     la, ra, lq, rq = _dual_flat_ops(a, q)
     constraints = [rq[i] - ra[i] for i in range(a.dim)]  # u(x e_i) = u(x) e_i
-    space = kernel(vstack(constraints))
-    left_ops = [restrict_operator(la[i], space) for i in range(a.dim)]
-    right_ops = [restrict_operator(lq[i], space) for i in range(a.dim)]
-    mod = Bimodule(a, space.dim, left_ops, right_ops, name=f"{q.name}*R")
-    return DualModule(mod, space, q)
+    return DualModule(kernel(vstack(constraints)), q, la, lq, f"{q.name}*R")
 
 
 def left_dual(q: Bimodule) -> DualModule:
@@ -366,11 +374,7 @@ def left_dual(q: Bimodule) -> DualModule:
     a = q.algebra
     la, ra, lq, rq = _dual_flat_ops(a, q)
     constraints = [lq[i] - la[i] for i in range(a.dim)]  # u(e_i x) = e_i u(x)
-    space = kernel(vstack(constraints))
-    left_ops = [restrict_operator(rq[i], space) for i in range(a.dim)]
-    right_ops = [restrict_operator(ra[i], space) for i in range(a.dim)]
-    mod = Bimodule(a, space.dim, left_ops, right_ops, name=f"{q.name}*L")
-    return DualModule(mod, space, q)
+    return DualModule(kernel(vstack(constraints)), q, rq, ra, f"{q.name}*L")
 
 
 def two_sided_dual_space(q: Bimodule) -> Subspace:

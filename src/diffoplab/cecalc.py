@@ -22,6 +22,7 @@ from .derivations import DerivationSpace, derivations, lie_bracket
 from .homspace import HomSpace
 from .linalg import (
     Matrix,
+    SparseRows,
     Subspace,
     closure,
     factor_through,
@@ -36,6 +37,20 @@ DEGREE_CAP = 3
 
 class DegreeCapError(ValueError):
     pass
+
+
+def _tuple_index(t, d: int) -> int:
+    """Position of the basis tuple ``t`` among all k-tuples of range(d)."""
+    idx = 0
+    for x in t:
+        idx = idx * d + x
+    return idx
+
+
+def _value_at(flat, t, n: int, d: int):
+    """φ(u_{t_0}, …) as algebra coordinates, basis tuple arguments."""
+    base = _tuple_index(t, d) * n
+    return flat[base:base + n]
 
 
 class FormSpace:
@@ -56,18 +71,9 @@ class FormSpace:
     def ambient_dim(self):
         return self.algebra.dim * (self.der.dim ** self.degree)
 
-    def tuple_index(self, t) -> int:
-        d = self.der.dim
-        idx = 0
-        for x in t:
-            idx = idx * d + x
-        return idx
-
     def value_at(self, flat, t):
         """φ(u_{t_0}, …) as algebra coordinates, basis tuple arguments."""
-        n = self.algebra.dim
-        base = self.tuple_index(t) * n
-        return flat[base:base + n]
+        return _value_at(flat, t, self.algebra.dim, self.der.dim)
 
     def evaluate(self, flat, args):
         """Multilinear evaluation at arbitrary derivation-coordinate tuples."""
@@ -119,48 +125,43 @@ def ce_forms(algebra: FiniteAlgebra, degree: int,
     if degree == 0:
         return FormSpace(algebra, der, 0, Subspace.full(f, n))
     ambient = n * (d ** degree)
-    fs = FormSpace(algebra, der, degree, Subspace.full(f, ambient))
-    rows = []
+    one = f.one()
+    cons = SparseRows(f, ambient)
     # alternating: adjacent swaps negate; repeated adjacent arguments vanish
     for t in product(range(d), repeat=degree):
-        ti = fs.tuple_index(t)
+        ti = _tuple_index(t, d)
         for s in range(degree - 1):
             if t[s] == t[s + 1]:
                 for m in range(n):
-                    row = [f.zero()] * ambient
-                    row[ti * n + m] = f.one()
-                    rows.append(row)
+                    cons.append({ti * n + m: one})
             elif t[s] < t[s + 1]:
                 swapped = list(t)
                 swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
-                si = fs.tuple_index(swapped)
+                si = _tuple_index(swapped, d)
                 for m in range(n):
-                    row = [f.zero()] * ambient
-                    row[ti * n + m] = f.one()
-                    row[si * n + m] = f.add(row[si * n + m], f.one())
-                    rows.append(row)
+                    cons.append({ti * n + m: one, si * n + m: one})
     # center-multilinearity in every slot
     z_coords = _center_action_coords(algebra, der)
     z_mults = [algebra.left_mult(list(z)) for z in algebra.center().basis]
     for zi, zrow in enumerate(z_coords):
         lz = z_mults[zi]
         for t in product(range(d), repeat=degree):
-            ti = fs.tuple_index(t)
+            ti = _tuple_index(t, d)
             for s in range(degree):
                 for m in range(n):
-                    row = [f.zero()] * ambient
+                    row = {}
                     for r, c in enumerate(zrow[t[s]]):
                         if c != 0:
                             replaced = list(t)
                             replaced[s] = r
-                            ri = fs.tuple_index(replaced)
-                            row[ri * n + m] = f.add(row[ri * n + m], c)
+                            k = _tuple_index(replaced, d) * n + m
+                            row[k] = f.add(row.get(k, 0), c)
                     for m2 in range(n):
                         if lz.data[m][m2] != 0:
-                            row[ti * n + m2] = f.sub(row[ti * n + m2], lz.data[m][m2])
-                    rows.append(row)
-    space = kernel(Matrix(f, rows, ambient)) if rows else Subspace.full(f, ambient)
-    return FormSpace(algebra, der, degree, space)
+                            k = ti * n + m2
+                            row[k] = f.sub(row.get(k, 0), lz.data[m][m2])
+                    cons.append(row)
+    return FormSpace(algebra, der, degree, kernel(cons))
 
 
 def ce_coboundary_matrix(algebra: FiniteAlgebra, der: DerivationSpace,
@@ -174,14 +175,12 @@ def ce_coboundary_matrix(algebra: FiniteAlgebra, der: DerivationSpace,
     maps = der.basis_maps()
     bracket_coords = [[der.coords_of(lie_bracket(maps[i], maps[j]))
                        for j in range(d)] for i in range(d)]
-    fs_in = FormSpace(algebra, der, degree, Subspace.full(f, cols_dim))
-    fs_out = FormSpace(algebra, der, degree + 1, Subspace.full(f, rows_dim))
     out = [[f.zero()] * cols_dim for _ in range(rows_dim)]
     for t in product(range(d), repeat=degree + 1):
-        ti = fs_out.tuple_index(t)
+        ti = _tuple_index(t, d)
         for i in range(degree + 1):
             omit = t[:i] + t[i + 1:]
-            oi = fs_in.tuple_index(omit)
+            oi = _tuple_index(omit, d)
             sign = 1 if i % 2 == 0 else -1
             u = maps[t[i]]
             for m in range(n):
@@ -199,7 +198,7 @@ def ce_coboundary_matrix(algebra: FiniteAlgebra, der: DerivationSpace,
                     if c == 0:
                         continue
                     arg = (r,) + rest
-                    ai = fs_in.tuple_index(arg)
+                    ai = _tuple_index(arg, d)
                     v = c if sign > 0 else f.neg(c)
                     for m in range(n):
                         out[ti * n + m][ai * n + m] = f.add(
@@ -224,19 +223,15 @@ def wedge(algebra: FiniteAlgebra, der: DerivationSpace,
     d = der.dim
     f = algebra.field
     if r == 0:
-        fs = FormSpace(algebra, der, s, Subspace.full(f, n * d ** s))
         out = []
         for t in product(range(d), repeat=s):
-            out.extend(algebra.multiply(phi_flat, fs.value_at(psi_flat, t)))
+            out.extend(algebra.multiply(phi_flat, _value_at(psi_flat, t, n, d)))
         return out
     if s == 0:
-        fs = FormSpace(algebra, der, r, Subspace.full(f, n * d ** r))
         out = []
         for t in product(range(d), repeat=r):
-            out.extend(algebra.multiply(fs.value_at(phi_flat, t), psi_flat))
+            out.extend(algebra.multiply(_value_at(phi_flat, t, n, d), psi_flat))
         return out
-    fs_phi = FormSpace(algebra, der, r, Subspace.full(f, n * d ** r))
-    fs_psi = FormSpace(algebra, der, s, Subspace.full(f, n * d ** s))
     total = r + s
     out = []
     for t in product(range(d), repeat=total):
@@ -245,8 +240,8 @@ def wedge(algebra: FiniteAlgebra, der: DerivationSpace,
             comp = [x for x in range(total) if x not in subset]
             inversions = sum(1 for a in subset for b in comp if a > b)
             sign = 1 if inversions % 2 == 0 else -1
-            val = algebra.multiply(fs_phi.value_at(phi_flat, [t[x] for x in subset]),
-                                   fs_psi.value_at(psi_flat, [t[x] for x in comp]))
+            val = algebra.multiply(_value_at(phi_flat, [t[x] for x in subset], n, d),
+                                   _value_at(psi_flat, [t[x] for x in comp], n, d))
             for m in range(n):
                 if val[m] != 0:
                     acc[m] = f.add(acc[m], val[m] if sign > 0 else f.neg(val[m]))

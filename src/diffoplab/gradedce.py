@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement, product
 from .algebra import AlgebraError, FiniteAlgebra
 from .bimodule import regular_bimodule
 from .derivations import DerivationSpace, derivations, super_bracket
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, SparseRows, Subspace, kernel
 
 GRADED_DEGREE_CAP = 2
 
@@ -235,12 +235,12 @@ class GradedCochainComplex:
         ext = self.ext
         monos = ext.monomials(k)
         flat = self.flat_dim(k)
-        from itertools import product as iproduct
+        one = f.one()
         rows = []
         # constraints come from every argument tuple, not only the
         # normal-form ones: scaling one slot of a degenerate tuple
         # still relates honest monomial values
-        for factors in iproduct(range(self.der.dim), repeat=k):
+        for factors in product(range(self.der.dim), repeat=k):
             factors = list(factors)
             base = ext.normalize(factors)
             for t in range(k):
@@ -253,7 +253,7 @@ class GradedCochainComplex:
                     la = algebra.left_mult_basis(ai)
                     scaled = self._scaled_derivation_coords(ai, factors[t])
                     for m in range(n):
-                        row = [f.zero()] * flat
+                        row = {}
                         for b, c in enumerate(scaled):
                             if c == 0:
                                 continue
@@ -262,8 +262,8 @@ class GradedCochainComplex:
                                 continue
                             sgn, mono2 = norm
                             lo, _ = self._slice(k, mono2)
-                            v = f.mul(c, f.one() if sgn > 0 else f.neg(f.one()))
-                            row[lo + m] = f.add(row[lo + m], v)
+                            v = f.mul(c, one if sgn > 0 else f.neg(one))
+                            row[lo + m] = f.add(row.get(lo + m, 0), v)
                         if base is not None:
                             bsgn, bmono = base
                             lo0, _ = self._slice(k, bmono)
@@ -271,24 +271,21 @@ class GradedCochainComplex:
                                 v = la.data[m][m2]
                                 if v != 0:
                                     if (bsgn < 0) != sign_neg:
-                                        row[lo0 + m2] = f.add(row[lo0 + m2], v)
+                                        row[lo0 + m2] = f.add(row.get(lo0 + m2, 0), v)
                                     else:
-                                        row[lo0 + m2] = f.sub(row[lo0 + m2], v)
-                        if any(x != 0 for x in row):
-                            rows.append(row)
+                                        row[lo0 + m2] = f.sub(row.get(lo0 + m2, 0), v)
+                        rows.append(row)
         total = None
         for par in (0, 1):
+            cons = SparseRows(f, flat, rows)
             # homogeneity selector: coords off the parity-π support vanish
-            selector = []
             for monomial in monos:
                 mpar = ext.monomial_parity(monomial)
+                lo, _ = self._slice(k, monomial)
                 for m in range(n):
                     if (algebra.parity[m] + mpar) % 2 != par:
-                        row = [f.zero()] * flat
-                        lo, _ = self._slice(k, monomial)
-                        row[lo + m] = f.one()
-                        selector.append(row)
-            space = kernel(Matrix(f, rows + selector, flat))
+                        cons.append({lo + m: one})
+            space = kernel(cons)
             total = space if total is None else total.sum(space)
         return total
 

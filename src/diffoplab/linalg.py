@@ -1,13 +1,22 @@
-"""Dense exact linear algebra: matrices, canonical subspaces, linear solves.
+"""Exact linear algebra: matrices, canonical subspaces, linear solves.
 
-Everything is computed exactly.  Over the rationals the elimination core
-works on integer rows (cleared denominators, gcd-normalized) so that the
-bulk of the arithmetic is fast Python-int work; reduced row echelon bases
-are produced at the end in the integer-first form of :mod:`.fields` (an
-``int`` wherever the pivot divides the entry, a ``Fraction`` otherwise).
-Subspaces are always stored through their reduced row echelon basis with
-zero rows dropped, so two equal subspaces have bitwise identical
-representations.
+Everything is computed exactly.  The elimination core, :class:`Echelon`, is
+sparse: it holds each pivot row as its sorted ``(col, value)`` pairs and
+reduces an incoming row as a ``{col: value}`` dict, visiting its non-zero
+columns in order through a heap.  Over the rationals rows are held as
+gcd-normalized integer vectors (cleared denominators, fraction-free
+cross-multiplication) so that the bulk of the arithmetic is Python-int
+work; over GF(p) each pivot row is monic.  Reduced row echelon bases are
+back-substituted sparsely and produced at the end in the integer-first
+form of :mod:`.fields` (an ``int`` wherever the pivot divides the entry, a
+``Fraction`` otherwise).  Subspaces are always stored through their reduced
+row echelon basis with zero rows dropped, so two equal subspaces have
+bitwise identical representations.
+
+``kernel`` reads its system through the non-zero entries of each row: a
+:class:`Matrix` through its cached row entries, or a :class:`SparseRows`
+system, which wide and very sparse constraint builders fill with
+``{col: value}`` rows without ever writing the zero entries.
 
 Matrices are stored dense, but products visit only pairs of non-zero
 entries.  ``m.apply(v)`` takes each non-zero ``v[j]`` against the cached
@@ -26,6 +35,8 @@ representatives of K^n/S and the projection onto their coordinates), and
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress, count
 from math import gcd, lcm
 
 from .fields import Field, _q
@@ -230,11 +241,16 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 class Echelon:
-    """Incremental row echelon basis; the workhorse behind rref/kernel/closure.
+    """Incremental sparse row echelon basis; the workhorse behind rref/kernel/closure.
 
-    Over the rationals rows are held as gcd-normalized integer vectors so the
-    reduction loop runs on Python ints; ``finalize`` back-substitutes and
-    rescales pivots to 1, yielding the canonical reduced echelon basis.
+    Each pivot row is held as its sorted ``(col, value)`` pairs, leading
+    entry first.  Over the rationals the values are gcd-normalized integers
+    with a positive lead, and rows are reduced by fraction-free integer
+    cross-multiplication; over GF(p) the lead is 1.  An incoming row is
+    reduced as a ``{col: value}`` dict, taking the next column to eliminate
+    from a heap of its non-zero columns, so the work follows the non-zero
+    entries.  ``basis_rows`` back-substitutes sparsely and only then emits
+    the canonical reduced echelon rows as dense tuples.
     """
 
     __slots__ = ("field", "width", "pivots")
@@ -242,134 +258,222 @@ class Echelon:
     def __init__(self, field: Field, width: int):
         self.field = field
         self.width = width
-        self.pivots = {}  # pivot col -> int row (char 0) / scalar row (char p)
+        self.pivots = {}  # pivot col -> sorted (col, value) pairs, lead first
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _int_row(self, vec):
-        dens = [x.denominator for x in vec if type(x) is not int]
-        if not dens:
-            return list(vec)
-        den = lcm(*dens)
-        return [(x * den).numerator for x in vec]
+    def _entries(self, pairs):
+        """``(col, scalar)`` pairs as a new ``{col: value}`` dict in elimination form.
 
-    def _reduce_int(self, row):
+        Zeros are dropped; over Q the denominators are cleared, giving
+        integers, and over GF(p) the values are reduced into ``range(p)``.
+        """
+        p = self.field.char
+        if p:
+            return {j: r for j, x in pairs if (r := x % p)}
+        dens = [x.denominator for _, x in pairs if type(x) is not int]
+        if not dens:
+            return {j: x for j, x in pairs if x}
+        den = lcm(*dens)
+        return {j: (x * den).numerator for j, x in pairs if x}
+
+    def _dense_entries(self, vec):
+        """``_entries`` of a dense vector, scanning it once on its non-zeros."""
+        return self._entries([(j, vec[j]) for j in compress(count(), vec)])
+
+    def _reduce(self, row):
+        """Reduce an elimination-form dict in place; its lead column, or None if zero."""
         pivots = self.pivots
-        width = self.width
-        j = 0
-        while j < width:
-            if row[j]:
-                brow = pivots.get(j)
-                if brow is None:
-                    return row, j
-                a, b = brow[j], row[j]
+        p = self.field.char
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            b = row.get(j)
+            if b is None:  # a stale heap entry: the column was eliminated
+                continue
+            prow = pivots.get(j)
+            if prow is None:
+                return j
+            # every entry left in row sits at a column >= j, and prow leads at
+            # j, so the update zeroes column j and touches only later columns
+            if p:
+                for c, y in prow:
+                    v = row.get(c)
+                    if v is None:
+                        row[c] = (-b * y) % p
+                        heappush(heap, c)
+                    else:
+                        v = (v - b * y) % p
+                        if v:
+                            row[c] = v
+                        else:
+                            del row[c]
+            else:
+                a = prow[0][1]
                 g = gcd(a, b)
                 am, bm = a // g, b // g
-                # brow leads at j, row is zero before j: the prefix stays zero
-                row[j:] = [am * x - bm * y for x, y in zip(row[j:], brow[j:])]
-            j += 1
-        return row, None
+                if am != 1:
+                    for c in row:
+                        row[c] *= am
+                for c, y in prow:
+                    v = row.get(c)
+                    if v is None:
+                        row[c] = -bm * y
+                        heappush(heap, c)
+                    else:
+                        v -= bm * y
+                        if v:
+                            row[c] = v
+                        else:
+                            del row[c]
+        return None
 
-    def _reduce_modp(self, row):
+    def _insert(self, row) -> bool:
+        """Reduce an elimination-form dict; store the residual as a pivot row."""
+        lead = self._reduce(row)
+        if lead is None:
+            return False
         p = self.field.char
-        pivots = self.pivots
-        width = self.width
-        j = 0
-        while j < width:
-            if row[j]:
-                brow = pivots.get(j)
-                if brow is None:
-                    return row, j
-                c = row[j]  # brow[j] == 1
-                row[j:] = [(x - c * y) % p for x, y in zip(row[j:], brow[j:])]
-            j += 1
-        return row, None
+        if p:
+            inv = pow(row[lead], p - 2, p)
+            self.pivots[lead] = sorted((j, (x * inv) % p) for j, x in row.items())
+        else:
+            g = gcd(*row.values())
+            if row[lead] < 0:
+                g = -g
+            self.pivots[lead] = sorted((j, v // g) for j, v in row.items())
+        return True
 
     def add(self, vec) -> bool:
         """Reduce ``vec`` against the basis; insert the residual. True if rank grew."""
-        if self.field.char == 0:
-            row, lead = self._reduce_int(self._int_row(vec))
-            if lead is None:
-                return False
-            g = 0
-            for v in row:
-                g = gcd(g, v)
-            if row[lead] < 0:
-                g = -g
-            self.pivots[lead] = [v // g for v in row]
-            return True
-        p = self.field.char
-        row, lead = self._reduce_modp([int(x) % p for x in vec])
-        if lead is None:
-            return False
-        inv = pow(row[lead], p - 2, p)
-        self.pivots[lead] = [(x * inv) % p for x in row]
-        return True
+        return self._insert(self._dense_entries(vec))
+
+    def add_entries(self, pairs) -> bool:
+        """``add`` for a row given by its ``(col, value)`` pairs, each column once."""
+        return self._insert(self._entries(pairs))
 
     def contains(self, vec) -> bool:
-        if self.field.char == 0:
-            _, lead = self._reduce_int(self._int_row(vec))
-        else:
-            p = self.field.char
-            _, lead = self._reduce_modp([int(x) % p for x in vec])
-        return lead is None
+        return self._reduce(self._dense_entries(vec)) is None
 
-    def basis_rows(self):
-        """Canonical reduced echelon rows (pivot 1, zeros above pivots)."""
+    def reduced_rows(self):
+        """The canonical reduced echelon rows, sparse: ``(pivot col, pairs)`` in pivot order.
+
+        ``pairs`` are the sorted ``(col, scalar)`` entries of the row in
+        the field's scalar form, led by ``(pivot col, 1)``.
+        """
         cols = sorted(self.pivots)
-        if self.field.char == 0:
-            rows = {c: self.pivots[c][:] for c in cols}
-            for c in reversed(cols):
-                rc = rows[c]
-                for c2 in cols:
-                    if c2 >= c:
-                        break
-                    r2 = rows[c2]
-                    if r2[c]:
-                        a, b = rc[c], r2[c]
-                        g = gcd(a, b)
-                        am, bm = a // g, b // g
-                        new = [am * x - bm * y for x, y in zip(r2, rc)]
-                        g2 = 0
-                        for v in new:
-                            g2 = gcd(g2, v)
-                        lead = next(j for j, v in enumerate(new) if v)
-                        if new[lead] < 0:
-                            g2 = -g2
-                        rows[c2] = [v // g2 for v in new]
-            out = []
-            for c in cols:
-                r = rows[c]
-                piv = r[c]
-                out.append(tuple(v // piv if v % piv == 0 else Fraction(v, piv)
-                                 for v in r))
-            return out
+        rows = {c: dict(self.pivots[c]) for c in cols}
+        # back-substitution adds only non-pivot columns to a row, so the rows
+        # holding each pivot column can be listed before it starts
+        holders = {}
+        for c2 in cols:
+            for c, _ in self.pivots[c2][1:]:
+                if c in rows:
+                    holders.setdefault(c, []).append(c2)
         p = self.field.char
-        rows = {c: self.pivots[c][:] for c in cols}
         for c in reversed(cols):
             rc = rows[c]
-            for c2 in cols:
-                if c2 >= c:
-                    break
+            a = rc[c]
+            for c2 in holders.get(c, ()):
                 r2 = rows[c2]
-                if r2[c]:
-                    f = r2[c]
-                    rows[c2] = [(x - f * y) % p for x, y in zip(r2, rc)]
-        return [tuple(rows[c]) for c in cols]
+                b = r2[c]
+                if p:
+                    for k, y in rc.items():
+                        v = (r2.get(k, 0) - b * y) % p
+                        if v:
+                            r2[k] = v
+                        else:
+                            del r2[k]
+                    continue
+                g = gcd(a, b)
+                am, bm = a // g, b // g
+                if am != 1:
+                    for k in r2:
+                        r2[k] *= am
+                for k, y in rc.items():
+                    v = r2.get(k, 0) - bm * y
+                    if v:
+                        r2[k] = v
+                    else:
+                        del r2[k]
+                g2 = gcd(*r2.values())
+                if r2[c2] < 0:
+                    g2 = -g2
+                if g2 != 1:
+                    for k in r2:
+                        r2[k] //= g2
+        out = []
+        for c in cols:
+            r = rows[c]
+            if p:
+                out.append((c, sorted(r.items())))
+                continue
+            piv = r[c]
+            out.append((c, sorted((k, v // piv if v % piv == 0 else Fraction(v, piv))
+                                  for k, v in r.items())))
+        return out
+
+    def basis_rows(self):
+        """Canonical reduced echelon rows (pivot 1, zeros above pivots), dense."""
+        out = []
+        for _, pairs in self.reduced_rows():
+            row = [0] * self.width
+            for k, x in pairs:
+                row[k] = x
+            out.append(tuple(row))
+        return out
+
+    def subspace(self) -> "Subspace":
+        """The span of the rows added so far, as a canonical subspace."""
+        return Subspace(self.field, self.width, self.basis_rows(), sorted(self.pivots))
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form; zero rows are kept at the bottom."""
     ech = Echelon(m.field, m.cols)
-    for r in m.data:
-        ech.add(r)
+    for pairs in m._nonzero_rows():
+        ech.add_entries(pairs)
     rows = [list(r) for r in ech.basis_rows()]
     z = m.field.zero()
     while len(rows) < m.rows:
         rows.append([z] * m.cols)
     return Matrix(m.field, rows) if rows else Matrix.zeros(m.field, 0, m.cols)
+
+
+class SparseRows:
+    """A constraint system given row by row through its non-zero entries.
+
+    The row-only counterpart of :class:`Matrix` for ``kernel``: builders
+    append ``{col: value}`` rows and never materialize the zero entries of
+    a wide, very sparse system.  A row with no non-zero entry constrains
+    nothing and is not kept.
+    """
+
+    __slots__ = ("field", "cols", "_nzr")
+
+    def __init__(self, field: Field, cols: int, rows=()):
+        self.field = field
+        self.cols = cols
+        self._nzr = []
+        for row in rows:
+            self.append(row)
+
+    @property
+    def rows(self) -> int:
+        return len(self._nzr)
+
+    def append(self, row):
+        """Add the row with entries ``{col: value}``; zero values are dropped."""
+        pairs = sorted((j, x) for j, x in row.items() if x)
+        if pairs:
+            self._nzr.append(pairs)
+
+    def _nonzero_rows(self):
+        """Per row, the ``(col, value)`` pairs of its non-zero entries."""
+        return self._nzr
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +504,7 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
             ech.add(v)
-        rows = ech.basis_rows()
-        return Subspace(field, ambient_dim, rows, sorted(ech.pivots))
+        return ech.subspace()
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -409,9 +512,9 @@ class Subspace:
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient_dim)
-        return Subspace(field, ambient_dim, [tuple(r) for r in eye.data],
-                        range(ambient_dim))
+        z, o = field.zero(), field.one()
+        rows = [(z,) * i + (o,) + (z,) * (ambient_dim - i - 1) for i in range(ambient_dim)]
+        return Subspace(field, ambient_dim, rows, range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -493,35 +596,42 @@ class Subspace:
             raise ValueError("ambient space mismatch")
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m v = 0} as a canonical subspace."""
+def kernel(m) -> Subspace:
+    """Null space {v : m v = 0} of a Matrix or SparseRows, as a canonical subspace."""
     ech = Echelon(m.field, m.cols)
     seen = set()
-    for row in m.data:
-        key = tuple(row)
+    for pairs in m._nonzero_rows():
+        key = tuple(pairs)
         if key in seen:
             continue
         seen.add(key)
-        ech.add(row)
-    rows = ech.basis_rows()
-    pivot_of_row = [next(j for j, v in enumerate(row) if v != 0) for row in rows]
-    pivot_set = set(pivot_of_row)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    f = m.field
-    vectors = []
-    for fc in free_cols:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for i, pc in enumerate(pivot_of_row):
-            v[pc] = f.neg(rows[i][fc])
-        vectors.append(v)
-    return Subspace.from_spanning(f, m.cols, vectors)
+        ech.add_entries(pairs)
+    return _null_space(ech, ech.reduced_rows(), m.cols)
+
+
+def _null_space(ech: Echelon, reduced, n: int) -> Subspace:
+    """{v in K^n : R v = 0} for the reduced rows R of ``ech`` cut to the first n columns.
+
+    One vector per free column fc: e_fc - Σ_i R[i][fc] e_{pivot i}.
+    """
+    f = ech.field
+    by_free = {}
+    for pc, pairs in reduced:
+        for j, x in pairs[1:]:
+            if j < n:
+                by_free.setdefault(j, []).append((pc, f.neg(x)))
+    span = Echelon(f, n)
+    one = f.one()
+    for fc in range(n):
+        if fc not in ech.pivots:
+            span.add_entries(by_free.get(fc, []) + [(fc, one)])
+    return span.subspace()
 
 
 def rank(m: Matrix) -> int:
     ech = Echelon(m.field, m.cols)
-    for r in m.data:
-        ech.add(r)
+    for pairs in m._nonzero_rows():
+        ech.add_entries(pairs)
     return ech.rank
 
 
@@ -565,44 +675,30 @@ def solve_affine(constraints) -> AffineSolution:
         raise ValueError("no constraints given")
     field = blocks[0][0].field
     cols = blocks[0][0].cols
-    aug_rows = []
+    ech = Echelon(field, cols + 1)
     seen = set()
     for m, t in blocks:
         if m.cols != cols:
             raise ValueError("constraint width mismatch")
         if len(t) != m.rows:
             raise ValueError("target length mismatch")
-        for row, ti in zip(m.data, t):
-            key = (tuple(row), ti)
+        for pairs, ti in zip(m._nonzero_rows(), t):
+            key = (tuple(pairs), ti)
             if key in seen:
                 continue
             seen.add(key)
-            aug_rows.append(list(row) + [ti])
-    aug = rref(Matrix(field, aug_rows, cols + 1))
-    pivot_cols = []
+            ech.add_entries(pairs + [(cols, ti)])
+    if cols in ech.pivots:
+        return AffineSolution(False)
+    reduced = ech.reduced_rows()
     point = [field.zero()] * cols
-    for row in aug.data:
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
-        if lead == cols:
-            return AffineSolution(False)
-        if lead is None:
-            break
-        pivot_cols.append(lead)
-        point[lead] = row[cols]
+    for pc, pairs in reduced:
+        last, x = pairs[-1]
+        if last == cols:
+            point[pc] = x
     # dropping the rhs column of a consistent augmented rref leaves a reduced
     # echelon form of the coefficient block, so the kernel reads off directly
-    pivot_set = set(pivot_cols)
-    vectors = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        v = [field.zero()] * cols
-        v[fc] = field.one()
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = field.neg(aug.data[i][fc])
-        vectors.append(v)
-    hom = Subspace.from_spanning(field, cols, vectors)
-    return AffineSolution(True, point, hom)
+    return AffineSolution(True, point, _null_space(ech, reduced, cols))
 
 
 def solve_unique(m: Matrix, target):
@@ -708,8 +804,7 @@ def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
                 if ech.add(w):
                     new_frontier.append(w)
         frontier = new_frontier
-    rows = ech.basis_rows()
-    return Subspace(field, ambient_dim, rows, sorted(ech.pivots))
+    return ech.subspace()
 
 
 def restrict_operator(m: Matrix, space: Subspace) -> Matrix:

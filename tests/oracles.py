@@ -63,9 +63,28 @@ def gauss_solve(rows, rhs):
     return x
 
 
-def gauss_nullspace(rows):
-    """Basis of {x : A x = 0} by plain elimination (independent route)."""
-    m = [r[:] for r in frac_rows(rows)]
+def _scalars(rows, p):
+    """Fraction rows, or rows of residues mod p when p is given."""
+    if not p:
+        return frac_rows(rows)
+    return [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p
+             for x in r] for r in rows]
+
+
+def _div(a, b, p):
+    return a * pow(b, -1, p) % p if p else a / b
+
+
+def _sub_mul(a, f, b, p):
+    return (a - f * b) % p if p else a - f * b
+
+
+def gauss_nullspace(rows, p=0):
+    """Basis of {x : A x = 0} by plain elimination (independent route).
+
+    Over the rationals, or over GF(p) when ``p`` is given.
+    """
+    m = _scalars(rows, p)
     cols = len(m[0]) if m else 0
     rank = 0
     pivots = []
@@ -77,26 +96,30 @@ def gauss_nullspace(rows):
         pr = m[rank]
         for i in range(len(m)):
             if i != rank and m[i][c] != 0:
-                f = m[i][c] / pr[c]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
+                f = _div(m[i][c], pr[c], p)
+                m[i] = [_sub_mul(a, f, b, p) for a, b in zip(m[i], pr)]
         pivots.append(c)
         rank += 1
     pivot_set = set(pivots)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     out = []
     for fc in range(cols):
         if fc in pivot_set:
             continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [zero] * cols
+        v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc] / m[r][pc]
+            v[pc] = _sub_mul(zero, one, _div(m[r][fc], m[r][pc], p), p)
         out.append(v)
     return out
 
 
-def gauss_rref(rows):
-    """Non-zero rows of the reduced row echelon form, by plain elimination."""
-    m = [r[:] for r in frac_rows(rows)]
+def gauss_rref(rows, p=0):
+    """Non-zero rows of the reduced row echelon form, by plain elimination.
+
+    Over the rationals, or over GF(p) when ``p`` is given.
+    """
+    m = _scalars(rows, p)
     cols = len(m[0]) if m else 0
     rank = 0
     for c in range(cols):
@@ -104,12 +127,12 @@ def gauss_rref(rows):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        m[rank] = [x / m[rank][c] for x in m[rank]]
+        m[rank] = [_div(x, m[rank][c], p) for x in m[rank]]
         pr = m[rank]
         for i in range(len(m)):
             if i != rank and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
+                m[i] = [_sub_mul(a, f, b, p) for a, b in zip(m[i], pr)]
         rank += 1
     return m[:rank]
 

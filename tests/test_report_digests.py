@@ -1,0 +1,36 @@
+"""Canonical reports are pinned byte for byte.
+
+The digests below are sha256 sums of the ``--json`` reports as written by
+the code before the sparse elimination core replaced the dense one.  Equal
+subspaces have identical canonical bases, so a change to how the linear
+algebra is computed must leave these bytes alone.  A change that means to
+alter a report (a new key, a new version string) records the new digest
+here and says why.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from diffoplab.cli import main
+
+PINNED = {
+    "run-scenarios":
+        "93c3a32408362112e71849d6513a32ae2d722f4750e1e380d31ab8e7dcb04bf6",
+    "ce trunc_poly:2+matrix:2 --field q":
+        "ba688053cfb01ee0eb905e4a0c966fed707f22ce559c36a6cb2ed42e6a154ac8",
+    "ce trunc_poly:2+matrix:2 --field p:32003":
+        "3d7152eeec1fb21b5083fa8adbc534e1a6485ebd8e797c7737e7197869c64dfe",
+    "graded-ce grassmann:2":
+        "ab00f3090a2ee005bce1324b73cb31e0ff34359d3b680874e745d3065a73a4b9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_report_bytes_are_pinned(command, tmp_path):
+    path = tmp_path / "report.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(command.split() + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[command]
