@@ -15,6 +15,7 @@ conditions built from the delta operators:
 from __future__ import annotations
 
 import warnings
+from contextvars import ContextVar
 from itertools import product
 
 from .algebra import AlgebraError
@@ -103,10 +104,23 @@ def vanishing_chain(ops, field, dim, k):
     return chain
 
 
+# While ``compare_definitions`` runs, the builders it calls take its one
+# HomSpace (and the operator families cached on it) from here instead of
+# each building their own for the same pair of modules.
+_shared_hom = ContextVar("shared_hom", default=None)
+
+
+def _hom_space(p: Bimodule, q: Bimodule) -> HomSpace:
+    hom = _shared_hom.get()
+    if hom is None or hom.source is not p or hom.target is not q:
+        hom = HomSpace(p, q)
+    return hom
+
+
 def grothendieck_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
     """Operators with all (k+1)-fold iterated deltas vanishing."""
     _check_order(k)
-    hom = HomSpace(p, q)
+    hom = _hom_space(p, q)
     naive = not p.algebra.is_commutative()
     if naive:
         warnings.warn(
@@ -120,7 +134,7 @@ def grothendieck_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
 def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
     """Koszul-signed variant for graded commutative algebras."""
     _check_order(k)
-    hom = HomSpace(p, q)
+    hom = _hom_space(p, q)
     a = p.algebra
     if not a.graded:
         raise AlgebraError("graded differential operators need a graded algebra")
@@ -142,7 +156,7 @@ def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
 def dv_first_order(p: Bimodule, q: Bimodule) -> DiffSpace:
     """First-order operators on bimodules: δ_a∘δ̄_b Δ = 0 for all a, b,
     i.e. every δ̄_b Δ lies in the common kernel of the δ_a."""
-    hom = HomSpace(p, q)
+    hom = _hom_space(p, q)
     space = preimage(hom.bar_delta_ops(), kernel(vstack(hom.delta_ops())))
     return DiffSpace("dv_first_order", 1, space, hom)
 
@@ -254,7 +268,7 @@ def lunts_filtration(p: Bimodule, q: Bimodule, r: int, side: str = "left") -> Fi
     materialized.  The right side mirrors with δ̄ and the right actions.
     """
     _check_order(r)
-    hom = HomSpace(p, q)
+    hom = _hom_space(p, q)
     return Filtration("lunts", side, _one_sided_terms(hom, side, r, False), hom)
 
 
@@ -266,7 +280,7 @@ def lunts_filtration_presented(p: Bimodule, q: Bimodule, r: int,
     catalog (asserted in tests rather than assumed).
     """
     _check_order(r)
-    hom = HomSpace(p, q)
+    hom = _hom_space(p, q)
     return Filtration("lunts_presented", side, _one_sided_terms(hom, side, r, True), hom)
 
 
@@ -278,10 +292,15 @@ def two_sided_filtration(p: Bimodule, q: Bimodule, r: int) -> Filtration:
     subspace containing both, and all higher terms are spans anyway).
     """
     _check_order(r)
-    hom = HomSpace(p, q)
+    hom = _hom_space(p, q)
     zero = Subspace.zero(hom.algebra.field, hom.dim)
-    left_zero = _step(hom, "left", zero, presented=False)
-    right_zero = _step(hom, "right", zero, presented=False)
+    return _two_sided(hom, r, _step(hom, "left", zero, presented=False),
+                      _step(hom, "right", zero, presented=False))
+
+
+def _two_sided(hom: HomSpace, r: int, left_zero: Subspace,
+               right_zero: Subspace) -> Filtration:
+    """The two-sided filtration on the span of the order-0 Lunts terms."""
     ts = left_zero.sum(right_zero)
     # the set-theoretic "either left or right" base is the plain union; when
     # neither side contains the other, the union is not a subspace and the
@@ -383,19 +402,27 @@ def compare_definitions(p: Bimodule, q: Bimodule, k: int) -> ComparisonReport:
     """All applicable definitions at order k with pairwise subspace relations."""
     _check_order(k)
     a = p.algebra
-    spaces = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = grothendieck_diff(p, q, k)
-    spaces["grothendieck"] = g.space
-    if a.graded and p.parity is not None and q.parity is not None \
-            and a.field.char != 2:
-        spaces["graded"] = graded_diff(p, q, k).space
-    if k == 1:
-        spaces["dv_first_order"] = dv_first_order(p, q).space
-    spaces["lunts_left"] = lunts_filtration(p, q, k, "left")[k]
-    spaces["lunts_right"] = lunts_filtration(p, q, k, "right")[k]
-    spaces["two_sided"] = two_sided_filtration(p, q, k)[k]
+    hom = HomSpace(p, q)
+    token = _shared_hom.set(hom)
+    try:
+        spaces = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = grothendieck_diff(p, q, k)
+        spaces["grothendieck"] = g.space
+        if a.graded and p.parity is not None and q.parity is not None \
+                and a.field.char != 2:
+            spaces["graded"] = graded_diff(p, q, k).space
+        if k == 1:
+            spaces["dv_first_order"] = dv_first_order(p, q).space
+        left = lunts_filtration(p, q, k, "left")
+        right = lunts_filtration(p, q, k, "right")
+        spaces["lunts_left"] = left[k]
+        spaces["lunts_right"] = right[k]
+        # the two-sided base is the span of the order-0 terms just computed
+        spaces["two_sided"] = _two_sided(hom, k, left[0], right[0])[k]
+    finally:
+        _shared_hom.reset(token)
     names = sorted(spaces)
     relations = {}
     witnesses = {}
@@ -409,5 +436,5 @@ def compare_definitions(p: Bimodule, q: Bimodule, k: int) -> ComparisonReport:
                 witnesses[(y, x)] = _difference_witness(spaces[y], spaces[x])
     report = ComparisonReport(k, spaces, relations, witnesses,
                               naive_grothendieck=not a.is_commutative())
-    report.hom = HomSpace(p, q)
+    report.hom = hom
     return report

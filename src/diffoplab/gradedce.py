@@ -112,6 +112,9 @@ class GradedCochainComplex:
                 br = super_bracket(self.maps[i], self.ext.parities[i],
                                    self.maps[j], self.ext.parities[j])
                 self._bracket[(i, j)] = self.der.coords_of(br)
+        # (e_a · u_i) in derivation coordinates, read by the A-linearity rows
+        self._scaled = {(a, i): self.der.coords_of(algebra.left_mult_basis(a) @ self.maps[i])
+                        for a in range(algebra.dim) for i in range(d)}
         self.ambient_delta = [self._delta_matrix(k) for k in range(cap + 1)]
         self.forms = [self._a_linear_subspace(k) for k in range(cap + 1)]
         self.d = []
@@ -221,11 +224,6 @@ class GradedCochainComplex:
 
     # -- algebra-linear subcomplex ---------------------------------------------------
 
-    def _scaled_derivation_coords(self, a_index: int, der_index: int):
-        """(e_a · u) in derivation coordinates."""
-        la = self.algebra.left_mult_basis(a_index)
-        return self.der.coords_of(la @ self.maps[der_index])
-
     def _a_linear_subspace(self, k: int) -> Subspace:
         algebra = self.algebra
         f = algebra.field
@@ -251,7 +249,7 @@ class GradedCochainComplex:
                     # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
                     sign_neg = (apar * prefix_par) % 2 == 1
                     la = algebra.left_mult_basis(ai)
-                    scaled = self._scaled_derivation_coords(ai, factors[t])
+                    scaled = self._scaled[(ai, factors[t])]
                     for m in range(n):
                         row = {}
                         for b, c in enumerate(scaled):

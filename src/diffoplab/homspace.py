@@ -12,13 +12,21 @@ become flat operators, and the difference operators
 
 generate every linear condition the definition checkers solve.  The graded
 variant inserts the Koszul sign (−1)^{[a][Φ]} in front of Φ∙a.
+
+Each action family is a Kronecker product with an identity (``kron``).  The
+δ family is built directly as ``kron_difference(Q_a, P_aᵀ)`` =
+Q_a ⊗ I − I ⊗ P_aᵀ from the small left action matrices of the target and
+the source, and δ̄ likewise from the right actions, so neither the two
+action families nor their dense difference are materialized for them.
+Families are built on first use and cached on the instance, so callers
+that need several definitions on one Hom space share one ``HomSpace``.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraError
 from .bimodule import Bimodule
-from .linalg import Matrix, Subspace, kron
+from .linalg import Matrix, Subspace, kron, kron_difference
 
 
 class LinMap:
@@ -110,11 +118,11 @@ class HomSpace:
         elif kind == "right_bullet":
             ops = [kron(eye_q, self.source.right[i].transpose()) for i in range(n)]
         elif kind == "delta":
-            ops = [l - b for l, b in zip(self._family("left"),
-                                         self._family("left_bullet"))]
+            ops = [kron_difference(self.target.left[i], self.source.left[i].transpose())
+                   for i in range(n)]
         elif kind == "bar_delta":
-            ops = [r - b for r, b in zip(self._family("right"),
-                                         self._family("right_bullet"))]
+            ops = [kron_difference(self.target.right[i], self.source.right[i].transpose())
+                   for i in range(n)]
         elif kind == "graded_delta":
             sign = self.sign_matrix()
             ops = []
@@ -244,6 +252,8 @@ class HomSpace:
         """True iff every (k+1)-fold basis-indexed composite of deltas kills phi.
 
         Checking on basis elements suffices: δ is linear in its algebra slot.
+        Each level of images is cut down to the canonical basis of its span
+        before the next δ is applied; the span is all the next level needs.
         """
         if flavor == "plain":
             ops = self.delta_ops()
@@ -253,10 +263,12 @@ class HomSpace:
             ops = self.graded_delta_ops()
         else:
             raise ValueError(f"unknown delta flavor {flavor!r}")
-        current = [phi.flatten()]
+        f = self.algebra.field
+        level = Subspace.from_spanning(f, self.dim, [phi.flatten()])
         for _ in range(k + 1):
-            current = [op.apply(v) for v in current for op in ops]
-        return all(all(x == 0 for x in v) for v in current)
+            level = Subspace.from_spanning(
+                f, self.dim, [op.apply(v) for v in level.basis for op in ops])
+        return level.dim == 0
 
 
 def _coords_parity(algebra, coords):

@@ -98,10 +98,13 @@ def jet_module(algebra: FiniteAlgebra, p: Bimodule, k: int,
     n = algebra.dim
     ambient = tensor_algebra_module(algebra, p)
     deltas = [ambient.left[i] - ambient.right[i] for i in range(n)]
-    level = [ambient.basis_vector(i) for i in range(ambient.dim)]
+    # μ^{k+1} is generated by the span of the (k+1)-fold images, so each
+    # level is cut down to the canonical basis of its span before the next δ
+    level = Subspace.full(f, ambient.dim)
     for _ in range(k + 1):
-        level = [d.apply(v) for v in level for d in deltas]
-    mu = closure(f, ambient.dim, level, ambient.left + ambient.right)
+        level = Subspace.from_spanning(
+            f, ambient.dim, [d.apply(v) for v in level.basis for d in deltas])
+    mu = closure(f, ambient.dim, level.basis, ambient.left + ambient.right)
     reps, proj = quotient_projection(mu)
     lift = Matrix(f, reps, ambient.dim).transpose()
     left_ops = [proj @ ambient.left[i] @ lift for i in range(n)]

@@ -24,6 +24,9 @@ non-zero entries of column j of ``m``; ``a @ b`` takes each non-zero
 ``a[i][k]`` against the cached non-zero entries of row k of ``b``.  The
 Kronecker-structured operators of the higher layers, and the sparse vectors
 they act on, make that a small fraction of the dense work.
+``kron_difference(a, b)`` builds a ⊗ I − I ⊗ b (the flat commutator
+Φ ↦ AΦ − ΦBᵀ) row by row from the non-zero entries of a and b, without
+materializing the two Kronecker products it stands for.
 
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
 rest on four helpers: ``preimage`` (the vectors that a family of operators
@@ -233,6 +236,31 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     row.extend(mul(x, y) if y else zero for y in rb)
             out.append(row)
     return Matrix(a.field, out, a.cols * bcols)
+
+
+def kron_difference(a: Matrix, b: Matrix) -> Matrix:
+    """a ⊗ I − I ⊗ b for square a (m×m) and b (n×n): vec(AX − XBᵀ) on m×n matrices X.
+
+    Equal to ``kron(a, I_n) - kron(I_m, b)``, but each row is filled from the
+    non-zero entries of one row of a and one row of b, so neither Kronecker
+    product is built.
+    """
+    if a.rows != a.cols or b.rows != b.cols:
+        raise ValueError("kron_difference needs square factors")
+    sub = a.field.sub
+    m, n = a.rows, b.rows
+    rows_a, rows_b = a._nonzero_rows(), b._nonzero_rows()
+    out = []
+    for i in range(m):
+        base = i * n
+        for k in range(n):
+            row = [0] * (m * n)
+            for j, x in rows_a[i]:
+                row[j * n + k] = x
+            for l, y in rows_b[k]:
+                row[base + l] = sub(row[base + l], y)
+            out.append(row)
+    return Matrix(a.field, out, m * n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .algebra import AlgebraError, FiniteAlgebra
 from .bimodule import Bimodule
 from .homspace import HomSpace
 from .linalg import (
+    Echelon,
     Factorization,
     Matrix,
     Subspace,
@@ -147,26 +148,20 @@ class UniversalCalculus:
         f = self.algebra.field
         n = self.algebra.dim
         t = self.omega1.dim
-        rel_vecs = []
+        units = [[f.one() if x == i else f.zero() for x in range(t)] for i in range(t)]
+        # the relation (ω·a)⊗η − ω⊗(a·η) for ω = w_wi, η = w_ei, a = e_ai
+        relations = Echelon(f, t * t)
         for a_i in range(n):
-            r1 = self.right1[a_i]
-            l1 = self.left1[a_i]
-            for wi in range(t):
-                w = [f.one() if x == wi else f.zero() for x in range(t)]
-                rw = r1.apply(w)
-                lw = None
-                for ei in range(t):
-                    e = [f.one() if x == ei else f.zero() for x in range(t)]
-                    le = l1.apply(e)
-                    vec = [f.zero()] * (t * t)
-                    for x, c in enumerate(rw):
-                        if c != 0:
-                            vec[x * t + ei] = f.add(vec[x * t + ei], c)
+            rws = [self.right1[a_i].apply(u) for u in units]
+            les = [self.left1[a_i].apply(u) for u in units]
+            for wi, rw in enumerate(rws):
+                for ei, le in enumerate(les):
+                    row = {x * t + ei: c for x, c in enumerate(rw) if c != 0}
                     for y, c in enumerate(le):
                         if c != 0:
-                            vec[wi * t + y] = f.sub(vec[wi * t + y], c)
-                    rel_vecs.append(vec)
-        self.middle_relations = Subspace.from_spanning(f, t * t, rel_vecs)
+                            row[wi * t + y] = f.sub(row.get(wi * t + y, 0), c)
+                    relations.add_entries(row.items())
+        self.middle_relations = relations.subspace()
         self.reps2, self.proj2 = quotient_projection(self.middle_relations)
         q2 = self.omega2_dim = len(self.reps2)
         # d1 on basis vectors of Ω¹ via their ambient A⊗A coordinates:
@@ -174,6 +169,7 @@ class UniversalCalculus:
         des = [self.omega1.coords_of(
             self.exact_form_ambient(self.algebra.basis_vector(i)))
             for i in range(n)]
+        de_de = {}  # (i, j) -> de_i · de_j, on first use
         d1_cols = []
         for row in self.omega1.basis:
             acc = [f.zero()] * q2
@@ -182,7 +178,9 @@ class UniversalCalculus:
                     x = row[i * n + j]
                     if x == 0:
                         continue
-                    term = self.mu11(des[i], des[j])
+                    term = de_de.get((i, j))
+                    if term is None:
+                        term = de_de[(i, j)] = self.mu11(des[i], des[j])
                     for m in range(q2):
                         if term[m] != 0:
                             acc[m] = f.add(acc[m], f.mul(x, term[m]))
@@ -192,16 +190,21 @@ class UniversalCalculus:
 
     def mu11(self, w_coords, e_coords):
         """Product Ω¹ × Ω¹ → Ω² in quotient coordinates."""
+        t = self.omega1.dim
+        zero = self.algebra.field.zero()
+        return self.proj2.apply(self._add_tensor([zero] * (t * t), w_coords, e_coords))
+
+    def _add_tensor(self, vec, w_coords, e_coords):
+        """vec += ω⊗η in flat Ω¹⊗Ω¹ coordinates; returns vec."""
         f = self.algebra.field
         t = self.omega1.dim
-        vec = [f.zero()] * (t * t)
         for x, a in enumerate(w_coords):
             if a == 0:
                 continue
             for y, b in enumerate(e_coords):
                 if b != 0:
-                    vec[x * t + y] = f.mul(a, b)
-        return self.proj2.apply(vec)
+                    vec[x * t + y] = f.add(vec[x * t + y], f.mul(a, b))
+        return vec
 
     def left2(self, a_coords, w2):
         """a · (class of ω⊗η) = class of (aω)⊗η."""
@@ -240,20 +243,23 @@ class UniversalCalculus:
         alg = self.algebra
         f = alg.field
         n = alg.dim
+        t = self.omega1.dim
         des = [self.d0_coords(alg.basis_vector(i)) for i in range(n)]
-        for a0, a1, b0, b1 in product(range(n), repeat=4):
-            lhs_left = self._left1_coords(alg.basis_vector(a0), des[a1])
-            lhs_right = self._left1_coords(alg.basis_vector(b0), des[b1])
-            lhs = self.mu11(lhs_left, lhs_right)
-            term1 = self.mu11(
-                self._left1_coords(alg.basis_vector(a0),
-                                   self.d0.apply(alg.sc[a1][b0])),
-                des[b1])
+        # a·db for basis elements a, b
+        a_db = [[self._left1_coords(alg.basis_vector(a), des[b]) for b in range(n)]
+                for a in range(n)]
+        zero = f.zero()
+        for a0, a1, b0 in product(range(n), repeat=3):
+            # μ₁₁ is bilinear, so the right side is (a₀d(a₁b₀) − a₀a₁db₀)·db₁;
+            # its negative is added to the left side, and the sum projected once
             a0a1 = alg.multiply(alg.basis_vector(a0), alg.basis_vector(a1))
-            term2 = self.mu11(self._left1_coords(a0a1, des[b0]), des[b1])
-            rhs = [f.sub(x, y) for x, y in zip(term1, term2)]
-            if lhs != rhs:
-                return False
+            minus_rhs = [f.sub(y, x) for x, y in zip(
+                self._left1_coords(alg.basis_vector(a0), self.d0.apply(alg.sc[a1][b0])),
+                self._left1_coords(a0a1, des[b0]))]
+            for b1 in range(n):
+                diff = self._add_tensor([zero] * (t * t), a_db[a0][a1], a_db[b0][b1])
+                if any(self.proj2.apply(self._add_tensor(diff, minus_rhs, des[b1]))):
+                    return False
         return True
 
     def _left1_coords(self, a_coords, w_coords):

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from diffoplab.algebra import catalog, grassmann, matrix_algebra, trunc_poly
-from diffoplab.bimodule import free_module, regular_bimodule
+from diffoplab.bimodule import Bimodule, free_module, regular_bimodule
 from diffoplab.derivations import derivations, inner_derivation
 from diffoplab.diffops import (
     OrderCapError,
@@ -19,7 +19,7 @@ from diffoplab.diffops import (
     lunts_filtration_presented,
     two_sided_filtration,
 )
-from diffoplab.fields import QQ
+from diffoplab.fields import QQ, Field
 from diffoplab.homspace import HomSpace, LinMap
 from diffoplab.linalg import Matrix, Subspace
 
@@ -311,3 +311,123 @@ def test_non_regular_bimodules():
     # M2 is separable: left zero order already saturates Hom
     assert left.dims == [32, 32]
     assert left[1].contains_space(dv.space)
+
+
+def augmented_bimodule(a, op=False):
+    """A acting on itself on the left, and on the right through the augmentation.
+
+    The augmentation sends the unit basis vector to 1 and the others (all
+    nilpotent in the local catalog algebras used here) to 0.  Left and right
+    operator spaces differ on it, unlike on the regular bimodules of the
+    catalog.  With ``op`` the two actions trade places, which gives the same
+    space as a bimodule over the opposite algebra.
+    """
+    f = a.field
+    unit_index = a.unit.index(f.one())
+    aug = [Matrix.identity(f, a.dim) if i == unit_index else Matrix.zeros(f, a.dim, a.dim)
+           for i in range(a.dim)]
+    left = [a.left_mult_basis(i) for i in range(a.dim)]
+    if op:
+        m = Bimodule(a.opposite(), a.dim, aug, left, name="aug^op")
+    else:
+        m = Bimodule(a, a.dim, left, aug, name="aug")
+    assert m.validate().ok
+    return m
+
+
+def module_of(a, name):
+    if name == "free:2":
+        return free_module(a, 2)
+    if name == "aug":
+        return augmented_bimodule(a)
+    return regular_bimodule(a)
+
+
+def relations_one_by_one(spaces):
+    """Pairwise relations and first canonical difference witnesses, from scratch."""
+    relations, witnesses = {}, {}
+
+    def witness(x, y):
+        return next(list(r) for r in x.basis if not y.contains(list(r)))
+
+    names = sorted(spaces)
+    for i, x in enumerate(names):
+        for y in names[i + 1:]:
+            x_in_y = spaces[y].contains_space(spaces[x])
+            y_in_x = spaces[x].contains_space(spaces[y])
+            rel = {(True, True): "equal", (True, False): "subset",
+                   (False, True): "superset", (False, False): "incomparable"}[(x_in_y, y_in_x)]
+            relations[(x, y)] = rel
+            if not x_in_y:
+                witnesses[(x, y)] = witness(spaces[x], spaces[y])
+            if not y_in_x:
+                witnesses[(y, x)] = witness(spaces[y], spaces[x])
+    return relations, witnesses
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("spec,source,target", [
+    ("matrix:2", "free:2", "regular"), ("quaternion", "regular", "regular"),
+    ("trunc_poly:3", "regular", "regular"), ("grassmann:2", "regular", "regular"),
+    # left and right operators differ on the augmented bimodule
+    ("trunc_poly:3", "aug", "regular"), ("square_zero:2", "regular", "aug")])
+def test_compare_definitions_matches_public_builders(spec, source, target, k, field):
+    a = catalog(spec, field)
+    p, q = module_of(a, source), module_of(a, target)
+    rep = compare_definitions(p, q, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spaces = {"grothendieck": grothendieck_diff(p, q, k).space}
+    if p.graded and q.graded:
+        spaces["graded"] = graded_diff(p, q, k).space
+    if k == 1:
+        spaces["dv_first_order"] = dv_first_order(p, q).space
+    spaces["lunts_left"] = lunts_filtration(p, q, k, "left")[k]
+    spaces["lunts_right"] = lunts_filtration(p, q, k, "right")[k]
+    spaces["two_sided"] = two_sided_filtration(p, q, k)[k]
+    assert rep.definitions == spaces
+    relations, witnesses = relations_one_by_one(spaces)
+    assert rep.relations == relations
+    assert {pair: w for pair, w in rep.witnesses.items() if w is not None} == witnesses
+    assert rep.hom.source is p and rep.hom.target is q
+
+
+def test_compare_definitions_builds_one_hom_space(monkeypatch):
+    import diffoplab.diffops as diffops
+
+    built = []
+
+    class CountingHomSpace(HomSpace):
+        def __init__(self, p, q):
+            super().__init__(p, q)
+            built.append(self)
+
+    monkeypatch.setattr(diffops, "HomSpace", CountingHomSpace)
+    a = catalog("grassmann:2")
+    reg = regular_bimodule(a)
+    rep = compare_definitions(reg, reg, 1)
+    assert built == [rep.hom]
+    # the sharing ends with the call: a builder on its own builds its own
+    assert lunts_filtration(reg, reg, 1).hom is not rep.hom
+    assert len(built) == 2
+
+
+OPPOSITE_CASES = ["matrix:2", "quaternion", "trunc_poly:3", "square_zero:2", "group_z:3",
+                  "grassmann:2"]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", OPPOSITE_CASES)
+def test_opposite_algebra_swaps_lunts_sides(spec, field):
+    # the regular bimodule of A^op has the right multiplications of A on the
+    # left and vice versa, in the same coordinates, so δ and δ̄ trade places
+    a = catalog(spec, field)
+    pairs = [(regular_bimodule(a), regular_bimodule(a.opposite()))]
+    if spec in ("trunc_poly:3", "square_zero:2", "grassmann:2"):
+        pairs.append((augmented_bimodule(a), augmented_bimodule(a, op=True)))
+    for m, m_op in pairs:
+        for k in (1, 2):
+            for side, other in (("left", "right"), ("right", "left")):
+                assert (lunts_filtration(m, m, k, side).terms
+                        == lunts_filtration(m_op, m_op, k, other).terms), (m.name, side, k)

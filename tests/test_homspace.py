@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from diffoplab.algebra import catalog, grassmann, trunc_poly
-from diffoplab.bimodule import regular_bimodule
+from diffoplab.bimodule import free_module, regular_bimodule
+from diffoplab.fields import Field, QQ
 from diffoplab.homspace import HomSpace, LinMap
 
 
@@ -199,3 +200,55 @@ def test_hom_mismatch_errors():
     b = trunc_poly(3)
     with pytest.raises(ValueError):
         HomSpace(regular_bimodule(a), regular_bimodule(b))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+def test_delta_families_are_action_differences(field):
+    for spec in ["matrix:2", "quaternion", "trunc_poly:3", "grassmann:2"]:
+        a = catalog(spec, field)
+        reg = regular_bimodule(a)
+        for h in (HomSpace(reg, reg), HomSpace(free_module(a, 2), reg),
+                  HomSpace(reg, free_module(a, 2))):
+            left, left_b = h.action_ops("left"), h.action_ops("left_bullet")
+            right, right_b = h.action_ops("right"), h.action_ops("right_bullet")
+            for i in range(a.dim):
+                assert h.delta_ops()[i] == left[i] - left_b[i], (spec, i)
+                assert h.bar_delta_ops()[i] == right[i] - right_b[i], (spec, i)
+
+
+def unreduced_iterated_vanishes(h, phi, k, ops):
+    """Every (k+1)-fold composite applied to phi, one image per operator word."""
+    current = [phi.flatten()]
+    for _ in range(k + 1):
+        current = [op.apply(v) for v in current for op in ops]
+    return all(all(x == 0 for x in v) for v in current)
+
+
+def test_iterated_delta_vanishes_matches_unreduced_expansion():
+    rng = random.Random(11)
+    seen = set()
+    cases = []
+    for spec in ["trunc_poly:3", "matrix:2", "square_zero:2"]:
+        a = catalog(spec)
+        reg = regular_bimodule(a)
+        h = HomSpace(reg, reg)
+        n = a.dim
+        maps = [h.linmap([[1 if i == j else 0 for j in range(n)] for i in range(n)]),
+                h.linmap([[0] * n for _ in range(n)]),
+                LinMap(reg, reg, a.left_mult(a.basis_vector(1))),
+                LinMap(reg, reg, a.right_mult(a.basis_vector(1))),
+                h.linmap([[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)])]
+        cases.extend((h, phi, "plain", h.delta_ops()) for phi in maps)
+        cases.extend((h, phi, "bar", h.bar_delta_ops()) for phi in maps)
+    g2 = grassmann(2)
+    reg = regular_bimodule(g2)
+    h = HomSpace(reg, reg)
+    d1 = [[0] * 4 for _ in range(4)]
+    d1[0][1] = d1[2][3] = 1  # ∂/∂θ1, an odd map
+    cases.append((h, h.linmap(d1), "graded", h.graded_delta_ops()))
+    for h, phi, flavor, ops in cases:
+        for k in range(4):
+            got = h.iterated_delta_vanishes(phi, k, flavor)
+            assert got == unreduced_iterated_vanishes(h, phi, k, ops), (flavor, k)
+            seen.add(got)
+    assert seen == {True, False}

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from diffoplab.algebra import AlgebraError, catalog, matrix_algebra, trunc_poly
-from diffoplab.bimodule import free_module, regular_bimodule
+from diffoplab.bimodule import free_module, regular_bimodule, tensor_algebra_module
 from diffoplab.diffops import dv_first_order, grothendieck_diff
 from diffoplab.fields import QQ
 from diffoplab.homspace import LinMap
@@ -16,7 +16,7 @@ from diffoplab.jets import (
     two_sided_jet,
     two_sided_representability,
 )
-from diffoplab.linalg import Matrix
+from diffoplab.linalg import Matrix, closure, quotient_projection
 
 
 def test_order_zero_jet_collapses_to_module():
@@ -167,3 +167,33 @@ def test_two_sided_jet_m2_representability():
     rep = two_sided_representability(jm, reg)
     assert rep["ok"]
     assert rep["operator_dim"] == 7
+
+
+def unreduced_jet_parts(algebra, p, k):
+    """μ, proj, reps and J_k from the full (k+1)-fold image list, unreduced."""
+    f = algebra.field
+    ambient = tensor_algebra_module(algebra, p)
+    deltas = [ambient.left[i] - ambient.right[i] for i in range(algebra.dim)]
+    level = [ambient.basis_vector(i) for i in range(ambient.dim)]
+    for _ in range(k + 1):
+        level = [d.apply(v) for v in level for d in deltas]
+    mu = closure(f, ambient.dim, level, ambient.left + ambient.right)
+    reps, proj = quotient_projection(mu)
+    units = [[f.mul(u, x) for u in algebra.unit for x in p.basis_vector(l)]
+             for l in range(p.dim)]
+    jk = proj @ Matrix(f, units, ambient.dim).transpose()
+    return mu, proj, reps, jk
+
+
+@pytest.mark.parametrize("spec,k", [("trunc_poly:3", 1), ("trunc_poly:3", 2),
+                                    ("matrix:2", 1), ("matrix:2", 2)])
+def test_jet_module_matches_unreduced_level_expansion(spec, k):
+    a = catalog(spec)
+    reg = regular_bimodule(a)
+    jm = jet_module(a, reg, k, allow_noncommutative=True)
+    mu, proj, reps, jk = unreduced_jet_parts(a, reg, k)
+    assert jm.mu == mu
+    assert jm.mu.basis == mu.basis
+    assert jm.proj == proj
+    assert jm.reps == reps
+    assert jm.jk == jk

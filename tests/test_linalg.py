@@ -14,6 +14,8 @@ from diffoplab.linalg import (
     factor_through,
     inverse,
     kernel,
+    kron,
+    kron_difference,
     preimage,
     quotient_basis,
     quotient_projection,
@@ -352,3 +354,27 @@ def test_kernel_basis_rows_closure_canonical_and_integer_first():
         c = closure(QQ, cols, [seed], [op])
         assert [list(r) for r in c.basis] == gauss_rref(krylov)
         assert_integer_first([x for r in c.basis for x in r])
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_kron_difference_matches_kron_pair(field):
+    rng = random.Random(5)
+    cases = [(Matrix.identity(field, 1), Matrix.identity(field, 1)),
+             (Matrix.from_rows(field, [[Fraction(-2, 3)]]), Matrix.from_rows(field, [[5]])),
+             (Matrix.zeros(field, 3, 3), Matrix.zeros(field, 2, 2)),
+             (Matrix.identity(field, 3), Matrix.identity(field, 2)),
+             (Matrix.identity(field, 2), Matrix.zeros(field, 4, 4))]
+    for m, n in [(1, 3), (3, 1), (2, 2), (4, 3), (5, 5)]:
+        for density in (0.2, 1.0):
+            cases.append((random_matrix(rng, field, m, m, density),
+                          random_matrix(rng, field, n, n, density)))
+    for a, b in cases:
+        got = kron_difference(a, b)
+        want = (kron(a, Matrix.identity(field, b.rows))
+                - kron(Matrix.identity(field, a.rows), b))
+        assert got == want
+        assert (got.rows, got.cols) == (a.rows * b.rows, a.rows * b.rows)
+        if field == QQ:
+            assert_integer_first([x for r in got.data for x in r])
+    with pytest.raises(ValueError):
+        kron_difference(Matrix.zeros(field, 2, 3), Matrix.identity(field, 2))

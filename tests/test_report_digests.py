@@ -25,6 +25,14 @@ PINNED = {
         "3d7152eeec1fb21b5083fa8adbc534e1a6485ebd8e797c7737e7197869c64dfe",
     "graded-ce grassmann:2":
         "ab00f3090a2ee005bce1324b73cb31e0ff34359d3b680874e745d3065a73a4b9",
+    # recorded before the operator builders shared their HomSpace, reduced
+    # the jet levels and tabulated the degree-2 products
+    "compare-defs matrix:2 --module free:2 --order 1":
+        "7057ad5e6c88e97b2063cdeab70393e7abf0b5b4dce7c96c29d39e851166229d",
+    "universal matrix:2":
+        "d05c753c1537a4b5f1db56543fbcbdf2bd7a8dff47d24245abf0d98a04ed2044",
+    "jets trunc_poly:5 --order 2":
+        "b6f191e09cc37694cbc8875853442c41415138b9546d4a2c857c753225e32555",
 }
 
 

@@ -6,8 +6,8 @@ from diffoplab.algebra import catalog, matrix_algebra, trunc_poly
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.derivations import derivations, inner_derivation
-from diffoplab.fields import QQ
-from diffoplab.linalg import Matrix, kernel
+from diffoplab.fields import QQ, Field
+from diffoplab.linalg import Matrix, Subspace, kernel, quotient_projection
 from diffoplab.universal import (
     UniversalCalculus,
     extend_hom,
@@ -175,3 +175,58 @@ def test_extend_hom_rejects_non_homomorphism():
     from diffoplab.algebra import AlgebraError
     with pytest.raises(AlgebraError):
         extend_hom(uc, bad, uc.as_calculus())
+
+
+def degree_two_one_by_one(uc):
+    """Ω², its projection and d1, rebuilt with every image and product taken anew."""
+    f = uc.algebra.field
+    n = uc.algebra.dim
+    t = uc.omega1.dim
+    unit = [[f.one() if x == i else f.zero() for x in range(t)] for i in range(t)]
+    rel_vecs = []
+    for a_i in range(n):
+        for wi in range(t):
+            for ei in range(t):
+                rw = uc.right1[a_i].apply(unit[wi])
+                le = uc.left1[a_i].apply(unit[ei])
+                vec = [f.zero()] * (t * t)
+                for x, c in enumerate(rw):
+                    vec[x * t + ei] = f.add(vec[x * t + ei], c)
+                for y, c in enumerate(le):
+                    vec[wi * t + y] = f.sub(vec[wi * t + y], c)
+                rel_vecs.append(vec)
+    reps, proj = quotient_projection(Subspace.from_spanning(f, t * t, rel_vecs))
+
+    def product(w, e):
+        return proj.apply([f.mul(x, y) for x in w for y in e])
+
+    des = [uc.d0.col(i) for i in range(n)]
+    cols = []
+    for row in uc.omega1.basis:
+        acc = [f.zero()] * len(reps)
+        for i in range(n):
+            for j in range(n):
+                term = product(des[i], des[j])
+                acc = [f.add(x, f.mul(row[i * n + j], y)) for x, y in zip(acc, term)]
+        cols.append(acc)
+    d1 = Matrix(f, [[c[m] for c in cols] for m in range(len(reps))], t)
+    return reps, proj, d1
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", ["matrix:2", "quaternion", "trunc_poly:3"])
+def test_degree_two_matches_one_by_one_construction(spec, field):
+    uc = UniversalCalculus(catalog(spec, field), cap=2)
+    reps, proj, d1 = degree_two_one_by_one(uc)
+    assert uc.omega2_dim == len(reps)
+    assert uc.reps2 == reps
+    assert uc.proj2 == proj
+    assert uc.d1 == d1
+    assert uc.juxtaposition_rule_holds()
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+def test_juxtaposition_rule_detects_a_mutated_calculus(field):
+    uc = UniversalCalculus(catalog("matrix:2", field), cap=2)
+    uc.left1[0], uc.left1[1] = uc.left1[1], uc.left1[0]
+    assert not uc.juxtaposition_rule_holds()
