@@ -8,6 +8,7 @@ flag misuse).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -338,7 +339,9 @@ def cmd_run_scenarios(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="diffoplab",
         description="exact computations with differential operators over "
@@ -436,6 +439,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "order", 0) < 0:  # the builders enforce the order caps
+            raise UsageError(f"--order must be >= 0, got {args.order}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

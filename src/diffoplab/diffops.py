@@ -21,7 +21,7 @@ from itertools import product
 from .algebra import AlgebraError
 from .bimodule import Bimodule
 from .homspace import HomSpace, LinMap
-from .linalg import Matrix, Subspace, closure, kernel, preimage, vstack
+from .linalg import Matrix, Subspace, closure, image_span, kernel, preimage, vstack
 
 MAX_ORDER = 4
 
@@ -245,11 +245,8 @@ def _step(hom: HomSpace, side: str, prev: Subspace, presented: bool) -> Subspace
     deltas, mults, bullets = _side_ops(hom, side)
     pre = preimage(deltas, prev)
     if not presented:
-        return closure(hom.algebra.field, hom.dim, [list(b) for b in pre.basis],
-                       mults + bullets)
-    vecs = [m.apply(list(b)) for b in pre.basis for m in mults]
-    vecs.extend(list(b) for b in prev.basis)
-    return Subspace.from_spanning(hom.algebra.field, hom.dim, vecs)
+        return closure(hom.algebra.field, hom.dim, pre.basis, mults + bullets)
+    return image_span(mults, pre).sum(prev)
 
 
 def _one_sided_terms(hom: HomSpace, side: str, r: int, presented: bool):

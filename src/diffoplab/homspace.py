@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraError
 from .bimodule import Bimodule
-from .linalg import Matrix, Subspace, kron, kron_difference
+from .linalg import Matrix, Subspace, image_span, kron, kron_difference
 
 
 class LinMap:
@@ -266,8 +266,7 @@ class HomSpace:
         f = self.algebra.field
         level = Subspace.from_spanning(f, self.dim, [phi.flatten()])
         for _ in range(k + 1):
-            level = Subspace.from_spanning(
-                f, self.dim, [op.apply(v) for v in level.basis for op in ops])
+            level = image_span(ops, level)
         return level.dim == 0
 
 

@@ -22,6 +22,7 @@ from .linalg import (
     Subspace,
     closure,
     factor_through,
+    image_span,
     kernel,
     quotient_projection,
     vstack,
@@ -102,8 +103,7 @@ def jet_module(algebra: FiniteAlgebra, p: Bimodule, k: int,
     # level is cut down to the canonical basis of its span before the next δ
     level = Subspace.full(f, ambient.dim)
     for _ in range(k + 1):
-        level = Subspace.from_spanning(
-            f, ambient.dim, [d.apply(v) for v in level.basis for d in deltas])
+        level = image_span(deltas, level)
     mu = closure(f, ambient.dim, level.basis, ambient.left + ambient.right)
     reps, proj = quotient_projection(mu)
     lift = Matrix(f, reps, ambient.dim).transpose()

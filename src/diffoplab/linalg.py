@@ -19,20 +19,32 @@ system, which wide and very sparse constraint builders fill with
 ``{col: value}`` rows without ever writing the zero entries.
 
 Matrices are stored dense, but products visit only pairs of non-zero
-entries.  ``m.apply(v)`` takes each non-zero ``v[j]`` against the cached
-non-zero entries of column j of ``m``; ``a @ b`` takes each non-zero
-``a[i][k]`` against the cached non-zero entries of row k of ``b``.  The
-Kronecker-structured operators of the higher layers, and the sparse vectors
-they act on, make that a small fraction of the dense work.
-``kron_difference(a, b)`` builds a ⊗ I − I ⊗ b (the flat commutator
-Φ ↦ AΦ − ΦBᵀ) row by row from the non-zero entries of a and b, without
-materializing the two Kronecker products it stands for.
+entries, and vectors travel between ``Matrix``, ``Echelon`` and
+``Subspace`` as their sorted ``(col, value)`` pairs.  There is one product
+of a matrix with a vector, ``m.apply_entries(pairs)``: it takes each pair
+against the cached non-zero entries of column j of ``m`` and returns the
+non-zero ``(row, value)`` pairs of the result, which ``Echelon.add_entries``
+takes as they are; ``m.apply(v)`` is its dense wrapper.  ``closure`` keeps
+its frontier as such pairs, ``image_span`` spans the images of a subspace
+under a family of operators the same way, and
+``Subspace.coords_of`` checks its residual over the cached non-zero entries
+of its basis rows.  ``a @ b`` takes each non-zero ``a[i][k]`` against the
+cached non-zero entries of row k of ``b``.  The Kronecker-structured
+operators of the higher layers, and the sparse vectors they act on, make
+that a small fraction of the dense work.  ``kron_difference(a, b)`` builds
+a ⊗ I − I ⊗ b (the flat commutator Φ ↦ AΦ − ΦBᵀ) row by row from the
+non-zero entries of a and b, without materializing the two Kronecker
+products it stands for.
 
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
-rest on four helpers: ``preimage`` (the vectors that a family of operators
-sends into a subspace), ``inverse``, ``quotient_projection`` (coset
-representatives of K^n/S and the projection onto their coordinates), and
-``factor_through`` (write Δ = F∘J with F in a given space of maps).
+rest on three helpers: ``preimage`` (the vectors that a family of operators
+sends into a subspace), ``quotient_projection`` (coset representatives of
+K^n/S and the projection onto their coordinates), and ``factor_through``
+(write Δ = F∘J with F in a given space of maps).  ``quotient_projection``
+inverts nothing: it reduces S with its columns reversed, takes as
+representatives the unit vectors at the columns that are not the last
+non-zero column of any vector of S (the first unit vectors that extend a
+basis of S), and reads the projection off that echelon form.
 """
 
 from __future__ import annotations
@@ -43,6 +55,11 @@ from itertools import compress, count
 from math import gcd, lcm
 
 from .fields import Field, _q
+
+
+def _nonzero_pairs(vec):
+    """The ``(col, value)`` pairs of a dense vector's non-zero entries, in column order."""
+    return [(j, vec[j]) for j in compress(count(), vec)]
 
 
 class Matrix:
@@ -174,17 +191,30 @@ class Matrix:
             out.append(self._reduced(acc))
         return Matrix(self.field, out, n)
 
+    def apply_entries(self, pairs):
+        """Matrix times a sparse column vector given by its ``(col, value)`` pairs.
+
+        Returns the sorted ``(row, value)`` pairs of the non-zero entries of
+        the product, in the field's scalar form.
+        """
+        cols = self._nonzero_cols()
+        acc = {}
+        for j, x in pairs:
+            for i, a in cols[j]:
+                acc[i] = acc.get(i, 0) + a * x
+        p = self.field.char
+        if p:
+            return sorted((i, r) for i, v in acc.items() if (r := v % p))
+        return sorted((i, v if type(v) is int else _q(v)) for i, v in acc.items() if v)
+
     def apply(self, vec):
-        """Matrix times column vector (a plain list of scalars)."""
+        """Matrix times column vector (a plain list of scalars), densely."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        cols = self._nonzero_cols()
         out = [0] * self.rows
-        for j, x in enumerate(vec):
-            if x:
-                for i, a in cols[j]:
-                    out[i] += a * x
-        return self._reduced(out)
+        for i, x in self.apply_entries(_nonzero_pairs(vec)):
+            out[i] = x
+        return out
 
     def _check_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -307,10 +337,6 @@ class Echelon:
         den = lcm(*dens)
         return {j: (x * den).numerator for j, x in pairs if x}
 
-    def _dense_entries(self, vec):
-        """``_entries`` of a dense vector, scanning it once on its non-zeros."""
-        return self._entries([(j, vec[j]) for j in compress(count(), vec)])
-
     def _reduce(self, row):
         """Reduce an elimination-form dict in place; its lead column, or None if zero."""
         pivots = self.pivots
@@ -377,14 +403,14 @@ class Echelon:
 
     def add(self, vec) -> bool:
         """Reduce ``vec`` against the basis; insert the residual. True if rank grew."""
-        return self._insert(self._dense_entries(vec))
+        return self.add_entries(_nonzero_pairs(vec))
 
     def add_entries(self, pairs) -> bool:
         """``add`` for a row given by its ``(col, value)`` pairs, each column once."""
         return self._insert(self._entries(pairs))
 
     def contains(self, vec) -> bool:
-        return self._reduce(self._dense_entries(vec)) is None
+        return self._reduce(self._entries(_nonzero_pairs(vec))) is None
 
     def reduced_rows(self):
         """The canonical reduced echelon rows, sparse: ``(pivot col, pairs)`` in pivot order.
@@ -516,7 +542,7 @@ class Subspace:
     representations.  The basis rows never include zero rows.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivot_cols", "_constraints")
+    __slots__ = ("field", "ambient_dim", "basis", "pivot_cols", "_constraints", "_entries")
 
     def __init__(self, field: Field, ambient_dim: int, canonical_rows, pivot_cols):
         self.field = field
@@ -524,6 +550,7 @@ class Subspace:
         self.basis = tuple(tuple(r) for r in canonical_rows)
         self.pivot_cols = tuple(pivot_cols)
         self._constraints = None
+        self._entries = None
 
     @staticmethod
     def from_spanning(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -577,15 +604,27 @@ class Subspace:
         ech = self.to_echelon()
         return all(ech.contains(r) for r in other.basis)
 
+    def _basis_entries(self):
+        """Per basis row, the ``(col, value)`` pairs of its non-zero entries."""
+        if self._entries is None:
+            self._entries = [_nonzero_pairs(r) for r in self.basis]
+        return self._entries
+
     def coords_of(self, vec):
-        """Coordinates w.r.t. the canonical basis (raises if vec not inside)."""
+        """Coordinates w.r.t. the canonical basis (raises if vec not inside).
+
+        The residual vec − Σ c_i b_i is summed once, with plain ``+``/``*``
+        over the non-zero entries of vec and of the basis rows, and must
+        vanish (mod p over GF(p)).
+        """
         coords = [vec[p] for p in self.pivot_cols]
-        f = self.field
-        residual = list(vec)
-        for c, row in zip(coords, self.basis):
-            if c != 0:
-                residual = [f.sub(x, f.mul(c, y)) for x, y in zip(residual, row)]
-        if any(x != 0 for x in residual):
+        residual = dict(_nonzero_pairs(vec))
+        for c, pairs in zip(coords, self._basis_entries()):
+            if c:
+                for j, y in pairs:
+                    residual[j] = residual.get(j, 0) - c * y
+        p = self.field.char
+        if any(v % p if p else v for v in residual.values()):
             raise ValueError("vector not in subspace")
         return coords
 
@@ -750,28 +789,31 @@ def preimage(ops, target: Subspace) -> Subspace:
     return kernel(vstack(cons @ m for m in ops))
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square matrix, by elimination on the block [m | I]."""
-    n = m.rows
-    if m.cols != n:
-        raise ValueError("matrix is not square")
-    red = rref(hstack([m, Matrix.identity(m.field, n)]))
-    if any(red.data[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix(m.field, [r[n:] for r in red.data], n)
-
-
 def quotient_projection(sub: Subspace):
     """Coset representatives of K^n/sub and the projection onto their coordinates.
 
     Returns ``(reps, proj)``: ``reps`` extend the basis of ``sub`` to a basis
     of K^n, and ``proj`` maps v to the coordinates of v + sub in the basis
-    of the cosets of ``reps``.
+    of the cosets of ``reps``.  Nothing is inverted: ``sub`` is reduced with
+    its columns reversed, whose pivots are its trailing pivots t (the last
+    non-zero column of some vector of sub), with basis rows c_t.  ``reps``
+    are the unit vectors e_f at the other columns, in increasing order, and
+    since e_t ≡ e_t − c_t modulo sub, row f of ``proj`` is e_f − Σ_t c_t[f] e_t.
     """
-    n = sub.ambient_dim
-    reps = quotient_basis(Subspace.full(sub.field, n), sub)
-    columns = Matrix(sub.field, list(sub.basis) + reps, n).transpose()
-    return reps, Matrix(sub.field, inverse(columns).data[sub.dim:], n)
+    f, n = sub.field, sub.ambient_dim
+    ech = Echelon(f, n)
+    for pairs in sub._basis_entries():
+        ech.add_entries([(n - 1 - j, x) for j, x in pairs])
+    proj = {}  # free column -> its row of proj, in increasing order
+    for j in range(n):
+        if n - 1 - j not in ech.pivots:
+            proj[j] = [f.zero()] * n
+            proj[j][j] = f.one()
+    reps = [list(r) for r in proj.values()]
+    for pc, pairs in ech.reduced_rows():
+        for j, x in pairs[1:]:
+            proj[n - 1 - j][n - 1 - pc] = f.neg(x)
+    return reps, Matrix(f, list(proj.values()), n)
 
 
 class Factorization:
@@ -816,22 +858,33 @@ def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
     """Smallest operator-invariant subspace containing ``seeds``.
 
     Fixed-point generator loop: repeatedly apply every operator to newly
-    added vectors until the dimension stabilizes.  Terminates because the
+    added vectors until the dimension stabilizes.  Vectors travel as their
+    sparse ``(col, value)`` pairs from ``apply_entries`` to ``add_entries``.  Terminates because the
     ambient dimension is finite.
     """
     ech = Echelon(field, ambient_dim)
     frontier = []
     for s in seeds:
-        if ech.add(s):
-            frontier.append(list(s))
+        pairs = _nonzero_pairs(s)
+        if ech.add_entries(pairs):
+            frontier.append(pairs)
     while frontier:
         new_frontier = []
         for v in frontier:
             for op in operators:
-                w = op.apply(v)
-                if ech.add(w):
+                w = op.apply_entries(v)
+                if ech.add_entries(w):
                     new_frontier.append(w)
         frontier = new_frontier
+    return ech.subspace()
+
+
+def image_span(ops, space: Subspace) -> Subspace:
+    """The span of m v for every operator m in ``ops`` on K^n and every v in ``space``."""
+    ech = Echelon(space.field, space.ambient_dim)
+    for v in space._basis_entries():
+        for m in ops:
+            ech.add_entries(m.apply_entries(v))
     return ech.subspace()
 
 

@@ -148,18 +148,17 @@ class UniversalCalculus:
         f = self.algebra.field
         n = self.algebra.dim
         t = self.omega1.dim
-        units = [[f.one() if x == i else f.zero() for x in range(t)] for i in range(t)]
+        units = [[(i, f.one())] for i in range(t)]
         # the relation (ω·a)⊗η − ω⊗(a·η) for ω = w_wi, η = w_ei, a = e_ai
         relations = Echelon(f, t * t)
         for a_i in range(n):
-            rws = [self.right1[a_i].apply(u) for u in units]
-            les = [self.left1[a_i].apply(u) for u in units]
+            rws = [self.right1[a_i].apply_entries(u) for u in units]
+            les = [self.left1[a_i].apply_entries(u) for u in units]
             for wi, rw in enumerate(rws):
                 for ei, le in enumerate(les):
-                    row = {x * t + ei: c for x, c in enumerate(rw) if c != 0}
-                    for y, c in enumerate(le):
-                        if c != 0:
-                            row[wi * t + y] = f.sub(row.get(wi * t + y, 0), c)
+                    row = {x * t + ei: c for x, c in rw}
+                    for y, c in le:
+                        row[wi * t + y] = f.sub(row.get(wi * t + y, 0), c)
                     relations.add_entries(row.items())
         self.middle_relations = relations.subspace()
         self.reps2, self.proj2 = quotient_projection(self.middle_relations)

@@ -3,9 +3,16 @@
 Deliberately naive and separate from the package under test: plain
 Fraction Gauss elimination, hand-assembled constraint systems.  Anything
 asserted against package output was first computed here (or by hand).
+
+The exception is at the end: ``inverse`` and ``inversion_quotient_projection``
+are the package's former inversion-based construction of a quotient
+projection, built on its ``rref``, and kept as the reference for the
+inversion-free one.
 """
 
 from fractions import Fraction
+
+from diffoplab.linalg import Matrix, Subspace, hstack, quotient_basis, rref
 
 
 def frac_rows(rows):
@@ -212,3 +219,23 @@ def random_rational(rng, span=6):
     num = rng.randrange(-span, span + 1)
     den = rng.randrange(1, 4)
     return Fraction(num, den)
+
+
+def inverse(m):
+    """Inverse of a square Matrix, by elimination on the block [m | I]."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("matrix is not square")
+    red = rref(hstack([m, Matrix.identity(m.field, n)]))
+    if any(red.data[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(m.field, [r[n:] for r in red.data], n)
+
+
+def inversion_quotient_projection(sub):
+    """``(reps, proj)`` of K^n/sub: the first unit vectors that extend sub, and
+    the trailing rows of the inverse of [basis of sub | reps] (as columns)."""
+    n = sub.ambient_dim
+    reps = quotient_basis(Subspace.full(sub.field, n), sub)
+    columns = Matrix(sub.field, list(sub.basis) + reps, n).transpose()
+    return reps, Matrix(sub.field, inverse(columns).data[sub.dim:], n)

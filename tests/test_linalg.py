@@ -12,7 +12,6 @@ from diffoplab.linalg import (
     Subspace,
     closure,
     factor_through,
-    inverse,
     kernel,
     kron,
     kron_difference,
@@ -30,6 +29,8 @@ from oracles import (
     gauss_nullspace,
     gauss_rank,
     gauss_rref,
+    inverse,
+    inversion_quotient_projection,
     multiplication_matrix,
     nullity,
     random_rational,
@@ -298,10 +299,18 @@ def test_products_match_dense_reference(field):
             assert applied == dense_apply(field, a.data, vec)
             # a second use reads the cached non-zero rows and must agree
             assert a @ b == prod and a.apply(vec) == applied
+            # the sparse product: sorted non-zero (row, value) pairs, also for
+            # the zero vector and for inputs given as raw Fractions
+            pairs = []
+            for v in (vec, [field.zero()] * inner, [Fraction(x) for x in vec]):
+                got = a.apply_entries([(j, x) for j, x in enumerate(v) if x])
+                assert got == [(i, x) for i, x in enumerate(dense_apply(field, a.data, v)) if x]
+                pairs += [x for _, x in got]
             if field == QQ:
-                assert_integer_first([x for r in prod.data for x in r] + applied)
+                assert_integer_first([x for r in prod.data for x in r] + applied + pairs)
             else:
                 assert all(0 <= x < field.char for r in prod.data for x in r)
+                assert all(0 < x < field.char for x in pairs)
 
 
 def test_rational_field_arithmetic_is_integer_first():
@@ -378,3 +387,79 @@ def test_kron_difference_matches_kron_pair(field):
             assert_integer_first([x for r in got.data for x in r])
     with pytest.raises(ValueError):
         kron_difference(Matrix.zeros(field, 2, 3), Matrix.identity(field, 2))
+
+
+def typed(rows):
+    return [[(type(x), x) for x in r] for r in rows]
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_quotient_projection_matches_inversion_oracle(field):
+    rng = random.Random(31)
+    one, zero = field.one(), field.zero()
+    # span(e0 + e1): leading pivot 0, trailing pivot 1, so the reps are e0, e2
+    subs = [Subspace.from_spanning(field, 3, [[one, one, zero]]),
+            Subspace.zero(field, 4), Subspace.full(field, 4), Subspace.zero(field, 0)]
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        rows = random_matrix(rng, field, rng.randrange(0, n + 1), n,
+                             rng.choice((0.2, 0.6, 1.0))).data
+        subs.append(Subspace.from_spanning(field, n, rows))
+    assert quotient_projection(subs[0])[0] == [[1, 0, 0], [0, 0, 1]]
+    for sub in subs:
+        n = sub.ambient_dim
+        reps, proj = quotient_projection(sub)
+        want_reps, want_proj = inversion_quotient_projection(sub)
+        assert typed(reps) == typed(want_reps)
+        assert typed(proj.data) == typed(want_proj.data)
+        assert (proj.rows, proj.cols) == (n - sub.dim, n)
+        assert all(x == 0 for b in sub.basis for x in proj.apply(list(b)))
+        assert proj @ Matrix(field, reps, n).transpose() == Matrix.identity(field, n - sub.dim)
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_coords_of_rejects_non_members(field):
+    rng = random.Random(17)
+    p = field.char
+    checked = 0
+    for _ in range(40):
+        n = rng.randrange(2, 9)
+        rows = random_matrix(rng, field, rng.randrange(1, n), n, rng.choice((0.3, 1.0))).data
+        sub = Subspace.from_spanning(field, n, rows)
+        coords = [field.coerce(random_rational(rng)) for _ in range(sub.dim)]
+        member = sub.linear_combination(coords)
+        assert sub.coords_of(member) == coords
+        # the same member written as raw Fractions, or unreduced mod p
+        sub.coords_of([x + p for x in member] if p else [Fraction(x) for x in member])
+        free = [j for j in range(n) if j not in sub.pivot_cols]
+        if not free:
+            continue
+        bad = list(member)
+        j = rng.choice(free)  # a non-pivot column: the coordinates read the same
+        bad[j] = field.add(bad[j], field.coerce(random_rational(rng)) or field.one())
+        with pytest.raises(ValueError):
+            sub.coords_of(bad)
+        checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_closure_is_the_smallest_invariant_span(field):
+    rng = random.Random(23)
+    p = field.char
+    for _ in range(25):
+        n = rng.randrange(1, 8)
+        ops = [random_matrix(rng, field, n, n, rng.choice((0.2, 0.5)))
+               for _ in range(rng.randrange(1, 4))]
+        seeds = [[field.coerce(random_rational(rng)) if rng.random() < 0.4 else field.zero()
+                  for _ in range(n)] for _ in range(rng.randrange(0, 3))]
+        # the fixed point of S -> span(S ∪ op S), by the plain-elimination oracle
+        span = gauss_rref(seeds, p)
+        while True:
+            grown = gauss_rref(span + [dense_apply(field, op.data, v)
+                                       for v in span for op in ops], p)
+            if len(grown) == len(span):
+                break
+            span = grown
+        c = closure(field, n, seeds, ops)
+        assert [list(r) for r in c.basis] == span

@@ -141,6 +141,11 @@ def test_cli_misc_commands(tmp_path):
     ["graded-ce", "grassmann:1", "--max-degree", "0"],
     ["universal", "trunc_poly:2", "--max-degree", str(UNIVERSAL_DEGREE_CAP + 1)],
     ["universal", "trunc_poly:2", "--max-degree", "-1"],
+    ["lunts", "trunc_poly:2", "--order", "-1"],
+    ["two-sided", "trunc_poly:2", "--order", "-1"],
+    ["compare-defs", "trunc_poly:2", "--order", "-1"],
+    ["diff-space", "trunc_poly:2", "--order", "-1"],
+    ["jets", "trunc_poly:3", "--order", "-1"],
 ])
 def test_cli_bad_rank_or_degree_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
