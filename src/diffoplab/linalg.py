@@ -65,10 +65,10 @@ def _nonzero_pairs(vec):
 class Matrix:
     """Dense matrix over a :class:`Field`; immutable once constructed.
 
-    ``data`` must not be written after construction: ``apply`` caches the
-    non-zero entries of every column and ``other @ self`` those of every
-    row, and a later write would silently leave those caches stale.  Build
-    the rows first, then construct the matrix.
+    ``data`` must not be written after construction: ``apply_entries``
+    caches the non-zero entries of every column and ``other @ self`` those
+    of every row, and a later write would silently leave those caches
+    stale.  Build the rows first, then construct the matrix.
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_nzr", "_nzc")
@@ -542,7 +542,7 @@ class Subspace:
     representations.  The basis rows never include zero rows.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivot_cols", "_constraints", "_entries")
+    __slots__ = ("field", "ambient_dim", "basis", "pivot_cols", "_constraints", "_nzb")
 
     def __init__(self, field: Field, ambient_dim: int, canonical_rows, pivot_cols):
         self.field = field
@@ -550,7 +550,7 @@ class Subspace:
         self.basis = tuple(tuple(r) for r in canonical_rows)
         self.pivot_cols = tuple(pivot_cols)
         self._constraints = None
-        self._entries = None
+        self._nzb = None
 
     @staticmethod
     def from_spanning(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -606,9 +606,9 @@ class Subspace:
 
     def _basis_entries(self):
         """Per basis row, the ``(col, value)`` pairs of its non-zero entries."""
-        if self._entries is None:
-            self._entries = [_nonzero_pairs(r) for r in self.basis]
-        return self._entries
+        if self._nzb is None:
+            self._nzb = [_nonzero_pairs(r) for r in self.basis]
+        return self._nzb
 
     def coords_of(self, vec):
         """Coordinates w.r.t. the canonical basis (raises if vec not inside).
@@ -858,9 +858,9 @@ def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
     """Smallest operator-invariant subspace containing ``seeds``.
 
     Fixed-point generator loop: repeatedly apply every operator to newly
-    added vectors until the dimension stabilizes.  Vectors travel as their
-    sparse ``(col, value)`` pairs from ``apply_entries`` to ``add_entries``.  Terminates because the
-    ambient dimension is finite.
+    added vectors until the dimension stabilizes.  Terminates because the
+    ambient dimension is finite.  Vectors travel as their sparse
+    ``(col, value)`` pairs from ``apply_entries`` to ``add_entries``.
     """
     ech = Echelon(field, ambient_dim)
     frontier = []
