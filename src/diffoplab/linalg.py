@@ -62,6 +62,14 @@ def _nonzero_pairs(vec):
     return [(j, vec[j]) for j in compress(count(), vec)]
 
 
+def _dense(pairs, n):
+    """The dense vector of length n with the entries ``(col, value)`` and zeros elsewhere."""
+    vec = [0] * n
+    for j, x in pairs:
+        vec[j] = x
+    return vec
+
+
 class Matrix:
     """Dense matrix over a :class:`Field`; immutable once constructed.
 
@@ -211,10 +219,7 @@ class Matrix:
         """Matrix times column vector (a plain list of scalars), densely."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [0] * self.rows
-        for i, x in self.apply_entries(_nonzero_pairs(vec)):
-            out[i] = x
-        return out
+        return _dense(self.apply_entries(_nonzero_pairs(vec)), self.rows)
 
     def _check_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -472,17 +477,19 @@ class Echelon:
 
     def basis_rows(self):
         """Canonical reduced echelon rows (pivot 1, zeros above pivots), dense."""
-        out = []
-        for _, pairs in self.reduced_rows():
-            row = [0] * self.width
-            for k, x in pairs:
-                row[k] = x
-            out.append(tuple(row))
-        return out
+        return [tuple(_dense(pairs, self.width)) for _, pairs in self.reduced_rows()]
 
     def subspace(self) -> "Subspace":
-        """The span of the rows added so far, as a canonical subspace."""
-        return Subspace(self.field, self.width, self.basis_rows(), sorted(self.pivots))
+        """The span of the rows added so far, as a canonical subspace.
+
+        The sparse reduced rows become the subspace's cached basis entries.
+        """
+        reduced = self.reduced_rows()
+        space = Subspace(self.field, self.width,
+                         [_dense(pairs, self.width) for _, pairs in reduced],
+                         [c for c, _ in reduced])
+        space._nzb = [pairs for _, pairs in reduced]
+        return space
 
 
 def rref(m: Matrix) -> Matrix:

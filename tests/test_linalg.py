@@ -426,6 +426,9 @@ def test_coords_of_rejects_non_members(field):
         n = rng.randrange(2, 9)
         rows = random_matrix(rng, field, rng.randrange(1, n), n, rng.choice((0.3, 1.0))).data
         sub = Subspace.from_spanning(field, n, rows)
+        # the echelon hands its sparse reduced rows over as the cached entries
+        assert sub._basis_entries() == [[(j, x) for j, x in enumerate(r) if x]
+                                        for r in sub.basis]
         coords = [field.coerce(random_rational(rng)) for _ in range(sub.dim)]
         member = sub.linear_combination(coords)
         assert sub.coords_of(member) == coords
