@@ -341,7 +341,11 @@ def cmd_run_scenarios(args):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process: it holds no per-call state."""
+    """The argument parser, built once per process.
+
+    It holds no per-call state and no reference to a command function:
+    ``main`` looks ``cmd_<command>`` up by name on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="diffoplab",
         description="exact computations with differential operators over "
@@ -364,73 +368,60 @@ def build_parser():
 
     p = sub.add_parser("check-algebra", help="validate an algebra spec")
     common(p, module_args=False)
-    p.set_defaults(func=cmd_check_algebra)
 
     p = sub.add_parser("check-module", help="validate a module spec")
     common(p, module_args=False)
     p.add_argument("--module", required=True, help="module JSON path or shorthand")
-    p.set_defaults(func=cmd_check_module)
 
     p = sub.add_parser("derivations", help="solve the product-rule system")
     common(p, module_args=False)
     p.add_argument("--target", default="regular")
     p.add_argument("--graded", action="store_true")
-    p.set_defaults(func=cmd_derivations)
 
     p = sub.add_parser("diff-space", help="one definition at one order")
     common(p)
     p.add_argument("--definition", default="grothendieck",
                    choices=["grothendieck", "graded", "dv"])
     p.add_argument("--order", type=int, default=1)
-    p.set_defaults(func=cmd_diff_space)
 
     p = sub.add_parser("lunts", help="inductive one-sided filtration")
     common(p)
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--side", default="left", choices=["left", "right"])
-    p.set_defaults(func=cmd_lunts)
 
     p = sub.add_parser("two-sided", help="two-sided filtration")
     common(p)
     p.add_argument("--order", type=int, default=1)
-    p.set_defaults(func=cmd_two_sided)
 
     p = sub.add_parser("ce", help="center-multilinear form complex")
     common(p, module_args=False)
     p.add_argument("--max-degree", type=int, default=DEGREE_CAP)
-    p.set_defaults(func=cmd_ce)
 
     p = sub.add_parser("graded-ce", help="graded form complex")
     common(p, module_args=False)
     p.add_argument("--max-degree", type=int, default=GRADED_DEGREE_CAP)
-    p.set_defaults(func=cmd_graded_ce)
 
     p = sub.add_parser("universal", help="universal one- and two-forms")
     common(p, module_args=False)
     p.add_argument("--max-degree", type=int, default=UNIVERSAL_DEGREE_CAP)
-    p.set_defaults(func=cmd_universal)
 
     p = sub.add_parser("cartan", help="vector fields from calculus duals")
     common(p, module_args=False)
     p.add_argument("--side", default="right", choices=["left", "right"])
-    p.set_defaults(func=cmd_cartan)
 
     p = sub.add_parser("jets", help="jet modules and representability")
     common(p)
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--two-sided", action="store_true")
     p.add_argument("--allow-noncommutative", action="store_true")
-    p.set_defaults(func=cmd_jets)
 
     p = sub.add_parser("compare-defs", help="pairwise comparison report")
     common(p)
     p.add_argument("--order", type=int, default=1)
-    p.set_defaults(func=cmd_compare_defs)
 
     p = sub.add_parser("run-scenarios", help="run the built-in scenario suite")
     p.add_argument("--only", default=None, help="run a single scenario by id")
     p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_run_scenarios)
 
     return parser
 
@@ -441,7 +432,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "order", 0) < 0:  # the builders enforce the order caps
             raise UsageError(f"--order must be >= 0, got {args.order}")
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -19,32 +19,23 @@ system, which wide and very sparse constraint builders fill with
 ``{col: value}`` rows without ever writing the zero entries.
 
 Matrices are stored dense, but products visit only pairs of non-zero
-entries, and vectors travel between ``Matrix``, ``Echelon`` and
-``Subspace`` as their sorted ``(col, value)`` pairs.  There is one product
-of a matrix with a vector, ``m.apply_entries(pairs)``: it takes each pair
-against the cached non-zero entries of column j of ``m`` and returns the
-non-zero ``(row, value)`` pairs of the result, which ``Echelon.add_entries``
-takes as they are; ``m.apply(v)`` is its dense wrapper.  ``closure`` keeps
-its frontier as such pairs, ``image_span`` spans the images of a subspace
-under a family of operators the same way, and
-``Subspace.coords_of`` checks its residual over the cached non-zero entries
-of its basis rows.  ``a @ b`` takes each non-zero ``a[i][k]`` against the
-cached non-zero entries of row k of ``b``.  The Kronecker-structured
-operators of the higher layers, and the sparse vectors they act on, make
-that a small fraction of the dense work.  ``kron_difference(a, b)`` builds
-a ⊗ I − I ⊗ b (the flat commutator Φ ↦ AΦ − ΦBᵀ) row by row from the
-non-zero entries of a and b, without materializing the two Kronecker
-products it stands for.
+entries.  ``m.apply(v)`` takes the ``(col, value)`` pairs of v against the
+cached non-zero entries of each column of ``m`` (``m.column_entries()``),
+in one sparse product loop; ``a @ b`` takes each non-zero ``a[i][k]``
+against the cached non-zero entries of row k of ``b``.  The
+Kronecker-structured operators of the higher layers, and the sparse vectors
+they act on, make that a small fraction of the dense work.
+``kron_difference(a, b)`` builds a ⊗ I − I ⊗ b (the flat commutator
+Φ ↦ AΦ − ΦBᵀ) row by row from the non-zero entries of a and b, without
+materializing the two Kronecker products it stands for.
 
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
 rest on three helpers: ``preimage`` (the vectors that a family of operators
 sends into a subspace), ``quotient_projection`` (coset representatives of
 K^n/S and the projection onto their coordinates), and ``factor_through``
 (write Δ = F∘J with F in a given space of maps).  ``quotient_projection``
-inverts nothing: it reduces S with its columns reversed, takes as
-representatives the unit vectors at the columns that are not the last
-non-zero column of any vector of S (the first unit vectors that extend a
-basis of S), and reads the projection off that echelon form.
+reads its representatives and projection off an echelon form of S with
+the columns reversed; nothing is inverted.
 """
 
 from __future__ import annotations
@@ -73,10 +64,10 @@ def _dense(pairs, n):
 class Matrix:
     """Dense matrix over a :class:`Field`; immutable once constructed.
 
-    ``data`` must not be written after construction: ``apply_entries``
-    caches the non-zero entries of every column and ``other @ self`` those
-    of every row, and a later write would silently leave those caches
-    stale.  Build the rows first, then construct the matrix.
+    ``data`` must not be written after construction: ``apply`` caches the
+    non-zero entries of every column and ``other @ self`` those of every
+    row, and a later write would silently leave those caches stale.  Build
+    the rows first, then construct the matrix.
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_nzr", "_nzc")
@@ -199,12 +190,12 @@ class Matrix:
             out.append(self._reduced(acc))
         return Matrix(self.field, out, n)
 
-    def apply_entries(self, pairs):
-        """Matrix times a sparse column vector given by its ``(col, value)`` pairs.
+    def column_entries(self):
+        """Per column, the ``(row, value)`` pairs of its non-zero entries (shared cache)."""
+        return self._nonzero_cols()
 
-        Returns the sorted ``(row, value)`` pairs of the non-zero entries of
-        the product, in the field's scalar form.
-        """
+    def _apply_pairs(self, pairs):
+        """The product with the vector of ``(col, value)`` pairs, as its sorted non-zero pairs."""
         cols = self._nonzero_cols()
         acc = {}
         for j, x in pairs:
@@ -216,10 +207,10 @@ class Matrix:
         return sorted((i, v if type(v) is int else _q(v)) for i, v in acc.items() if v)
 
     def apply(self, vec):
-        """Matrix times column vector (a plain list of scalars), densely."""
+        """Matrix times column vector (a plain list of scalars)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return _dense(self.apply_entries(_nonzero_pairs(vec)), self.rows)
+        return _dense(self._apply_pairs(_nonzero_pairs(vec)), self.rows)
 
     def _check_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -866,21 +857,16 @@ def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
 
     Fixed-point generator loop: repeatedly apply every operator to newly
     added vectors until the dimension stabilizes.  Terminates because the
-    ambient dimension is finite.  Vectors travel as their sparse
-    ``(col, value)`` pairs from ``apply_entries`` to ``add_entries``.
+    ambient dimension is finite.
     """
     ech = Echelon(field, ambient_dim)
-    frontier = []
-    for s in seeds:
-        pairs = _nonzero_pairs(s)
-        if ech.add_entries(pairs):
-            frontier.append(pairs)
+    frontier = [s for s in seeds if ech.add(s)]
     while frontier:
         new_frontier = []
         for v in frontier:
             for op in operators:
-                w = op.apply_entries(v)
-                if ech.add_entries(w):
+                w = op.apply(v)
+                if ech.add(w):
                     new_frontier.append(w)
         frontier = new_frontier
     return ech.subspace()
@@ -889,9 +875,9 @@ def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
 def image_span(ops, space: Subspace) -> Subspace:
     """The span of m v for every operator m in ``ops`` on K^n and every v in ``space``."""
     ech = Echelon(space.field, space.ambient_dim)
-    for v in space._basis_entries():
+    for v in space.basis:
         for m in ops:
-            ech.add_entries(m.apply_entries(v))
+            ech.add(m.apply(v))
     return ech.subspace()
 
 

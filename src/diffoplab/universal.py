@@ -148,12 +148,12 @@ class UniversalCalculus:
         f = self.algebra.field
         n = self.algebra.dim
         t = self.omega1.dim
-        units = [[(i, f.one())] for i in range(t)]
         # the relation (ω·a)⊗η − ω⊗(a·η) for ω = w_wi, η = w_ei, a = e_ai
         relations = Echelon(f, t * t)
         for a_i in range(n):
-            rws = [self.right1[a_i].apply_entries(u) for u in units]
-            les = [self.left1[a_i].apply_entries(u) for u in units]
+            # the images of the unit vectors: the columns of the two actions
+            rws = self.right1[a_i].column_entries()
+            les = self.left1[a_i].column_entries()
             for wi, rw in enumerate(rws):
                 for ei, le in enumerate(les):
                     row = {x * t + ei: c for x, c in rw}

@@ -3,16 +3,9 @@
 Deliberately naive and separate from the package under test: plain
 Fraction Gauss elimination, hand-assembled constraint systems.  Anything
 asserted against package output was first computed here (or by hand).
-
-The exception is at the end: ``inverse`` and ``inversion_quotient_projection``
-are the package's former inversion-based construction of a quotient
-projection, built on its ``rref``, and kept as the reference for the
-inversion-free one.
 """
 
 from fractions import Fraction
-
-from diffoplab.linalg import Matrix, Subspace, hstack, quotient_basis, rref
 
 
 def frac_rows(rows):
@@ -221,21 +214,48 @@ def random_rational(rng, span=6):
     return Fraction(num, den)
 
 
+
+def _integer_first(x):
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def gauss_inverse(rows, p=0):
+    """Inverse of a square matrix by plain elimination on [A | I]; None if singular.
+
+    Over the rationals (entries in integer-first form: an int when integral),
+    or over GF(p) when ``p`` is given.
+    """
+    n = len(rows)
+    red = gauss_rref([list(r) + [int(i == j) for j in range(n)]
+                      for i, r in enumerate(rows)], p)
+    if any(red[i][i] != 1 for i in range(n)):
+        return None
+    return [[_integer_first(x) for x in r[n:]] for r in red]
+
+
 def inverse(m):
-    """Inverse of a square Matrix, by elimination on the block [m | I]."""
-    n = m.rows
-    if m.cols != n:
+    """Inverse of a square package matrix, by ``gauss_inverse`` on its entries."""
+    if m.cols != m.rows:
         raise ValueError("matrix is not square")
-    red = rref(hstack([m, Matrix.identity(m.field, n)]))
-    if any(red.data[i][i] != 1 for i in range(n)):
+    rows = gauss_inverse(m.data, m.field.char)
+    if rows is None:
         raise ValueError("matrix is singular")
-    return Matrix(m.field, [r[n:] for r in red.data], n)
+    return type(m)(m.field, rows, m.rows)
 
 
-def inversion_quotient_projection(sub):
-    """``(reps, proj)`` of K^n/sub: the first unit vectors that extend sub, and
-    the trailing rows of the inverse of [basis of sub | reps] (as columns)."""
-    n = sub.ambient_dim
-    reps = quotient_basis(Subspace.full(sub.field, n), sub)
-    columns = Matrix(sub.field, list(sub.basis) + reps, n).transpose()
-    return reps, Matrix(sub.field, inverse(columns).data[sub.dim:], n)
+def inversion_quotient_projection(basis, n, p=0):
+    """Coset representatives of K^n/span(basis) and the projection onto them.
+
+    The construction the inversion-free ``quotient_projection`` replaced:
+    the representatives are the first unit vectors that extend the
+    (independent) ``basis``, and the projection is the trailing rows of the
+    inverse of the matrix whose columns are [basis | reps].
+    """
+    reps = []
+    for j in range(n):
+        unit = [int(i == j) for i in range(n)]
+        if len(gauss_rref(list(basis) + reps + [unit], p)) > len(basis) + len(reps):
+            reps.append(unit)
+    columns = list(basis) + reps
+    inv = gauss_inverse([[c[i] for c in columns] for i in range(n)], p)
+    return reps, inv[len(basis):]
