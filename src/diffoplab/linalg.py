@@ -34,8 +34,9 @@ rest on three helpers: ``preimage`` (the vectors that a family of operators
 sends into a subspace), ``quotient_projection`` (coset representatives of
 K^n/S and the projection onto their coordinates), and ``factor_through``
 (write Δ = F∘J with F in a given space of maps).  ``quotient_projection``
-reads its representatives and projection off an echelon form of S with
-the columns reversed; nothing is inverted.
+reduces S with its columns reversed, takes as representatives the unit
+vectors at the columns that are not trailing pivots of S, and reads the
+projection off that echelon form; nothing is inverted.
 """
 
 from __future__ import annotations
