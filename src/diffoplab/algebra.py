@@ -9,7 +9,7 @@ and a JSON spec format with exact round-trip.
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import compress, count, product
 
 from .fields import Field, QQ
 from .linalg import Matrix, Subspace, kernel, vstack
@@ -44,6 +44,9 @@ class FiniteAlgebra:
 
     def __init__(self, field: Field, dim: int, basis_names, structure_constants,
                  unit, parity=None, name: str = "algebra"):
+        if dim < 1:
+            raise AlgebraError(f"dimension must be >= 1 (a unital algebra of "
+                               f"dimension 0 has 1 = 0), got {dim}")
         self.field = field
         self.dim = dim
         self.basis_names = tuple(basis_names)
@@ -54,11 +57,17 @@ class FiniteAlgebra:
         self.name = name
         if len(self.basis_names) != dim or len(self.unit) != dim:
             raise AlgebraError("basis/unit length does not match dimension")
-        # left/right multiplication operators in the chosen basis
-        self._left = [Matrix(field, [[self.sc[i][j][k] for j in range(dim)]
-                                     for k in range(dim)]) for i in range(dim)]
-        self._right = [Matrix(field, [[self.sc[j][i][k] for j in range(dim)]
-                                      for k in range(dim)]) for i in range(dim)]
+        # left/right multiplication operators in the chosen basis: each
+        # e_i e_j = Σ c_k e_k puts c_k at (k, j) of L(e_i) and (k, i) of R(e_j)
+        left = [[[] for _ in range(dim)] for _ in range(dim)]
+        right = [[[] for _ in range(dim)] for _ in range(dim)]
+        for i, row in enumerate(self.sc):
+            for j, prod in enumerate(row):
+                for k in compress(count(), prod):
+                    left[i][k].append((j, prod[k]))
+                    right[j][k].append((i, prod[k]))
+        self._left = [Matrix.from_pairs(field, rows, dim) for rows in left]
+        self._right = [Matrix.from_pairs(field, rows, dim) for rows in right]
         self._center = None
 
     # -- basic structure ------------------------------------------------------
@@ -186,11 +195,6 @@ class FiniteAlgebra:
                         return False
         return True
 
-    def homogeneous_indices(self, par: int):
-        if not self.graded:
-            raise AlgebraError("algebra carries no grading")
-        return [i for i in range(self.dim) if self.parity[i] == par]
-
     def opposite(self) -> "FiniteAlgebra":
         """Same space with reversed multiplication."""
         n = self.dim
@@ -223,6 +227,8 @@ class FiniteAlgebra:
 
     @staticmethod
     def from_json_dict(d: dict) -> "FiniteAlgebra":
+        if not isinstance(d, dict):
+            raise AlgebraError("algebra spec must be a JSON object")
         field = Field(int(d.get("char", 0)))
         n = int(d["dim"])
         zero = field.zero()
@@ -360,6 +366,8 @@ def square_zero(g: int = 2, field: Field = QQ) -> FiniteAlgebra:
 
 def matrix_algebra(k: int, field: Field = QQ) -> FiniteAlgebra:
     """Full matrix algebra M_k with units e_{rs} at index r*k + s."""
+    if k < 1:
+        raise AlgebraError(f"matrix algebra size must be >= 1, got {k}")
     n = k * k
     sc = _empty_sc(field, n)
     one = field.one()

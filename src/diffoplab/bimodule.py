@@ -14,7 +14,7 @@ from itertools import product
 
 from .algebra import FiniteAlgebra
 from .fields import Field
-from .linalg import Matrix, Subspace, closure, kernel, kron, restrict_operator, vstack
+from .linalg import Matrix, Subspace, kernel, kron, restrict_operator, vstack
 
 
 class ModuleError(ValueError):
@@ -72,12 +72,6 @@ class Bimodule:
                 out = out + self.right[i].scale(c)
         return out
 
-    def act_left(self, a_coords, p):
-        return self.left_action(a_coords).apply(p)
-
-    def act_right(self, p, a_coords):
-        return self.right_action(a_coords).apply(p)
-
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> "ModuleReport":
@@ -130,25 +124,14 @@ class Bimodule:
                 return False
         return True
 
-    # -- submodules -------------------------------------------------------------
-
-    def submodule_generated(self, seeds) -> Subspace:
-        """Two-sided submodule generated by the seed vectors (fixed point loop)."""
-        return closure(self.field, self.dim, seeds, self.left + self.right)
-
     # -- JSON spec format ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         f = self.field
 
         def sparse(mats):
-            out = []
-            for i, m in enumerate(mats):
-                for r in range(m.rows):
-                    for c in range(m.cols):
-                        if m.data[r][c] != 0:
-                            out.append([i, r, c, f.fmt(m.data[r][c])])
-            return out
+            return [[i, r, c, f.fmt(x)] for i, m in enumerate(mats)
+                    for r, pairs in enumerate(m.row_entries()) for c, x in pairs]
 
         d = {
             "name": self.name,
@@ -164,15 +147,16 @@ class Bimodule:
 
     @staticmethod
     def from_json_dict(d: dict, algebra: FiniteAlgebra) -> "Bimodule":
+        if not isinstance(d, dict):
+            raise ModuleError("module spec must be a JSON object")
         if d.get("algebra") not in (None, algebra.name):
             raise ModuleError(
                 f"module spec references algebra {d.get('algebra')!r}, got {algebra.name!r}")
         dim = int(d["dim"])
         field = algebra.field
 
-        def dense(triples):
-            rows = [[[field.zero()] * dim for _ in range(dim)]
-                    for _ in range(algebra.dim)]
+        def actions(triples):
+            rows = [[{} for _ in range(dim)] for _ in range(algebra.dim)]
             for i, r, c, v in triples:
                 i, r, c = int(i), int(r), int(c)
                 if not (0 <= i < algebra.dim and 0 <= r < dim and 0 <= c < dim):
@@ -180,9 +164,9 @@ class Bimodule:
                         f"action entry [{i}, {r}, {c}] out of range for a "
                         f"{dim}-dim module over a {algebra.dim}-dim algebra")
                 rows[i][r][c] = field.coerce(v)
-            return [Matrix(field, m, dim) for m in rows]
+            return [Matrix.from_entries(field, [r.items() for r in m], dim) for m in rows]
 
-        return Bimodule(algebra, dim, dense(d["left"]), dense(d["right"]),
+        return Bimodule(algebra, dim, actions(d["left"]), actions(d["right"]),
                         d.get("parity"), d.get("second_kind", "right"),
                         name=d.get("name", "module"))
 
@@ -244,9 +228,8 @@ def direct_sum(p: Bimodule, q: Bimodule) -> Bimodule:
     dim = p.dim + q.dim
 
     def block(mp, mq):
-        zp, zq = [f.zero()] * p.dim, [f.zero()] * q.dim
-        rows = [r + zq for r in mp.data] + [zp + r for r in mq.data]
-        return Matrix(f, rows, dim)
+        rows = mp.row_entries() + [[(p.dim + c, x) for c, x in r] for r in mq.row_entries()]
+        return Matrix.from_pairs(f, rows, dim)
 
     left = [block(a, b) for a, b in zip(p.left, q.left)]
     right = [block(a, b) for a, b in zip(p.right, q.right)]
@@ -298,9 +281,6 @@ class SandwichModule:
         self.mid_left = [kron(eye_a, kron(p.left[i], eye_a)) for i in range(n)]
         self.mid_right = [kron(eye_a, kron(p.right[i], eye_a)) for i in range(n)]
 
-    def flat_index(self, i: int, j: int, k: int) -> int:
-        return (i * self.module.dim + j) * self.algebra.dim + k
-
 
 # ---------------------------------------------------------------------------
 # Duals
@@ -336,11 +316,8 @@ class DualModule:
 
     def as_map(self, coords) -> Matrix:
         """The functional with the given dual coordinates, as an n×(dim Q) matrix."""
-        flat = self.space.linear_combination(coords)
-        n = self.source.algebra.dim
-        mq = self.source.dim
-        return Matrix(self.space.field,
-                      [flat[r * mq:(r + 1) * mq] for r in range(n)])
+        return Matrix.from_flat(self.space.field, self.space.linear_combination(coords),
+                                self.source.algebra.dim, self.source.dim)
 
     def basis_maps(self):
         return [self.as_map(coords) for coords in

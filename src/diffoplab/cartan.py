@@ -128,7 +128,7 @@ def cartan_vs_definitions(pair: CartanPair, lunts_order: int = 1) -> dict:
     entries = []
     witness = None
     for idx, u_hat in enumerate(pair.hat_basis()):
-        flat = [x for row in u_hat.data for x in row]
+        flat = u_hat.flatten()
         is_der = der.space.contains(flat)
         is_dv = dv.space.contains(flat)
         in_lunts = flt[lunts_order].contains(flat)
@@ -166,9 +166,8 @@ def two_sided_hats_are_first_order(pair: CartanPair) -> bool:
     n = alg.dim
     f = alg.field
     for row in both.basis:
-        u_map = Matrix(f, [list(row[r * mq:(r + 1) * mq]) for r in range(n)], mq)
-        u_hat = u_map @ pair.d_matrix
-        if not dv.space.contains([x for r in u_hat.data for x in r]):
+        u_hat = Matrix.from_flat(f, row, n, mq) @ pair.d_matrix
+        if not dv.space.contains(u_hat.flatten()):
             return False
     return True
 

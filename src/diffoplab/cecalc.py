@@ -144,7 +144,7 @@ def ce_forms(algebra: FiniteAlgebra, degree: int,
     z_coords = _center_action_coords(algebra, der)
     z_mults = [algebra.left_mult(list(z)) for z in algebra.center().basis]
     for zi, zrow in enumerate(z_coords):
-        lz = z_mults[zi]
+        lz = z_mults[zi].row_entries()
         for t in product(range(d), repeat=degree):
             ti = _tuple_index(t, d)
             for s in range(degree):
@@ -156,10 +156,9 @@ def ce_forms(algebra: FiniteAlgebra, degree: int,
                             replaced[s] = r
                             k = _tuple_index(replaced, d) * n + m
                             row[k] = f.add(row.get(k, 0), c)
-                    for m2 in range(n):
-                        if lz.data[m][m2] != 0:
-                            k = ti * n + m2
-                            row[k] = f.sub(row.get(k, 0), lz.data[m][m2])
+                    for m2, v in lz[m]:
+                        k = ti * n + m2
+                        row[k] = f.sub(row.get(k, 0), v)
                     cons.append(row)
     return FormSpace(algebra, der, degree, kernel(cons))
 
@@ -175,21 +174,20 @@ def ce_coboundary_matrix(algebra: FiniteAlgebra, der: DerivationSpace,
     maps = der.basis_maps()
     bracket_coords = [[der.coords_of(lie_bracket(maps[i], maps[j]))
                        for j in range(d)] for i in range(d)]
-    out = [[f.zero()] * cols_dim for _ in range(rows_dim)]
+    map_rows = [u.row_entries() for u in maps]
+    out = [{} for _ in range(rows_dim)]  # {col: value} per row, plain sums
     for t in product(range(d), repeat=degree + 1):
         ti = _tuple_index(t, d)
         for i in range(degree + 1):
             omit = t[:i] + t[i + 1:]
             oi = _tuple_index(omit, d)
             sign = 1 if i % 2 == 0 else -1
-            u = maps[t[i]]
+            u = map_rows[t[i]]
             for m in range(n):
-                for m2 in range(n):
-                    v = u.data[m][m2]
-                    if v != 0:
-                        v = v if sign > 0 else f.neg(v)
-                        out[ti * n + m][oi * n + m2] = f.add(
-                            out[ti * n + m][oi * n + m2], v)
+                row = out[ti * n + m]
+                for m2, v in u[m]:
+                    k = oi * n + m2
+                    row[k] = row.get(k, 0) + sign * v
         for i in range(degree + 1):
             for j in range(i + 1, degree + 1):
                 rest = tuple(x for s, x in enumerate(t) if s not in (i, j))
@@ -197,13 +195,11 @@ def ce_coboundary_matrix(algebra: FiniteAlgebra, der: DerivationSpace,
                 for r, c in enumerate(bracket_coords[t[i]][t[j]]):
                     if c == 0:
                         continue
-                    arg = (r,) + rest
-                    ai = _tuple_index(arg, d)
-                    v = c if sign > 0 else f.neg(c)
+                    ai = _tuple_index((r,) + rest, d)
                     for m in range(n):
-                        out[ti * n + m][ai * n + m] = f.add(
-                            out[ti * n + m][ai * n + m], v)
-    return Matrix(f, out, cols_dim)
+                        row = out[ti * n + m]
+                        row[ai * n + m] = row.get(ai * n + m, 0) + sign * c
+    return Matrix.from_entries(f, [row.items() for row in out], cols_dim)
 
 
 def exact_one_form(algebra: FiniteAlgebra, der: DerivationSpace, a_coords):
@@ -288,9 +284,7 @@ class CochainComplex:
             for row in src.basis:
                 img = self.ambient_d[k].apply(list(row))
                 cols.append(dst.coords_of(img))  # raises if d leaves the subcomplex
-            self.d.append(Matrix(self.algebra.field,
-                                 [[cols[j][i] for j in range(src.dim)]
-                                  for i in range(dst.dim)], src.dim))
+            self.d.append(Matrix(self.algebra.field, cols, dst.dim).transpose())
 
     def d_squared_is_zero(self) -> bool:
         return all((self.d[k + 1] @ self.d[k]).is_zero()
@@ -353,27 +347,19 @@ class MinimalCalculus:
         return form_bimodule(self.algebra, self.der, 1, self.one_forms,
                              f"O1({self.algebra.name})")
 
-    def two_forms_bimodule(self) -> Bimodule:
-        return form_bimodule(self.algebra, self.der, 2, self.two_forms,
-                             f"O2({self.algebra.name})")
-
     def d0_matrix(self) -> Matrix:
         """d: A → O^1 in minimal-calculus coordinates."""
         cols = [self.one_forms.coords_of(
             exact_one_form(self.algebra, self.der, self.algebra.basis_vector(i)))
             for i in range(self.algebra.dim)]
-        return Matrix(self.algebra.field,
-                      [[cols[j][i] for j in range(self.algebra.dim)]
-                       for i in range(self.one_forms.dim)], self.algebra.dim)
+        return Matrix(self.algebra.field, cols, self.one_forms.dim).transpose()
 
     def d1_matrix(self) -> Matrix:
         """d: O^1 → O^2 in minimal-calculus coordinates."""
         amb = ce_coboundary_matrix(self.algebra, self.der, 1)
         cols = [self.two_forms.coords_of(amb.apply(list(row)))
                 for row in self.one_forms.basis]
-        return Matrix(self.algebra.field,
-                      [[cols[j][i] for j in range(self.one_forms.dim)]
-                       for i in range(self.two_forms.dim)], self.one_forms.dim)
+        return Matrix(self.algebra.field, cols, self.two_forms.dim).transpose()
 
 
 class DualityReport:

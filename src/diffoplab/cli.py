@@ -145,10 +145,10 @@ def cmd_derivations(args):
              f"dimension {der.dim}"]
     basis = []
     for u in der.basis_maps():
-        basis.append(fmt_matrix(a.field, u))
+        rows = fmt_matrix(a.field, u)
+        basis.append(rows)
         lines.append("basis element:")
-        for row in u.data:
-            lines.append("  [" + ", ".join(a.field.fmt(x) for x in row) + "]")
+        lines.extend("  [" + ", ".join(row) + "]" for row in rows)
     report = {"algebra": a.name, "target": q.name, "graded": args.graded,
               "dim": der.dim, "basis": basis}
     emit(report, args.json, lines)

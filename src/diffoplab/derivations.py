@@ -33,11 +33,10 @@ class DerivationSpace:
         return self._unflatten(flat)
 
     def _unflatten(self, flat) -> Matrix:
-        n, mq = self.algebra.dim, self.target.dim
-        return Matrix(self.algebra.field, [flat[r * n:(r + 1) * n] for r in range(mq)])
+        return Matrix.from_flat(self.algebra.field, flat, self.target.dim, self.algebra.dim)
 
     def basis_maps(self):
-        return [self._unflatten(list(row)) for row in self.space.basis]
+        return [self._unflatten(row) for row in self.space.basis]
 
     def basis_parities(self):
         """Parity of each canonical basis derivation (graded solver only)."""
@@ -55,39 +54,31 @@ class DerivationSpace:
         return out
 
     def contains(self, m: Matrix) -> bool:
-        return self.space.contains([x for row in m.data for x in row])
+        return self.space.contains(m.flatten())
 
     def coords_of(self, m: Matrix):
-        return self.space.coords_of([x for row in m.data for x in row])
+        return self.space.coords_of(m.flatten())
 
 
 def _leibniz_rows(algebra, target, sign_of_pair):
     """Constraint blocks U·(e_i e_j) − R_Q(e_j)(U e_i) − s(i)·L_Q(e_i)(U e_j) = 0."""
-    f = algebra.field
     n = algebra.dim
     mq = target.dim
-    blocks = []
+    right = [m.row_entries() for m in target.right]
+    left = [m.row_entries() for m in target.left]
+    rows = []
     for i, j in product(range(n), repeat=2):
-        rows = [[f.zero()] * (mq * n) for _ in range(mq)]
-        mcol = algebra.sc[i][j]
-        for r in range(mq):
-            for m in range(n):
-                if mcol[m] != 0:
-                    rows[r][r * n + m] = f.add(rows[r][r * n + m], mcol[m])
-        rq = target.right[j]
-        for r in range(mq):
-            for s in range(mq):
-                if rq.data[r][s] != 0:
-                    rows[r][s * n + i] = f.sub(rows[r][s * n + i], rq.data[r][s])
+        mcol = [(m, x) for m, x in enumerate(algebra.sc[i][j]) if x]
         sgn = sign_of_pair(i)
-        lq = target.left[i]
+        rq, lq = right[j], left[i]
         for r in range(mq):
-            for s in range(mq):
-                if lq.data[r][s] != 0:
-                    val = lq.data[r][s] if sgn > 0 else f.neg(lq.data[r][s])
-                    rows[r][s * n + j] = f.sub(rows[r][s * n + j], val)
-        blocks.extend(rows)
-    return Matrix(f, blocks)
+            row = {r * n + m: x for m, x in mcol}
+            for s, x in rq[r]:
+                row[s * n + i] = row.get(s * n + i, 0) - x
+            for s, x in lq[r]:
+                row[s * n + j] = row.get(s * n + j, 0) - sgn * x
+            rows.append(row.items())
+    return Matrix.from_entries(algebra.field, rows, mq * n)
 
 
 def derivations(algebra: FiniteAlgebra, target: Bimodule,
@@ -109,15 +100,10 @@ def derivations(algebra: FiniteAlgebra, target: Bimodule,
     for par in (0, 1):
         sign = lambda i, par=par: -1 if (pa[i] and par) else 1
         system = _leibniz_rows(algebra, target, sign)
-        selector = []
-        for r in range(mq):
-            for c in range(n):
-                if (pq[r] + pa[c]) % 2 != par:
-                    row = [f.zero()] * (mq * n)
-                    row[r * n + c] = f.one()
-                    selector.append(row)
+        selector = [[(r * n + c, 1)] for r in range(mq) for c in range(n)
+                    if (pq[r] + pa[c]) % 2 != par]
         if selector:
-            system = vstack([system, Matrix(f, selector)])
+            system = vstack([system, Matrix.from_pairs(f, selector, mq * n)])
         spaces.append(kernel(system))
     total = spaces[0].sum(spaces[1])
     return DerivationSpace(algebra, target, total, True)
@@ -198,6 +184,5 @@ def split_operator(algebra: FiniteAlgebra, target: Bimodule, delta: Matrix,
             cols.append(target.right_combination(algebra.basis_vector(i)).apply(q))
         else:
             cols.append(target.left_combination(algebra.basis_vector(i)).apply(q))
-    zero_matrix = Matrix(algebra.field,
-                         [[cols[c][r] for c in range(n)] for r in range(mq)])
+    zero_matrix = Matrix(algebra.field, cols, mq).transpose()
     return q, zero_matrix, delta - zero_matrix

@@ -122,9 +122,7 @@ class GradedCochainComplex:
             src, dst = self.forms[k], self.forms[k + 1]
             cols = [dst.coords_of(self.ambient_delta[k].apply(list(row)))
                     for row in src.basis]
-            self.d.append(Matrix(algebra.field,
-                                 [[cols[j][i] for j in range(src.dim)]
-                                  for i in range(dst.dim)], src.dim))
+            self.d.append(Matrix(algebra.field, cols, dst.dim).transpose())
 
     # -- flat spaces -----------------------------------------------------------
 
@@ -136,20 +134,6 @@ class GradedCochainComplex:
         base = self.ext.index(k, monomial) * n
         return base, base + n
 
-    def eval_cochain(self, k, flat, factors):
-        """c on a wedge of derivation basis factors (any order), normalized."""
-        n = self.algebra.dim
-        f = self.algebra.field
-        norm = self.ext.normalize(factors)
-        if norm is None:
-            return [f.zero()] * n
-        sign, monomial = norm
-        lo, hi = self._slice(k, monomial)
-        vals = flat[lo:hi]
-        if sign < 0:
-            vals = [f.neg(x) for x in vals]
-        return vals
-
     # -- coboundary ---------------------------------------------------------------
 
     def _delta_matrix(self, k: int) -> Matrix:
@@ -160,7 +144,8 @@ class GradedCochainComplex:
         ext = self.ext
         rows_dim = self.flat_dim(k + 1)
         cols_dim = self.flat_dim(k)
-        out = [[f.zero()] * cols_dim for _ in range(rows_dim)]
+        out = [{} for _ in range(rows_dim)]  # {col: value} per row, plain sums
+        map_rows = [u.row_entries() for u in self.maps]
 
         def add_eval(row_base, coeff, factors):
             """+= coeff · (identity on values) · c(factors) into target rows."""
@@ -169,9 +154,10 @@ class GradedCochainComplex:
                 return
             sign, monomial = norm
             lo, _hi = self._slice(k, monomial)
-            v = coeff if sign > 0 else f.neg(coeff)
+            v = sign * coeff
             for m in range(n):
-                out[row_base + m][lo + m] = f.add(out[row_base + m][lo + m], v)
+                row = out[row_base + m]
+                row[lo + m] = row.get(lo + m, 0) + v
 
         def add_acted(row_base, coeff, actor, factors):
             """+= coeff · U_actor @ c(factors)."""
@@ -180,13 +166,12 @@ class GradedCochainComplex:
                 return
             sign, monomial = norm
             lo, _hi = self._slice(k, monomial)
-            u = self.maps[actor]
-            v = coeff if sign > 0 else f.neg(coeff)
+            u = map_rows[actor]
+            v = sign * coeff
             for m in range(n):
-                for m2 in range(n):
-                    if u.data[m][m2] != 0:
-                        out[row_base + m][lo + m2] = f.add(
-                            out[row_base + m][lo + m2], f.mul(v, u.data[m][m2]))
+                row = out[row_base + m]
+                for m2, x in u[m]:
+                    row[lo + m2] = row.get(lo + m2, 0) + v * x
 
         one = f.one()
         for monomial in ext.monomials(k + 1):
@@ -220,7 +205,7 @@ class GradedCochainComplex:
                     for b, c in enumerate(self._bracket[(ev[i], od[j])]):
                         if c != 0:
                             add_eval(row_base, f.mul(coeff, c), [b] + rest)
-        return Matrix(f, out, cols_dim)
+        return Matrix.from_entries(f, [row.items() for row in out], cols_dim)
 
     # -- algebra-linear subcomplex ---------------------------------------------------
 
@@ -248,7 +233,7 @@ class GradedCochainComplex:
                     # scaling slot t crosses the earlier factors only:
                     # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
                     sign_neg = (apar * prefix_par) % 2 == 1
-                    la = algebra.left_mult_basis(ai)
+                    la = algebra.left_mult_basis(ai).row_entries()
                     scaled = self._scaled[(ai, factors[t])]
                     for m in range(n):
                         row = {}
@@ -265,13 +250,11 @@ class GradedCochainComplex:
                         if base is not None:
                             bsgn, bmono = base
                             lo0, _ = self._slice(k, bmono)
-                            for m2 in range(n):
-                                v = la.data[m][m2]
-                                if v != 0:
-                                    if (bsgn < 0) != sign_neg:
-                                        row[lo0 + m2] = f.add(row.get(lo0 + m2, 0), v)
-                                    else:
-                                        row[lo0 + m2] = f.sub(row.get(lo0 + m2, 0), v)
+                            for m2, v in la[m]:
+                                if (bsgn < 0) != sign_neg:
+                                    row[lo0 + m2] = f.add(row.get(lo0 + m2, 0), v)
+                                else:
+                                    row[lo0 + m2] = f.sub(row.get(lo0 + m2, 0), v)
                         rows.append(row)
         total = None
         for par in (0, 1):

@@ -46,13 +46,12 @@ class LinMap:
         self.parity = parity
 
     def flatten(self):
-        return [x for row in self.matrix.data for x in row]
+        return self.matrix.flatten()
 
     @staticmethod
     def from_flat(source: Bimodule, target: Bimodule, flat, parity=None) -> "LinMap":
-        mp, mq = source.dim, target.dim
-        rows = [flat[r * mp:(r + 1) * mp] for r in range(mq)]
-        return LinMap(source, target, Matrix(source.field, rows), parity)
+        matrix = Matrix.from_flat(source.field, flat, target.dim, source.dim)
+        return LinMap(source, target, matrix, parity)
 
     def __call__(self, vec):
         return self.matrix.apply(vec)
@@ -173,9 +172,8 @@ class HomSpace:
         if self._sign is None:
             f = self.algebra.field
             pars = self.coordinate_parity()
-            one, m1 = f.one(), f.neg(f.one())
-            self._sign = Matrix(f, [[(one if pars[i] == 0 else m1) if i == j else f.zero()
-                                     for j in range(self.dim)] for i in range(self.dim)])
+            self._sign = Matrix.from_entries(f, [[(i, -1 if par else 1)]
+                                               for i, par in enumerate(pars)], self.dim)
         return self._sign
 
     def parity_subspace(self, par: int) -> Subspace:

@@ -177,14 +177,12 @@ def two_sided_representability(jm: JetModule, q: Bimodule) -> dict:
     mq = q.dim
     forward_ok = True
     for row in hom.basis:
-        fmat = Matrix(f, [list(row[r * jd:(r + 1) * jd]) for r in range(mq)], jd)
-        composed = fmat @ jm.jk
-        if not dv.space.contains([x for r in composed.data for x in r]):
+        composed = Matrix.from_flat(f, row, mq, jd) @ jm.jk
+        if not dv.space.contains(composed.flatten()):
             forward_ok = False
     backward_ok = True
     for row in dv.space.basis:
-        mp = jm.source.dim
-        delta = Matrix(f, [list(row[r * mp:(r + 1) * mp]) for r in range(mq)], mp)
+        delta = Matrix.from_flat(f, row, mq, jm.source.dim)
         fact = factorize(jm, q, delta, hom_space=hom)
         if not fact.ok:
             backward_ok = False

@@ -18,16 +18,19 @@ bitwise identical representations.
 system, which wide and very sparse constraint builders fill with
 ``{col: value}`` rows without ever writing the zero entries.
 
-Matrices are stored dense, but products visit only pairs of non-zero
-entries.  ``m.apply(v)`` takes the ``(col, value)`` pairs of v against the
-cached non-zero entries of each column of ``m`` (``m.column_entries()``),
-in one sparse product loop; ``a @ b`` takes each non-zero ``a[i][k]``
-against the cached non-zero entries of row k of ``b``.  The
-Kronecker-structured operators of the higher layers, and the sparse vectors
-they act on, make that a small fraction of the dense work.
+A :class:`Matrix` stores each row only as its sorted non-zero
+``(col, value)`` pairs (``m.row_entries()``), in the field's scalar form,
+and every operation works pair to pair: ``a @ b`` takes each non-zero
+``a[i][k]`` against the entries of row k of ``b``; ``m.apply(v)`` takes the
+``(col, value)`` pairs of v against the entries of each column of ``m``
+(``m.column_entries()``, built from the rows when first read); sums,
+scaling, transposes, stacks and ``kron`` never write a zero entry.
 ``kron_difference(a, b)`` builds a ⊗ I − I ⊗ b (the flat commutator
 Φ ↦ AΦ − ΦBᵀ) row by row from the non-zero entries of a and b, without
-materializing the two Kronecker products it stands for.
+materializing the two Kronecker products it stands for.  ``m.data`` is a
+dense view for reports, built anew on each read.  The Kronecker-structured
+operators of the higher layers are almost entirely zero, so this keeps both
+their storage and their arithmetic to a small fraction of the dense size.
 
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
 rest on three helpers: ``preimage`` (the vectors that a family of operators
@@ -62,32 +65,72 @@ def _dense(pairs, n):
     return vec
 
 
-class Matrix:
-    """Dense matrix over a :class:`Field`; immutable once constructed.
+def _normal_pairs(p, items):
+    """Sorted ``(index, value)`` pairs of values computed with plain ``+``/``*``.
 
-    ``data`` must not be written after construction: ``apply`` caches the
-    non-zero entries of every column and ``other @ self`` those of every
-    row, and a later write would silently leave those caches stale.  Build
-    the rows first, then construct the matrix.
+    The values are brought back into the field's scalar form (integer-first
+    over Q, ``range(p)`` over GF(p)) and the zeros are dropped.
+    """
+    if p:
+        out = [(j, r) for j, v in items if (r := v % p)]
+    else:
+        out = [(j, v if type(v) is int else _q(v)) for j, v in items if v]
+    out.sort()
+    return out
+
+
+def _in_range(rows, cols):
+    """``rows`` of sorted ``(col, value)`` pairs, checked to lie in columns 0..cols-1."""
+    for r in rows:
+        if r and (r[0][0] < 0 or r[-1][0] >= cols):
+            raise ValueError("matrix entry column out of range")
+    return rows
+
+
+class Matrix:
+    """Sparse matrix over a :class:`Field`; immutable once constructed.
+
+    Each row is held only as its sorted non-zero ``(col, value)`` pairs, in
+    the field's scalar form; every operation works pair to pair.  The
+    column pairs (``column_entries``) are built from the rows when first
+    read.  ``data`` is a dense view, built anew on each read and never
+    stored: it is for reports and tests, not for inner loops, which read
+    ``row_entries`` or ``column_entries`` instead.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_nzr", "_nzc")
+    __slots__ = ("field", "rows", "cols", "_nzr", "_nzc")
 
     def __init__(self, field: Field, data, cols: int = None):
-        self.field = field
-        self._nzr = None
-        self._nzc = None
-        self.data = [list(r) for r in data]
-        self.rows = len(self.data)
-        if self.data:
-            self.cols = len(self.data[0])
-            if cols is not None and cols != self.cols:
+        """The matrix with the given dense rows, lists of scalars in the field's
+        form (as :class:`Field` arithmetic returns them; ``from_rows`` coerces)."""
+        data = list(data)
+        if data:
+            width = len(data[0])
+            if cols is not None and cols != width:
                 raise ValueError("explicit column count contradicts data")
-        else:
-            self.cols = 0 if cols is None else cols
-        for r in self.data:
-            if len(r) != self.cols:
+            cols = width
+            if any(len(r) != cols for r in data):
                 raise ValueError("ragged matrix rows")
+        elif cols is None:
+            cols = 0
+        self.field = field
+        self.rows = len(data)
+        self.cols = cols
+        self._nzr = [list(zip(compress(count(), r), compress(r, r))) for r in data]
+        self._nzc = None
+
+    @classmethod
+    def _from_pairs(cls, field: Field, rows, cols: int) -> "Matrix":
+        """The matrix holding ``rows`` as its storage: per row, sorted non-zero
+        ``(col, value)`` pairs in the field's scalar form.  Nothing is checked
+        or copied; the lists must not be changed afterwards."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = len(rows)
+        m.cols = cols
+        m._nzr = rows
+        m._nzc = None
+        return m
 
     # -- constructors -------------------------------------------------------
 
@@ -96,100 +139,146 @@ class Matrix:
         return Matrix(field, [[field.coerce(x) for x in r] for r in rows])
 
     @staticmethod
+    def from_pairs(field: Field, rows, cols: int) -> "Matrix":
+        """The matrix with the storage ``rows``: per row, the list of its
+        non-zero entries as ``(col, value)`` pairs sorted by column, with
+        values in the field's form.  The lists are taken over, not copied, and
+        must not change afterwards; only the column range is checked."""
+        return Matrix._from_pairs(field, _in_range(list(rows), cols), cols)
+
+    @staticmethod
+    def from_entries(field: Field, rows, cols: int) -> "Matrix":
+        """The matrix whose row i has the entries ``rows[i]``: ``(col, value)``
+        pairs in any order, each column at most once, with values computed by
+        plain ``+``/``*`` from field scalars.  The values are brought into the
+        field's form and the zeros dropped."""
+        p = field.char
+        return Matrix._from_pairs(field, _in_range([_normal_pairs(p, r) for r in rows], cols),
+                                  cols)
+
+    @staticmethod
+    def from_flat(field: Field, flat, rows: int, cols: int) -> "Matrix":
+        """The rows×cols matrix whose row-major flattening is the dense vector
+        ``flat``, of scalars in the field's form."""
+        if len(flat) != rows * cols:
+            raise ValueError("flat vector length does not match the shape")
+        out = [[] for _ in range(rows)]
+        for j, x in _nonzero_pairs(flat):
+            out[j // cols].append((j % cols, x))
+        return Matrix._from_pairs(field, out, cols)
+
+    @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, [[z] * cols for _ in range(rows)], cols)
+        return Matrix._from_pairs(field, [[] for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._from_pairs(field, [[(i, 1)] for i in range(n)], n)
 
     # -- basics ---------------------------------------------------------------
+
+    @property
+    def data(self):
+        """Dense rows, built on each read; the storage is ``row_entries()``."""
+        return [_dense(r, self.cols) for r in self._nzr]
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.data == other.data
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self._nzr == other._nzr
         )
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.field!r})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self._nzr)
 
     def row(self, i):
-        return list(self.data[i])
+        return _dense(self._nzr[i], self.cols)
 
     def col(self, j):
-        return [r[j] for r in self.data]
+        return _dense(self._nonzero_cols()[j], self.rows)
+
+    def flatten(self):
+        """The row-major flattening, as a dense vector of length rows·cols."""
+        out = [0] * (self.rows * self.cols)
+        for i, r in enumerate(self._nzr):
+            base = i * self.cols
+            for j, x in r:
+                out[base + j] = x
+        return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)])
+        t = Matrix._from_pairs(self.field, self._nonzero_cols(), self.rows)
+        t._nzc = self._nzr
+        return t
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", sign) -> "Matrix":
+        """self + sign·other, row by row over the non-zero entries of both."""
         self._check_shape(other)
-        red = self._reduced
-        return Matrix(self.field, [red([a + b for a, b in zip(r1, r2)])
-                                   for r1, r2 in zip(self.data, other.data)], self.cols)
+        p = self.field.char
+        out = []
+        for r1, r2 in zip(self._nzr, other._nzr):
+            if not r2:
+                out.append(r1)
+                continue
+            acc = dict(r1)
+            for j, y in r2:
+                acc[j] = acc.get(j, 0) + sign * y
+            out.append(_normal_pairs(p, acc.items()))
+        return Matrix._from_pairs(self.field, out, self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        red = self._reduced
-        return Matrix(self.field, [red([a - b for a, b in zip(r1, r2)])
-                                   for r1, r2 in zip(self.data, other.data)], self.cols)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        red = self._reduced
-        return Matrix(self.field, [red([-a for a in r]) for r in self.data], self.cols)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        red = self._reduced
-        return Matrix(self.field, [red([c * a for a in r]) for r in self.data], self.cols)
+        p = self.field.char
+        return Matrix._from_pairs(self.field, [_normal_pairs(p, [(j, c * x) for j, x in r])
+                                               for r in self._nzr], self.cols)
+
+    def row_entries(self):
+        """Per row, the sorted ``(col, value)`` pairs of its non-zero entries: the storage."""
+        return self._nzr
 
     def _nonzero_rows(self):
         """Per row, the ``(col, value)`` pairs of its non-zero entries."""
-        if self._nzr is None:
-            self._nzr = [[(j, x) for j, x in enumerate(r) if x] for r in self.data]
         return self._nzr
 
     def _nonzero_cols(self):
         """Per column, the ``(row, value)`` pairs of its non-zero entries."""
         if self._nzc is None:
             cols = [[] for _ in range(self.cols)]
-            for i, r in enumerate(self.data):
-                for j, x in enumerate(r):
-                    if x:
-                        cols[j].append((i, x))
+            for i, r in enumerate(self._nzr):
+                for j, x in r:
+                    cols[j].append((i, x))
             self._nzc = cols
         return self._nzc
-
-    def _reduced(self, sums):
-        """Entries computed with plain ``+``/``*``, back in the field's scalar form."""
-        p = self.field.char
-        if p:
-            return [x % p for x in sums]
-        return [x if type(x) is int else _q(x) for x in sums]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        right = other._nonzero_rows()
-        n = other.cols
+        right = other._nzr
+        p = self.field.char
         out = []
-        for r in self.data:
-            acc = [0] * n
-            for k, a in enumerate(r):
-                if a:
-                    for j, b in right[k]:
-                        acc[j] += a * b
-            out.append(self._reduced(acc))
-        return Matrix(self.field, out, n)
+        for r in self._nzr:
+            acc = {}
+            for k, a in r:
+                for j, b in right[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_normal_pairs(p, acc.items()))
+        return Matrix._from_pairs(self.field, out, other.cols)
 
     def column_entries(self):
         """Per column, the ``(row, value)`` pairs of its non-zero entries (shared cache)."""
@@ -202,10 +291,7 @@ class Matrix:
         for j, x in pairs:
             for i, a in cols[j]:
                 acc[i] = acc.get(i, 0) + a * x
-        p = self.field.char
-        if p:
-            return sorted((i, r) for i, v in acc.items() if (r := v % p))
-        return sorted((i, v if type(v) is int else _q(v)) for i, v in acc.items() if v)
+        return _normal_pairs(self.field.char, acc.items())
 
     def apply(self, vec):
         """Matrix times column vector (a plain list of scalars)."""
@@ -220,49 +306,49 @@ class Matrix:
 
 def vstack(mats) -> Matrix:
     mats = list(mats)
-    field = mats[0].field
     cols = mats[0].cols
-    data = []
+    rows = []
     for m in mats:
         if m.cols != cols:
             raise ValueError("vstack column mismatch")
-        data.extend(m.data)
-    return Matrix(field, data, cols)
+        rows.extend(m._nzr)
+    return Matrix._from_pairs(mats[0].field, rows, cols)
 
 
 def hstack(mats) -> Matrix:
     mats = list(mats)
-    rows = mats[0].rows
-    data = [[] for _ in range(rows)]
+    n = mats[0].rows
+    rows = [[] for _ in range(n)]
+    offset = 0
     for m in mats:
-        if m.rows != rows:
+        if m.rows != n:
             raise ValueError("hstack row mismatch")
-        for i in range(rows):
-            data[i].extend(m.data[i])
-    return Matrix(mats[0].field, data)
+        for out, r in zip(rows, m._nzr):
+            out.extend((offset + j, x) for j, x in r)
+        offset += m.cols
+    return Matrix._from_pairs(mats[0].field, rows, offset)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; with row-major flattening, vec(AXB) = (A ⊗ Bᵀ) vec(X)."""
-    f = a.field
-    mul = f.mul
-    zero = f.zero()
-    one = f.one()
+    p = a.field.char
     bcols = b.cols
-    zeros = [zero] * bcols
-    out = []
-    for ra in a.data:
-        for rb in b.data:
+    rows = []
+    # the columns come out in order, and a product of non-zero scalars is
+    # non-zero: only its scalar form needs restoring
+    for ra in a._nzr:
+        for rb in b._nzr:
             row = []
-            for x in ra:
-                if x == 0:
-                    row.extend(zeros)
-                elif x == one:
-                    row.extend(rb)
+            for j, x in ra:
+                base = j * bcols
+                if x == 1:
+                    row += [(base + l, y) for l, y in rb]
+                elif p:
+                    row += [(base + l, x * y % p) for l, y in rb]
                 else:
-                    row.extend(mul(x, y) if y else zero for y in rb)
-            out.append(row)
-    return Matrix(a.field, out, a.cols * bcols)
+                    row += [(base + l, _q(x * y)) for l, y in rb]
+            rows.append(row)
+    return Matrix._from_pairs(a.field, rows, a.cols * bcols)
 
 
 def kron_difference(a: Matrix, b: Matrix) -> Matrix:
@@ -274,20 +360,17 @@ def kron_difference(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.rows != a.cols or b.rows != b.cols:
         raise ValueError("kron_difference needs square factors")
-    sub = a.field.sub
+    p = a.field.char
     m, n = a.rows, b.rows
-    rows_a, rows_b = a._nonzero_rows(), b._nonzero_rows()
-    out = []
-    for i in range(m):
+    rows = []
+    for i, ra in enumerate(a._nzr):
         base = i * n
-        for k in range(n):
-            row = [0] * (m * n)
-            for j, x in rows_a[i]:
-                row[j * n + k] = x
-            for l, y in rows_b[k]:
-                row[base + l] = sub(row[base + l], y)
-            out.append(row)
-    return Matrix(a.field, out, m * n)
+        for k, rb in enumerate(b._nzr):
+            acc = {j * n + k: x for j, x in ra}
+            for l, y in rb:
+                acc[base + l] = acc.get(base + l, 0) - y
+            rows.append(_normal_pairs(p, acc.items()))
+    return Matrix._from_pairs(a.field, rows, m * n)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +572,9 @@ def rref(m: Matrix) -> Matrix:
     ech = Echelon(m.field, m.cols)
     for pairs in m._nonzero_rows():
         ech.add_entries(pairs)
-    rows = [list(r) for r in ech.basis_rows()]
-    z = m.field.zero()
-    while len(rows) < m.rows:
-        rows.append([z] * m.cols)
-    return Matrix(m.field, rows) if rows else Matrix.zeros(m.field, 0, m.cols)
+    rows = [pairs for _, pairs in ech.reduced_rows()]
+    rows += [[] for _ in range(m.rows - len(rows))]
+    return Matrix._from_pairs(m.field, rows, m.cols)
 
 
 class SparseRows:
@@ -586,7 +667,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, [list(r) for r in self.basis], self.ambient_dim)
+        return Matrix._from_pairs(self.field, self._basis_entries(), self.ambient_dim)
 
     def to_echelon(self) -> Echelon:
         ech = Echelon(self.field, self.ambient_dim)
@@ -628,12 +709,13 @@ class Subspace:
         return coords
 
     def linear_combination(self, coords):
-        f = self.field
-        out = [f.zero()] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            if c != 0:
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
-        return out
+        """Σ c_i b_i over the canonical basis, as a dense vector."""
+        acc = {}
+        for c, pairs in zip(coords, self._basis_entries()):
+            if c:
+                for j, y in pairs:
+                    acc[j] = acc.get(j, 0) + c * y
+        return _dense(_normal_pairs(self.field.char, acc.items()), self.ambient_dim)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -803,16 +885,15 @@ def quotient_projection(sub: Subspace):
     ech = Echelon(f, n)
     for pairs in sub._basis_entries():
         ech.add_entries([(n - 1 - j, x) for j, x in pairs])
-    proj = {}  # free column -> its row of proj, in increasing order
+    proj = {}  # free column -> {col: value} of its row of proj, in increasing order
     for j in range(n):
         if n - 1 - j not in ech.pivots:
-            proj[j] = [f.zero()] * n
-            proj[j][j] = f.one()
-    reps = [list(r) for r in proj.values()]
+            proj[j] = {j: 1}
+    reps = [_dense([(j, 1)], n) for j in proj]
     for pc, pairs in ech.reduced_rows():
         for j, x in pairs[1:]:
-            proj[n - 1 - j][n - 1 - pc] = f.neg(x)
-    return reps, Matrix(f, list(proj.values()), n)
+            proj[n - 1 - j][n - 1 - pc] = -x
+    return reps, Matrix.from_entries(f, [r.items() for r in proj.values()], n)
 
 
 class Factorization:
@@ -838,18 +919,25 @@ def factor_through(maps: Subspace, j: Matrix, delta: Matrix) -> Factorization:
     """
     f = j.field
     rows, width = delta.rows, j.rows
-
-    def unflatten(flat):
-        return Matrix(f, [list(flat[r * width:(r + 1) * width]) for r in range(rows)], width)
-
-    images = [unflatten(row) @ j for row in maps.basis]
-    system = [[img.data[m][i] for img in images]
-              for i in range(delta.cols) for m in range(rows)]
-    rhs = [delta.data[m][i] for i in range(delta.cols) for m in range(rows)]
-    sol = solve_affine([(Matrix(f, system, maps.dim), rhs)])
+    # one equation per entry (m, i) of delta, at index i·rows + m; its
+    # unknowns are the coordinates k of F in the basis of ``maps``
+    system = [[] for _ in range(delta.cols * rows)]
+    for k, flat in enumerate(maps._basis_entries()):
+        basis_map = [[] for _ in range(rows)]
+        for c, x in flat:
+            basis_map[c // width].append((c % width, x))
+        image = Matrix._from_pairs(f, basis_map, width) @ j
+        for m, pairs in enumerate(image._nzr):
+            for i, x in pairs:
+                system[i * rows + m].append((k, x))
+    rhs = [0] * (delta.cols * rows)
+    for m, pairs in enumerate(delta._nzr):
+        for i, x in pairs:
+            rhs[i * rows + m] = x
+    sol = solve_affine([(Matrix._from_pairs(f, system, maps.dim), rhs)])
     if not sol.consistent:
         return Factorization(None, False, False)
-    fmat = unflatten(maps.linear_combination(sol.point))
+    fmat = Matrix.from_flat(f, maps.linear_combination(sol.point), rows, width)
     return Factorization(fmat, (fmat @ j - delta).is_zero(), sol.homogeneous.dim == 0)
 
 
@@ -884,10 +972,5 @@ def image_span(ops, space: Subspace) -> Subspace:
 
 def restrict_operator(m: Matrix, space: Subspace) -> Matrix:
     """Matrix of ``m`` restricted to an invariant subspace, in basis coords."""
-    cols = []
-    for row in space.basis:
-        img = m.apply(list(row))
-        cols.append(space.coords_of(img))
-    d = space.dim
-    f = space.field
-    return Matrix(f, [[cols[j][i] for j in range(d)] for i in range(d)])
+    cols = [space.coords_of(m.apply(list(row))) for row in space.basis]
+    return Matrix(space.field, cols, space.dim).transpose()

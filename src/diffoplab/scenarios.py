@@ -67,10 +67,6 @@ class Scenario:
         self.checks = checks
 
 
-def _flat(m):
-    return [x for row in m.data for x in row]
-
-
 # ---------------------------------------------------------------------------
 # Check implementations
 # ---------------------------------------------------------------------------
@@ -208,10 +204,10 @@ def _check_derivation_compositions_lunts(spec):
         der = derivations(a, reg)
         flt = lunts_filtration(reg, reg, 2, "left")
         maps = der.basis_maps()
-        ok = all(flt[1].contains(_flat(u)) for u in maps)
+        ok = all(flt[1].contains(u.flatten()) for u in maps)
         for u in maps:
             for v in maps:
-                if not flt[2].contains(_flat(u @ v)):
+                if not flt[2].contains((u @ v).flatten()):
                     ok = False
         return ok, {"algebra": spec, "filtration_dims": flt.dims}
     return run
@@ -224,10 +220,10 @@ def _check_derivation_compositions_two_sided(spec):
         der = derivations(a, reg)
         ts = two_sided_filtration(reg, reg, 2)
         maps = der.basis_maps()
-        ok = all(ts[1].contains(_flat(u)) for u in maps)
+        ok = all(ts[1].contains(u.flatten()) for u in maps)
         for u in maps:
             for v in maps:
-                if not ts[2].contains(_flat(u @ v)):
+                if not ts[2].contains((u @ v).flatten()):
                     ok = False
         return ok, {"algebra": spec, "filtration_dims": ts.dims}
     return run
@@ -287,7 +283,7 @@ def _witness_derivation_fails_naive(spec):
             naive = grothendieck_diff(reg, reg, 1)
         flt = lunts_filtration(reg, reg, 1, "left")
         for idx, u in enumerate(der.basis_maps()):
-            fl = _flat(u)
+            fl = u.flatten()
             if not naive.space.contains(fl) and flt[1].contains(fl):
                 return {"derivation_index": idx,
                         "matrix": [[a.field.fmt(x) for x in row] for row in u.data],

@@ -10,7 +10,7 @@ bimodule map; algebra maps extend to calculus morphisms degree by degree.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, count, product
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .bimodule import Bimodule
@@ -84,8 +84,7 @@ class UniversalCalculus:
         self.left1 = [restrict_operator(m, self.omega1) for m in self.amb_left]
         self.right1 = [restrict_operator(m, self.omega1) for m in self.amb_right]
         d0_cols = [self.omega1.coords_of(g) for g in gens]
-        self.d0 = Matrix(f, [[d0_cols[j][i] for j in range(n)]
-                             for i in range(self.omega1.dim)], n)
+        self.d0 = Matrix(f, d0_cols, self.omega1.dim).transpose()
         if cap >= 2:
             self._build_degree2()
 
@@ -111,14 +110,9 @@ class UniversalCalculus:
 
     def multiplication_matrix(self) -> Matrix:
         """m: A⊗A → A, e_i⊗e_j ↦ e_i e_j."""
-        n = self.algebra.dim
-        f = self.algebra.field
-        cols = []
-        for i in range(n):
-            for j in range(n):
-                cols.append(self.algebra.sc[i][j])
-        return Matrix(f, [[cols[c][r] for c in range(n * n)] for r in range(n)],
-                      n * n)
+        sc = self.algebra.sc
+        cols = [col for row in sc for col in row]  # column i·n + j: e_i e_j
+        return Matrix(self.algebra.field, cols, self.algebra.dim).transpose()
 
     def omega1_equals_multiplication_kernel(self) -> bool:
         return self.omega1 == kernel(self.multiplication_matrix())
@@ -184,26 +178,31 @@ class UniversalCalculus:
                         if term[m] != 0:
                             acc[m] = f.add(acc[m], f.mul(x, term[m]))
             d1_cols.append(acc)
-        self.d1 = Matrix(f, [[d1_cols[j][i] for j in range(self.omega1.dim)]
-                             for i in range(q2)], self.omega1.dim)
+        self.d1 = Matrix(f, d1_cols, q2).transpose()
 
     def mu11(self, w_coords, e_coords):
         """Product Ω¹ × Ω¹ → Ω² in quotient coordinates."""
-        t = self.omega1.dim
-        zero = self.algebra.field.zero()
-        return self.proj2.apply(self._add_tensor([zero] * (t * t), w_coords, e_coords))
+        return self._project2(self._add_tensor({}, w_coords, e_coords))
 
-    def _add_tensor(self, vec, w_coords, e_coords):
-        """vec += ω⊗η in flat Ω¹⊗Ω¹ coordinates; returns vec."""
-        f = self.algebra.field
+    def _project2(self, tensor):
+        """The class in Ω² (dense quotient coordinates) of an Ω¹⊗Ω¹ tensor
+        given as ``{flat index: value}`` with plain sums."""
+        out = [0] * self.omega2_dim
+        for i, x in self.proj2._apply_pairs(tensor.items()):
+            out[i] = x
+        return out
+
+    def _add_tensor(self, tensor, w_coords, e_coords):
+        """tensor += ω⊗η in flat Ω¹⊗Ω¹ coordinates, as ``{index: value}``
+        with plain sums; returns tensor."""
         t = self.omega1.dim
+        es = [(y, b) for y, b in enumerate(e_coords) if b]
         for x, a in enumerate(w_coords):
-            if a == 0:
-                continue
-            for y, b in enumerate(e_coords):
-                if b != 0:
-                    vec[x * t + y] = f.add(vec[x * t + y], f.mul(a, b))
-        return vec
+            if a:
+                base = x * t
+                for y, b in es:
+                    tensor[base + y] = tensor.get(base + y, 0) + a * b
+        return tensor
 
     def left2(self, a_coords, w2):
         """a · (class of ω⊗η) = class of (aω)⊗η."""
@@ -213,25 +212,19 @@ class UniversalCalculus:
         for i, c in enumerate(a_coords):
             if c != 0:
                 l1 = l1 + self.left1[i].scale(c)
-        lifted = [f.zero()] * (t * t)
-        for ri, rep in enumerate(self.reps2):
-            if w2[ri] != 0:
-                for x in range(t * t):
-                    if rep[x] != 0:
-                        lifted[x] = f.add(lifted[x], f.mul(w2[ri], rep[x]))
-        t2 = [f.zero()] * (t * t)
-        for x in range(t):
-            row_slice = lifted[x * t:(x + 1) * t]
-            if all(v == 0 for v in row_slice):
-                continue
-            for x2 in range(t):
-                c = l1.data[x2][x]
-                if c != 0:
-                    for y in range(t):
-                        if row_slice[y] != 0:
-                            t2[x2 * t + y] = f.add(t2[x2 * t + y],
-                                                   f.mul(c, row_slice[y]))
-        return self.proj2.apply(t2)
+        l1_cols = l1.column_entries()
+        lifted = {}  # Σ w2[ri]·reps2[ri]
+        for c, rep in zip(w2, self.reps2):
+            if c:
+                for x in compress(count(), rep):
+                    lifted[x] = lifted.get(x, 0) + c * rep[x]
+        # (l1 ⊗ I)·lifted: entry x·t + y moves to x2·t + y with weight l1[x2][x]
+        t2 = {}
+        for k, v in lifted.items():
+            x, y = divmod(k, t)
+            for x2, c in l1_cols[x]:
+                t2[x2 * t + y] = t2.get(x2 * t + y, 0) + c * v
+        return self._project2(t2)
 
     # -- identities ---------------------------------------------------------------
 
@@ -242,12 +235,10 @@ class UniversalCalculus:
         alg = self.algebra
         f = alg.field
         n = alg.dim
-        t = self.omega1.dim
         des = [self.d0_coords(alg.basis_vector(i)) for i in range(n)]
         # a·db for basis elements a, b
         a_db = [[self._left1_coords(alg.basis_vector(a), des[b]) for b in range(n)]
                 for a in range(n)]
-        zero = f.zero()
         for a0, a1, b0 in product(range(n), repeat=3):
             # μ₁₁ is bilinear, so the right side is (a₀d(a₁b₀) − a₀a₁db₀)·db₁;
             # its negative is added to the left side, and the sum projected once
@@ -256,8 +247,8 @@ class UniversalCalculus:
                 self._left1_coords(alg.basis_vector(a0), self.d0.apply(alg.sc[a1][b0])),
                 self._left1_coords(a0a1, des[b0]))]
             for b1 in range(n):
-                diff = self._add_tensor([zero] * (t * t), a_db[a0][a1], a_db[b0][b1])
-                if any(self.proj2.apply(self._add_tensor(diff, minus_rhs, des[b1]))):
+                diff = self._add_tensor({}, a_db[a0][a1], a_db[b0][b1])
+                if self.proj2._apply_pairs(self._add_tensor(diff, minus_rhs, des[b1]).items()):
                     return False
         return True
 

@@ -259,3 +259,41 @@ def inversion_quotient_projection(basis, n, p=0):
     columns = list(basis) + reps
     inv = gauss_inverse([[c[i] for c in columns] for i in range(n)], p)
     return reps, inv[len(basis):]
+
+
+# -- plain-list matrix reference ------------------------------------------------
+#
+# Lists of rows, every entry written out, zeros included; the arithmetic is
+# plain ``+``/``*`` on ints and Fractions, and ``field_form`` brings the
+# result into the form the package keeps its scalars in.
+
+
+def field_form(rows, p=0):
+    """Entries as residues mod p, or (p = 0) as integer-first rationals."""
+    return [[x % p if p else _integer_first(Fraction(x)) for x in r] for r in rows]
+
+
+def mat_add(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c, a):
+    return [[c * x for x in r] for r in a]
+
+
+def mat_transpose(a, cols):
+    """Transpose of the len(a)×cols matrix a (cols is needed when a has no rows)."""
+    return [[r[j] for r in a] for j in range(cols)]
+
+
+def mat_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_kron(a, b):
+    """Kronecker product: entry (i·rows(b) + k, j·cols(b) + l) is a[i][j]·b[k][l]."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def mat_hstack(a, b):
+    return [ra + rb for ra, rb in zip(a, b)]

@@ -12,6 +12,7 @@ from diffoplab.linalg import (
     Subspace,
     closure,
     factor_through,
+    hstack,
     kernel,
     kron,
     kron_difference,
@@ -26,11 +27,18 @@ from diffoplab.linalg import (
 )
 
 from oracles import (
+    field_form,
     gauss_nullspace,
     gauss_rank,
     gauss_rref,
     inverse,
     inversion_quotient_projection,
+    mat_add,
+    mat_hstack,
+    mat_identity,
+    mat_kron,
+    mat_scale,
+    mat_transpose,
     multiplication_matrix,
     nullity,
     random_rational,
@@ -256,15 +264,19 @@ PRODUCT_SHAPES = [(0, 4, 3), (3, 0, 4), (4, 3, 0), (0, 0, 0), (1, 9, 1),
                   (5, 7, 6), (12, 12, 12)]
 
 
-def random_matrix(rng, field, rows, cols, density):
-    """Seeded matrix with about ``density`` non-zero entries; some rows all zero."""
+def random_rows(rng, field, rows, cols, density):
+    """Seeded dense rows with about ``density`` non-zero entries; some rows all zero."""
     data = []
     for _ in range(rows):
         zero_row = rng.random() < 0.2
         data.append([field.coerce(random_rational(rng))
                      if not zero_row and rng.random() < density else field.zero()
                      for _ in range(cols)])
-    return Matrix(field, data, cols)
+    return data
+
+
+def random_matrix(rng, field, rows, cols, density):
+    return Matrix(field, random_rows(rng, field, rows, cols, density), cols)
 
 
 def dense_product(field, a, b, cols):
@@ -284,14 +296,77 @@ def assert_integer_first(values):
         assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
 
 
+def check_against_lists(rng, field, data_a, b):
+    """Every Matrix operation on a (built from ``data_a``) and b against the
+    plain-list reference of ``oracles``, and the ways of building a matrix
+    against each other."""
+    p = field.char
+    rows, inner = len(data_a), b.rows
+    a = Matrix(field, data_a, inner)
+    data_b = b.data
+    data_c = random_rows(rng, field, rows, inner, 0.5)
+    c = Matrix(field, data_c, inner)
+    # the dense view, and the same matrix built from pairs, entries, a flat
+    # vector and Fraction rows
+    assert a.data == data_a and (a.rows, a.cols) == (rows, inner)
+    pairs = [[(j, x) for j, x in enumerate(r) if x] for r in data_a]
+    assert a.row_entries() == pairs
+    assert Matrix.from_pairs(field, pairs, inner) == a
+    entries = [[(j, Fraction(x)) for j, x in enumerate(r)][::-1] for r in data_a]
+    assert Matrix.from_entries(field, entries, inner) == a
+    flat = [x for r in data_a for x in r]
+    assert a.flatten() == flat and Matrix.from_flat(field, flat, rows, inner) == a
+    if rows:  # from_rows reads the width off the first row
+        assert Matrix.from_rows(field, [[Fraction(x) for x in r] for r in data_a]) == a
+    assert [a.row(i) for i in range(rows)] == data_a
+    assert [a.col(j) for j in range(inner)] == mat_transpose(data_a, inner)
+    assert a.is_zero() == all(x == 0 for r in data_a for x in r)
+    # arithmetic against the reference
+    s = field.coerce(random_rational(rng))
+    got = {
+        "add": (a + c, mat_add(data_a, data_c)),
+        "sub": (a - c, mat_add(data_a, data_c, -1)),
+        "neg": (-a, mat_scale(-1, data_a)),
+        "scale": (a.scale(s), mat_scale(s, data_a)),
+        "scale0": (a.scale(0), mat_scale(0, data_a)),
+        "transpose": (a.transpose(), mat_transpose(data_a, inner)),
+        "vstack": (vstack([a, c]), data_a + data_c),
+        "hstack": (hstack([a, c, a]), mat_hstack(mat_hstack(data_a, data_c), data_a)),
+        "kron": (kron(a, b), mat_kron(data_a, data_b)),
+        "identity": (Matrix.identity(field, inner), mat_identity(inner)),
+        "zeros": (Matrix.zeros(field, rows, inner), mat_scale(0, data_a)),
+    }
+    if rows == inner:
+        eye_a, eye_b = mat_identity(rows), mat_identity(inner)
+        got["kron_difference"] = (kron_difference(a, c), mat_add(
+            mat_kron(data_a, eye_b), mat_kron(eye_a, data_c), -1))
+    for name, (m, want) in got.items():
+        want = field_form(want, p)
+        assert m.data == want, name
+        assert m == Matrix(field, want, m.cols), name
+        assert all(x for r in m.row_entries() for _, x in r), name
+        if p:
+            assert all(0 <= x < p for r in m.data for x in r), name
+        else:
+            assert_integer_first([x for r in m.data for x in r])
+    assert a.transpose().transpose() == a
+    assert a + Matrix.zeros(field, rows, inner) == a
+    # equality needs the same shape, not only the same non-zero entries
+    assert Matrix.zeros(field, 0, inner) != Matrix.zeros(field, 0, inner + 1)
+    assert Matrix.zeros(field, rows, inner) != Matrix.zeros(field, rows + 1, inner)
+    assert (a == a + a) == a.is_zero()
+
+
 @pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
 def test_products_match_dense_reference(field):
     rng = random.Random(2024)
     for rows, inner, cols in PRODUCT_SHAPES:
-        for density in (0.05, 0.3, 1.0):
-            a = random_matrix(rng, field, rows, inner, density)
+        for density in (0.0, 0.05, 0.3, 1.0):
+            data_a = random_rows(rng, field, rows, inner, density)
+            a = Matrix(field, data_a, inner)
             b = random_matrix(rng, field, inner, cols, density)
             vec = [field.coerce(random_rational(rng)) for _ in range(inner)]
+            check_against_lists(rng, field, data_a, b)
             prod = a @ b
             assert (prod.rows, prod.cols) == (rows, cols)
             assert prod.data == dense_product(field, a.data, b.data, cols)

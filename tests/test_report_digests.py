@@ -33,6 +33,13 @@ PINNED = {
         "d05c753c1537a4b5f1db56543fbcbdf2bd7a8dff47d24245abf0d98a04ed2044",
     "jets trunc_poly:5 --order 2":
         "b6f191e09cc37694cbc8875853442c41415138b9546d4a2c857c753225e32555",
+    # recorded while Matrix still stored its rows dense
+    "compare-defs matrix:2 --module free:2 --order 1 --field p:32003":
+        "0462dd7dbd6d592ef0da4ffb3b8f0c871cd3ea1304dbff6e38e7891cf059dc72",
+    "cartan matrix:2":
+        "164d8ab55e39996191f20565be94bc6a24e6204fe758c09e7ed10627c6bc872a",
+    "jets matrix:2 --two-sided":
+        "fbff31919d632ab7d38798658771c42078b83a3575fc244f82d69db5ea0468f9",
 }
 
 

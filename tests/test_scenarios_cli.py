@@ -146,8 +146,16 @@ def test_cli_misc_commands(tmp_path):
     ["compare-defs", "trunc_poly:2", "--order", "-1"],
     ["diff-space", "trunc_poly:2", "--order", "-1"],
     ["jets", "trunc_poly:3", "--order", "-1"],
+    ["ce", "matrix:0"],
+    ["universal", "matrix:0"],
+    ["check-algebra", "matrix:0"],
+    ["check-algebra", "list.json"],
+    ["check-module", "trunc_poly:2", "--module", "list.json"],
 ])
-def test_cli_bad_rank_or_degree_is_a_usage_error(argv, capsys):
+def test_cli_bad_rank_or_degree_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # list.json: a spec whose JSON top level is a list, not an object
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[]")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
