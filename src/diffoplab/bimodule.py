@@ -78,17 +78,17 @@ class Bimodule:
         rep = ModuleReport()
         alg = self.algebra
         n = alg.dim
-        unit_left = self.left_combination(alg.unit)
+        unit_left = self.left_action(alg.unit)
         if unit_left != Matrix.identity(self.field, self.dim):
             rep.fail("left_unit", None)
-        unit_right = self.right_combination(alg.unit)
+        unit_right = self.right_action(alg.unit)
         if unit_right != Matrix.identity(self.field, self.dim):
             rep.fail("second_unit", None)
         for i, j in product(range(n), repeat=2):
-            prod_ij = self.left_combination(alg.sc[i][j])
+            prod_ij = self.left_action(alg.sc[i][j])
             if self.left[i] @ self.left[j] != prod_ij:
                 rep.fail("left_action_law", {"i": i, "j": j})
-            prod2 = self.right_combination(alg.sc[i][j])
+            prod2 = self.right_action(alg.sc[i][j])
             if self.second_kind == "right":
                 # (p a) b = p (ab)  ⇒  R(e_i) R(e_j) = R(e_j e_i)
                 if self.right[j] @ self.right[i] != prod2:
@@ -103,24 +103,10 @@ class Bimodule:
                 rep.fail("parity_length", None)
         return rep
 
-    def left_combination(self, coords) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != 0:
-                out = out + self.left[i].scale(c)
-        return out
-
-    def right_combination(self, coords) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != 0:
-                out = out + self.right[i].scale(c)
-        return out
-
     def is_central(self) -> bool:
         """Left and right actions agree on the center of the algebra."""
         for z in self.algebra.center().basis:
-            if self.left_combination(list(z)) != self.right_combination(list(z)):
+            if self.left_action(list(z)) != self.right_action(list(z)):
                 return False
         return True
 

@@ -163,9 +163,9 @@ def first_order_decomposition(algebra: FiniteAlgebra, target: Bimodule,
         cols = []
         for i in range(n):
             if side == "right":
-                cols.append(target.right_combination(algebra.basis_vector(i)).apply(qvec))
+                cols.append(target.right_action(algebra.basis_vector(i)).apply(qvec))
             else:
-                cols.append(target.left_combination(algebra.basis_vector(i)).apply(qvec))
+                cols.append(target.left_action(algebra.basis_vector(i)).apply(qvec))
         flat = [cols[c][r] for r in range(mq) for c in range(n)]
         vecs.append(flat)
     zero_part = Subspace.from_spanning(f, mq * n, vecs)
@@ -181,8 +181,8 @@ def split_operator(algebra: FiniteAlgebra, target: Bimodule, delta: Matrix,
     cols = []
     for i in range(n):
         if graded:
-            cols.append(target.right_combination(algebra.basis_vector(i)).apply(q))
+            cols.append(target.right_action(algebra.basis_vector(i)).apply(q))
         else:
-            cols.append(target.left_combination(algebra.basis_vector(i)).apply(q))
+            cols.append(target.left_action(algebra.basis_vector(i)).apply(q))
     zero_matrix = Matrix(algebra.field, cols, mq).transpose()
     return q, zero_matrix, delta - zero_matrix

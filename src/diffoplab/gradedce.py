@@ -219,6 +219,7 @@ class GradedCochainComplex:
         monos = ext.monomials(k)
         flat = self.flat_dim(k)
         one = f.one()
+        left_rows = [algebra.left_mult_basis(ai).row_entries() for ai in range(n)]
         rows = []
         # constraints come from every argument tuple, not only the
         # normal-form ones: scaling one slot of a degenerate tuple
@@ -233,7 +234,7 @@ class GradedCochainComplex:
                     # scaling slot t crosses the earlier factors only:
                     # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
                     sign_neg = (apar * prefix_par) % 2 == 1
-                    la = algebra.left_mult_basis(ai).row_entries()
+                    la = left_rows[ai]
                     scaled = self._scaled[(ai, factors[t])]
                     for m in range(n):
                         row = {}

@@ -17,7 +17,7 @@ Each action family is a Kronecker product with an identity (``kron``).  The
 δ family is built directly as ``kron_difference(Q_a, P_aᵀ)`` =
 Q_a ⊗ I − I ⊗ P_aᵀ from the small left action matrices of the target and
 the source, and δ̄ likewise from the right actions, so neither the two
-action families nor their dense difference are materialized for them.
+action families nor their difference are materialized for them.
 Families are built on first use and cached on the instance, so callers
 that need several definitions on one Hom space share one ``HomSpace``.
 """
