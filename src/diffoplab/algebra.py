@@ -338,7 +338,7 @@ def _empty_sc(field: Field, n: int):
 def trunc_poly(n: int, field: Field = QQ) -> FiniteAlgebra:
     """K[x]/(x^n) with basis 1, x, ..., x^(n-1)."""
     if n < 1:
-        raise AlgebraError("need n >= 1")
+        raise AlgebraError(f"truncated polynomial size must be >= 1, got {n}")
     sc = _empty_sc(field, n)
     one = field.one()
     for i in range(n):
@@ -352,6 +352,8 @@ def trunc_poly(n: int, field: Field = QQ) -> FiniteAlgebra:
 
 def square_zero(g: int = 2, field: Field = QQ) -> FiniteAlgebra:
     """K[x_1..x_g] with every product x_i x_j = 0; dim g+1."""
+    if g < 0:
+        raise AlgebraError(f"square_zero generator count must be >= 0, got {g}")
     n = g + 1
     sc = _empty_sc(field, n)
     one = field.one()
@@ -407,6 +409,8 @@ def quaternion(field: Field = QQ) -> FiniteAlgebra:
 
 def grassmann(g: int, field: Field = QQ) -> FiniteAlgebra:
     """Exterior algebra on g odd generators; graded, dim 2^g."""
+    if g < 0:
+        raise AlgebraError(f"grassmann generator count must be >= 0, got {g}")
     if field.char == 2:
         raise AlgebraError("grassmann algebra needs characteristic != 2 for grading")
     subsets = []
@@ -452,6 +456,8 @@ def _merge_sign(a, b):
 
 def group_z(m: int, field: Field = QQ) -> FiniteAlgebra:
     """Group algebra of Z/m, basis g^0..g^(m-1)."""
+    if m < 1:
+        raise AlgebraError(f"group_z order must be >= 1, got {m}")
     sc = _empty_sc(field, m)
     one = field.one()
     for i in range(m):
@@ -489,13 +495,23 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
                          name=f"product({a.name},{b.name})")
 
 
+def _int_arg(name: str, args, default: int = None) -> int:
+    """The one integer parameter N of the shorthand ``name:N``."""
+    try:
+        (text,) = args or ([] if default is None else [str(default)])
+        return int(text)
+    except ValueError:
+        raise AlgebraError(f"{name}:N needs one integer N, got "
+                           f"{':'.join([name, *args])!r}") from None
+
+
 _CATALOG = {
-    "trunc_poly": lambda field, args: trunc_poly(int(args[0]), field),
-    "square_zero": lambda field, args: square_zero(int(args[0]) if args else 2, field),
-    "matrix": lambda field, args: matrix_algebra(int(args[0]), field),
+    "trunc_poly": lambda field, args: trunc_poly(_int_arg("trunc_poly", args), field),
+    "square_zero": lambda field, args: square_zero(_int_arg("square_zero", args, 2), field),
+    "matrix": lambda field, args: matrix_algebra(_int_arg("matrix", args), field),
     "quaternion": lambda field, args: quaternion(field),
-    "grassmann": lambda field, args: grassmann(int(args[0]), field),
-    "group_z": lambda field, args: group_z(int(args[0]), field),
+    "grassmann": lambda field, args: grassmann(_int_arg("grassmann", args), field),
+    "group_z": lambda field, args: group_z(_int_arg("group_z", args), field),
 }
 
 

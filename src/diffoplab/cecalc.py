@@ -304,12 +304,10 @@ class CochainComplex:
         return out
 
     def to_dict(self):
-        f = self.algebra.field
         return {
             "algebra": self.algebra.name,
             "dims": [fs.dim for fs in self.forms],
-            "d_matrices": [[[f.fmt(x) for x in row] for row in m.data]
-                           for m in self.d],
+            "d_matrices": [m.formatted() for m in self.d],
             "d_squared_zero": self.d_squared_is_zero(),
             "betti": self.betti_data(),
         }

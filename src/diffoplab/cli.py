@@ -43,17 +43,20 @@ class UsageError(Exception):
 
 def load_algebra(ref: str, field_name: str = None) -> FiniteAlgebra:
     """A catalog shorthand like ``trunc_poly:3`` or a JSON spec path."""
+    try:
+        field = field_from_name("q" if field_name is None else field_name)
+    except ValueError as exc:
+        raise UsageError(f"--field {field_name!r}: {exc}") from exc
     if ref.endswith(".json"):
         try:
             a = FiniteAlgebra.load(ref)
         except (OSError, KeyError, ValueError) as exc:
             raise UsageError(f"cannot load algebra spec {ref!r}: {exc}") from exc
-        if field_name is not None and a.field != field_from_name(field_name):
+        if field_name is not None and a.field != field:
             raise UsageError(
                 f"spec file has field {a.field.name!r}, flag says {field_name!r}")
         return a
     try:
-        field = field_from_name(field_name) if field_name else field_from_name("q")
         return catalog(ref, field)
     except (AlgebraError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
@@ -93,10 +96,6 @@ def emit(report: dict, json_path: str = None, text_lines=None):
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(report))
-
-
-def fmt_matrix(field, m):
-    return [[field.fmt(x) for x in row] for row in m.data]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def cmd_derivations(args):
              f"dimension {der.dim}"]
     basis = []
     for u in der.basis_maps():
-        rows = fmt_matrix(a.field, u)
+        rows = u.formatted()
         basis.append(rows)
         lines.append("basis element:")
         lines.extend("  [" + ", ".join(row) + "]" for row in rows)

@@ -21,7 +21,10 @@ from itertools import product
 from .algebra import AlgebraError
 from .bimodule import Bimodule
 from .homspace import HomSpace, LinMap
-from .linalg import Matrix, Subspace, closure, image_span, kernel, preimage, vstack
+# ``kernel`` is not called here (HomSpace.common_kernel solves the order-0
+# kernels); the name stays bound because perfbench/tests/test_tracer.py checks
+# that the tracer rebinds it in this module
+from .linalg import Matrix, Subspace, closure, image_span, kernel, preimage  # noqa: F401
 
 MAX_ORDER = 4
 
@@ -91,14 +94,16 @@ class Filtration:
         return self.terms[r].contains(phi.flatten())
 
 
-def vanishing_chain(ops, field, dim, k):
+def vanishing_chain(ops, common_kernel: Subspace, k):
     """T_0 ⊆ … ⊆ T_k with T_j = {x : op x ∈ T_{j−1} for all ops}, T_{-1} = 0.
 
-    Peeling the innermost application shows T_j equals the solution set of
-    all (j+1)-fold op-composites, so the full tuple condition reduces to
-    this recursion.
+    T_0 is ``common_kernel``, the common kernel of ``ops`` (as
+    ``HomSpace.common_kernel`` solves it once per family).  Peeling the
+    innermost application shows T_j equals the solution set of all
+    (j+1)-fold op-composites, so the full tuple condition reduces to this
+    recursion.
     """
-    chain = [preimage(ops, Subspace.zero(field, dim))]
+    chain = [common_kernel]
     for _ in range(k):
         chain.append(preimage(ops, chain[-1]))
     return chain
@@ -127,7 +132,7 @@ def grothendieck_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
             "algebra is noncommutative: the iterated-delta condition is "
             "computed as stated (naive) and need not have its usual meaning",
             stacklevel=2)
-    chain = vanishing_chain(hom.delta_ops(), p.field, hom.dim, k)
+    chain = vanishing_chain(hom.delta_ops(), hom.common_kernel("delta"), k)
     return DiffSpace("grothendieck", k, chain[k], hom, naive=naive, chain=chain)
 
 
@@ -140,7 +145,7 @@ def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
         raise AlgebraError("graded differential operators need a graded algebra")
     if not a.is_graded_commutative():
         warnings.warn("algebra is not graded commutative", stacklevel=2)
-    chain = vanishing_chain(hom.graded_delta_ops(), p.field, hom.dim, k)
+    chain = vanishing_chain(hom.graded_delta_ops(), hom.common_kernel("graded_delta"), k)
     space = chain[k]
     even = space.intersect(hom.parity_subspace(0))
     odd = space.intersect(hom.parity_subspace(1))
@@ -157,7 +162,7 @@ def dv_first_order(p: Bimodule, q: Bimodule) -> DiffSpace:
     """First-order operators on bimodules: δ_a∘δ̄_b Δ = 0 for all a, b,
     i.e. every δ̄_b Δ lies in the common kernel of the δ_a."""
     hom = _hom_space(p, q)
-    space = preimage(hom.bar_delta_ops(), kernel(vstack(hom.delta_ops())))
+    space = preimage(hom.bar_delta_ops(), hom.common_kernel("delta"))
     return DiffSpace("dv_first_order", 1, space, hom)
 
 
@@ -227,23 +232,26 @@ def dv_split(p: Bimodule, q: Bimodule, delta: LinMap) -> DvSplit:
 
 
 def _side_ops(hom: HomSpace, side: str):
-    """(deltas, multiplications, bullet multiplications) of one side."""
+    """(delta family name, deltas, multiplications, bullet multiplications) of one side."""
     if side == "left":
-        return hom.delta_ops(), hom.action_ops("left"), hom.action_ops("left_bullet")
+        return ("delta", hom.delta_ops(), hom.action_ops("left"),
+                hom.action_ops("left_bullet"))
     if side == "right":
-        return hom.bar_delta_ops(), hom.action_ops("right"), hom.action_ops("right_bullet")
+        return ("bar_delta", hom.bar_delta_ops(), hom.action_ops("right"),
+                hom.action_ops("right_bullet"))
     raise ValueError("side must be 'left' or 'right'")
 
 
 def _step(hom: HomSpace, side: str, prev: Subspace, presented: bool) -> Subspace:
     """The next filtration term after ``prev`` on one side.
 
-    Both forms start from the preimage {Φ : δ_aΦ ∈ prev for all a}.  The
+    Both forms start from the preimage {Φ : δ_aΦ ∈ prev for all a}, which
+    for prev = 0 is the common δ kernel that ``hom`` solves once.  The
     center form takes its closure under all four actions of the side; the
     presented form spans its images under the multiplications, plus prev.
     """
-    deltas, mults, bullets = _side_ops(hom, side)
-    pre = preimage(deltas, prev)
+    kind, deltas, mults, bullets = _side_ops(hom, side)
+    pre = preimage(deltas, prev) if prev.dim else hom.common_kernel(kind)
     if not presented:
         return closure(hom.algebra.field, hom.dim, pre.basis, mults + bullets)
     return image_span(mults, pre).sum(prev)

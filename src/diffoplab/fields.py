@@ -120,5 +120,8 @@ def field_from_name(name: str) -> Field:
     if name == "q":
         return Field(0)
     if name.startswith("p:"):
-        return Field(int(name[2:]))
+        text = name[2:]
+        if not (text.isdecimal() and _is_prime(int(text))):
+            raise ValueError(f"p:PRIME needs a prime, got {text!r}")
+        return Field(int(text))
     raise ValueError(f"unknown field name {name!r} (expected 'q' or 'p:PRIME')")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraError
 from .bimodule import Bimodule
-from .linalg import Matrix, Subspace, image_span, kron, kron_difference
+from .linalg import Matrix, Subspace, image_span, kernel, kron, kron_difference, vstack
 
 
 class LinMap:
@@ -96,6 +96,7 @@ class HomSpace:
         self.algebra = source.algebra
         self.dim = source.dim * target.dim
         self._ops = {}
+        self._kernels = {}
         self._sign = None
 
     # -- flat operators -------------------------------------------------------
@@ -134,6 +135,13 @@ class HomSpace:
             raise ValueError(f"unknown operator family {kind!r}")
         self._ops[kind] = ops
         return ops
+
+    def common_kernel(self, kind: str) -> Subspace:
+        """{Φ : mΦ = 0 for every m of the family ``kind``}, solved once per family."""
+        ker = self._kernels.get(kind)
+        if ker is None:
+            ker = self._kernels[kind] = kernel(vstack(self._family(kind)))
+        return ker
 
     def delta_ops(self):
         return self._family("delta")

@@ -203,6 +203,18 @@ class Matrix:
     def col(self, j):
         return _dense(self._nonzero_cols()[j], self.rows)
 
+    def formatted(self):
+        """The entries as ``Field.fmt`` strings, row by row; only the non-zero
+        entries are formatted, the others read ``"0"``."""
+        fmt = self.field.fmt
+        out = []
+        for r in self._nzr:
+            row = ["0"] * self.cols
+            for j, x in r:
+                row[j] = fmt(x)
+            out.append(row)
+        return out
+
     def flatten(self):
         """The row-major flattening, as a dense vector of length rows·cols."""
         out = [0] * (self.rows * self.cols)
@@ -557,8 +569,12 @@ class Echelon:
     def subspace(self) -> "Subspace":
         """The span of the rows added so far, as a canonical subspace.
 
-        The sparse reduced rows become the subspace's cached basis entries.
+        At full rank this is ``Subspace.full``, with no back-substitution;
+        otherwise the sparse reduced rows become the subspace's cached basis
+        entries.
         """
+        if self.rank == self.width:
+            return Subspace.full(self.field, self.width)
         reduced = self.reduced_rows()
         space = Subspace(self.field, self.width,
                          [_dense(pairs, self.width) for _, pairs in reduced],
@@ -655,6 +671,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def is_full(self) -> bool:
+        """Whether this is all of K^n."""
+        return len(self.basis) == self.ambient_dim
+
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -678,9 +699,11 @@ class Subspace:
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        return self.to_echelon().contains(vec)
+        return self.is_full or self.to_echelon().contains(vec)
 
     def contains_space(self, other: "Subspace") -> bool:
+        if self.is_full:
+            return True
         ech = self.to_echelon()
         return all(ech.contains(r) for r in other.basis)
 
@@ -719,6 +742,10 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
+        if self.is_full or other.dim == 0:
+            return self
+        if other.is_full or self.dim == 0:
+            return other
         return Subspace.from_spanning(self.field, self.ambient_dim,
                                       list(self.basis) + list(other.basis))
 
@@ -734,8 +761,10 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
+        if self.dim == 0 or other.is_full:
+            return self
+        if other.dim == 0 or self.is_full:
+            return other
         stacked = vstack([self.constraint_matrix(), other.constraint_matrix()])
         return kernel(stacked)
 
@@ -860,10 +889,16 @@ def solve_unique(m: Matrix, target):
 
 
 def preimage(ops, target: Subspace) -> Subspace:
-    """{v : m v ∈ target for every m in ops}, through the target's annihilator."""
+    """{v : m v ∈ target for every m in ops}, through the target's annihilator.
+
+    A full target is met by every v: the result is the whole domain K^cols,
+    with no products or kernel.
+    """
     ops = list(ops)
     if any(m.rows != target.ambient_dim for m in ops):
         raise ValueError("operator/target dimension mismatch")
+    if target.is_full:
+        return Subspace.full(target.field, ops[0].cols)
     if target.dim == 0:  # the annihilator is the identity: skip the products
         return kernel(vstack(ops))
     cons = target.constraint_matrix()
@@ -944,28 +979,33 @@ def factor_through(maps: Subspace, j: Matrix, delta: Matrix) -> Factorization:
 def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
     """Smallest operator-invariant subspace containing ``seeds``.
 
-    Fixed-point generator loop: repeatedly apply every operator to newly
-    added vectors until the dimension stabilizes.  Terminates because the
-    ambient dimension is finite.
+    Fixed-point generator loop: apply every operator to each newly added
+    vector, breadth first, until no vector adds to the span.  Terminates
+    because the ambient dimension is finite, and stops as soon as the span
+    is all of K^n: the result is then ``Subspace.full``.
     """
     ech = Echelon(field, ambient_dim)
-    frontier = [s for s in seeds if ech.add(s)]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for op in operators:
-                w = op.apply(v)
-                if ech.add(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
+    added = [s for s in seeds if ech.rank < ambient_dim and ech.add(s)]
+    for v in added:  # the list grows while it is walked
+        for op in operators:
+            if ech.rank == ambient_dim:
+                return ech.subspace()
+            w = op.apply(v)
+            if ech.add(w):
+                added.append(w)
     return ech.subspace()
 
 
 def image_span(ops, space: Subspace) -> Subspace:
-    """The span of m v for every operator m in ``ops`` on K^n and every v in ``space``."""
+    """The span of m v for every operator m in ``ops`` on K^n and every v in ``space``.
+
+    Stops as soon as the span is all of K^n: the result is then ``Subspace.full``.
+    """
     ech = Echelon(space.field, space.ambient_dim)
     for v in space.basis:
         for m in ops:
+            if ech.rank == ech.width:
+                return ech.subspace()
             ech.add(m.apply(v))
     return ech.subspace()
 

@@ -286,7 +286,7 @@ def _witness_derivation_fails_naive(spec):
             fl = u.flatten()
             if not naive.space.contains(fl) and flt[1].contains(fl):
                 return {"derivation_index": idx,
-                        "matrix": [[a.field.fmt(x) for x in row] for row in u.data],
+                        "matrix": u.formatted(),
                         "naive_first_order": False,
                         "in_left_filtration_1": True}, \
                        {"algebra": spec, "derivation_dim": der.dim}

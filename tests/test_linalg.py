@@ -13,6 +13,7 @@ from diffoplab.linalg import (
     closure,
     factor_through,
     hstack,
+    image_span,
     kernel,
     kron,
     kron_difference,
@@ -117,6 +118,27 @@ def test_subspace_sum_intersect_trivial():
     diag = Subspace.from_spanning(QQ, 2, [[1, 1]])
     assert e1.sum(e2) == Subspace.full(QQ, 2)
     assert diag.intersect(e1).dim == 0
+    # full and zero operands, against spans the oracle reduces
+    for field in (QQ, GF32003):
+        p = field.char
+        n = 4
+        full, zero = Subspace.full(field, n), Subspace.zero(field, n)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert [list(r) for r in full.basis] == gauss_rref(eye, p)
+        assert full.pivot_cols == tuple(range(n)) and full.is_full and not zero.is_full
+        assert all(type(x) is int for r in full.basis for x in r)
+        plane = Subspace.from_spanning(field, n, [[1, 2, 0, 3], [0, 5, 1, 0]])
+        for s in (full, zero, plane):
+            assert full.sum(s) == s.sum(full) == full
+            assert zero.sum(s) == s.sum(zero) == s
+            assert full.intersect(s) == s.intersect(full) == s
+            assert zero.intersect(s) == s.intersect(zero) == zero
+            assert full.contains_space(s) and s.contains_space(zero)
+            assert s.contains_space(full) == (s == full)
+            assert full.contains([field.coerce(Fraction(3, 7))] * n)
+        assert [list(r) for r in plane.sum(full).basis] == gauss_rref(eye, p)
+        with pytest.raises(ValueError):
+            full.contains([1] * (n + 1))
 
 
 def test_grassmann_identity_random():
@@ -193,6 +215,12 @@ def test_preimage():
     spanned = {tuple(sum(c * b[j] for c, b in zip(cs, pre.basis)) % 3 for j in range(3))
                for cs in product(range(3), repeat=pre.dim)}
     assert spanned == expected and pre.dim == 1
+    # a full target takes every vector: the whole domain of a non-square family
+    for field in (QQ, gf3):
+        wide = [M([[1, 0], [2, 1], [0, 0]], field), M([[0, 0], [0, 0], [1, 1]], field)]
+        pre = preimage(wide, Subspace.full(field, 3))
+        assert pre == Subspace.full(field, 2) and pre.pivot_cols == (0, 1)
+        assert [list(r) for r in pre.basis] == gauss_rref([[1, 0], [0, 1]], field.char)
 
 
 @pytest.mark.parametrize("field", [QQ, GF32003])
@@ -527,12 +555,24 @@ def test_coords_of_rejects_non_members(field):
 def test_closure_is_the_smallest_invariant_span(field):
     rng = random.Random(23)
     p = field.char
+    cases = []
     for _ in range(25):
         n = rng.randrange(1, 8)
         ops = [random_matrix(rng, field, n, n, rng.choice((0.2, 0.5)))
                for _ in range(rng.randrange(1, 4))]
         seeds = [[field.coerce(random_rational(rng)) if rng.random() < 0.4 else field.zero()
                   for _ in range(n)] for _ in range(rng.randrange(0, 3))]
+        cases.append((n, ops, seeds))
+    # closures that reach all of K^n: e_0 under the cyclic shift, alone, with
+    # a second seed, and with a random operator after the shift
+    for n in range(1, 8):
+        shift = Matrix.from_pairs(field, [[((i - 1) % n, 1)] for i in range(n)], n)
+        e0 = [1] + [0] * (n - 1)
+        extra = random_matrix(rng, field, n, n, 0.5)
+        cases += [(n, [shift], [e0]), (n, [shift], [e0, e0[::-1]]),
+                  (n, [shift, extra], [e0])]
+    full_cases = 0
+    for n, ops, seeds in cases:
         # the fixed point of S -> span(S ∪ op S), by the plain-elimination oracle
         span = gauss_rref(seeds, p)
         while True:
@@ -543,3 +583,11 @@ def test_closure_is_the_smallest_invariant_span(field):
             span = grown
         c = closure(field, n, seeds, ops)
         assert [list(r) for r in c.basis] == span
+        if len(span) == n:
+            full_cases += 1
+            assert c.pivot_cols == tuple(range(n)) and c == Subspace.full(field, n)
+        # image_span of the closure: the span of every op applied to its basis
+        img = image_span(ops, c)
+        assert [list(r) for r in img.basis] == gauss_rref(
+            [dense_apply(field, op.data, list(v)) for v in c.basis for op in ops], p)
+    assert full_cases >= 5

@@ -40,6 +40,12 @@ PINNED = {
         "164d8ab55e39996191f20565be94bc6a24e6204fe758c09e7ed10627c6bc872a",
     "jets matrix:2 --two-sided":
         "fbff31919d632ab7d38798658771c42078b83a3575fc244f82d69db5ea0468f9",
+    # recorded before closure, image_span and preimage stopped at the whole
+    # space; both filtrations are all of Hom_K(P, Q) from order 0 on
+    "two-sided quaternion --order 2":
+        "b4e39e5988048a64fd94a04e57589a464444aa81a22f4ded35a88b12ee97675f",
+    "lunts matrix:2 --order 2 --side right --field p:32003":
+        "bbe7961c8039935c2dad711136d16192bbf5b77808ca4521ff9c5ddc08e3a27f",
 }
 
 

@@ -131,6 +131,20 @@ def test_cli_misc_commands(tmp_path):
     assert main(["jets", "matrix:2", "--order", "1"]) == 2  # noncommutative
 
 
+# what the one error line must name: the parameter and the value given
+MESSAGE_NAMES = {
+    "check-algebra square_zero:-1": ("square_zero", "-1"),
+    "check-algebra group_z:0": ("group_z", "0"),
+    "check-algebra trunc_poly:0": ("size", "0"),
+    "check-algebra grassmann:-1": ("grassmann", "-1"),
+    "check-algebra matrix:abc": ("matrix:abc",),
+    "check-algebra trunc_poly:2 --field p:0": ("--field", "p:0"),
+    "check-algebra trunc_poly:2 --field p:abc": ("--field", "p:abc"),
+    "check-algebra trunc_poly:2 --field p:": ("--field", "p:"),
+    "check-algebra list.json --field p:0": ("--field", "p:0"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["derivations", "trunc_poly:2", "--target", "free:abc"],
     ["derivations", "trunc_poly:2", "--target", "free:0"],
@@ -151,6 +165,16 @@ def test_cli_misc_commands(tmp_path):
     ["check-algebra", "matrix:0"],
     ["check-algebra", "list.json"],
     ["check-module", "trunc_poly:2", "--module", "list.json"],
+    ["check-algebra", "square_zero:-1"],
+    ["check-algebra", "group_z:0"],
+    ["check-algebra", "trunc_poly:0"],
+    ["check-algebra", "grassmann:-1"],
+    ["check-algebra", "matrix:abc"],
+    ["check-algebra", "matrix"],
+    ["check-algebra", "trunc_poly:2", "--field", "p:0"],
+    ["check-algebra", "trunc_poly:2", "--field", "p:abc"],
+    ["check-algebra", "trunc_poly:2", "--field", "p:"],
+    ["check-algebra", "list.json", "--field", "p:0"],
 ])
 def test_cli_bad_rank_or_degree_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     # list.json: a spec whose JSON top level is a list, not an object
@@ -159,6 +183,8 @@ def test_cli_bad_rank_or_degree_is_a_usage_error(argv, tmp_path, monkeypatch, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    for fragment in MESSAGE_NAMES.get(" ".join(argv), ()):
+        assert fragment in err, (fragment, err)
 
 
 @pytest.mark.parametrize("entry", [[0, 5, 0, "1"], [0, -1, 0, "1"]])
