@@ -40,6 +40,15 @@ K^n/S and the projection onto their coordinates), and ``factor_through``
 reduces S with its columns reversed, takes as representatives the unit
 vectors at the columns that are not trailing pivots of S, and reads the
 projection off that echelon form; nothing is inverted.
+
+A subspace whose dimension equals its ambient dimension is all of K^n, and
+the primitives stop there: ``closure`` and ``image_span`` return as soon as
+their span reaches rank n, ``Echelon.subspace`` at full rank is
+``Subspace.full`` without back-substitution, ``preimage`` of a full target
+is the whole domain, and ``Subspace.sum``, ``intersect``, ``contains`` and
+``contains_space`` answer from the dimensions when an operand is full (or,
+for the first two, zero).  ``Subspace.full`` is the canonical basis that
+elimination would give, so no result changes.
 """
 
 from __future__ import annotations
@@ -57,9 +66,9 @@ def _nonzero_pairs(vec):
     return [(j, vec[j]) for j in compress(count(), vec)]
 
 
-def _dense(pairs, n):
-    """The dense vector of length n with the entries ``(col, value)`` and zeros elsewhere."""
-    vec = [0] * n
+def _dense(pairs, n, zero=0):
+    """The dense vector of length n with the entries ``(col, value)`` and ``zero`` elsewhere."""
+    vec = [zero] * n
     for j, x in pairs:
         vec[j] = x
     return vec
@@ -204,16 +213,9 @@ class Matrix:
         return _dense(self._nonzero_cols()[j], self.rows)
 
     def formatted(self):
-        """The entries as ``Field.fmt`` strings, row by row; only the non-zero
-        entries are formatted, the others read ``"0"``."""
+        """Dense rows of ``Field.fmt`` strings; only the non-zero entries are formatted."""
         fmt = self.field.fmt
-        out = []
-        for r in self._nzr:
-            row = ["0"] * self.cols
-            for j, x in r:
-                row[j] = fmt(x)
-            out.append(row)
-        return out
+        return [_dense([(j, fmt(x)) for j, x in r], self.cols, "0") for r in self._nzr]
 
     def flatten(self):
         """The row-major flattening, as a dense vector of length rows·cols."""

@@ -349,6 +349,7 @@ def check_against_lists(rng, field, data_a, b):
     assert [a.row(i) for i in range(rows)] == data_a
     assert [a.col(j) for j in range(inner)] == mat_transpose(data_a, inner)
     assert a.is_zero() == all(x == 0 for r in data_a for x in r)
+    assert a.formatted() == [[field.fmt(x) for x in r] for r in data_a]
     # arithmetic against the reference
     s = field.coerce(random_rational(rng))
     got = {
