@@ -505,11 +505,16 @@ def _int_arg(name: str, args, default: int = None) -> int:
                            f"{':'.join([name, *args])!r}") from None
 
 
+def _no_args(name: str, args):
+    raise AlgebraError(f"{name} takes no parameter, got {':'.join([name, *args])!r}")
+
+
 _CATALOG = {
     "trunc_poly": lambda field, args: trunc_poly(_int_arg("trunc_poly", args), field),
     "square_zero": lambda field, args: square_zero(_int_arg("square_zero", args, 2), field),
     "matrix": lambda field, args: matrix_algebra(_int_arg("matrix", args), field),
-    "quaternion": lambda field, args: quaternion(field),
+    "quaternion": lambda field, args: (_no_args("quaternion", args) if args
+                                       else quaternion(field)),
     "grassmann": lambda field, args: grassmann(_int_arg("grassmann", args), field),
     "group_z": lambda field, args: group_z(_int_arg("group_z", args), field),
 }

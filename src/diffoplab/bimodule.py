@@ -9,12 +9,11 @@ A ⊗ P carry two commuting *left* structures instead, which is recorded in
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from itertools import product
 
 from .algebra import FiniteAlgebra
 from .fields import Field
-from .linalg import Matrix, Subspace, kernel, kron, restrict_operator, vstack
+from .linalg import Matrix, kron
 
 
 class ModuleError(ValueError):
@@ -266,80 +265,3 @@ class SandwichModule:
                                  name=f"{a.name}⊗{p.name}⊗{a.name}")
         self.mid_left = [kron(eye_a, kron(p.left[i], eye_a)) for i in range(n)]
         self.mid_right = [kron(eye_a, kron(p.right[i], eye_a)) for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# Duals
-# ---------------------------------------------------------------------------
-
-
-class DualModule:
-    """A space of A-valued functionals on Q realized inside Hom_K(Q, A).
-
-    ``space`` lives in the flat coordinates of (dim A)×(dim Q) matrices
-    (row-major); ``bimodule`` carries the induced actions restricted to it,
-    and is built from the flat action operators when first read.
-    """
-
-    def __init__(self, space: Subspace, source: Bimodule, left_flat, right_flat,
-                 name: str):
-        self.space = space
-        self.source = source
-        self._flat_actions = (left_flat, right_flat)
-        self._name = name
-
-    @cached_property
-    def bimodule(self) -> Bimodule:
-        left, right = self._flat_actions
-        return Bimodule(self.source.algebra, self.space.dim,
-                        [restrict_operator(m, self.space) for m in left],
-                        [restrict_operator(m, self.space) for m in right],
-                        name=self._name)
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def as_map(self, coords) -> Matrix:
-        """The functional with the given dual coordinates, as an n×(dim Q) matrix."""
-        return Matrix.from_flat(self.space.field, self.space.linear_combination(coords),
-                                self.source.algebra.dim, self.source.dim)
-
-    def basis_maps(self):
-        return [self.as_map(coords) for coords in
-                [[self.space.field.one() if i == j else self.space.field.zero()
-                  for j in range(self.dim)] for i in range(self.dim)]]
-
-
-def _dual_flat_ops(a: FiniteAlgebra, q: Bimodule):
-    """Flat operators on Hom_K(Q, A): compose-left with A-mult, compose-right
-    with Q-actions.  Row-major flattening of n×mq matrices."""
-    f = a.field
-    eye_q = Matrix.identity(f, q.dim)
-    eye_a = Matrix.identity(f, a.dim)
-    la = [kron(a.left_mult_basis(i), eye_q) for i in range(a.dim)]     # U ↦ L_A(e_i) U
-    ra = [kron(a.right_mult_basis(i), eye_q) for i in range(a.dim)]    # U ↦ R_A(e_i) U
-    lq = [kron(eye_a, q.left[i].transpose()) for i in range(a.dim)]    # U ↦ U L_Q(e_i)
-    rq = [kron(eye_a, q.right[i].transpose()) for i in range(a.dim)]   # U ↦ U R_Q(e_i)
-    return la, ra, lq, rq
-
-
-def right_dual(q: Bimodule) -> DualModule:
-    """Right A-linear functionals u(qa) = u(q)a with (bu)(x)=b·u(x), (ub)(x)=u(bx)."""
-    a = q.algebra
-    la, ra, lq, rq = _dual_flat_ops(a, q)
-    constraints = [rq[i] - ra[i] for i in range(a.dim)]  # u(x e_i) = u(x) e_i
-    return DualModule(kernel(vstack(constraints)), q, la, lq, f"{q.name}*R")
-
-
-def left_dual(q: Bimodule) -> DualModule:
-    """Left A-linear functionals u(aq) = a·u(q) with (ub)(x)=u(x)b, (bu)(x)=u(xb)."""
-    a = q.algebra
-    la, ra, lq, rq = _dual_flat_ops(a, q)
-    constraints = [lq[i] - la[i] for i in range(a.dim)]  # u(e_i x) = e_i u(x)
-    return DualModule(kernel(vstack(constraints)), q, rq, ra, f"{q.name}*L")
-
-
-def two_sided_dual_space(q: Bimodule) -> Subspace:
-    """Functionals that are simultaneously left and right A-linear (flat coords)."""
-    return right_dual(q).space.intersect(left_dual(q).space)

@@ -13,10 +13,11 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import FiniteAlgebra
-from .bimodule import Bimodule, left_dual, regular_bimodule, right_dual
+from .bimodule import Bimodule, regular_bimodule
 from .derivations import derivations
 from .diffops import dv_first_order, lunts_filtration
-from .linalg import Matrix, Subspace
+from .homspace import left_dual, right_dual, two_sided_dual_space
+from .linalg import Matrix
 
 
 class CartanPair:
@@ -150,18 +151,12 @@ def cartan_vs_definitions(pair: CartanPair, lunts_order: int = 1) -> dict:
     }
 
 
-def two_sided_dual_space(pair: CartanPair) -> Subspace:
-    """Functionals linear on both sides, inside the pair's one-sided dual."""
-    other = left_dual(pair.q) if pair.side == "right" else right_dual(pair.q)
-    return pair.dual.space.intersect(other.space)
-
-
 def two_sided_hats_are_first_order(pair: CartanPair) -> bool:
     """Hats of two-sided dual elements satisfy the bimodule condition."""
     alg = pair.algebra
     reg = regular_bimodule(alg)
     dv = dv_first_order(reg, reg)
-    both = two_sided_dual_space(pair)
+    both = two_sided_dual_space(pair.q)
     mq = pair.q.dim
     n = alg.dim
     f = alg.field

@@ -29,7 +29,6 @@ from .linalg import (
     kernel,
     kron,
     restrict_operator,
-    vstack,
 )
 
 DEGREE_CAP = 3
@@ -382,7 +381,7 @@ def ce_duality_check(algebra: FiniteAlgebra, minimal: MinimalCalculus = None) ->
     der = minimal.der
     # Hom_{A-A}(O^1, A): maps that commute with both actions
     hom = HomSpace(minimal.one_forms_bimodule(), regular_bimodule(algebra))
-    hom_space = kernel(vstack(hom.delta_ops() + hom.bar_delta_ops()))
+    hom_space = hom.common_kernel("delta", "bar_delta")
     gen_coords = minimal.d0_matrix()  # columns: coords of d(e_i) in O^1 basis
     round_trip = True
     # u ↦ φ_u ↦ u (on the derivation basis): φ_u is the bimodule map with

@@ -18,15 +18,31 @@ Each action family is a Kronecker product with an identity (``kron``).  The
 Q_a ⊗ I − I ⊗ P_aᵀ from the small left action matrices of the target and
 the source, and δ̄ likewise from the right actions, so neither the two
 action families nor their difference are materialized for them.
-Families are built on first use and cached on the instance, so callers
-that need several definitions on one Hom space share one ``HomSpace``.
+Families, and the common kernel ``common_kernel(*kinds)`` of the named
+families stacked, are built on first use and cached on the instance, so
+callers that need several definitions on one Hom space share one
+``HomSpace``.  Every module-map space is such a kernel: left A-linear maps
+("delta"), right A-linear maps ("bar_delta"), bimodule maps (both), and
+the one-sided duals of Q inside Hom_K(Q, A) (``right_dual``, ``left_dual``,
+``two_sided_dual_space``).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import AlgebraError
-from .bimodule import Bimodule
-from .linalg import Matrix, Subspace, image_span, kernel, kron, kron_difference, vstack
+from .bimodule import Bimodule, regular_bimodule
+from .linalg import (
+    Matrix,
+    Subspace,
+    image_span,
+    kernel,
+    kron,
+    kron_difference,
+    restrict_operator,
+    vstack,
+)
 
 
 class LinMap:
@@ -136,11 +152,13 @@ class HomSpace:
         self._ops[kind] = ops
         return ops
 
-    def common_kernel(self, kind: str) -> Subspace:
-        """{Φ : mΦ = 0 for every m of the family ``kind``}, solved once per family."""
-        ker = self._kernels.get(kind)
+    def common_kernel(self, *kinds: str) -> Subspace:
+        """{Φ : mΦ = 0 for every m of the named families}, solved once per
+        tuple of names from one stacked system."""
+        ker = self._kernels.get(kinds)
         if ker is None:
-            ker = self._kernels[kind] = kernel(vstack(self._family(kind)))
+            ops = [m for kind in kinds for m in self._family(kind)]
+            ker = self._kernels[kinds] = kernel(vstack(ops))
         return ker
 
     def delta_ops(self):
@@ -274,6 +292,54 @@ class HomSpace:
         for _ in range(k + 1):
             level = image_span(ops, level)
         return level.dim == 0
+
+
+class DualModule:
+    """A space of A-valued functionals on Q realized inside Hom_K(Q, A).
+
+    ``space`` is the common kernel of the family ``kind`` of ``hom``,
+    in the flat coordinates of (dim A)×(dim Q) matrices (row-major);
+    ``bimodule`` carries the actions ``actions`` restricted to it, and is
+    built when first read.
+    """
+
+    def __init__(self, hom: HomSpace, kind: str, actions, name: str):
+        self.hom = hom
+        self.space = hom.common_kernel(kind)
+        self._actions = actions
+        self._name = name
+
+    @cached_property
+    def bimodule(self) -> Bimodule:
+        left, right = ([restrict_operator(m, self.space) for m in self.hom.action_ops(kind)]
+                       for kind in self._actions)
+        return Bimodule(self.hom.algebra, self.space.dim, left, right, name=self._name)
+
+    @property
+    def dim(self):
+        return self.space.dim
+
+    def as_map(self, coords) -> Matrix:
+        """The functional with the given dual coordinates, as an n×(dim Q) matrix."""
+        return Matrix.from_flat(self.space.field, self.space.linear_combination(coords),
+                                self.hom.target.dim, self.hom.source.dim)
+
+
+def right_dual(q: Bimodule) -> DualModule:
+    """Right A-linear functionals u(qa) = u(q)a with (bu)(x)=b·u(x), (ub)(x)=u(bx)."""
+    return DualModule(HomSpace(q, regular_bimodule(q.algebra)), "bar_delta",
+                      ("left", "left_bullet"), f"{q.name}*R")
+
+
+def left_dual(q: Bimodule) -> DualModule:
+    """Left A-linear functionals u(aq) = a·u(q) with (ub)(x)=u(x)b, (bu)(x)=u(xb)."""
+    return DualModule(HomSpace(q, regular_bimodule(q.algebra)), "delta",
+                      ("right_bullet", "right"), f"{q.name}*L")
+
+
+def two_sided_dual_space(q: Bimodule) -> Subspace:
+    """Functionals that are simultaneously left and right A-linear (flat coords)."""
+    return HomSpace(q, regular_bimodule(q.algebra)).common_kernel("delta", "bar_delta")
 
 
 def _coords_parity(algebra, coords):

@@ -23,9 +23,7 @@ from .linalg import (
     closure,
     factor_through,
     image_span,
-    kernel,
     quotient_projection,
-    vstack,
 )
 
 JET_ORDER_CAP = 2
@@ -121,23 +119,20 @@ def jk_is_diffop(jm: JetModule) -> bool:
     return hom.iterated_delta_vanishes(LinMap(jm.source, target, jm.jk), jm.order)
 
 
-def hom_space_out_of_jet(jm: JetModule, q: Bimodule,
-                         bimodule_maps: bool = False) -> Subspace:
+def hom_space_out_of_jet(jm: JetModule, q: Bimodule) -> Subspace:
     """Module maps from the jet quotient to Q, in flat coordinates.
 
-    With ``bimodule_maps`` the right structures are intertwined as well
-    (used by the two-sided jets).
+    Maps out of a two-sided jet intertwine the right structures as well.
     """
-    hom = HomSpace(jm.quotient_bimodule(), q)
-    ops = hom.delta_ops() + (hom.bar_delta_ops() if bimodule_maps else [])
-    return kernel(vstack(ops))
+    kinds = ("delta", "bar_delta") if jm.two_sided else ("delta",)
+    return HomSpace(jm.quotient_bimodule(), q).common_kernel(*kinds)
 
 
 def factorize(jm: JetModule, q: Bimodule, delta: Matrix,
               hom_space: Subspace = None) -> Factorization:
     """Write an order-k operator as (module map out of the jet) ∘ J_k."""
     if hom_space is None:
-        hom_space = hom_space_out_of_jet(jm, q, bimodule_maps=jm.two_sided)
+        hom_space = hom_space_out_of_jet(jm, q)
     return factor_through(hom_space, jm.jk, delta)
 
 
@@ -170,7 +165,7 @@ def two_sided_representability(jm: JetModule, q: Bimodule) -> dict:
     with the two explicit correspondences checked to invert each other."""
     if not jm.two_sided:
         raise ValueError("needs a two-sided jet")
-    hom = hom_space_out_of_jet(jm, q, bimodule_maps=True)
+    hom = hom_space_out_of_jet(jm, q)
     dv = dv_first_order(jm.source, q)
     f = jm.algebra.field
     jd = jm.dim
@@ -211,7 +206,7 @@ def left_jet_identity_witness(algebra: FiniteAlgebra, p: Bimodule, k: int = 1):
     ambient = tensor_algebra_module(algebra, p)
     # left-linear maps f: A⊗P → A, i.e. f ∘ L(b) = L_A(b) ∘ f
     hom = HomSpace(ambient, regular_bimodule(algebra))
-    maps = kernel(vstack(hom.delta_ops()))
+    maps = hom.common_kernel("delta")
     deltas = [ambient.left[i] - ambient.right[i] for i in range(n)]
     units = _unit_tensors(algebra, p)
     unit_cols = Matrix(f, units, ambient.dim).transpose()

@@ -27,7 +27,6 @@ from .linalg import (
     quotient_projection,
     restrict_operator,
     solve_affine,
-    vstack,
 )
 
 # Forms are materialized up to this degree.
@@ -319,7 +318,7 @@ class UniversalCalculus:
 def bimodule_hom_space(uc: UniversalCalculus, target: Bimodule) -> Subspace:
     """Hom_{A-A}(Ω¹, target) in flat (dim target)×(dim Ω¹) coordinates."""
     hom = HomSpace(uc.omega1_bimodule(), target)
-    return kernel(vstack(hom.delta_ops() + hom.bar_delta_ops()))
+    return hom.common_kernel("delta", "bar_delta")
 
 
 def universal_factorize(uc: UniversalCalculus, target: Bimodule,

@@ -297,3 +297,56 @@ def mat_kron(a, b):
 
 def mat_hstack(a, b):
     return [ra + rb for ra, rb in zip(a, b)]
+
+
+# -- one-sided duals -------------------------------------------------------------
+#
+# A functional u: Q → A is the (dim A)×(dim Q) matrix U, flattened row-major,
+# so U ↦ X U Y is the Kronecker product X ⊗ Yᵀ.  The constraint families are
+# written out from the action matrices of A and Q, with no Hom space.
+
+
+def dual_flat_families(a_left, a_right, q_left, q_right, q_dim):
+    """U ↦ L_A(e_i)U, R_A(e_i)U, U L_Q(e_i), U R_Q(e_i), each a list over i."""
+    eye_a, eye_q = mat_identity(len(a_left)), mat_identity(q_dim)
+    return ([mat_kron(x, eye_q) for x in a_left], [mat_kron(x, eye_q) for x in a_right],
+            [mat_kron(eye_a, mat_transpose(x, q_dim)) for x in q_left],
+            [mat_kron(eye_a, mat_transpose(x, q_dim)) for x in q_right])
+
+
+def dual_oracle(a_left, a_right, q_left, q_right, q_dim, p=0):
+    """The right, left and two-sided duals of Q as reduced echelon bases.
+
+    Right A-linear: u(x e_i) = u(x) e_i, the kernels of
+    kron(I, R_Q(e_i)ᵀ) − kron(R_A(e_i), I), acted on by L_A (left) and the
+    precomposition with L_Q (right).  Left A-linear mirrors it:
+    kron(I, L_Q(e_i)ᵀ) − kron(L_A(e_i), I), acted on by the precomposition
+    with R_Q (left) and by R_A (right).  Returns {side: (basis, left
+    actions, right actions)} for "right" and "left", and the basis of the
+    two-sided dual under "both".
+    """
+    la, ra, lq, rq = dual_flat_families(a_left, a_right, q_left, q_right, q_dim)
+    right = [row for x, y in zip(rq, ra) for row in mat_add(x, y, -1)]
+    left = [row for x, y in zip(lq, la) for row in mat_add(x, y, -1)]
+
+    def ker(rows):
+        return gauss_rref(gauss_nullspace(rows, p), p)
+
+    return {"right": (ker(right), la, lq), "left": (ker(left), rq, ra),
+            "both": ker(right + left)}
+
+
+def restricted_action(op, basis, p=0):
+    """The matrix of ``op`` on span(basis), for a reduced echelon ``basis`` that
+    ``op`` keeps: column j holds the pivot entries of op·b_j."""
+    pivots = [next(c for c, x in enumerate(b) if x != 0) for b in basis]
+    cols = []
+    for b in basis:
+        img = [sum(x * y for x, y in zip(row, b) if x and y) for row in op]
+        coords = [img[c] for c in pivots]
+        for k, x in enumerate(img):
+            rest = x - sum(c * v[k] for c, v in zip(coords, basis) if c and v[k])
+            if rest % p if p else rest:
+                raise ValueError("the operator does not keep the span")
+        cols.append(coords)
+    return field_form(mat_transpose(cols, len(basis)), p)

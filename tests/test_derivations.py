@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from diffoplab.algebra import catalog, grassmann, matrix_algebra, trunc_poly
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.derivations import (
@@ -13,7 +15,7 @@ from diffoplab.derivations import (
     super_bracket,
 )
 from diffoplab.diffops import grothendieck_diff
-from diffoplab.fields import QQ
+from diffoplab.fields import QQ, Field
 from diffoplab.linalg import Matrix, Subspace
 
 from oracles import leibniz_solution_dim
@@ -144,3 +146,17 @@ def test_first_order_decomposition_graded():
     assert split.dims["zero"] == 2
     assert split.dims["derivation"] == 2
     assert split.dims["total"] == 4
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec, dim", [("trunc_poly:2+matrix:2", 4),
+                                       ("quaternion+trunc_poly:3", 5),
+                                       ("square_zero:2+group_z:3", 4),
+                                       ("grassmann:1+trunc_poly:2", 2)])
+def test_derivations_of_a_product_split(spec, dim, field):
+    # Der(A × B) = Der(A) ⊕ Der(B): a derivation keeps the central
+    # idempotents of the factors, so it cannot mix them
+    def der_dim(s):
+        a = catalog(s, field)
+        return derivations(a, regular_bimodule(a)).dim
+    assert der_dim(spec) == sum(der_dim(part) for part in spec.split("+")) == dim

@@ -6,8 +6,13 @@ import pytest
 
 from diffoplab.algebra import catalog, grassmann, trunc_poly
 from diffoplab.bimodule import free_module, regular_bimodule
+from diffoplab.cecalc import MinimalCalculus
 from diffoplab.fields import Field, QQ
-from diffoplab.homspace import HomSpace, LinMap
+from diffoplab.homspace import HomSpace, LinMap, left_dual, right_dual, two_sided_dual_space
+from diffoplab.linalg import kernel
+from diffoplab.universal import UniversalCalculus
+
+from oracles import dual_oracle, field_form, restricted_action
 
 
 def hom_of(spec):
@@ -252,3 +257,61 @@ def test_iterated_delta_vanishes_matches_unreduced_expansion():
             assert got == unreduced_iterated_vanishes(h, phi, k, ops), (flavor, k)
             seen.add(got)
     assert seen == {True, False}
+
+
+def dual_test_modules(a):
+    return [regular_bimodule(a), free_module(a, 2),
+            UniversalCalculus(a, cap=1).omega1_bimodule(),
+            MinimalCalculus(a).one_forms_bimodule()]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", ["matrix:2", "trunc_poly:3", "quaternion"])
+def test_duals_match_the_hand_built_constraints(spec, field):
+    rng = random.Random(5)
+    p = field.char
+    a = catalog(spec, field)
+    a_left = [a.left_mult_basis(i).data for i in range(a.dim)]
+    a_right = [a.right_mult_basis(i).data for i in range(a.dim)]
+    for q in dual_test_modules(a):
+        want = dual_oracle(a_left, a_right, [m.data for m in q.left],
+                           [m.data for m in q.right], q.dim, p)
+        assert [list(r) for r in two_sided_dual_space(q).basis] == want["both"], q.name
+        for side, dual in (("right", right_dual(q)), ("left", left_dual(q))):
+            basis, left_ops, right_ops = want[side]
+            assert [list(r) for r in dual.space.basis] == basis, (q.name, side)
+            for i in range(a.dim):
+                assert dual.bimodule.left[i].data == restricted_action(left_ops[i], basis, p)
+                assert dual.bimodule.right[i].data == restricted_action(right_ops[i], basis, p)
+            # a seeded functional, read back as a matrix
+            coords = [field.coerce(rng.randrange(-3, 4)) for _ in basis]
+            flat = [sum(c * b[k] for c, b in zip(coords, basis))
+                    for k in range(a.dim * q.dim)]
+            assert dual.as_map(coords).data == field_form(
+                [flat[r * q.dim:(r + 1) * q.dim] for r in range(a.dim)], p)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+def test_common_kernel_of_several_families_is_solved_once(field, monkeypatch):
+    import diffoplab.homspace as homspace
+
+    solved = []
+
+    def counting_kernel(m):
+        solved.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(homspace, "kernel", counting_kernel)
+    rng = random.Random(23)
+    for spec in ["matrix:2", "trunc_poly:3", "quaternion", "square_zero:2"]:
+        a = catalog(spec, field)
+        pool = [regular_bimodule(a), free_module(a, 2), MinimalCalculus(a).one_forms_bimodule()]
+        for _ in range(3):
+            h = HomSpace(rng.choice(pool), rng.choice(pool))
+            both = h.common_kernel("delta", "bar_delta")
+            assert both == h.common_kernel("delta").intersect(h.common_kernel("bar_delta"))
+            assert both == h.common_kernel("bar_delta", "delta")
+            before = len(solved)
+            assert h.common_kernel("delta", "bar_delta") is both
+            assert h.common_kernel("delta") is h.common_kernel("delta")
+            assert len(solved) == before

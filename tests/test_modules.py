@@ -9,14 +9,12 @@ from diffoplab.bimodule import (
     SandwichModule,
     direct_sum,
     free_module,
-    left_dual,
     regular_bimodule,
-    right_dual,
     tensor_algebra_module,
-    two_sided_dual_space,
 )
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.fields import QQ
+from diffoplab.homspace import left_dual, right_dual, two_sided_dual_space
 from diffoplab.linalg import Matrix
 
 

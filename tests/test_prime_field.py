@@ -145,3 +145,27 @@ def test_mod_p_kernels_and_closures_stay_reduced():
         assert all(type(x) is int and 0 <= x < p for r in c.basis for x in r)
         for r in c.basis:
             assert c.contains(op.apply(list(r)))
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_field_characteristics_are_exactly_the_primes():
+    for n in range(1, 3000):
+        is_field = True
+        try:
+            Field(n)
+        except ValueError:
+            is_field = False
+        assert is_field == _trial_division_is_prime(n), n
+    # strong pseudoprimes to the bases 2..7 and to 2..23 (they fool shorter
+    # Miller–Rabin runs), and 10**18 + 1
+    for n in (3215031751, 3825123056546413051, 1000000000000000001):
+        with pytest.raises(ValueError, match="prime"):
+            Field(n)
+    for p in (1000000000000000003, 2 ** 61 - 1, 18446744073709551557):  # 2**64 − 59
+        assert Field(p).inv(2) * 2 % p == 1
+    for n in (2 ** 64, 18446744073709551629):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            Field(n)

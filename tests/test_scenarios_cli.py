@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,10 @@ MESSAGE_NAMES = {
     "check-algebra trunc_poly:2 --field p:abc": ("--field", "p:abc"),
     "check-algebra trunc_poly:2 --field p:": ("--field", "p:"),
     "check-algebra list.json --field p:0": ("--field", "p:0"),
+    "check-algebra quaternion:3": ("quaternion:3",),
+    "check-algebra quaternion:abc": ("quaternion:abc",),
+    "check-algebra trunc_poly:2 --field p:18446744073709551629": ("--field", "2**64"),
+    "check-algebra trunc_poly:2 --field p:1000000000000000001": ("--field", "prime"),
 }
 
 
@@ -175,6 +180,10 @@ MESSAGE_NAMES = {
     ["check-algebra", "trunc_poly:2", "--field", "p:abc"],
     ["check-algebra", "trunc_poly:2", "--field", "p:"],
     ["check-algebra", "list.json", "--field", "p:0"],
+    ["check-algebra", "quaternion:3"],
+    ["check-algebra", "quaternion:abc"],
+    ["check-algebra", "trunc_poly:2", "--field", "p:18446744073709551629"],
+    ["check-algebra", "trunc_poly:2", "--field", "p:1000000000000000001"],
 ])
 def test_cli_bad_rank_or_degree_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     # list.json: a spec whose JSON top level is a list, not an object
@@ -199,6 +208,14 @@ def test_cli_module_entry_out_of_range_is_a_usage_error(entry, tmp_path, capsys)
     assert main(["check-module", str(apath), "--module", str(mpath)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_large_prime_field_is_accepted_quickly(capsys):
+    # a 19-digit prime: primality is decided without trial division
+    start = time.perf_counter()
+    assert main(["check-algebra", "trunc_poly:2", "--field", "p:1000000000000000003"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert "over p:1000000000000000003" in capsys.readouterr().out
 
 
 def test_cli_degree_caps_are_accepted():
