@@ -86,19 +86,11 @@ class FiniteAlgebra:
 
     def left_mult(self, coords) -> Matrix:
         """Matrix of b ↦ a·b for a with the given coordinates."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != 0:
-                out = out + self._left[i].scale(c)
-        return out
+        return Matrix.combination(self._left, coords)
 
     def right_mult(self, coords) -> Matrix:
         """Matrix of b ↦ b·a."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != 0:
-                out = out + self._right[i].scale(c)
-        return out
+        return Matrix.combination(self._right, coords)
 
     def left_mult_basis(self, i: int) -> Matrix:
         return self._left[i]
@@ -234,9 +226,16 @@ class FiniteAlgebra:
         zero = field.zero()
         sc = [[[zero] * n for _ in range(n)] for _ in range(n)]
         for i, j, k, v in d["sc"]:
-            sc[int(i)][int(j)][int(k)] = field.coerce(v)
+            i, j, k = int(i), int(j), int(k)
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise AlgebraError(f"structure constant [{i}, {j}, {k}] out of range "
+                                   f"for a {n}-dim algebra")
+            sc[i][j][k] = field.coerce(v)
+        parity = d.get("parity")
+        if parity is not None and not (isinstance(parity, list) and len(parity) == n):
+            raise AlgebraError(f"parity must be a list of {n} entries, got {parity!r}")
         return FiniteAlgebra(field, n, d["basis"], sc, d["unit"],
-                             d.get("parity"), name=d.get("name", "algebra"))
+                             parity, name=d.get("name", "algebra"))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -58,18 +58,10 @@ class Bimodule:
         return v
 
     def left_action(self, coords) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != 0:
-                out = out + self.left[i].scale(c)
-        return out
+        return Matrix.combination(self.left, coords)
 
     def right_action(self, coords) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != 0:
-                out = out + self.right[i].scale(c)
-        return out
+        return Matrix.combination(self.right, coords)
 
     # -- validation -----------------------------------------------------------
 
@@ -151,8 +143,11 @@ class Bimodule:
                 rows[i][r][c] = field.coerce(v)
             return [Matrix.from_entries(field, [r.items() for r in m], dim) for m in rows]
 
+        parity = d.get("parity")
+        if parity is not None and not (isinstance(parity, list) and len(parity) == dim):
+            raise ModuleError(f"parity must be a list of {dim} entries, got {parity!r}")
         return Bimodule(algebra, dim, actions(d["left"]), actions(d["right"]),
-                        d.get("parity"), d.get("second_kind", "right"),
+                        parity, d.get("second_kind", "right"),
                         name=d.get("name", "module"))
 
     def save(self, path):

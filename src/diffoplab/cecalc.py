@@ -22,7 +22,6 @@ from .derivations import DerivationSpace, derivations, lie_bracket
 from .homspace import HomSpace
 from .linalg import (
     Matrix,
-    SparseRows,
     Subspace,
     closure,
     factor_through,
@@ -98,19 +97,6 @@ class FormSpace:
         return self.space.contains(flat)
 
 
-def _center_action_coords(algebra, der):
-    """Coordinates of z·u_t in the derivation basis, per center basis z."""
-    out = []
-    for z in algebra.center().basis:
-        lz = algebra.left_mult(list(z))
-        row = []
-        for u in der.basis_maps():
-            zu = lz @ u
-            row.append(der.coords_of(zu))
-        out.append(row)
-    return out
-
-
 def ce_forms(algebra: FiniteAlgebra, degree: int,
              der: DerivationSpace = None, cap: int = DEGREE_CAP) -> FormSpace:
     """Solve the alternating + center-linearity constraints at one degree."""
@@ -123,42 +109,48 @@ def ce_forms(algebra: FiniteAlgebra, degree: int,
     f = algebra.field
     if degree == 0:
         return FormSpace(algebra, der, 0, Subspace.full(f, n))
-    ambient = n * (d ** degree)
-    one = f.one()
-    cons = SparseRows(f, ambient)
-    # alternating: adjacent swaps negate; repeated adjacent arguments vanish
-    for t in product(range(d), repeat=degree):
-        ti = _tuple_index(t, d)
-        for s in range(degree - 1):
-            if t[s] == t[s + 1]:
-                for m in range(n):
-                    cons.append({ti * n + m: one})
-            elif t[s] < t[s + 1]:
-                swapped = list(t)
-                swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
-                si = _tuple_index(swapped, d)
-                for m in range(n):
-                    cons.append({ti * n + m: one, si * n + m: one})
-    # center-multilinearity in every slot
-    z_coords = _center_action_coords(algebra, der)
     z_mults = [algebra.left_mult(list(z)) for z in algebra.center().basis]
-    for zi, zrow in enumerate(z_coords):
-        lz = z_mults[zi].row_entries()
+    # coordinates of z·u_t in the derivation basis, per center basis z
+    z_coords = [[der.coords_of(lz @ u) for u in der.basis_maps()] for lz in z_mults]
+
+    def rows():
+        """The constraint rows one at a time, as ``(col, value)`` pairs with plain sums."""
+        # alternating: adjacent swaps negate; repeated adjacent arguments vanish
         for t in product(range(d), repeat=degree):
             ti = _tuple_index(t, d)
-            for s in range(degree):
-                for m in range(n):
-                    row = {}
-                    for r, c in enumerate(zrow[t[s]]):
-                        if c != 0:
-                            replaced = list(t)
-                            replaced[s] = r
-                            k = _tuple_index(replaced, d) * n + m
-                            row[k] = f.add(row.get(k, 0), c)
-                    for m2, v in lz[m]:
-                        k = ti * n + m2
-                        row[k] = f.sub(row.get(k, 0), v)
-                    cons.append(row)
+            for s in range(degree - 1):
+                if t[s] == t[s + 1]:
+                    for m in range(n):
+                        yield [(ti * n + m, 1)]
+                elif t[s] < t[s + 1]:
+                    swapped = list(t)
+                    swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
+                    si = _tuple_index(swapped, d)
+                    for m in range(n):
+                        yield [(ti * n + m, 1), (si * n + m, 1)]
+        # center-multilinearity in every slot
+        for zrow, lz in zip(z_coords, z_mults):
+            lz = lz.row_entries()
+            for t in product(range(d), repeat=degree):
+                ti = _tuple_index(t, d)
+                for s in range(degree):
+                    for m in range(n):
+                        row = {}
+                        for r, c in enumerate(zrow[t[s]]):
+                            if c != 0:
+                                replaced = list(t)
+                                replaced[s] = r
+                                k = _tuple_index(replaced, d) * n + m
+                                row[k] = row.get(k, 0) + c
+                        for m2, v in lz[m]:
+                            k = ti * n + m2
+                            row[k] = row.get(k, 0) - v
+                        # a row that sums to zero, as each row for z = 1 does,
+                        # constrains nothing and is not stored
+                        if any(row.values()):
+                            yield row.items()
+
+    cons = Matrix.from_entries(f, rows(), n * (d ** degree))
     return FormSpace(algebra, der, degree, kernel(cons))
 
 
@@ -203,12 +195,7 @@ def ce_coboundary_matrix(algebra: FiniteAlgebra, der: DerivationSpace,
 
 def exact_one_form(algebra: FiniteAlgebra, der: DerivationSpace, a_coords):
     """da as a flat one-form: (da)(u) = u(a)."""
-    n = algebra.dim
-    f = algebra.field
-    out = []
-    for u in der.basis_maps():
-        out.extend(u.apply(list(a_coords)))
-    return out
+    return [x for u in der.basis_maps() for x in u.apply(list(a_coords))]
 
 
 def wedge(algebra: FiniteAlgebra, der: DerivationSpace,
@@ -275,15 +262,9 @@ class CochainComplex:
         self.forms = [ce_forms(algebra, k, self.der, cap) for k in range(cap + 1)]
         self.ambient_d = [ce_coboundary_matrix(algebra, self.der, k)
                           for k in range(cap)]
-        self.d = []
-        for k in range(cap):
-            src = self.forms[k].space
-            dst = self.forms[k + 1].space
-            cols = []
-            for row in src.basis:
-                img = self.ambient_d[k].apply(list(row))
-                cols.append(dst.coords_of(img))  # raises if d leaves the subcomplex
-            self.d.append(Matrix(self.algebra.field, cols, dst.dim).transpose())
+        # restrict_operator raises if d leaves the subcomplex
+        self.d = [restrict_operator(self.ambient_d[k], self.forms[k].space,
+                                    self.forms[k + 1].space) for k in range(cap)]
 
     def d_squared_is_zero(self) -> bool:
         return all((self.d[k + 1] @ self.d[k]).is_zero()
@@ -354,9 +335,7 @@ class MinimalCalculus:
     def d1_matrix(self) -> Matrix:
         """d: O^1 → O^2 in minimal-calculus coordinates."""
         amb = ce_coboundary_matrix(self.algebra, self.der, 1)
-        cols = [self.two_forms.coords_of(amb.apply(list(row)))
-                for row in self.one_forms.basis]
-        return Matrix(self.algebra.field, cols, self.two_forms.dim).transpose()
+        return restrict_operator(amb, self.one_forms, self.two_forms)
 
 
 class DualityReport:

@@ -30,7 +30,7 @@ from .diffops import (
 from .fields import field_from_name
 from .gradedce import GRADED_DEGREE_CAP, GradedCochainComplex
 from .jets import jet_module, jk_is_diffop, two_sided_jet, two_sided_representability
-from .scenarios import canonical_json, run_all
+from .scenarios import builtin_scenarios, canonical_json, run_all
 from .universal import UNIVERSAL_DEGREE_CAP, UniversalCalculus
 
 USAGE_ERROR = 2
@@ -50,7 +50,7 @@ def load_algebra(ref: str, field_name: str = None) -> FiniteAlgebra:
     if ref.endswith(".json"):
         try:
             a = FiniteAlgebra.load(ref)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot load algebra spec {ref!r}: {exc}") from exc
         if field_name is not None and a.field != field:
             raise UsageError(
@@ -77,7 +77,7 @@ def pick_module(a: FiniteAlgebra, target: str) -> Bimodule:
     if target.endswith(".json"):
         try:
             return Bimodule.load(target, a)
-        except (OSError, KeyError, ValueError, ModuleError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot load module spec {target!r}: {exc}") from exc
     raise UsageError(f"unknown module target {target!r}")
 
@@ -285,6 +285,8 @@ def cmd_jets(args):
     a = load_algebra(args.algebra, args.field)
     p = pick_module(a, args.module)
     if args.two_sided:
+        if args.order != 1:
+            raise UsageError("the two-sided jet is first-order only")
         jm = two_sided_jet(a, p)
         rep = two_sided_representability(jm, regular_bimodule(a))
         report = dict(jm.to_dict(), representability=rep)
@@ -319,7 +321,13 @@ def cmd_compare_defs(args):
 
 
 def cmd_run_scenarios(args):
-    report = run_all(only=args.only)
+    try:
+        report = run_all(only=args.only)
+    except ValueError:
+        # run_all checks the id before running anything; a check's own error propagates
+        if args.only in {s.scenario_id for s in builtin_scenarios()}:
+            raise
+        raise UsageError(f"--only: unknown scenario {args.only!r}") from None
     lines = []
     for s in report["scenarios"]:
         for c in s["checks"]:
@@ -432,10 +440,7 @@ def main(argv=None) -> int:
         if getattr(args, "order", 0) < 0:  # the builders enforce the order caps
             raise UsageError(f"--order must be >= 0, got {args.order}")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (AlgebraError, ModuleError, OrderCapError) as exc:
+    except (UsageError, AlgebraError, ModuleError, OrderCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -155,20 +155,9 @@ def first_order_decomposition(algebra: FiniteAlgebra, target: Bimodule,
     """
     if side is None:
         side = "right" if graded else "left"
-    n, mq = algebra.dim, target.dim
-    f = algebra.field
-    vecs = []
-    for qi in range(mq):
-        qvec = target.basis_vector(qi)
-        cols = []
-        for i in range(n):
-            if side == "right":
-                cols.append(target.right_action(algebra.basis_vector(i)).apply(qvec))
-            else:
-                cols.append(target.left_action(algebra.basis_vector(i)).apply(qvec))
-        flat = [cols[c][r] for r in range(mq) for c in range(n)]
-        vecs.append(flat)
-    zero_part = Subspace.from_spanning(f, mq * n, vecs)
+    vecs = [_zero_order(target, target.basis_vector(qi), side).flatten()
+            for qi in range(target.dim)]
+    zero_part = Subspace.from_spanning(algebra.field, target.dim * algebra.dim, vecs)
     der = derivations(algebra, target, graded)
     return FirstOrderSplit(zero_part, der.space, diff1)
 
@@ -177,12 +166,11 @@ def split_operator(algebra: FiniteAlgebra, target: Bimodule, delta: Matrix,
                    graded: bool = False):
     """Decompose one order-1 operator as (value at 1, derivation remainder)."""
     q = delta.apply(list(algebra.unit))
-    n, mq = algebra.dim, target.dim
-    cols = []
-    for i in range(n):
-        if graded:
-            cols.append(target.right_action(algebra.basis_vector(i)).apply(q))
-        else:
-            cols.append(target.left_action(algebra.basis_vector(i)).apply(q))
-    zero_matrix = Matrix(algebra.field, cols, mq).transpose()
+    zero_matrix = _zero_order(target, q, "right" if graded else "left")
     return q, zero_matrix, delta - zero_matrix
+
+
+def _zero_order(target: Bimodule, q, side: str) -> Matrix:
+    """The zero-order operator a ↦ a·q (side "left") or a ↦ q·a (side "right")."""
+    acts = target.right if side == "right" else target.left
+    return Matrix(target.field, [m.apply(q) for m in acts], target.dim).transpose()

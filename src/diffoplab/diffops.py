@@ -190,18 +190,12 @@ class DvSplit:
         left_linear = all(
             q.left[j] @ self.arrow_left[i] == self.arrow_left[i] @ p.left[j]
             for i, j in product(range(n), repeat=2))
-        def combo(mats, coords):
-            out = Matrix.zeros(a.field, q.dim, p.dim)
-            for c, mat in zip(coords, mats):
-                if c != 0:
-                    out = out + mat.scale(c)
-            return out
         leibniz_right = all(
-            combo(self.arrow_right, a.sc[i][j])
+            Matrix.combination(self.arrow_right, a.sc[i][j])
             == self.arrow_right[i] @ p.left[j] + q.left[i] @ self.arrow_right[j]
             for i, j in product(range(n), repeat=2))
         leibniz_left = all(
-            combo(self.arrow_left, a.sc[i][j])
+            Matrix.combination(self.arrow_left, a.sc[i][j])
             == q.right[j] @ self.arrow_left[i] + self.arrow_left[j] @ p.right[i]
             for i, j in product(range(n), repeat=2))
         m = self.delta.matrix

@@ -75,17 +75,21 @@ class Field:
         return 1
 
     def coerce(self, x):
-        """Coerce an int, Fraction or "p/q" string into a scalar."""
-        if self.char == 0:
-            return x if type(x) is int else _q(Fraction(x))
-        if isinstance(x, str):
-            if "/" in x:
-                num, den = x.split("/")
-                return self.div(int(num) % self.char, int(den) % self.char)
-            x = int(x)
-        if isinstance(x, Fraction):
-            return self.div(x.numerator % self.char, x.denominator % self.char)
-        return int(x) % self.char
+        """Coerce an int, Fraction or "p/q" string into a scalar; ValueError
+        on a denominator that is zero in the field, as on any unreadable value."""
+        try:
+            if self.char == 0:
+                return x if type(x) is int else _q(Fraction(x))
+            if isinstance(x, str):
+                if "/" in x:
+                    num, den = x.split("/")
+                    return self.div(int(num) % self.char, int(den) % self.char)
+                x = int(x)
+            if isinstance(x, Fraction):
+                return self.div(x.numerator % self.char, x.denominator % self.char)
+            return int(x) % self.char
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator in {self.name}") from None
 
     # -- arithmetic --------------------------------------------------------
 

@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement, product
 from .algebra import AlgebraError, FiniteAlgebra
 from .bimodule import regular_bimodule
 from .derivations import DerivationSpace, derivations, super_bracket
-from .linalg import Matrix, SparseRows, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel, restrict_operator, vstack
 
 GRADED_DEGREE_CAP = 2
 
@@ -117,12 +117,8 @@ class GradedCochainComplex:
                         for a in range(algebra.dim) for i in range(d)}
         self.ambient_delta = [self._delta_matrix(k) for k in range(cap + 1)]
         self.forms = [self._a_linear_subspace(k) for k in range(cap + 1)]
-        self.d = []
-        for k in range(cap):
-            src, dst = self.forms[k], self.forms[k + 1]
-            cols = [dst.coords_of(self.ambient_delta[k].apply(list(row)))
-                    for row in src.basis]
-            self.d.append(Matrix(algebra.field, cols, dst.dim).transpose())
+        self.d = [restrict_operator(self.ambient_delta[k], self.forms[k], self.forms[k + 1])
+                  for k in range(cap)]
 
     # -- flat spaces -----------------------------------------------------------
 
@@ -218,56 +214,58 @@ class GradedCochainComplex:
         ext = self.ext
         monos = ext.monomials(k)
         flat = self.flat_dim(k)
-        one = f.one()
         left_rows = [algebra.left_mult_basis(ai).row_entries() for ai in range(n)]
-        rows = []
-        # constraints come from every argument tuple, not only the
-        # normal-form ones: scaling one slot of a degenerate tuple
-        # still relates honest monomial values
-        for factors in product(range(self.der.dim), repeat=k):
-            factors = list(factors)
-            base = ext.normalize(factors)
-            for t in range(k):
-                prefix_par = sum(ext.parities[x] for x in factors[:t]) % 2
-                for ai in range(n):
-                    apar = algebra.parity[ai]
-                    # scaling slot t crosses the earlier factors only:
-                    # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
-                    sign_neg = (apar * prefix_par) % 2 == 1
-                    la = left_rows[ai]
-                    scaled = self._scaled[(ai, factors[t])]
-                    for m in range(n):
-                        row = {}
-                        for b, c in enumerate(scaled):
-                            if c == 0:
-                                continue
-                            norm = ext.normalize(factors[:t] + [b] + factors[t + 1:])
-                            if norm is None:
-                                continue
-                            sgn, mono2 = norm
-                            lo, _ = self._slice(k, mono2)
-                            v = f.mul(c, one if sgn > 0 else f.neg(one))
-                            row[lo + m] = f.add(row.get(lo + m, 0), v)
-                        if base is not None:
-                            bsgn, bmono = base
-                            lo0, _ = self._slice(k, bmono)
-                            for m2, v in la[m]:
-                                if (bsgn < 0) != sign_neg:
-                                    row[lo0 + m2] = f.add(row.get(lo0 + m2, 0), v)
-                                else:
-                                    row[lo0 + m2] = f.sub(row.get(lo0 + m2, 0), v)
-                        rows.append(row)
+
+        def rows():
+            """The A-linearity rows one at a time, as ``{col: value}`` items with plain sums."""
+            # constraints come from every argument tuple, not only the
+            # normal-form ones: scaling one slot of a degenerate tuple
+            # still relates honest monomial values
+            for factors in product(range(self.der.dim), repeat=k):
+                factors = list(factors)
+                base = ext.normalize(factors)
+                for t in range(k):
+                    prefix_par = sum(ext.parities[x] for x in factors[:t]) % 2
+                    for ai in range(n):
+                        apar = algebra.parity[ai]
+                        # scaling slot t crosses the earlier factors only:
+                        # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
+                        sign_neg = (apar * prefix_par) % 2 == 1
+                        la = left_rows[ai]
+                        scaled = self._scaled[(ai, factors[t])]
+                        for m in range(n):
+                            row = {}
+                            for b, c in enumerate(scaled):
+                                if c == 0:
+                                    continue
+                                norm = ext.normalize(factors[:t] + [b] + factors[t + 1:])
+                                if norm is None:
+                                    continue
+                                sgn, mono2 = norm
+                                lo, _ = self._slice(k, mono2)
+                                row[lo + m] = row.get(lo + m, 0) + (c if sgn > 0 else -c)
+                            if base is not None:
+                                bsgn, bmono = base
+                                lo0, _ = self._slice(k, bmono)
+                                s = 1 if (bsgn < 0) != sign_neg else -1
+                                for m2, v in la[m]:
+                                    row[lo0 + m2] = row.get(lo0 + m2, 0) + s * v
+                            # a row that sums to zero, as each row for a = 1
+                            # does, constrains nothing and is not stored
+                            if any(row.values()):
+                                yield row.items()
+
+        shared = Matrix.from_entries(f, rows(), flat)
         total = None
         for par in (0, 1):
-            cons = SparseRows(f, flat, rows)
             # homogeneity selector: coords off the parity-π support vanish
+            selector = []
             for monomial in monos:
                 mpar = ext.monomial_parity(monomial)
                 lo, _ = self._slice(k, monomial)
-                for m in range(n):
-                    if (algebra.parity[m] + mpar) % 2 != par:
-                        cons.append({lo + m: one})
-            space = kernel(cons)
+                selector += [[(lo + m, 1)] for m in range(n)
+                             if (algebra.parity[m] + mpar) % 2 != par]
+            space = kernel(vstack([shared, Matrix.from_pairs(f, selector, flat)]))
             total = space if total is None else total.sum(space)
         return total
 

@@ -264,7 +264,6 @@ class HomSpace:
         a_coords = a.coords if hasattr(a, "coords") else list(a)
         apar = _coords_parity(self.algebra, a_coords)
         ppar = phi.parity if phi.parity is not None else self.map_parity(phi)
-        f = self.algebra.field
         bullet = phi.matrix @ self.source.left_action(a_coords)
         if apar and ppar:
             out = self.target.left_action(a_coords) @ phi.matrix + bullet

@@ -13,11 +13,6 @@ form of :mod:`.fields` (an ``int`` wherever the pivot divides the entry, a
 row echelon basis with zero rows dropped, so two equal subspaces have
 bitwise identical representations.
 
-``kernel`` reads its system through the non-zero entries of each row: a
-:class:`Matrix` through its cached row entries, or a :class:`SparseRows`
-system, which wide and very sparse constraint builders fill with
-``{col: value}`` rows without ever writing the zero entries.
-
 A :class:`Matrix` stores each row only as its sorted non-zero
 ``(col, value)`` pairs (``m.row_entries()``), in the field's scalar form,
 and every operation works pair to pair: ``a @ b`` takes each non-zero
@@ -25,6 +20,12 @@ and every operation works pair to pair: ``a @ b`` takes each non-zero
 ``(col, value)`` pairs of v against the entries of each column of ``m``
 (``m.column_entries()``, built from the rows when first read); sums,
 scaling, transposes, stacks and ``kron`` never write a zero entry.
+``Matrix.combination(mats, coords)`` sums Σ c_i·M_i in one pass over the
+non-zero entries of the M_i: it is how every action a ↦ Σ a_i·L(e_i) of
+an algebra element is built.  Wide, very sparse constraint systems are
+filled row by row through ``Matrix.from_entries`` from ``{col: value}``
+rows, and ``kernel``, ``rank``, ``rref`` and ``solve_affine`` read a system
+through its row entries.
 ``kron_difference(a, b)`` builds a ⊗ I − I ⊗ b (the flat commutator
 Φ ↦ AΦ − ΦBᵀ) row by row from the non-zero entries of a and b, without
 materializing the two Kronecker products it stands for.  ``m.data`` is a
@@ -33,10 +34,12 @@ operators of the higher layers are almost entirely zero, so this keeps both
 their storage and their arithmetic to a small fraction of the dense size.
 
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
-rest on three helpers: ``preimage`` (the vectors that a family of operators
-sends into a subspace), ``quotient_projection`` (coset representatives of
-K^n/S and the projection onto their coordinates), and ``factor_through``
-(write Δ = F∘J with F in a given space of maps).  ``quotient_projection``
+rest on four helpers: ``preimage`` (the vectors that a family of operators
+sends into a subspace), ``restrict_operator`` (the matrix of m from a
+subspace S into a subspace T, in their basis coordinates; T is S itself
+unless given), ``quotient_projection`` (coset representatives of K^n/S and
+the projection onto their coordinates), and ``factor_through`` (write
+Δ = F∘J with F in a given space of maps).  ``quotient_projection``
 reduces S with its columns reversed, takes as representatives the unit
 vectors at the columns that are not trailing pivots of S, and reads the
 projection off that echelon form; nothing is inverted.
@@ -210,7 +213,7 @@ class Matrix:
         return _dense(self._nzr[i], self.cols)
 
     def col(self, j):
-        return _dense(self._nonzero_cols()[j], self.rows)
+        return _dense(self.column_entries()[j], self.rows)
 
     def formatted(self):
         """Dense rows of ``Field.fmt`` strings; only the non-zero entries are formatted."""
@@ -227,7 +230,7 @@ class Matrix:
         return out
 
     def transpose(self) -> "Matrix":
-        t = Matrix._from_pairs(self.field, self._nonzero_cols(), self.rows)
+        t = Matrix._from_pairs(self.field, self.column_entries(), self.rows)
         t._nzc = self._nzr
         return t
 
@@ -258,20 +261,38 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        p = self.field.char
-        return Matrix._from_pairs(self.field, [_normal_pairs(p, [(j, c * x) for j, x in r])
-                                               for r in self._nzr], self.cols)
+        return Matrix.combination([self], [c])
+
+    @staticmethod
+    def combination(mats, coords) -> "Matrix":
+        """Σ c_i·M_i for matrices of one shape, summed once over their non-zero entries.
+
+        ``mats`` must not be empty: the first matrix gives the shape.  For a
+        unit vector of coordinates the result is the matrix it picks, as is.
+        """
+        mats = list(mats)
+        first = mats[0]
+        terms = [(c, m) for c, m in zip(coords, mats) if c]
+        for _, m in terms:
+            first._check_shape(m)
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        acc = [{} for _ in range(first.rows)]
+        for c, m in terms:
+            for row, pairs in zip(acc, m._nzr):
+                for j, x in pairs:
+                    row[j] = row.get(j, 0) + c * x
+        p = first.field.char
+        return Matrix._from_pairs(first.field, [_normal_pairs(p, row.items()) if row else []
+                                                for row in acc], first.cols)
 
     def row_entries(self):
         """Per row, the sorted ``(col, value)`` pairs of its non-zero entries: the storage."""
         return self._nzr
 
-    def _nonzero_rows(self):
-        """Per row, the ``(col, value)`` pairs of its non-zero entries."""
-        return self._nzr
-
-    def _nonzero_cols(self):
-        """Per column, the ``(row, value)`` pairs of its non-zero entries."""
+    def column_entries(self):
+        """Per column, the ``(row, value)`` pairs of its non-zero entries (a shared
+        cache, built from the rows when first read)."""
         if self._nzc is None:
             cols = [[] for _ in range(self.cols)]
             for i, r in enumerate(self._nzr):
@@ -294,13 +315,9 @@ class Matrix:
             out.append(_normal_pairs(p, acc.items()))
         return Matrix._from_pairs(self.field, out, other.cols)
 
-    def column_entries(self):
-        """Per column, the ``(row, value)`` pairs of its non-zero entries (shared cache)."""
-        return self._nonzero_cols()
-
     def _apply_pairs(self, pairs):
         """The product with the vector of ``(col, value)`` pairs, as its sorted non-zero pairs."""
-        cols = self._nonzero_cols()
+        cols = self.column_entries()
         acc = {}
         for j, x in pairs:
             for i, a in cols[j]:
@@ -588,44 +605,11 @@ class Echelon:
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form; zero rows are kept at the bottom."""
     ech = Echelon(m.field, m.cols)
-    for pairs in m._nonzero_rows():
+    for pairs in m.row_entries():
         ech.add_entries(pairs)
     rows = [pairs for _, pairs in ech.reduced_rows()]
     rows += [[] for _ in range(m.rows - len(rows))]
     return Matrix._from_pairs(m.field, rows, m.cols)
-
-
-class SparseRows:
-    """A constraint system given row by row through its non-zero entries.
-
-    The row-only counterpart of :class:`Matrix` for ``kernel``: builders
-    append ``{col: value}`` rows and never materialize the zero entries of
-    a wide, very sparse system.  A row with no non-zero entry constrains
-    nothing and is not kept.
-    """
-
-    __slots__ = ("field", "cols", "_nzr")
-
-    def __init__(self, field: Field, cols: int, rows=()):
-        self.field = field
-        self.cols = cols
-        self._nzr = []
-        for row in rows:
-            self.append(row)
-
-    @property
-    def rows(self) -> int:
-        return len(self._nzr)
-
-    def append(self, row):
-        """Add the row with entries ``{col: value}``; zero values are dropped."""
-        pairs = sorted((j, x) for j, x in row.items() if x)
-        if pairs:
-            self._nzr.append(pairs)
-
-    def _nonzero_rows(self):
-        """Per row, the ``(col, value)`` pairs of its non-zero entries."""
-        return self._nzr
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +760,13 @@ class Subspace:
 
 
 def kernel(m) -> Subspace:
-    """Null space {v : m v = 0} of a Matrix or SparseRows, as a canonical subspace."""
+    """Null space {v : m v = 0} as a canonical subspace, read through ``m.row_entries()``.
+
+    Repeated rows are eliminated once; an all-zero row constrains nothing.
+    """
     ech = Echelon(m.field, m.cols)
     seen = set()
-    for pairs in m._nonzero_rows():
+    for pairs in m.row_entries():
         key = tuple(pairs)
         if key in seen:
             continue
@@ -809,7 +796,7 @@ def _null_space(ech: Echelon, reduced, n: int) -> Subspace:
 
 def rank(m: Matrix) -> int:
     ech = Echelon(m.field, m.cols)
-    for pairs in m._nonzero_rows():
+    for pairs in m.row_entries():
         ech.add_entries(pairs)
     return ech.rank
 
@@ -861,7 +848,7 @@ def solve_affine(constraints) -> AffineSolution:
             raise ValueError("constraint width mismatch")
         if len(t) != m.rows:
             raise ValueError("target length mismatch")
-        for pairs, ti in zip(m._nonzero_rows(), t):
+        for pairs, ti in zip(m.row_entries(), t):
             key = (tuple(pairs), ti)
             if key in seen:
                 continue
@@ -1012,7 +999,14 @@ def image_span(ops, space: Subspace) -> Subspace:
     return ech.subspace()
 
 
-def restrict_operator(m: Matrix, space: Subspace) -> Matrix:
-    """Matrix of ``m`` restricted to an invariant subspace, in basis coords."""
-    cols = [space.coords_of(m.apply(list(row))) for row in space.basis]
-    return Matrix(space.field, cols, space.dim).transpose()
+def restrict_operator(m: Matrix, space: Subspace, target: Subspace = None) -> Matrix:
+    """The matrix of ``m`` from ``space`` into ``target``, in their basis coordinates.
+
+    ``target`` defaults to ``space``, which must then be invariant under m.
+    Column k holds the coordinates of m·b_k in the basis of ``target``;
+    raises ValueError if some m·b_k leaves ``target``.
+    """
+    if target is None:
+        target = space
+    cols = [target.coords_of(m.apply(list(row))) for row in space.basis]
+    return Matrix(space.field, cols, target.dim).transpose()

@@ -157,27 +157,12 @@ class UniversalCalculus:
         self.reps2, self.proj2 = quotient_projection(self.middle_relations)
         q2 = self.omega2_dim = len(self.reps2)
         # d1 on basis vectors of Ω¹ via their ambient A⊗A coordinates:
-        # Σ x_{ij} e_i d e_j  ↦  Σ x_{ij} d e_i · d e_j
-        des = [self.omega1.coords_of(
-            self.exact_form_ambient(self.algebra.basis_vector(i)))
-            for i in range(n)]
-        de_de = {}  # (i, j) -> de_i · de_j, on first use
-        d1_cols = []
-        for row in self.omega1.basis:
-            acc = [f.zero()] * q2
-            for i in range(n):
-                for j in range(n):
-                    x = row[i * n + j]
-                    if x == 0:
-                        continue
-                    term = de_de.get((i, j))
-                    if term is None:
-                        term = de_de[(i, j)] = self.mu11(des[i], des[j])
-                    for m in range(q2):
-                        if term[m] != 0:
-                            acc[m] = f.add(acc[m], f.mul(x, term[m]))
-            d1_cols.append(acc)
-        self.d1 = Matrix(f, d1_cols, q2).transpose()
+        # Σ x_{ij} e_i d e_j  ↦  Σ x_{ij} d e_i · d e_j, with row i·n + j of
+        # ``de_de`` holding d e_i · d e_j
+        des = [self.d0.col(i) for i in range(n)]
+        de_de = Matrix(f, [self.mu11(des[i], des[j]) for i, j in product(range(n), repeat=2)],
+                       q2)
+        self.d1 = (self.omega1.basis_matrix() @ de_de).transpose()
 
     def mu11(self, w_coords, e_coords):
         """Product Ω¹ × Ω¹ → Ω² in quotient coordinates."""
@@ -205,13 +190,8 @@ class UniversalCalculus:
 
     def left2(self, a_coords, w2):
         """a · (class of ω⊗η) = class of (aω)⊗η."""
-        f = self.algebra.field
         t = self.omega1.dim
-        l1 = Matrix.zeros(f, t, t)
-        for i, c in enumerate(a_coords):
-            if c != 0:
-                l1 = l1 + self.left1[i].scale(c)
-        l1_cols = l1.column_entries()
+        l1_cols = Matrix.combination(self.left1, a_coords).column_entries()
         lifted = {}  # Σ w2[ri]·reps2[ri]
         for c, rep in zip(w2, self.reps2):
             if c:
@@ -252,22 +232,10 @@ class UniversalCalculus:
         return True
 
     def _left1_coords(self, a_coords, w_coords):
-        f = self.algebra.field
-        out = [f.zero()] * self.omega1.dim
-        for i, c in enumerate(a_coords):
-            if c != 0:
-                img = self.left1[i].apply(w_coords)
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, img)]
-        return out
+        return Matrix.combination(self.left1, a_coords).apply(w_coords)
 
     def _right1_coords(self, w_coords, a_coords):
-        f = self.algebra.field
-        out = [f.zero()] * self.omega1.dim
-        for i, c in enumerate(a_coords):
-            if c != 0:
-                img = self.right1[i].apply(w_coords)
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, img)]
-        return out
+        return Matrix.combination(self.right1, a_coords).apply(w_coords)
 
     def central_commutation_witness(self):
         """Central a, a' with a·da' ≠ da'·a, or None after exhaustive search.

@@ -592,3 +592,76 @@ def test_closure_is_the_smallest_invariant_span(field):
         assert [list(r) for r in img.basis] == gauss_rref(
             [dense_apply(field, op.data, list(v)) for v in c.basis for op in ops], p)
     assert full_cases >= 5
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_combination_matches_repeated_sum(field):
+    rng = random.Random(31)
+    p = field.char
+    # zero, negative, integer and Fraction coefficients (in field form over GF(p))
+    fixed = [0, -2, 3, Fraction(-5, 3), Fraction(7, 2)]
+    fixed = [field.coerce(c) if p else c for c in fixed] + [-1, 0]
+    for rows, cols in [(1, 1), (3, 4), (5, 5), (0, 3), (4, 0), (8, 8)]:
+        for _ in range(6):
+            mats = [random_matrix(rng, field, rows, cols, rng.choice((0.0, 0.2, 0.6)))
+                    for _ in range(rng.randrange(1, 5))]
+            coords = [rng.choice(fixed) if rng.random() < 0.6
+                      else field.coerce(random_rational(rng)) for _ in mats]
+            # the oracle: the repeated sum of scaled plain lists (``scale`` itself
+            # is a combination of one matrix, so it cannot be the reference)
+            want = [[0] * cols for _ in range(rows)]
+            for c, m in zip(coords, mats):
+                want = mat_add(want, mat_scale(c, m.data))
+            got = Matrix.combination(mats, coords)
+            assert got.data == field_form(want, p) and (got.rows, got.cols) == (rows, cols)
+            assert all(x for r in got.row_entries() for _, x in r)
+            if p:
+                assert all(0 <= x < p for r in got.data for x in r)
+            else:
+                assert_integer_first([x for r in got.data for x in r])
+    # unit coordinates pick out their matrix as is; every coefficient zero gives zero
+    m, m2 = random_matrix(rng, field, 3, 3, 0.5), random_matrix(rng, field, 3, 3, 0.5)
+    assert Matrix.combination([m, m2], [0, 1]) is m2 and m2.scale(1) is m2
+    assert Matrix.combination([m, m], [0, 0]) == Matrix.zeros(field, 3, 3)
+    # matrices of different shapes cannot be combined
+    with pytest.raises(ValueError):
+        Matrix.combination([m, Matrix.zeros(field, 3, 2)], [1, 1])
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_restrict_operator_between_two_subspaces(field):
+    rng = random.Random(37)
+    p = field.char
+    checked = raised = 0
+    for _ in range(30):
+        n, n2 = rng.randrange(1, 7), rng.randrange(1, 7)
+        m = random_matrix(rng, field, n2, n, rng.choice((0.3, 0.7)))
+        source = Subspace.from_spanning(field, n, random_rows(rng, field, rng.randrange(0, 4), n, 0.6))
+        images = [dense_apply(field, m.data, list(b)) for b in source.basis]
+        extra = random_rows(rng, field, rng.randrange(0, 3), n2, 0.5)
+        target = Subspace.from_spanning(field, n2, images + extra)
+        # the oracle: coordinates of m·b_k read at the pivots of target, which
+        # must rebuild m·b_k exactly
+        cols = []
+        for img in images:
+            coords = [img[c] for c in target.pivot_cols]
+            rebuilt = [sum(c * t[j] for c, t in zip(coords, target.basis)) for j in range(n2)]
+            assert field_form([rebuilt], p) == field_form([img], p)
+            cols.append(coords)
+        r = restrict_operator(m, source, target)
+        assert (r.rows, r.cols) == (target.dim, source.dim)
+        assert r.data == field_form(mat_transpose(cols, target.dim), p)
+        checked += 1
+        # a target that misses part of the image is refused
+        image = Subspace.from_spanning(field, n2, images)
+        if image.dim:
+            smaller = Subspace.from_spanning(field, n2, [list(b) for b in image.basis[1:]])
+            with pytest.raises(ValueError):
+                restrict_operator(m, source, smaller)
+            raised += 1
+    assert checked == 30 and raised >= 10
+    # without a target, the space itself: an invariant subspace maps into itself
+    shift = Matrix.from_pairs(field, [[]] + [[(i, 1)] for i in range(3)], 4)  # e_i -> e_i+1
+    tail = Subspace.from_spanning(field, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    assert restrict_operator(shift, tail) == restrict_operator(shift, tail, tail)
+    assert restrict_operator(shift, tail).data == [[0, 0], [1, 0]]

@@ -147,6 +147,9 @@ MESSAGE_NAMES = {
     "check-algebra quaternion:abc": ("quaternion:abc",),
     "check-algebra trunc_poly:2 --field p:18446744073709551629": ("--field", "2**64"),
     "check-algebra trunc_poly:2 --field p:1000000000000000001": ("--field", "prime"),
+    "run-scenarios --only no-such-id": ("--only", "no-such-id"),
+    "jets matrix:2 --two-sided --order 2": ("two-sided", "first-order"),
+    "jets trunc_poly:2 --two-sided --order 0": ("two-sided", "first-order"),
 }
 
 
@@ -184,6 +187,9 @@ MESSAGE_NAMES = {
     ["check-algebra", "quaternion:abc"],
     ["check-algebra", "trunc_poly:2", "--field", "p:18446744073709551629"],
     ["check-algebra", "trunc_poly:2", "--field", "p:1000000000000000001"],
+    ["run-scenarios", "--only", "no-such-id"],
+    ["jets", "matrix:2", "--two-sided", "--order", "2"],
+    ["jets", "trunc_poly:2", "--two-sided", "--order", "0"],
 ])
 def test_cli_bad_rank_or_degree_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     # list.json: a spec whose JSON top level is a list, not an object
@@ -196,13 +202,60 @@ def test_cli_bad_rank_or_degree_is_a_usage_error(argv, tmp_path, monkeypatch, ca
         assert fragment in err, (fragment, err)
 
 
-@pytest.mark.parametrize("entry", [[0, 5, 0, "1"], [0, -1, 0, "1"]])
+@pytest.mark.parametrize("entry", [[0, 5, 0, "1"], [0, -1, 0, "1"], [0, 0, 1, "1/0"]])
 def test_cli_module_entry_out_of_range_is_a_usage_error(entry, tmp_path, capsys):
     a = catalog("trunc_poly:2")
     apath = tmp_path / "alg.json"
     a.save(apath)
     spec = regular_bimodule(a).to_json_dict()
     spec["left"].append(entry)
+    mpath = tmp_path / "mod.json"
+    mpath.write_text(json.dumps(spec))
+    assert main(["check-module", str(apath), "--module", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _append_sc(entry):
+    return lambda spec: spec["sc"].append(entry)
+
+
+BAD_ALGEBRA_SPECS = {
+    "sc-index-at-dim": _append_sc([0, 0, 2, "1"]),
+    # read by wrapping before, as x·x = 1: a valid algebra, exit 0
+    "sc-index-negative": _append_sc([-1, -1, 0, "1"]),
+    "sc-entry-too-short": _append_sc([0, 0, 0]),
+    "sc-not-a-list": lambda spec: spec.update(sc=5),
+    "parity-wrong-length": lambda spec: spec.update(parity=[0]),
+    "parity-not-a-list": lambda spec: spec.update(parity=5),
+    "zero-denominator-q": _append_sc([1, 1, 0, "1/0"]),
+    "zero-denominator-gfp": lambda spec: (spec.update(char=32003),
+                                          spec["sc"].append([1, 1, 0, "1/32003"])),
+    "sc-index-null": _append_sc([None, 0, 0, "1"]),
+    "dim-null": lambda spec: spec.update(dim=None),
+    "unit-not-a-list": lambda spec: spec.update(unit=5),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ALGEBRA_SPECS))
+def test_cli_bad_algebra_spec_is_a_usage_error(bad, tmp_path, capsys):
+    spec = catalog("trunc_poly:2").to_json_dict()
+    BAD_ALGEBRA_SPECS[bad](spec)
+    apath = tmp_path / "alg.json"
+    apath.write_text(json.dumps(spec))
+    assert main(["check-algebra", str(apath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value", [("left", 3), ("right", "x"), ("dim", None),
+                                       ("parity", [0]), ("parity", 5)])
+def test_cli_bad_module_spec_is_a_usage_error(key, value, tmp_path, capsys):
+    a = catalog("trunc_poly:2")
+    apath = tmp_path / "alg.json"
+    a.save(apath)
+    spec = regular_bimodule(a).to_json_dict()
+    spec[key] = value
     mpath = tmp_path / "mod.json"
     mpath.write_text(json.dumps(spec))
     assert main(["check-module", str(apath), "--module", str(mpath)]) == 2

@@ -1,8 +1,10 @@
 """The sparse elimination core against the plain-elimination oracles.
 
-``Echelon`` holds (col, value) rows and ``kernel`` reads any system through
-its non-zero entries, so every canonical basis here is compared with
-``gauss_rref`` / ``gauss_nullspace`` computed densely on the same rows.
+``Echelon`` holds (col, value) rows and ``kernel`` reads a system through
+its row entries, whether it was built from dense rows or from
+``{col: value}`` rows through ``Matrix.from_entries``, so every canonical
+basis here is compared with ``gauss_rref`` / ``gauss_nullspace`` computed
+densely on the same rows.
 """
 
 import random
@@ -15,7 +17,7 @@ from diffoplab.algebra import catalog
 from diffoplab.cecalc import ce_forms
 from diffoplab.fields import QQ, Field
 from diffoplab.gradedce import GradedCochainComplex
-from diffoplab.linalg import Echelon, Matrix, SparseRows, Subspace, kernel
+from diffoplab.linalg import Echelon, Matrix, Subspace, kernel
 
 from oracles import gauss_nullspace, gauss_rref, random_rational
 
@@ -45,7 +47,8 @@ def oracle_kernel(field, rows, cols=None):
 
 
 def sparse_system(field, rows, cols):
-    return SparseRows(field, cols, [dict(enumerate(r)) for r in rows])
+    """The system of dense ``rows`` fed to ``from_entries`` as ``{col: value}`` rows, zeros included."""
+    return Matrix.from_entries(field, [dict(enumerate(r)).items() for r in rows], cols)
 
 
 @FIELDS
@@ -98,15 +101,18 @@ def test_zero_duplicate_and_empty_inputs(field):
     assert ech.rank == 1
     # only zero rows: the kernel is everything
     assert kernel(Matrix(field, [[z] * 4, [z] * 4], 4)) == Subspace.full(field, 4)
-    assert kernel(SparseRows(field, 4, [{}, {2: z}])) == Subspace.full(field, 4)
-    assert SparseRows(field, 4, [{}, {2: z}]).rows == 0
+    empty_rows = Matrix.from_entries(field, [{}.items(), {2: z}.items()], 4)
+    assert kernel(empty_rows) == Subspace.full(field, 4)
+    # all-zero rows are kept, with no entries
+    assert empty_rows.rows == 2 and empty_rows.row_entries() == [[], []]
     # width 0
     assert Echelon(field, 0).basis_rows() == []
     assert not Echelon(field, 0).add([])
     assert kernel(Matrix(field, [[]], 0)).dim == 0
-    assert kernel(SparseRows(field, 0)).dim == 0
+    assert kernel(Matrix.from_entries(field, [{}.items()], 0)).dim == 0
+    assert kernel(Matrix.from_entries(field, [], 0)).dim == 0
     # no rows at all
-    assert kernel(SparseRows(field, 3)) == Subspace.full(field, 3)
+    assert kernel(Matrix.from_entries(field, [], 3)) == Subspace.full(field, 3)
     assert kernel(Matrix.zeros(field, 0, 3)) == Subspace.full(field, 3)
 
 
@@ -157,7 +163,7 @@ def recorded_kernels(monkeypatch, module):
 def dense_rows(system):
     """The rows of a system written densely, repeated rows dropped."""
     out = {}
-    for pairs in system._nonzero_rows():
+    for pairs in system.row_entries():
         row = [0] * system.cols
         for j, x in pairs:
             row[j] = x
@@ -172,9 +178,8 @@ def test_ce_forms_space_is_the_oracle_kernel(monkeypatch, spec, degrees, field):
     for k in degrees:
         calls = recorded_kernels(monkeypatch, cecalc)
         space = ce_forms(algebra, k).space
-        systems = [m for m in calls if isinstance(m, SparseRows)]
-        assert len(systems) == 1
-        system = systems[0]
+        assert len(calls) == 1  # one system of alternating and center-linearity rows
+        system = calls[0]
         assert system.cols == space.ambient_dim
         rows = dense_rows(system)
         assert as_lists(space.basis) == oracle_kernel(field, rows, system.cols)
