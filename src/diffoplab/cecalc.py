@@ -100,6 +100,7 @@ class FormSpace:
 def ce_forms(algebra: FiniteAlgebra, degree: int,
              der: DerivationSpace = None, cap: int = DEGREE_CAP) -> FormSpace:
     """Solve the alternating + center-linearity constraints at one degree."""
+    cap = min(cap, DEGREE_CAP)
     if degree > cap:
         raise DegreeCapError(f"degree {degree} exceeds cap {cap}")
     if der is None:
@@ -256,6 +257,8 @@ class CochainComplex:
 
     def __init__(self, algebra: FiniteAlgebra, cap: int = DEGREE_CAP,
                  der: DerivationSpace = None):
+        if cap > DEGREE_CAP:
+            raise DegreeCapError(f"degree {cap} exceeds cap {DEGREE_CAP}")
         self.algebra = algebra
         self.der = der if der is not None else derivations(algebra, regular_bimodule(algebra))
         self.cap = cap

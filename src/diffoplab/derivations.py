@@ -29,14 +29,11 @@ class DerivationSpace:
         return self.space.dim
 
     def as_map(self, coords) -> Matrix:
-        flat = self.space.linear_combination(coords)
-        return self._unflatten(flat)
-
-    def _unflatten(self, flat) -> Matrix:
-        return Matrix.from_flat(self.algebra.field, flat, self.target.dim, self.algebra.dim)
+        return self.space.combination_matrix(coords, self.target.dim, self.algebra.dim)
 
     def basis_maps(self):
-        return [self._unflatten(row) for row in self.space.basis]
+        return [Matrix.from_flat(self.algebra.field, row, self.target.dim, self.algebra.dim)
+                for row in self.space.basis]
 
     def basis_parities(self):
         """Parity of each canonical basis derivation (graded solver only)."""

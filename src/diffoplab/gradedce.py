@@ -27,6 +27,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .bimodule import regular_bimodule
+from .cecalc import DegreeCapError
 from .derivations import DerivationSpace, derivations, super_bracket
 from .linalg import Matrix, Subspace, kernel, restrict_operator, vstack
 
@@ -99,6 +100,8 @@ class GradedCochainComplex:
             raise AlgebraError("graded complex needs a graded algebra")
         if algebra.field.char == 2:
             raise AlgebraError("graded operations refuse characteristic 2")
+        if cap > GRADED_DEGREE_CAP:
+            raise DegreeCapError(f"degree {cap} exceeds cap {GRADED_DEGREE_CAP}")
         self.algebra = algebra
         self.cap = cap
         self.der = der if der is not None else derivations(

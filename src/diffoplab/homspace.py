@@ -320,8 +320,7 @@ class DualModule:
 
     def as_map(self, coords) -> Matrix:
         """The functional with the given dual coordinates, as an n×(dim Q) matrix."""
-        return Matrix.from_flat(self.space.field, self.space.linear_combination(coords),
-                                self.hom.target.dim, self.hom.source.dim)
+        return self.space.combination_matrix(coords, self.hom.target.dim, self.hom.source.dim)
 
 
 def right_dual(q: Bimodule) -> DualModule:

@@ -9,9 +9,10 @@ cross-multiplication) so that the bulk of the arithmetic is Python-int
 work; over GF(p) each pivot row is monic.  Reduced row echelon bases are
 back-substituted sparsely and produced at the end in the integer-first
 form of :mod:`.fields` (an ``int`` wherever the pivot divides the entry, a
-``Fraction`` otherwise).  Subspaces are always stored through their reduced
-row echelon basis with zero rows dropped, so two equal subspaces have
-bitwise identical representations.
+``Fraction`` otherwise).  A :class:`Subspace` stores that basis, zero rows
+dropped, as the ``(col, value)`` pairs of each row, so equal subspaces have
+identical representations; ``closure``, restrictions, sums and membership
+work on the pairs, and ``basis`` is a dense view built when first read.
 
 A :class:`Matrix` stores each row only as its sorted non-zero
 ``(col, value)`` pairs (``m.row_entries()``), in the field's scalar form,
@@ -88,6 +89,14 @@ def _normal_pairs(p, items):
     else:
         out = [(j, v if type(v) is int else _q(v)) for j, v in items if v]
     out.sort()
+    return out
+
+
+def _unflatten(pairs, rows, cols):
+    """Sorted row-major flat ``(index, value)`` pairs, as the sorted pairs of each row."""
+    out = [[] for _ in range(rows)]
+    for j, x in pairs:
+        out[j // cols].append((j % cols, x))
     return out
 
 
@@ -174,10 +183,7 @@ class Matrix:
         ``flat``, of scalars in the field's form."""
         if len(flat) != rows * cols:
             raise ValueError("flat vector length does not match the shape")
-        out = [[] for _ in range(rows)]
-        for j, x in _nonzero_pairs(flat):
-            out[j // cols].append((j % cols, x))
-        return Matrix._from_pairs(field, out, cols)
+        return Matrix._from_pairs(field, _unflatten(_nonzero_pairs(flat), rows, cols), cols)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
@@ -521,7 +527,11 @@ class Echelon:
         return self._insert(self._entries(pairs))
 
     def contains(self, vec) -> bool:
-        return self._reduce(self._entries(_nonzero_pairs(vec))) is None
+        return self.contains_entries(_nonzero_pairs(vec))
+
+    def contains_entries(self, pairs) -> bool:
+        """``contains`` for a vector given by its ``(col, value)`` pairs, each column once."""
+        return self._reduce(self._entries(pairs)) is None
 
     def reduced_rows(self):
         """The canonical reduced echelon rows, sparse: ``(pivot col, pairs)`` in pivot order.
@@ -589,17 +599,13 @@ class Echelon:
         """The span of the rows added so far, as a canonical subspace.
 
         At full rank this is ``Subspace.full``, with no back-substitution;
-        otherwise the sparse reduced rows become the subspace's cached basis
-        entries.
+        otherwise the sparse reduced rows become the subspace's storage.
         """
         if self.rank == self.width:
             return Subspace.full(self.field, self.width)
         reduced = self.reduced_rows()
-        space = Subspace(self.field, self.width,
-                         [_dense(pairs, self.width) for _, pairs in reduced],
-                         [c for c, _ in reduced])
-        space._nzb = [pairs for _, pairs in reduced]
-        return space
+        return Subspace(self.field, self.width, [pairs for _, pairs in reduced],
+                        [c for c, _ in reduced])
 
 
 def rref(m: Matrix) -> Matrix:
@@ -620,19 +626,21 @@ def rref(m: Matrix) -> Matrix:
 class Subspace:
     """A subspace of K^n held by its canonical reduced echelon basis.
 
-    Equality is literal equality of bases: equal subspaces have identical
-    representations.  The basis rows never include zero rows.
+    Each basis row is stored as its sorted non-zero ``(col, value)`` pairs
+    (taken over, not copied), led by ``(pivot col, 1)``; ``basis`` is a dense
+    view built when first read.  Equality is literal equality of pivots and
+    pairs: equal subspaces have identical representations.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivot_cols", "_constraints", "_nzb")
+    __slots__ = ("field", "ambient_dim", "pivot_cols", "_rows", "_basis", "_constraints")
 
-    def __init__(self, field: Field, ambient_dim: int, canonical_rows, pivot_cols):
+    def __init__(self, field: Field, ambient_dim: int, rows, pivot_cols):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(r) for r in canonical_rows)
         self.pivot_cols = tuple(pivot_cols)
+        self._rows = rows
+        self._basis = None
         self._constraints = None
-        self._nzb = None
 
     @staticmethod
     def from_spanning(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -649,37 +657,50 @@ class Subspace:
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "Subspace":
-        z, o = field.zero(), field.one()
-        rows = [(z,) * i + (o,) + (z,) * (ambient_dim - i - 1) for i in range(ambient_dim)]
-        return Subspace(field, ambient_dim, rows, range(ambient_dim))
+        return Subspace(field, ambient_dim, [[(i, 1)] for i in range(ambient_dim)],
+                        range(ambient_dim))
+
+    @property
+    def basis(self):
+        """The canonical basis rows as dense tuples: a view built when first read."""
+        if self._basis is None:
+            self._basis = tuple(tuple(_dense(r, self.ambient_dim)) for r in self._rows)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     @property
     def is_full(self) -> bool:
         """Whether this is all of K^n."""
-        return len(self.basis) == self.ambient_dim
+        return len(self._rows) == self.ambient_dim
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.pivot_cols == other.pivot_cols
+            and self._rows == other._rows
         )
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
     def basis_matrix(self) -> Matrix:
-        return Matrix._from_pairs(self.field, self._basis_entries(), self.ambient_dim)
+        return Matrix._from_pairs(self.field, self._rows, self.ambient_dim)
 
     def to_echelon(self) -> Echelon:
+        """An :class:`Echelon` holding this basis as its pivot rows, not reduced again:
+        monic over GF(p); over Q a row led by 1 with its denominators cleared
+        is primitive with a positive lead, as elimination stores it."""
         ech = Echelon(self.field, self.ambient_dim)
-        for r in self.basis:
-            ech.add(r)
+        if self.field.char:
+            ech.pivots = dict(zip(self.pivot_cols, self._rows))
+        else:
+            ech.pivots = {c: list(ech._entries(pairs).items())
+                          for c, pairs in zip(self.pivot_cols, self._rows)}
         return ech
 
     def contains(self, vec) -> bool:
@@ -691,40 +712,51 @@ class Subspace:
         if self.is_full:
             return True
         ech = self.to_echelon()
-        return all(ech.contains(r) for r in other.basis)
+        return all(ech.contains_entries(pairs) for pairs in other._rows)
 
     def _basis_entries(self):
-        """Per basis row, the ``(col, value)`` pairs of its non-zero entries."""
-        if self._nzb is None:
-            self._nzb = [_nonzero_pairs(r) for r in self.basis]
-        return self._nzb
+        """Per basis row, the ``(col, value)`` pairs of its non-zero entries: the storage."""
+        return self._rows
 
-    def coords_of(self, vec):
-        """Coordinates w.r.t. the canonical basis (raises if vec not inside).
-
-        The residual vec − Σ c_i b_i is summed once, with plain ``+``/``*``
-        over the non-zero entries of vec and of the basis rows, and must
-        vanish (mod p over GF(p)).
-        """
-        coords = [vec[p] for p in self.pivot_cols]
-        residual = dict(_nonzero_pairs(vec))
-        for c, pairs in zip(coords, self._basis_entries()):
-            if c:
-                for j, y in pairs:
-                    residual[j] = residual.get(j, 0) - c * y
+    def _coord_entries(self, pairs):
+        """The non-zero coordinates, as ``(index, value)`` pairs, of the vector with
+        the pairs ``pairs``: its entries at the pivots.  The residual vec − Σ c_i b_i,
+        summed with plain ``+``/``*``, must vanish (mod p over GF(p))."""
+        residual = dict(pairs)
+        coords = [(k, c) for k, pc in enumerate(self.pivot_cols) if (c := residual.get(pc))]
+        for k, c in coords:
+            for j, y in self._rows[k]:
+                residual[j] = residual.get(j, 0) - c * y
         p = self.field.char
         if any(v % p if p else v for v in residual.values()):
             raise ValueError("vector not in subspace")
         return coords
 
-    def linear_combination(self, coords):
-        """Σ c_i b_i over the canonical basis, as a dense vector."""
+    def coords_of(self, vec):
+        """Coordinates w.r.t. the canonical basis (raises if vec not inside)."""
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        return _dense(self._coord_entries(_nonzero_pairs(vec)), self.dim)
+
+    def _combination_entries(self, coords):
+        """Σ c_i b_i over the canonical basis, as its sorted non-zero ``(col, value)`` pairs."""
         acc = {}
-        for c, pairs in zip(coords, self._basis_entries()):
+        for c, pairs in zip(coords, self._rows):
             if c:
                 for j, y in pairs:
                     acc[j] = acc.get(j, 0) + c * y
-        return _dense(_normal_pairs(self.field.char, acc.items()), self.ambient_dim)
+        return _normal_pairs(self.field.char, acc.items())
+
+    def linear_combination(self, coords):
+        """Σ c_i b_i over the canonical basis, as a dense vector."""
+        return _dense(self._combination_entries(coords), self.ambient_dim)
+
+    def combination_matrix(self, coords, rows: int, cols: int) -> Matrix:
+        """Σ c_i b_i in a space of rows×cols matrices flattened row-major, as a Matrix."""
+        if rows * cols != self.ambient_dim:
+            raise ValueError("matrix shape does not match the ambient dimension")
+        return Matrix._from_pairs(self.field,
+                                  _unflatten(self._combination_entries(coords), rows, cols), cols)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -732,8 +764,10 @@ class Subspace:
             return self
         if other.is_full or self.dim == 0:
             return other
-        return Subspace.from_spanning(self.field, self.ambient_dim,
-                                      list(self.basis) + list(other.basis))
+        ech = self.to_echelon()
+        for pairs in other._rows:
+            ech.add_entries(pairs)
+        return ech.subspace()
 
     def constraint_matrix(self) -> Matrix:
         """Rows span the annihilator: v ∈ self iff constraint_matrix @ v = 0."""
@@ -947,10 +981,7 @@ def factor_through(maps: Subspace, j: Matrix, delta: Matrix) -> Factorization:
     # unknowns are the coordinates k of F in the basis of ``maps``
     system = [[] for _ in range(delta.cols * rows)]
     for k, flat in enumerate(maps._basis_entries()):
-        basis_map = [[] for _ in range(rows)]
-        for c, x in flat:
-            basis_map[c // width].append((c % width, x))
-        image = Matrix._from_pairs(f, basis_map, width) @ j
+        image = Matrix._from_pairs(f, _unflatten(flat, rows, width), width) @ j
         for m, pairs in enumerate(image._nzr):
             for i, x in pairs:
                 system[i * rows + m].append((k, x))
@@ -961,7 +992,7 @@ def factor_through(maps: Subspace, j: Matrix, delta: Matrix) -> Factorization:
     sol = solve_affine([(Matrix._from_pairs(f, system, maps.dim), rhs)])
     if not sol.consistent:
         return Factorization(None, False, False)
-    fmat = Matrix.from_flat(f, maps.linear_combination(sol.point), rows, width)
+    fmat = maps.combination_matrix(sol.point, rows, width)
     return Factorization(fmat, (fmat @ j - delta).is_zero(), sol.homogeneous.dim == 0)
 
 
@@ -971,16 +1002,20 @@ def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
     Fixed-point generator loop: apply every operator to each newly added
     vector, breadth first, until no vector adds to the span.  Terminates
     because the ambient dimension is finite, and stops as soon as the span
-    is all of K^n: the result is then ``Subspace.full``.
+    is all of K^n: the result is then ``Subspace.full``.  The dense seeds
+    become ``(col, value)`` pairs once; every image stays in pairs.
     """
+    if any(op.rows != ambient_dim or op.cols != ambient_dim for op in operators):
+        raise ValueError("operator/ambient dimension mismatch")
     ech = Echelon(field, ambient_dim)
-    added = [s for s in seeds if ech.rank < ambient_dim and ech.add(s)]
+    added = [s for s in map(_nonzero_pairs, seeds)
+             if ech.rank < ambient_dim and ech.add_entries(s)]
     for v in added:  # the list grows while it is walked
         for op in operators:
             if ech.rank == ambient_dim:
                 return ech.subspace()
-            w = op.apply(v)
-            if ech.add(w):
+            w = op._apply_pairs(v)
+            if ech.add_entries(w):
                 added.append(w)
     return ech.subspace()
 
@@ -1003,10 +1038,12 @@ def restrict_operator(m: Matrix, space: Subspace, target: Subspace = None) -> Ma
     """The matrix of ``m`` from ``space`` into ``target``, in their basis coordinates.
 
     ``target`` defaults to ``space``, which must then be invariant under m.
-    Column k holds the coordinates of m·b_k in the basis of ``target``;
-    raises ValueError if some m·b_k leaves ``target``.
+    Column k holds the coordinates of m·b_k in the basis of ``target``, read
+    off its pairs; raises ValueError if some m·b_k leaves ``target``.
     """
     if target is None:
         target = space
-    cols = [target.coords_of(m.apply(list(row))) for row in space.basis]
-    return Matrix(space.field, cols, target.dim).transpose()
+    if m.cols != space.ambient_dim or m.rows != target.ambient_dim:
+        raise ValueError("operator/subspace dimension mismatch")
+    cols = [target._coord_entries(m._apply_pairs(row)) for row in space._basis_entries()]
+    return Matrix._from_pairs(space.field, cols, target.dim).transpose()

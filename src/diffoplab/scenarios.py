@@ -564,7 +564,7 @@ def run_scenario(scenario: Scenario) -> dict:
 
 def run_all(only=None) -> dict:
     scenarios = builtin_scenarios()
-    if only:
+    if only is not None:
         scenarios = [s for s in scenarios if s.scenario_id == only]
         if not scenarios:
             raise ValueError(f"unknown scenario {only!r}")

@@ -43,6 +43,7 @@ from oracles import (
     multiplication_matrix,
     nullity,
     random_rational,
+    restricted_action,
 )
 
 GF2 = Field(2)
@@ -665,3 +666,73 @@ def test_restrict_operator_between_two_subspaces(field):
     tail = Subspace.from_spanning(field, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert restrict_operator(shift, tail) == restrict_operator(shift, tail, tail)
     assert restrict_operator(shift, tail).data == [[0, 0], [1, 0]]
+
+
+def oracle_closure(field, seeds, ops):
+    """The fixed point of S -> span(S ∪ op S), by plain elimination."""
+    p = field.char
+    span = gauss_rref(seeds, p)
+    while True:
+        grown = gauss_rref(span + [dense_apply(field, op.data, v) for v in span for op in ops], p)
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_pair_native_subspaces_match_the_oracle(field):
+    rng = random.Random(41)
+    p = field.char
+    contained = invariant = 0
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        rows_a = random_rows(rng, field, rng.randrange(0, n + 2), n, rng.choice((0.2, 0.5, 1.0)))
+        if rows_a and rng.random() < 0.4:  # b inside a: combinations of the rows of a
+            rows_b = field_form([[sum(c * r[j] for c, r in zip(cs, rows_a)) for j in range(n)]
+                                 for cs in ([field.coerce(random_rational(rng)) for _ in rows_a]
+                                            for _ in range(rng.randrange(1, 4)))], p)
+        else:
+            rows_b = random_rows(rng, field, rng.randrange(0, n + 2), n, 0.4)
+        a = Subspace.from_spanning(field, n, rows_a)
+        b = Subspace.from_spanning(field, n, rows_b)
+        # the stored pairs, their pivots and the lazy dense view
+        assert [list(r) for r in a.basis] == gauss_rref(rows_a, p)
+        assert a.basis is a.basis and all(type(r) is tuple for r in a.basis)
+        assert a._basis_entries() == [[(j, x) for j, x in enumerate(r) if x] for r in a.basis]
+        assert a.pivot_cols == tuple(next(j for j, x in enumerate(r) if x) for r in a.basis)
+        # to_echelon loads the pivot rows that elimination of the basis stores
+        ech = Echelon(field, n)
+        for r in a.basis:
+            ech.add(r)
+        loaded = a.to_echelon()
+        assert loaded.pivots == ech.pivots and loaded.subspace() == a
+        # sum and containment, through the pairs of the other operand
+        both = gauss_rref(rows_a + rows_b, p)
+        assert [list(r) for r in a.sum(b).basis] == both == [list(r) for r in b.sum(a).basis]
+        assert a.contains_space(b) == (len(both) == a.dim)
+        assert b.contains_space(a) == (len(both) == b.dim)
+        assert a.contains_space(a.sum(b)) == (len(both) == a.dim) and a.contains_space(a)
+        contained += a.contains_space(b)
+        # the combination of a space of flattened matrices, as a matrix
+        coords = [field.coerce(random_rational(rng)) for _ in range(a.dim)]
+        shape = (2, n // 2) if n % 2 == 0 else (1, n)
+        assert a.combination_matrix(coords, *shape) == Matrix.from_flat(
+            field, a.linear_combination(coords), *shape)
+        # closure of random seeds, and the operators restricted to it
+        ops = [random_matrix(rng, field, n, n, rng.choice((0.2, 0.5)))
+               for _ in range(rng.randrange(1, 3))]
+        seeds = random_rows(rng, field, rng.randrange(0, 3), n, 0.4)
+        c = closure(field, n, seeds, ops)
+        span = oracle_closure(field, seeds, ops)
+        assert [list(r) for r in c.basis] == span
+        if 0 < c.dim < n:
+            invariant += 1
+        for op in ops:
+            assert restrict_operator(op, c).data == restricted_action(op.data, span, p)
+    assert contained >= 10 and invariant >= 5
+    for n in range(8):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        full = Subspace.full(field, n)
+        assert full == Subspace.from_spanning(field, n, eye)
+        assert full.to_echelon().pivots == Subspace.from_spanning(field, n, eye).to_echelon().pivots
+        assert [list(r) for r in full.basis] == eye

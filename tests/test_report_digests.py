@@ -46,6 +46,17 @@ PINNED = {
         "b4e39e5988048a64fd94a04e57589a464444aa81a22f4ded35a88b12ee97675f",
     "lunts matrix:2 --order 2 --side right --field p:32003":
         "bbe7961c8039935c2dad711136d16192bbf5b77808ca4521ff9c5ddc08e3a27f",
+    # recorded while subspaces still stored their bases dense, before they
+    # were loaded into an echelon as monic pivot rows over GF(p); these
+    # reports carry no field name, and each matches its run over q
+    "universal matrix:2 --field p:32003":
+        "d05c753c1537a4b5f1db56543fbcbdf2bd7a8dff47d24245abf0d98a04ed2044",
+    "cartan matrix:2 --field p:32003":
+        "164d8ab55e39996191f20565be94bc6a24e6204fe758c09e7ed10627c6bc872a",
+    "jets matrix:2 --two-sided --field p:32003":
+        "fbff31919d632ab7d38798658771c42078b83a3575fc244f82d69db5ea0468f9",
+    "graded-ce grassmann:2 --field p:32003":
+        "ab00f3090a2ee005bce1324b73cb31e0ff34359d3b680874e745d3065a73a4b9",
 }
 
 

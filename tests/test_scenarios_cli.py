@@ -148,6 +148,7 @@ MESSAGE_NAMES = {
     "check-algebra trunc_poly:2 --field p:18446744073709551629": ("--field", "2**64"),
     "check-algebra trunc_poly:2 --field p:1000000000000000001": ("--field", "prime"),
     "run-scenarios --only no-such-id": ("--only", "no-such-id"),
+    "run-scenarios --only ": ("--only", "unknown scenario ''"),
     "jets matrix:2 --two-sided --order 2": ("two-sided", "first-order"),
     "jets trunc_poly:2 --two-sided --order 0": ("two-sided", "first-order"),
 }
@@ -190,6 +191,7 @@ MESSAGE_NAMES = {
     ["run-scenarios", "--only", "no-such-id"],
     ["jets", "matrix:2", "--two-sided", "--order", "2"],
     ["jets", "trunc_poly:2", "--two-sided", "--order", "0"],
+    ["run-scenarios", "--only", ""],
 ])
 def test_cli_bad_rank_or_degree_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     # list.json: a spec whose JSON top level is a list, not an object
