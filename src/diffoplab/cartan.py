@@ -36,12 +36,7 @@ class CartanPair:
         return self.dual.as_map(dual_coords) @ self.d_matrix
 
     def hat_basis(self):
-        f = self.algebra.field
-        out = []
-        for i in range(self.dual.dim):
-            coords = [f.one() if j == i else f.zero() for j in range(self.dual.dim)]
-            out.append(self.hat(coords))
-        return out
+        return [u @ self.d_matrix for u in self.dual.basis_maps()]
 
     def relations_hold(self) -> bool:
         """The two structure identities of the pair, on all basis pairs.
@@ -52,14 +47,11 @@ class CartanPair:
         alg = self.algebra
         f = alg.field
         n = alg.dim
-        dual = self.dual
-        for r in range(dual.dim):
-            coords = [f.one() if j == r else f.zero() for j in range(dual.dim)]
-            u_map = dual.as_map(coords)
-            u_hat = u_map @ self.d_matrix
+        # a dual action on the r-th basis functional is column r of its matrix
+        left, right = self.dual.bimodule.left, self.dual.bimodule.right
+        for r, u_hat in enumerate(self.hat_basis()):
             for i in range(n):
-                scaled = dual.bimodule.left[i].apply(coords) if self.side == "right" \
-                    else dual.bimodule.right[i].apply(coords)
+                scaled = left[i].col(r) if self.side == "right" else right[i].col(r)
                 lhs = self.hat(scaled)
                 rhs = (alg.left_mult_basis(i) @ u_hat if self.side == "right"
                        else alg.right_mult_basis(i) @ u_hat)
@@ -67,13 +59,13 @@ class CartanPair:
                     return False
             for i, j in product(range(n), repeat=2):
                 if self.side == "right":
-                    moved = dual.bimodule.right[i].apply(coords)  # ub
+                    moved = right[i].col(r)                       # ub
                     lhs = u_hat.apply(alg.sc[i][j])               # û(e_i e_j)
                     rhs = alg.right_mult_basis(j).apply(
                         u_hat.col(i))                             # û(e_i)·e_j
                     rhs2 = self.hat(moved).col(j)                 # (u e_i)^(e_j)
                 else:
-                    moved = dual.bimodule.left[j].apply(coords)   # bu
+                    moved = left[j].col(r)                        # bu
                     lhs = u_hat.apply(alg.sc[i][j])               # û(e_i e_j)
                     rhs = alg.left_mult_basis(i).apply(
                         u_hat.col(j))                             # e_i·û(e_j)
@@ -157,12 +149,8 @@ def two_sided_hats_are_first_order(pair: CartanPair) -> bool:
     reg = regular_bimodule(alg)
     dv = dv_first_order(reg, reg)
     both = two_sided_dual_space(pair.q)
-    mq = pair.q.dim
-    n = alg.dim
-    f = alg.field
-    for row in both.basis:
-        u_hat = Matrix.from_flat(f, row, n, mq) @ pair.d_matrix
-        if not dv.space.contains(u_hat.flatten()):
+    for u in both.basis_maps(alg.dim, pair.q.dim):
+        if not dv.space.contains((u @ pair.d_matrix).flatten()):
             return False
     return True
 

@@ -373,8 +373,7 @@ def ce_duality_check(algebra: FiniteAlgebra, minimal: MinimalCalculus = None) ->
             round_trip = False
     # φ ↦ u_φ ↦ φ (on the bimodule-dual basis): u_φ = φ∘d is a derivation,
     # and factoring it back through d must return φ itself
-    for phi in hom_space.basis:
-        fmat = hom.from_flat(phi).matrix
+    for fmat in hom.basis_maps(hom_space):
         u = fmat @ gen_coords
         if not der.contains(u):
             round_trip = False

@@ -32,8 +32,7 @@ class DerivationSpace:
         return self.space.combination_matrix(coords, self.target.dim, self.algebra.dim)
 
     def basis_maps(self):
-        return [Matrix.from_flat(self.algebra.field, row, self.target.dim, self.algebra.dim)
-                for row in self.space.basis]
+        return self.space.basis_maps(self.target.dim, self.algebra.dim)
 
     def basis_parities(self):
         """Parity of each canonical basis derivation (graded solver only)."""
@@ -41,10 +40,9 @@ class DerivationSpace:
             raise AlgebraError("ungraded derivation space has no parities")
         pq = self.target.parity
         pa = self.algebra.parity
-        n = self.algebra.dim
         out = []
-        for row in self.space.basis:
-            pars = {(pq[i // n] + pa[i % n]) % 2 for i, x in enumerate(row) if x != 0}
+        for u in self.basis_maps():
+            pars = {(pq[i] + pa[j]) % 2 for i, r in enumerate(u.row_entries()) for j, _ in r}
             if len(pars) != 1:
                 raise AlgebraError("derivation basis vector is not homogeneous")
             out.append(pars.pop())

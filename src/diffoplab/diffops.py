@@ -60,7 +60,8 @@ class DiffSpace:
         return self.space.contains(phi.flatten())
 
     def basis_maps(self):
-        return [self.hom.from_flat(list(r)) for r in self.space.basis]
+        hom = self.hom
+        return [LinMap(hom.source, hom.target, m) for m in hom.basis_maps(self.space)]
 
     def __repr__(self):
         tag = f"{self.definition}[naive]" if self.naive else self.definition

@@ -275,15 +275,12 @@ class GradedCochainComplex:
     # -- reports -----------------------------------------------------------------
 
     def d_squared_is_zero(self) -> bool:
-        """δ∘δ = 0 on the algebra-linear subcomplex, checked in ambient coords."""
+        """δ∘δ = 0 on the algebra-linear subcomplex, checked in ambient coords:
+        δ_{k+1}·(δ_k·Bᵀ) vanishes for the basis rows B of each degree k."""
         for k in range(self.cap):
-            second = self.ambient_delta[k + 1] if k + 1 <= self.cap else None
-            if second is None:
-                continue
-            for row in self.forms[k].basis:
-                img = second.apply(self.ambient_delta[k].apply(list(row)))
-                if any(x != 0 for x in img):
-                    return False
+            images = self.ambient_delta[k] @ self.forms[k].basis_matrix().transpose()
+            if not (self.ambient_delta[k + 1] @ images).is_zero():
+                return False
         return True
 
     def to_dict(self):

@@ -64,11 +64,6 @@ class LinMap:
     def flatten(self):
         return self.matrix.flatten()
 
-    @staticmethod
-    def from_flat(source: Bimodule, target: Bimodule, flat, parity=None) -> "LinMap":
-        matrix = Matrix.from_flat(source.field, flat, target.dim, source.dim)
-        return LinMap(source, target, matrix, parity)
-
     def __call__(self, vec):
         return self.matrix.apply(vec)
 
@@ -203,15 +198,9 @@ class HomSpace:
         return self._sign
 
     def parity_subspace(self, par: int) -> Subspace:
-        pars = self.coordinate_parity()
-        f = self.algebra.field
-        vecs = []
-        for i, p in enumerate(pars):
-            if p == par:
-                v = [f.zero()] * self.dim
-                v[i] = f.one()
-                vecs.append(v)
-        return Subspace.from_spanning(f, self.dim, vecs)
+        """The maps supported on coordinates of parity ``par``."""
+        off = [[(i, 1)] for i, p in enumerate(self.coordinate_parity()) if p != par]
+        return kernel(Matrix.from_pairs(self.algebra.field, off, self.dim))
 
     def map_parity(self, phi: LinMap):
         """Parity of a homogeneous map, or raise if mixed."""
@@ -230,8 +219,9 @@ class HomSpace:
         return LinMap(self.source, self.target,
                       Matrix.from_rows(self.algebra.field, matrix_rows))
 
-    def from_flat(self, flat) -> LinMap:
-        return LinMap.from_flat(self.source, self.target, flat)
+    def basis_maps(self, space: Subspace):
+        """The basis of a subspace of this Hom space, as (dim Q)×(dim P) matrices."""
+        return space.basis_maps(self.target.dim, self.source.dim)
 
     def act(self, kind: str, a_coords, phi: LinMap) -> LinMap:
         """One of the four module actions of an algebra element on a map."""
@@ -321,6 +311,10 @@ class DualModule:
     def as_map(self, coords) -> Matrix:
         """The functional with the given dual coordinates, as an n×(dim Q) matrix."""
         return self.space.combination_matrix(coords, self.hom.target.dim, self.hom.source.dim)
+
+    def basis_maps(self):
+        """The canonical basis functionals, as n×(dim Q) matrices."""
+        return self.hom.basis_maps(self.space)
 
 
 def right_dual(q: Bimodule) -> DualModule:

@@ -5,7 +5,8 @@ generated by all (k+1)-fold images of δ^b(x⊗p) = (bx)⊗p − x⊗(bp); the m
 J_k(p) = class(1 ⊗ p) is then itself an order-k operator, and composing
 with module maps out of the quotient enumerates operators out of P.  The
 two-sided first jet does the same inside A ⊗ P ⊗ A with an outer action on
-each side.
+each side.  Both builders find μ, and :class:`JetModule` realizes either
+quotient from μ, the two ambient action families and the unit tensors.
 """
 
 from __future__ import annotations
@@ -30,25 +31,31 @@ JET_ORDER_CAP = 2
 
 
 class JetModule:
-    """A realized jet quotient with its module structures and J map."""
+    """A realized jet quotient with its module structures and J map.
 
-    def __init__(self, algebra, source, order, ambient_dim, mu, proj, reps,
-                 left_ops, second_ops, jk, two_sided=False):
+    Its coordinates sit at the free columns ``free`` of ``mu``; an ambient
+    operator m of ``left`` or ``second`` acts as proj∘m∘lift, where the lift
+    is the selection matrix of ``free``; J sends e_l to the class of units[l].
+    """
+
+    def __init__(self, algebra, source, order, mu, left, second, units, two_sided=False):
+        f = algebra.field
+        n = mu.ambient_dim
         self.algebra = algebra
         self.source = source
         self.order = order
-        self.ambient_dim = ambient_dim
+        self.ambient_dim = n
         self.mu = mu
-        self.proj = proj
-        self.reps = reps
-        self.left_ops = left_ops
-        self.second_ops = second_ops
-        self.jk = jk
+        self.free, self.proj = quotient_projection(mu)
+        lift = Matrix.from_pairs(f, [[(c, 1)] for c in self.free], n).transpose()
+        self.left_ops = [self.proj @ m @ lift for m in left]
+        self.second_ops = [self.proj @ m @ lift for m in second]
+        self.jk = self.proj @ Matrix(f, units, n).transpose()
         self.two_sided = two_sided
 
     @property
     def dim(self):
-        return len(self.reps)
+        return len(self.free)
 
     def quotient_bimodule(self) -> Bimodule:
         kind = "right" if (self.two_sided or self.algebra.is_commutative()) \
@@ -103,13 +110,7 @@ def jet_module(algebra: FiniteAlgebra, p: Bimodule, k: int,
     for _ in range(k + 1):
         level = image_span(deltas, level)
     mu = closure(f, ambient.dim, level.basis, ambient.left + ambient.right)
-    reps, proj = quotient_projection(mu)
-    lift = Matrix(f, reps, ambient.dim).transpose()
-    left_ops = [proj @ ambient.left[i] @ lift for i in range(n)]
-    second_ops = [proj @ ambient.right[i] @ lift for i in range(n)]
-    jk = proj @ Matrix(f, _unit_tensors(algebra, p), ambient.dim).transpose()
-    return JetModule(algebra, p, k, ambient.dim, mu, proj, reps,
-                     left_ops, second_ops, jk)
+    return JetModule(algebra, p, k, mu, ambient.left, ambient.right, _unit_tensors(algebra, p))
 
 
 def jk_is_diffop(jm: JetModule) -> bool:
@@ -151,13 +152,8 @@ def two_sided_jet(algebra: FiniteAlgebra, p: Bimodule) -> JetModule:
             for c in range(n):
                 gens.append(bar_deltas[c].apply(inner))
     mu = closure(f, sw.dim, gens, sw.bimodule.left + sw.bimodule.right)
-    reps, proj = quotient_projection(mu)
-    lift = Matrix(f, reps, sw.dim).transpose()
-    left_ops = [proj @ sw.bimodule.left[i] @ lift for i in range(n)]
-    right_ops = [proj @ sw.bimodule.right[i] @ lift for i in range(n)]
-    jk = proj @ Matrix(f, units, sw.dim).transpose()
-    return JetModule(algebra, p, 1, sw.dim, mu, proj, reps,
-                     left_ops, right_ops, jk, two_sided=True)
+    return JetModule(algebra, p, 1, mu, sw.bimodule.left, sw.bimodule.right, units,
+                     two_sided=True)
 
 
 def two_sided_representability(jm: JetModule, q: Bimodule) -> dict:
@@ -167,17 +163,12 @@ def two_sided_representability(jm: JetModule, q: Bimodule) -> dict:
         raise ValueError("needs a two-sided jet")
     hom = hom_space_out_of_jet(jm, q)
     dv = dv_first_order(jm.source, q)
-    f = jm.algebra.field
-    jd = jm.dim
-    mq = q.dim
     forward_ok = True
-    for row in hom.basis:
-        composed = Matrix.from_flat(f, row, mq, jd) @ jm.jk
-        if not dv.space.contains(composed.flatten()):
+    for fmat in hom.basis_maps(q.dim, jm.dim):
+        if not dv.space.contains((fmat @ jm.jk).flatten()):
             forward_ok = False
     backward_ok = True
-    for row in dv.space.basis:
-        delta = Matrix.from_flat(f, row, mq, jm.source.dim)
+    for delta in dv.hom.basis_maps(dv.space):
         fact = factorize(jm, q, delta, hom_space=hom)
         if not fact.ok:
             backward_ok = False
@@ -210,8 +201,7 @@ def left_jet_identity_witness(algebra: FiniteAlgebra, p: Bimodule, k: int = 1):
     deltas = [ambient.left[i] - ambient.right[i] for i in range(n)]
     units = _unit_tensors(algebra, p)
     unit_cols = Matrix(f, units, ambient.dim).transpose()
-    for row in maps.basis:
-        fmat = hom.from_flat(row).matrix
+    for fmat in hom.basis_maps(maps):
         fj = fmat @ unit_cols
         for b0, b1 in product(range(n), repeat=2):
             lhs = (algebra.left_mult_basis(b0) @ algebra.left_mult_basis(b1) @ fj

@@ -38,12 +38,14 @@ Besides ``kernel`` and ``closure``, the constructions of the higher layers
 rest on four helpers: ``preimage`` (the vectors that a family of operators
 sends into a subspace), ``restrict_operator`` (the matrix of m from a
 subspace S into a subspace T, in their basis coordinates; T is S itself
-unless given), ``quotient_projection`` (coset representatives of K^n/S and
-the projection onto their coordinates), and ``factor_through`` (write
+unless given), ``quotient_projection`` (the free columns of K^n/S and the
+projection onto their coordinates), and ``factor_through`` (write
 Δ = F∘J with F in a given space of maps).  ``quotient_projection``
-reduces S with its columns reversed, takes as representatives the unit
-vectors at the columns that are not trailing pivots of S, and reads the
-projection off that echelon form; nothing is inverted.
+reduces S with its columns reversed; its free columns are those that are
+not trailing pivots of S (the unit vectors there represent the cosets), and
+the projection is read off that echelon form; nothing is inverted.  How a
+map is flattened is decided here alone: ``Subspace.basis_maps`` and
+``combination_matrix`` give a space of flattened maps back as Matrices.
 
 A subspace whose dimension equals its ambient dimension is all of K^n, and
 the primitives stop there: ``closure`` and ``image_span`` return as soon as
@@ -751,12 +753,20 @@ class Subspace:
         """Σ c_i b_i over the canonical basis, as a dense vector."""
         return _dense(self._combination_entries(coords), self.ambient_dim)
 
-    def combination_matrix(self, coords, rows: int, cols: int) -> Matrix:
-        """Σ c_i b_i in a space of rows×cols matrices flattened row-major, as a Matrix."""
+    def _as_matrices(self, flats, rows: int, cols: int):
+        """The rows×cols matrices whose row-major flattenings have the sorted pairs ``flats``."""
         if rows * cols != self.ambient_dim:
             raise ValueError("matrix shape does not match the ambient dimension")
-        return Matrix._from_pairs(self.field,
-                                  _unflatten(self._combination_entries(coords), rows, cols), cols)
+        return [Matrix._from_pairs(self.field, _unflatten(pairs, rows, cols), cols)
+                for pairs in flats]
+
+    def basis_maps(self, rows: int, cols: int):
+        """The basis of a space of rows×cols matrices flattened row-major, as Matrices."""
+        return self._as_matrices(self._rows, rows, cols)
+
+    def combination_matrix(self, coords, rows: int, cols: int) -> Matrix:
+        """Σ c_i b_i in a space of rows×cols matrices flattened row-major, as a Matrix."""
+        return self._as_matrices([self._combination_entries(coords)], rows, cols)[0]
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -929,15 +939,16 @@ def preimage(ops, target: Subspace) -> Subspace:
 
 
 def quotient_projection(sub: Subspace):
-    """Coset representatives of K^n/sub and the projection onto their coordinates.
+    """The free columns of K^n/sub and the projection onto their coordinates.
 
-    Returns ``(reps, proj)``: ``reps`` extend the basis of ``sub`` to a basis
-    of K^n, and ``proj`` maps v to the coordinates of v + sub in the basis
-    of the cosets of ``reps``.  Nothing is inverted: ``sub`` is reduced with
-    its columns reversed, whose pivots are its trailing pivots t (the last
-    non-zero column of some vector of sub), with basis rows c_t.  ``reps``
-    are the unit vectors e_f at the other columns, in increasing order, and
-    since e_t ≡ e_t − c_t modulo sub, row f of ``proj`` is e_f − Σ_t c_t[f] e_t.
+    Returns ``(free, proj)``: the unit vectors e_f at the columns f of
+    ``free``, in increasing order, extend the basis of ``sub`` to a basis of
+    K^n, and ``proj`` maps v to the coordinates of v + sub in the basis of
+    their cosets.  Nothing is inverted: ``sub`` is reduced with its columns
+    reversed, whose pivots are its trailing pivots t (the last non-zero
+    column of some vector of sub), with basis rows c_t.  The free columns
+    are the others, and since e_t ≡ e_t − c_t modulo sub, row f of ``proj``
+    is e_f − Σ_t c_t[f] e_t.
     """
     f, n = sub.field, sub.ambient_dim
     ech = Echelon(f, n)
@@ -947,11 +958,10 @@ def quotient_projection(sub: Subspace):
     for j in range(n):
         if n - 1 - j not in ech.pivots:
             proj[j] = {j: 1}
-    reps = [_dense([(j, 1)], n) for j in proj]
     for pc, pairs in ech.reduced_rows():
         for j, x in pairs[1:]:
             proj[n - 1 - j][n - 1 - pc] = -x
-    return reps, Matrix.from_entries(f, [r.items() for r in proj.values()], n)
+    return list(proj), Matrix.from_entries(f, [r.items() for r in proj.values()], n)
 
 
 class Factorization:
@@ -980,9 +990,8 @@ def factor_through(maps: Subspace, j: Matrix, delta: Matrix) -> Factorization:
     # one equation per entry (m, i) of delta, at index i·rows + m; its
     # unknowns are the coordinates k of F in the basis of ``maps``
     system = [[] for _ in range(delta.cols * rows)]
-    for k, flat in enumerate(maps._basis_entries()):
-        image = Matrix._from_pairs(f, _unflatten(flat, rows, width), width) @ j
-        for m, pairs in enumerate(image._nzr):
+    for k, fmap in enumerate(maps.basis_maps(rows, width)):
+        for m, pairs in enumerate((fmap @ j)._nzr):
             for i, x in pairs:
                 system[i * rows + m].append((k, x))
     rhs = [0] * (delta.cols * rows)

@@ -10,7 +10,7 @@ bimodule map; algebra maps extend to calculus morphisms degree by degree.
 
 from __future__ import annotations
 
-from itertools import compress, count, product
+from itertools import product
 
 from .algebra import AlgebraError, FiniteAlgebra
 from .bimodule import Bimodule
@@ -154,8 +154,8 @@ class UniversalCalculus:
                         row[wi * t + y] = f.sub(row.get(wi * t + y, 0), c)
                     relations.add_entries(row.items())
         self.middle_relations = relations.subspace()
-        self.reps2, self.proj2 = quotient_projection(self.middle_relations)
-        q2 = self.omega2_dim = len(self.reps2)
+        self.free2, self.proj2 = quotient_projection(self.middle_relations)
+        q2 = self.omega2_dim = len(self.free2)
         # d1 on basis vectors of Ω¹ via their ambient A⊗A coordinates:
         # Σ x_{ij} e_i d e_j  ↦  Σ x_{ij} d e_i · d e_j, with row i·n + j of
         # ``de_de`` holding d e_i · d e_j
@@ -192,11 +192,8 @@ class UniversalCalculus:
         """a · (class of ω⊗η) = class of (aω)⊗η."""
         t = self.omega1.dim
         l1_cols = Matrix.combination(self.left1, a_coords).column_entries()
-        lifted = {}  # Σ w2[ri]·reps2[ri]
-        for c, rep in zip(w2, self.reps2):
-            if c:
-                for x in compress(count(), rep):
-                    lifted[x] = lifted.get(x, 0) + c * rep[x]
+        # the representative of class r is the unit tensor at free2[r]
+        lifted = {k: c for k, c in zip(self.free2, w2) if c}
         # (l1 ⊗ I)·lifted: entry x·t + y moves to x2·t + y with weight l1[x2][x]
         t2 = {}
         for k, v in lifted.items():

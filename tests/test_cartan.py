@@ -116,3 +116,16 @@ def test_mirror_pair():
 def test_left_pair_relations():
     a, pair = universal_pair("matrix:2", side="left")
     assert pair.relations_hold()
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("spec", ["matrix:2", "trunc_poly:3"])
+def test_relations_hold_rejects_a_perturbed_derivation(spec, side):
+    # d + E_00 is no derivation; the pair is built around the check in
+    # build_cartan_pair, so only relations_hold can notice
+    a = catalog(spec)
+    uc = UniversalCalculus(a, cap=1)
+    q = uc.omega1_bimodule()
+    e00 = Matrix.from_pairs(a.field, [[(0, 1)]] + [[] for _ in range(q.dim - 1)], a.dim)
+    assert CartanPair(a, q, uc.d0, side).relations_hold()
+    assert not CartanPair(a, q, uc.d0 + e00, side).relations_hold()

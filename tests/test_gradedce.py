@@ -5,6 +5,7 @@ from diffoplab.bimodule import regular_bimodule
 from diffoplab.derivations import derivations
 from diffoplab.fields import Field
 from diffoplab.gradedce import GradedCochainComplex, SuperExterior
+from diffoplab.linalg import Matrix
 
 
 def test_super_exterior_monomials():
@@ -57,6 +58,17 @@ def test_delta_squared_zero_grassmann():
         cx = GradedCochainComplex(grassmann(g), cap=2)
         assert cx.d_squared_is_zero()
         assert (cx.d[1] @ cx.d[0]).is_zero()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("g", [1, 2])
+def test_delta_squared_detects_a_perturbed_coboundary(g, k):
+    # E_00 added to δ_1 spoils δ_1∘δ_0; added to δ_2 it spoils only δ_2∘δ_1
+    cx = GradedCochainComplex(grassmann(g), cap=2)
+    d = cx.ambient_delta[k]
+    e00 = Matrix.from_pairs(d.field, [[(0, 1)]] + [[] for _ in range(d.rows - 1)], d.cols)
+    cx.ambient_delta[k] = d + e00
+    assert not cx.d_squared_is_zero()
 
 
 def test_delta_squared_zero_even_odd_product():

@@ -170,7 +170,7 @@ def test_two_sided_jet_m2_representability():
 
 
 def unreduced_jet_parts(algebra, p, k):
-    """μ, proj, reps and J_k from the full (k+1)-fold image list, unreduced."""
+    """μ, proj, the free columns and J_k from the full (k+1)-fold image list, unreduced."""
     f = algebra.field
     ambient = tensor_algebra_module(algebra, p)
     deltas = [ambient.left[i] - ambient.right[i] for i in range(algebra.dim)]
@@ -178,11 +178,11 @@ def unreduced_jet_parts(algebra, p, k):
     for _ in range(k + 1):
         level = [d.apply(v) for v in level for d in deltas]
     mu = closure(f, ambient.dim, level, ambient.left + ambient.right)
-    reps, proj = quotient_projection(mu)
+    free, proj = quotient_projection(mu)
     units = [[f.mul(u, x) for u in algebra.unit for x in p.basis_vector(l)]
              for l in range(p.dim)]
     jk = proj @ Matrix(f, units, ambient.dim).transpose()
-    return mu, proj, reps, jk
+    return mu, proj, free, jk
 
 
 @pytest.mark.parametrize("spec,k", [("trunc_poly:3", 1), ("trunc_poly:3", 2),
@@ -191,9 +191,9 @@ def test_jet_module_matches_unreduced_level_expansion(spec, k):
     a = catalog(spec)
     reg = regular_bimodule(a)
     jm = jet_module(a, reg, k, allow_noncommutative=True)
-    mu, proj, reps, jk = unreduced_jet_parts(a, reg, k)
+    mu, proj, free, jk = unreduced_jet_parts(a, reg, k)
     assert jm.mu == mu
     assert jm.mu.basis == mu.basis
     assert jm.proj == proj
-    assert jm.reps == reps
+    assert jm.free == free
     assert jm.jk == jk

@@ -231,10 +231,10 @@ def test_inverse_and_quotient_projection(field):
     with pytest.raises(ValueError):
         inverse(M([[1, 2], [2, 4]], field))
     sub = Subspace.from_spanning(field, 3, [[1, 1, 0], [0, 2, 1]])
-    reps, proj = quotient_projection(sub)
-    assert len(reps) == 1 and proj.rows == 1 and proj.cols == 3
+    free, proj = quotient_projection(sub)
+    assert len(free) == 1 and proj.rows == 1 and proj.cols == 3
     assert all(x == 0 for b in sub.basis for x in proj.apply(list(b)))
-    assert proj.apply(reps[0]) == [1]
+    assert proj.col(free[0]) == [1]
 
 
 def test_factor_through():
@@ -504,7 +504,7 @@ def typed(rows):
 def test_quotient_projection_matches_inversion_oracle(field):
     rng = random.Random(31)
     one, zero = field.one(), field.zero()
-    # span(e0 + e1): leading pivot 0, trailing pivot 1, so the reps are e0, e2
+    # span(e0 + e1): leading pivot 0, trailing pivot 1, so the free columns are 0, 2
     subs = [Subspace.from_spanning(field, 3, [[one, one, zero]]),
             Subspace.zero(field, 4), Subspace.full(field, 4), Subspace.zero(field, 0)]
     for _ in range(40):
@@ -512,10 +512,12 @@ def test_quotient_projection_matches_inversion_oracle(field):
         rows = random_matrix(rng, field, rng.randrange(0, n + 1), n,
                              rng.choice((0.2, 0.6, 1.0))).data
         subs.append(Subspace.from_spanning(field, n, rows))
-    assert quotient_projection(subs[0])[0] == [[1, 0, 0], [0, 0, 1]]
+    assert quotient_projection(subs[0])[0] == [0, 2]
     for sub in subs:
         n = sub.ambient_dim
-        reps, proj = quotient_projection(sub)
+        free, proj = quotient_projection(sub)
+        # the representatives are the unit vectors at the free columns
+        reps = [[int(i == c) for i in range(n)] for c in free]
         want_reps, want_proj = inversion_quotient_projection(sub.basis, n, field.char)
         assert typed(reps) == typed(want_reps)
         assert typed(proj.data) == typed(want_proj)
@@ -718,6 +720,10 @@ def test_pair_native_subspaces_match_the_oracle(field):
         shape = (2, n // 2) if n % 2 == 0 else (1, n)
         assert a.combination_matrix(coords, *shape) == Matrix.from_flat(
             field, a.linear_combination(coords), *shape)
+        # and its basis, one matrix per stored row; a shape of another size is refused
+        assert a.basis_maps(*shape) == [Matrix.from_flat(field, r, *shape) for r in a.basis]
+        with pytest.raises(ValueError):
+            a.basis_maps(shape[0] + 1, shape[1])
         # closure of random seeds, and the operators restricted to it
         ops = [random_matrix(rng, field, n, n, rng.choice((0.2, 0.5)))
                for _ in range(rng.randrange(1, 3))]
@@ -736,3 +742,5 @@ def test_pair_native_subspaces_match_the_oracle(field):
         assert full == Subspace.from_spanning(field, n, eye)
         assert full.to_echelon().pivots == Subspace.from_spanning(field, n, eye).to_echelon().pivots
         assert [list(r) for r in full.basis] == eye
+        for s in (full, Subspace.zero(field, n)):
+            assert s.basis_maps(1, n) == [Matrix.from_flat(field, r, 1, n) for r in s.basis]

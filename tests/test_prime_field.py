@@ -6,7 +6,7 @@ import pytest
 
 from diffoplab.algebra import AlgebraError, catalog
 from diffoplab.bimodule import regular_bimodule
-from diffoplab.cecalc import CochainComplex, ce_duality_check
+from diffoplab.cecalc import CochainComplex, ce_duality_check, ce_forms
 from diffoplab.derivations import derivations, first_order_decomposition
 from diffoplab.diffops import (
     compare_definitions,
@@ -169,3 +169,27 @@ def test_field_characteristics_are_exactly_the_primes():
     for n in (2 ** 64, 18446744073709551629):
         with pytest.raises(ValueError, match="2\\*\\*64"):
             Field(n)
+
+
+def _der_and_forms_dims(a):
+    """dim Der(A, A) and dim of the degree-2 Chevalley–Eilenberg forms."""
+    der = derivations(a, regular_bimodule(a))
+    return der.dim, ce_forms(a, 2, der).dim
+
+
+@pytest.mark.parametrize("spec", ["matrix:2", "quaternion", "trunc_poly:3", "square_zero:2",
+                                  "group_z:3", "grassmann:2", "trunc_poly:2+matrix:2"])
+def test_integer_constants_keep_dims_at_a_large_prime(spec):
+    # with integer structure constants these spaces are kernels of integer
+    # systems: mod p the rank can only drop, so a dimension can only grow,
+    # and at a large prime it grows on none of the catalog
+    dims = {}
+    for field in (QQ, GF32003):
+        a = catalog(spec, field)
+        reg = regular_bimodule(a)
+        report = compare_definitions(reg, reg, 1)
+        dims[field.char] = (_der_and_forms_dims(a),
+                            {name: s.dim for name, s in report.definitions.items()})
+    assert dims[0] == dims[32003]
+    over_3 = _der_and_forms_dims(catalog(spec, Field(3)))
+    assert all(x >= y for x, y in zip(over_3, dims[0][0]))

@@ -195,7 +195,7 @@ def degree_two_one_by_one(uc):
                 for y, c in enumerate(le):
                     vec[wi * t + y] = f.sub(vec[wi * t + y], c)
                 rel_vecs.append(vec)
-    reps, proj = quotient_projection(Subspace.from_spanning(f, t * t, rel_vecs))
+    free, proj = quotient_projection(Subspace.from_spanning(f, t * t, rel_vecs))
 
     def product(w, e):
         return proj.apply([f.mul(x, y) for x in w for y in e])
@@ -203,23 +203,23 @@ def degree_two_one_by_one(uc):
     des = [uc.d0.col(i) for i in range(n)]
     cols = []
     for row in uc.omega1.basis:
-        acc = [f.zero()] * len(reps)
+        acc = [f.zero()] * len(free)
         for i in range(n):
             for j in range(n):
                 term = product(des[i], des[j])
                 acc = [f.add(x, f.mul(row[i * n + j], y)) for x, y in zip(acc, term)]
         cols.append(acc)
-    d1 = Matrix(f, [[c[m] for c in cols] for m in range(len(reps))], t)
-    return reps, proj, d1
+    d1 = Matrix(f, [[c[m] for c in cols] for m in range(len(free))], t)
+    return free, proj, d1
 
 
 @pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
 @pytest.mark.parametrize("spec", ["matrix:2", "quaternion", "trunc_poly:3"])
 def test_degree_two_matches_one_by_one_construction(spec, field):
     uc = UniversalCalculus(catalog(spec, field), cap=2)
-    reps, proj, d1 = degree_two_one_by_one(uc)
-    assert uc.omega2_dim == len(reps)
-    assert uc.reps2 == reps
+    free, proj, d1 = degree_two_one_by_one(uc)
+    assert uc.omega2_dim == len(free)
+    assert uc.free2 == free
     assert uc.proj2 == proj
     assert uc.d1 == d1
     assert uc.juxtaposition_rule_holds()
@@ -230,3 +230,19 @@ def test_juxtaposition_rule_detects_a_mutated_calculus(field):
     uc = UniversalCalculus(catalog("matrix:2", field), cap=2)
     uc.left1[0], uc.left1[1] = uc.left1[1], uc.left1[0]
     assert not uc.juxtaposition_rule_holds()
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", ["matrix:2", "quaternion", "trunc_poly:3"])
+def test_left_action_on_omega2_moves_into_the_first_factor(spec, field):
+    # a·(class of w⊗e) = class of (a·w)⊗e, for basis a and unit w, e of Ω¹
+    a = catalog(spec, field)
+    uc = UniversalCalculus(a, cap=2)
+    t = uc.omega1.dim
+    units = [[int(x == i) for x in range(t)] for i in range(t)]
+    for i in range(a.dim):
+        e_i = a.basis_vector(i)
+        for w in units:
+            aw = uc._left1_coords(e_i, w)
+            for e in units:
+                assert uc.left2(e_i, uc.mu11(w, e)) == uc.mu11(aw, e)
