@@ -3,9 +3,12 @@
 Given a bimodule Q with a Q-valued derivation d, every right-linear
 functional u: Q → A yields the operator û(a) = u(da).  The pair (dual, hat)
 is the right Cartan pair; the left pair mirrors it with left-linear
-functionals.  The hats are the candidate noncommutative vector fields, and
-the comparison report records which differential-operator definitions each
-one satisfies.
+functionals.  The map u ↦ û is the matrix H = (I_n ⊗ dᵀ)·Bᵀ on dual
+coordinates (B the dual basis matrix, flattening row-major), and both
+structure identities are linear in u: ``relations_hold`` checks them as 2n
+sparse matrix identities in H, two per algebra basis element.  The hats are
+the candidate noncommutative vector fields, and the comparison report
+records which differential-operator definitions each one satisfies.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .bimodule import Bimodule, regular_bimodule
 from .derivations import derivations
 from .diffops import dv_first_order, lunts_filtration
 from .homspace import left_dual, right_dual, two_sided_dual_space
-from .linalg import Matrix
+from .linalg import Matrix, kron
 
 
 class CartanPair:
@@ -39,40 +42,42 @@ class CartanPair:
         return [u @ self.d_matrix for u in self.dual.basis_maps()]
 
     def relations_hold(self) -> bool:
-        """The two structure identities of the pair, on all basis pairs.
+        """The two structure identities of the pair, as 2n sparse matrix identities.
 
-        Right pair:  (bu)^(a) = b·u(da)  and  û(ba) = û(b)a + (ub)^(a).
-        Left pair mirrors with the opposite multiplications.
+        Column r of H = (I_n ⊗ dᵀ)·Bᵀ, with B the basis matrix of the dual
+        space, is vec(û_r), since vec(U·d) = (I ⊗ dᵀ)·vec(U) row-major.  For
+        the right pair, with L_i the left multiplication by e_i and λ_i, ρ_i
+        the left and right dual actions of e_i, each i gives
+
+            (L_i ⊗ I)·H = H·λ_i     (e_i u)^ = e_i·û
+            T_i·H = H·ρ_i           û(e_i a) = û(e_i)a + (u e_i)^(a)
+
+        with T_i X = X·L_i − L(X e_i), that is T_i = (I ⊗ L_iᵀ) − Λ·E_i,
+        where E_i reads column i of X and column m of Λ is vec(L_m).  The
+        left pair is the same with R in place of L and the two dual actions
+        swapped.  The first identity holds for every d: it checks the
+        restricted dual action.
         """
         alg = self.algebra
         f = alg.field
         n = alg.dim
-        # a dual action on the r-th basis functional is column r of its matrix
-        left, right = self.dual.bimodule.left, self.dual.bimodule.right
-        for r, u_hat in enumerate(self.hat_basis()):
-            for i in range(n):
-                scaled = left[i].col(r) if self.side == "right" else right[i].col(r)
-                lhs = self.hat(scaled)
-                rhs = (alg.left_mult_basis(i) @ u_hat if self.side == "right"
-                       else alg.right_mult_basis(i) @ u_hat)
-                if lhs != rhs:
-                    return False
-            for i, j in product(range(n), repeat=2):
-                if self.side == "right":
-                    moved = right[i].col(r)                       # ub
-                    lhs = u_hat.apply(alg.sc[i][j])               # û(e_i e_j)
-                    rhs = alg.right_mult_basis(j).apply(
-                        u_hat.col(i))                             # û(e_i)·e_j
-                    rhs2 = self.hat(moved).col(j)                 # (u e_i)^(e_j)
-                else:
-                    moved = left[j].col(r)                        # bu
-                    lhs = u_hat.apply(alg.sc[i][j])               # û(e_i e_j)
-                    rhs = alg.left_mult_basis(i).apply(
-                        u_hat.col(j))                             # e_i·û(e_j)
-                    rhs2 = self.hat(moved).col(i)                 # (e_j u)^(e_i)
-                want = [f.add(x, y) for x, y in zip(rhs, rhs2)]
-                if lhs != want:
-                    return False
+        eye = Matrix.identity(f, n)
+        h = kron(eye, self.d_matrix.transpose()) @ self.dual.space.basis_matrix().transpose()
+        acts = self.dual.bimodule.left, self.dual.bimodule.right
+        if self.side == "right":
+            mults = [alg.left_mult_basis(i) for i in range(n)]
+            scaled, moved = acts
+        else:
+            mults = [alg.right_mult_basis(i) for i in range(n)]
+            moved, scaled = acts
+        lam = Matrix(f, [m.flatten() for m in mults], n * n).transpose()
+        h_rows = h.row_entries()
+        for i, m in enumerate(mults):
+            if kron(m, eye) @ h != h @ scaled[i]:
+                return False
+            col_i = Matrix.from_pairs(f, [h_rows[k * n + i] for k in range(n)], h.cols)
+            if kron(eye, m.transpose()) @ h - lam @ col_i != h @ moved[i]:
+                return False
         return True
 
 

@@ -634,7 +634,8 @@ class Subspace:
     pairs: equal subspaces have identical representations.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivot_cols", "_rows", "_basis", "_constraints")
+    __slots__ = ("field", "ambient_dim", "pivot_cols", "_rows", "_basis", "_constraints",
+                 "_pivot_index")
 
     def __init__(self, field: Field, ambient_dim: int, rows, pivot_cols):
         self.field = field
@@ -643,6 +644,7 @@ class Subspace:
         self._rows = rows
         self._basis = None
         self._constraints = None
+        self._pivot_index = None
 
     @staticmethod
     def from_spanning(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -722,10 +724,15 @@ class Subspace:
 
     def _coord_entries(self, pairs):
         """The non-zero coordinates, as ``(index, value)`` pairs, of the vector with
-        the pairs ``pairs``: its entries at the pivots.  The residual vec − Σ c_i b_i,
-        summed with plain ``+``/``*``, must vanish (mod p over GF(p))."""
+        the sorted non-zero pairs ``pairs``: its entries at the pivots, looked up
+        pair by pair (the pivot columns increase, so the indices do too).  The
+        residual vec − Σ c_i b_i, summed with plain ``+``/``*``, must vanish
+        (mod p over GF(p))."""
+        if self._pivot_index is None:
+            self._pivot_index = {pc: k for k, pc in enumerate(self.pivot_cols)}
+        index = self._pivot_index
         residual = dict(pairs)
-        coords = [(k, c) for k, pc in enumerate(self.pivot_cols) if (c := residual.get(pc))]
+        coords = [(index[j], c) for j, c in residual.items() if j in index]
         for k, c in coords:
             for j, y in self._rows[k]:
                 residual[j] = residual.get(j, 0) - c * y

@@ -26,7 +26,6 @@ from .linalg import (
     kron,
     quotient_projection,
     restrict_operator,
-    solve_affine,
 )
 
 # Forms are materialized up to this degree.
@@ -159,14 +158,14 @@ class UniversalCalculus:
         # d1 on basis vectors of Ω¹ via their ambient A⊗A coordinates:
         # Σ x_{ij} e_i d e_j  ↦  Σ x_{ij} d e_i · d e_j, with row i·n + j of
         # ``de_de`` holding d e_i · d e_j
-        des = [self.d0.col(i) for i in range(n)]
-        de_de = Matrix(f, [self.mu11(des[i], des[j]) for i, j in product(range(n), repeat=2)],
-                       q2)
+        des = self.d0.column_entries()
+        de_de = Matrix(f, [self._project2(self._add_tensor({}, des[i], des[j]))
+                           for i, j in product(range(n), repeat=2)], q2)
         self.d1 = (self.omega1.basis_matrix() @ de_de).transpose()
 
     def mu11(self, w_coords, e_coords):
         """Product Ω¹ × Ω¹ → Ω² in quotient coordinates."""
-        return self._project2(self._add_tensor({}, w_coords, e_coords))
+        return self._project2(self._add_tensor({}, _pairs(w_coords), _pairs(e_coords)))
 
     def _project2(self, tensor):
         """The class in Ω² (dense quotient coordinates) of an Ω¹⊗Ω¹ tensor
@@ -176,16 +175,15 @@ class UniversalCalculus:
             out[i] = x
         return out
 
-    def _add_tensor(self, tensor, w_coords, e_coords):
+    def _add_tensor(self, tensor, w_pairs, e_pairs):
         """tensor += ω⊗η in flat Ω¹⊗Ω¹ coordinates, as ``{index: value}``
-        with plain sums; returns tensor."""
+        with plain sums, for ω and η given by the ``(index, value)`` pairs of
+        their non-zero Ω¹ coordinates; returns tensor."""
         t = self.omega1.dim
-        es = [(y, b) for y, b in enumerate(e_coords) if b]
-        for x, a in enumerate(w_coords):
-            if a:
-                base = x * t
-                for y, b in es:
-                    tensor[base + y] = tensor.get(base + y, 0) + a * b
+        for x, a in w_pairs:
+            base = x * t
+            for y, b in e_pairs:
+                tensor[base + y] = tensor.get(base + y, 0) + a * b
         return tensor
 
     def left2(self, a_coords, w2):
@@ -212,19 +210,21 @@ class UniversalCalculus:
         f = alg.field
         n = alg.dim
         des = [self.d0_coords(alg.basis_vector(i)) for i in range(n)]
-        # a·db for basis elements a, b
-        a_db = [[self._left1_coords(alg.basis_vector(a), des[b]) for b in range(n)]
+        de_pairs = self.d0.column_entries()
+        # a·db for basis elements a, b, as the pairs of its coordinates
+        a_db = [[_pairs(self._left1_coords(alg.basis_vector(a), des[b])) for b in range(n)]
                 for a in range(n)]
         for a0, a1, b0 in product(range(n), repeat=3):
             # μ₁₁ is bilinear, so the right side is (a₀d(a₁b₀) − a₀a₁db₀)·db₁;
             # its negative is added to the left side, and the sum projected once
             a0a1 = alg.multiply(alg.basis_vector(a0), alg.basis_vector(a1))
-            minus_rhs = [f.sub(y, x) for x, y in zip(
+            minus_rhs = _pairs([f.sub(y, x) for x, y in zip(
                 self._left1_coords(alg.basis_vector(a0), self.d0.apply(alg.sc[a1][b0])),
-                self._left1_coords(a0a1, des[b0]))]
+                self._left1_coords(a0a1, des[b0]))])
             for b1 in range(n):
                 diff = self._add_tensor({}, a_db[a0][a1], a_db[b0][b1])
-                if self.proj2._apply_pairs(self._add_tensor(diff, minus_rhs, des[b1]).items()):
+                if self.proj2._apply_pairs(
+                        self._add_tensor(diff, minus_rhs, de_pairs[b1]).items()):
                     return False
         return True
 
@@ -241,12 +241,10 @@ class UniversalCalculus:
         """
         alg = self.algebra
         f = alg.field
-        n = alg.dim
         center = alg.center()
-        eye = Matrix.identity(f, n)
         for z in center.basis:
-            left = kron(alg.left_mult(list(z)), eye)
-            right = kron(eye, alg.right_mult(list(z)))
+            left = Matrix.combination(self.amb_left, z)
+            right = Matrix.combination(self.amb_right, z)
             for zp in center.basis:
                 da = self.exact_form_ambient(list(zp))
                 diff = [f.sub(x, y) for x, y in
@@ -315,9 +313,11 @@ class ExtensionResult:
 def extend_hom(uc: UniversalCalculus, rho: Matrix, target: Calculus) -> ExtensionResult:
     """Extend an algebra map to a degree-wise calculus morphism.
 
-    ρ*(a₀ da₁ ⋯ da_k) = ρ(a₀)·d'ρ(a₁)⋯d'ρ(a_k), built by solving on a
-    spanning family (well-definedness = consistency of the solve) and
-    verified to intertwine the differentials.
+    ρ*(a₀ da₁ ⋯ da_k) = ρ(a₀)·d'ρ(a₁)⋯d'ρ(a_k).  In degrees 1 and 2 the map
+    F solves F∘J = Δ through ``factor_through`` over all linear maps, where
+    the columns of J are a spanning family and those of Δ their values
+    (well-definedness = consistency of the solve); it is then verified to
+    intertwine the differentials.
     """
     alg = uc.algebra
     f = alg.field
@@ -326,67 +326,42 @@ def extend_hom(uc: UniversalCalculus, rho: Matrix, target: Calculus) -> Extensio
         raise AlgebraError("map is not a unital algebra homomorphism")
     maps = [rho]
     # degree 1 on the spanning family e_i d e_j
-    t = uc.omega1.dim
-    span_vecs = []
-    values = []
     des = [uc.d0.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            span_vecs.append(uc._left1_coords(alg.basis_vector(i), des[j]))
-            dv = target.d[0].apply(rho.col(j))
-            values.append(target.mul(0, 1, rho.col(i), dv))
-    m1, ok1 = _solve_linear_map(f, t, target.dims[1], span_vecs, values)
+    dvs = [target.d[0].apply(rho.col(j)) for j in range(n)]
+    span1 = [uc._left1_coords(alg.basis_vector(i), des[j]) for i, j in product(range(n), repeat=2)]
+    values1 = [target.mul(0, 1, rho.col(i), dvs[j]) for i, j in product(range(n), repeat=2)]
+    m1 = _solve_on_span(f, uc.omega1.dim, target.dims[1], span1, values1)
     maps.append(m1)
-    well = ok1
-    inter = m1 is not None and (m1 @ uc.d0) == (target.d[0] @ rho)
-    if uc.cap >= 2 and len(target.d) >= 2 and m1 is not None:
-        span2 = []
-        values2 = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    w = uc.mu11(uc._left1_coords(alg.basis_vector(i), des[j]),
-                                des[k])
-                    span2.append(w)
-                    dvj = target.d[0].apply(rho.col(j))
-                    dvk = target.d[0].apply(rho.col(k))
-                    val = target.mul(1, 1, target.mul(0, 1, rho.col(i), dvj), dvk)
-                    values2.append(val)
-        m2, ok2 = _solve_linear_map(f, uc.omega2_dim, target.dims[2], span2, values2)
+    well = m1 is not None
+    inter = well and (m1 @ uc.d0) == (target.d[0] @ rho)
+    if uc.cap >= 2 and len(target.d) >= 2 and well:
+        # degree 2 on the spanning family e_i d e_j d e_k
+        span2 = [uc.mu11(span1[i * n + j], des[k]) for i, j, k in product(range(n), repeat=3)]
+        values2 = [target.mul(1, 1, values1[i * n + j], dvs[k])
+                   for i, j, k in product(range(n), repeat=3)]
+        m2 = _solve_on_span(f, uc.omega2_dim, target.dims[2], span2, values2)
         maps.append(m2)
-        well = well and ok2
-        if m2 is not None:
+        well = m2 is not None
+        if well:
             inter = inter and (m2 @ uc.d1) == (target.d[1] @ m1)
     return ExtensionResult(maps, inter, well)
 
 
-def _solve_linear_map(f, src_dim, dst_dim, span_vecs, values):
-    """Least linear map sending each spanning vector to its value."""
-    rows = []
-    rhs = []
-    for v, val in zip(span_vecs, values):
-        for m in range(dst_dim):
-            row = [f.zero()] * (dst_dim * src_dim)
-            for c in range(src_dim):
-                if v[c] != 0:
-                    row[m * src_dim + c] = v[c]
-            rows.append(row)
-            rhs.append(val[m] if val else f.zero())
-    if not rows:
-        return Matrix.zeros(f, dst_dim, src_dim), True
-    sol = solve_affine([(Matrix(f, rows, dst_dim * src_dim), rhs)])
-    if not sol.consistent:
-        return None, False
-    return Matrix(f, [sol.point[r * src_dim:(r + 1) * src_dim]
-                      for r in range(dst_dim)], src_dim), True
+def _solve_on_span(f, src_dim, dst_dim, span, values):
+    """The least linear map sending each spanning vector to its value, or None."""
+    j = Matrix(f, span, src_dim).transpose()
+    delta = Matrix(f, values, dst_dim).transpose()
+    return factor_through(Subspace.full(f, dst_dim * src_dim), j, delta).f_matrix
 
 
 def _is_algebra_map(src: FiniteAlgebra, dst: FiniteAlgebra, rho: Matrix) -> bool:
+    """ρ(1) = 1 and ρ·L_i = L(ρ e_i)·ρ for each basis element e_i."""
     if rho.apply(list(src.unit)) != list(dst.unit):
         return False
-    for i, j in product(range(src.dim), repeat=2):
-        lhs = rho.apply(src.sc[i][j])
-        rhs = dst.multiply(rho.col(i), rho.col(j))
-        if lhs != rhs:
-            return False
-    return True
+    return all(rho @ src.left_mult_basis(i) == dst.left_mult(rho.col(i)) @ rho
+               for i in range(src.dim))
+
+
+def _pairs(coords):
+    """The ``(index, value)`` pairs of the non-zero entries of a coordinate list."""
+    return [(i, c) for i, c in enumerate(coords) if c]

@@ -6,6 +6,7 @@ asserted against package output was first computed here (or by hand).
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 def frac_rows(rows):
@@ -350,3 +351,40 @@ def restricted_action(op, basis, p=0):
                 raise ValueError("the operator does not keep the span")
         cols.append(coords)
     return field_form(mat_transpose(cols, len(basis)), p)
+
+
+def cartan_relations_by_elements(pair):
+    """The structure identities of a Cartan pair checked one element at a time:
+    per dual basis functional u_r, (bu)^ = b·û for each basis b, and
+    û(ba) = û(b)a + (ub)^(a) for each basis pair (left pair mirrored), each
+    hat built through ``pair.hat`` from a dense column of a dual action."""
+    alg = pair.algebra
+    f = alg.field
+    n = alg.dim
+    # a dual action on the r-th basis functional is column r of its matrix
+    left, right = pair.dual.bimodule.left, pair.dual.bimodule.right
+    for r, u_hat in enumerate(pair.hat_basis()):
+        for i in range(n):
+            scaled = left[i].col(r) if pair.side == "right" else right[i].col(r)
+            lhs = pair.hat(scaled)
+            rhs = (alg.left_mult_basis(i) @ u_hat if pair.side == "right"
+                   else alg.right_mult_basis(i) @ u_hat)
+            if lhs != rhs:
+                return False
+        for i, j in product(range(n), repeat=2):
+            if pair.side == "right":
+                moved = right[i].col(r)                       # ub
+                lhs = u_hat.apply(alg.sc[i][j])               # û(e_i e_j)
+                rhs = alg.right_mult_basis(j).apply(
+                    u_hat.col(i))                             # û(e_i)·e_j
+                rhs2 = pair.hat(moved).col(j)                 # (u e_i)^(e_j)
+            else:
+                moved = left[j].col(r)                        # bu
+                lhs = u_hat.apply(alg.sc[i][j])               # û(e_i e_j)
+                rhs = alg.left_mult_basis(i).apply(
+                    u_hat.col(j))                             # e_i·û(e_j)
+                rhs2 = pair.hat(moved).col(i)                 # (e_j u)^(e_i)
+            want = [f.add(x, y) for x, y in zip(rhs, rhs2)]
+            if lhs != want:
+                return False
+    return True

@@ -11,10 +11,12 @@ from diffoplab.cartan import (
     two_sided_dual_space,
     two_sided_hats_are_first_order,
 )
+from diffoplab.bimodule import Bimodule
 from diffoplab.cecalc import MinimalCalculus
-from diffoplab.fields import QQ
+from diffoplab.fields import QQ, field_from_name
 from diffoplab.linalg import Matrix
 from diffoplab.universal import UniversalCalculus
+from oracles import cartan_relations_by_elements
 
 
 def universal_pair(spec, side="right"):
@@ -118,6 +120,10 @@ def test_left_pair_relations():
     assert pair.relations_hold()
 
 
+def e00(field, rows, cols):
+    return Matrix.from_pairs(field, [[(0, 1)]] + [[] for _ in range(rows - 1)], cols)
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("spec", ["matrix:2", "trunc_poly:3"])
 def test_relations_hold_rejects_a_perturbed_derivation(spec, side):
@@ -126,6 +132,47 @@ def test_relations_hold_rejects_a_perturbed_derivation(spec, side):
     a = catalog(spec)
     uc = UniversalCalculus(a, cap=1)
     q = uc.omega1_bimodule()
-    e00 = Matrix.from_pairs(a.field, [[(0, 1)]] + [[] for _ in range(q.dim - 1)], a.dim)
     assert CartanPair(a, q, uc.d0, side).relations_hold()
-    assert not CartanPair(a, q, uc.d0 + e00, side).relations_hold()
+    assert not CartanPair(a, q, uc.d0 + e00(a.field, q.dim, a.dim), side).relations_hold()
+
+
+def calculus_of(spec, field_name):
+    """(algebra, Q, d) for the universal one-forms of a catalog algebra, or for
+    the minimal (center-multilinear) one-forms when the spec starts with ``minimal/``."""
+    a = catalog(spec.removeprefix("minimal/"), field_from_name(field_name))
+    if spec.startswith("minimal/"):
+        mc = MinimalCalculus(a)
+        return a, mc.one_forms_bimodule(), mc.d0_matrix()
+    uc = UniversalCalculus(a, cap=1)
+    return a, uc.omega1_bimodule(), uc.d0
+
+
+@pytest.mark.parametrize("field_name", ["q", "p:32003"])
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("spec", ["matrix:2", "quaternion", "trunc_poly:3", "grassmann:2",
+                                  "minimal/trunc_poly:3"])
+def test_operator_relations_agree_with_elementwise_oracle(spec, side, perturbed, field_name):
+    a, q, d = calculus_of(spec, field_name)
+    if perturbed:
+        d = d + e00(a.field, q.dim, a.dim)
+    pair = CartanPair(a, q, d, side)
+    assert pair.relations_hold() == cartan_relations_by_elements(pair)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("spec", ["matrix:2", "trunc_poly:3"])
+def test_relations_hold_checks_the_scaling_action(spec, side):
+    # (bu)^ = b·û holds for every d, so only a wrong dual action breaks it:
+    # add E_00 to the action of e_0 that this identity reads
+    a, pair = universal_pair(spec, side)
+    dual = pair.dual.bimodule
+    left, right = list(dual.left), list(dual.right)
+    bad = e00(a.field, dual.dim, dual.dim)
+    if side == "right":
+        left[0] = left[0] + bad
+    else:
+        right[0] = right[0] + bad
+    pair.dual.__dict__["bimodule"] = Bimodule(a, dual.dim, left, right, name=dual.name)
+    assert not pair.relations_hold()
+    assert not cartan_relations_by_elements(pair)

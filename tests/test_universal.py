@@ -9,6 +9,7 @@ from diffoplab.derivations import derivations, inner_derivation
 from diffoplab.fields import QQ, Field
 from diffoplab.linalg import Matrix, Subspace, kernel, quotient_projection
 from diffoplab.universal import (
+    Calculus,
     UniversalCalculus,
     extend_hom,
     universal_factorize,
@@ -166,6 +167,20 @@ def test_extend_hom_to_ce_minimal():
         rho = Matrix.identity(QQ, a.dim)
         res = extend_hom(uc, rho, target)
         assert res.well_defined and res.intertwining_ok
+
+
+@pytest.mark.parametrize("spec", ["trunc_poly:2", "matrix:2"])
+def test_extend_hom_is_ill_defined_when_d_does_not_kill_the_unit(spec):
+    # d' = identity sends 1 to itself, while d1 = 0 in Ω¹: the value
+    # e_i·d'(1) = e_i of the spanning vector e_i d1 = 0 cannot be met
+    a = catalog(spec)
+    n = a.dim
+    uc = UniversalCalculus(a, cap=1)
+    target = Calculus(a, [n, n], [Matrix.identity(QQ, n)],
+                      lambda r, s, x, y: a.multiply(x, y))
+    res = extend_hom(uc, Matrix.identity(QQ, n), target)
+    assert not res.well_defined
+    assert res.maps[1] is None
 
 
 def test_extend_hom_rejects_non_homomorphism():
