@@ -34,6 +34,8 @@ class Bimodule:
         self.parity = None if parity is None else tuple(int(p) % 2 for p in parity)
         self.second_kind = second_kind
         self.name = name
+        # target id -> HomSpace(self, target), filled by HomSpace.between
+        self.hom_spaces = {}
         n = algebra.dim
         if len(self.left) != n or len(self.right) != n:
             raise ModuleError("need one action matrix per algebra basis element")

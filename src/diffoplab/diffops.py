@@ -10,21 +10,26 @@ conditions built from the delta operators:
   * dv_first_order: mixed condition δ_a∘δ̄_b Δ = 0,
   * lunts_left / lunts_right: inductive filtration by centers of quotients,
   * two_sided: simultaneous left/right presentation of the inductive form.
+
+Every one of them is a chain of preimages {Φ : δ_aΦ ∈ prev} under a δ
+family, which ``HomSpace.preimage`` solves once per family and target.  The
+builders take the one ``HomSpace.between(P, Q)`` of their module pair, so
+definitions that coincide (all of them, over a commutative algebra) reuse
+each other's solves instead of repeating them.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextvars import ContextVar
 from itertools import product
 
 from .algebra import AlgebraError
 from .bimodule import Bimodule
 from .homspace import HomSpace, LinMap
-# ``kernel`` is not called here (HomSpace.common_kernel solves the order-0
-# kernels); the name stays bound because perfbench/tests/test_tracer.py checks
-# that the tracer rebinds it in this module
-from .linalg import Matrix, Subspace, closure, image_span, kernel, preimage  # noqa: F401
+# ``kernel`` is not called here (HomSpace solves every kernel and preimage);
+# the name stays bound because perfbench/tests/test_tracer.py checks that the
+# tracer rebinds it in this module
+from .linalg import Matrix, Subspace, closure, image_span, kernel  # noqa: F401
 
 MAX_ORDER = 4
 
@@ -95,58 +100,44 @@ class Filtration:
         return self.terms[r].contains(phi.flatten())
 
 
-def vanishing_chain(ops, common_kernel: Subspace, k):
-    """T_0 ⊆ … ⊆ T_k with T_j = {x : op x ∈ T_{j−1} for all ops}, T_{-1} = 0.
+def vanishing_chain(hom: HomSpace, kind: str, k):
+    """T_0 ⊆ … ⊆ T_k with T_j = {x : op x ∈ T_{j−1} for all ops}, T_{-1} = 0,
+    for the ops of the family ``kind`` of ``hom``.
 
-    T_0 is ``common_kernel``, the common kernel of ``ops`` (as
-    ``HomSpace.common_kernel`` solves it once per family).  Peeling the
-    innermost application shows T_j equals the solution set of all
-    (j+1)-fold op-composites, so the full tuple condition reduces to this
-    recursion.
+    Peeling the innermost application shows T_j equals the solution set of
+    all (j+1)-fold op-composites, so the full tuple condition reduces to
+    this recursion.
     """
-    chain = [common_kernel]
+    chain = [hom.common_kernel(kind)]
     for _ in range(k):
-        chain.append(preimage(ops, chain[-1]))
+        chain.append(hom.preimage(kind, chain[-1]))
     return chain
-
-
-# While ``compare_definitions`` runs, the builders it calls take its one
-# HomSpace (and the operator families cached on it) from here instead of
-# each building their own for the same pair of modules.
-_shared_hom = ContextVar("shared_hom", default=None)
-
-
-def _hom_space(p: Bimodule, q: Bimodule) -> HomSpace:
-    hom = _shared_hom.get()
-    if hom is None or hom.source is not p or hom.target is not q:
-        hom = HomSpace(p, q)
-    return hom
 
 
 def grothendieck_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
     """Operators with all (k+1)-fold iterated deltas vanishing."""
     _check_order(k)
-    hom = _hom_space(p, q)
+    hom = HomSpace.between(p, q)
     naive = not p.algebra.is_commutative()
     if naive:
         warnings.warn(
             "algebra is noncommutative: the iterated-delta condition is "
             "computed as stated (naive) and need not have its usual meaning",
             stacklevel=2)
-    chain = vanishing_chain(hom.delta_ops(), hom.common_kernel("delta"), k)
+    chain = vanishing_chain(hom, "delta", k)
     return DiffSpace("grothendieck", k, chain[k], hom, naive=naive, chain=chain)
 
 
 def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
     """Koszul-signed variant for graded commutative algebras."""
     _check_order(k)
-    hom = _hom_space(p, q)
+    hom = HomSpace.between(p, q)
     a = p.algebra
     if not a.graded:
         raise AlgebraError("graded differential operators need a graded algebra")
     if not a.is_graded_commutative():
         warnings.warn("algebra is not graded commutative", stacklevel=2)
-    chain = vanishing_chain(hom.graded_delta_ops(), hom.common_kernel("graded_delta"), k)
+    chain = vanishing_chain(hom, "graded_delta", k)
     space = chain[k]
     even = space.intersect(hom.parity_subspace(0))
     odd = space.intersect(hom.parity_subspace(1))
@@ -162,8 +153,8 @@ def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
 def dv_first_order(p: Bimodule, q: Bimodule) -> DiffSpace:
     """First-order operators on bimodules: δ_a∘δ̄_b Δ = 0 for all a, b,
     i.e. every δ̄_b Δ lies in the common kernel of the δ_a."""
-    hom = _hom_space(p, q)
-    space = preimage(hom.bar_delta_ops(), hom.common_kernel("delta"))
+    hom = HomSpace.between(p, q)
+    space = hom.preimage("bar_delta", hom.common_kernel("delta"))
     return DiffSpace("dv_first_order", 1, space, hom)
 
 
@@ -226,29 +217,26 @@ def dv_split(p: Bimodule, q: Bimodule, delta: LinMap) -> DvSplit:
     return split
 
 
-def _side_ops(hom: HomSpace, side: str):
-    """(delta family name, deltas, multiplications, bullet multiplications) of one side."""
-    if side == "left":
-        return ("delta", hom.delta_ops(), hom.action_ops("left"),
-                hom.action_ops("left_bullet"))
-    if side == "right":
-        return ("bar_delta", hom.bar_delta_ops(), hom.action_ops("right"),
-                hom.action_ops("right_bullet"))
-    raise ValueError("side must be 'left' or 'right'")
+# side -> (delta family, multiplications, bullet multiplications)
+_SIDES = {"left": ("delta", "left", "left_bullet"),
+          "right": ("bar_delta", "right", "right_bullet")}
 
 
 def _step(hom: HomSpace, side: str, prev: Subspace, presented: bool) -> Subspace:
     """The next filtration term after ``prev`` on one side.
 
     Both forms start from the preimage {Φ : δ_aΦ ∈ prev for all a}, which
-    for prev = 0 is the common δ kernel that ``hom`` solves once.  The
-    center form takes its closure under all four actions of the side; the
-    presented form spans its images under the multiplications, plus prev.
+    for prev = 0 is the common δ kernel.  The center form takes its closure
+    under all four actions of the side; the presented form spans its images
+    under the multiplications, plus prev.
     """
-    kind, deltas, mults, bullets = _side_ops(hom, side)
-    pre = preimage(deltas, prev) if prev.dim else hom.common_kernel(kind)
+    if side not in _SIDES:
+        raise ValueError("side must be 'left' or 'right'")
+    kind, mult, bullet = _SIDES[side]
+    pre = hom.preimage(kind, prev)
+    mults = hom.action_ops(mult)
     if not presented:
-        return closure(hom.algebra.field, hom.dim, pre.basis, mults + bullets)
+        return closure(hom.algebra.field, hom.dim, pre.basis, mults + hom.action_ops(bullet))
     return image_span(mults, pre).sum(prev)
 
 
@@ -268,7 +256,7 @@ def lunts_filtration(p: Bimodule, q: Bimodule, r: int, side: str = "left") -> Fi
     materialized.  The right side mirrors with δ̄ and the right actions.
     """
     _check_order(r)
-    hom = _hom_space(p, q)
+    hom = HomSpace.between(p, q)
     return Filtration("lunts", side, _one_sided_terms(hom, side, r, False), hom)
 
 
@@ -280,7 +268,7 @@ def lunts_filtration_presented(p: Bimodule, q: Bimodule, r: int,
     catalog (asserted in tests rather than assumed).
     """
     _check_order(r)
-    hom = _hom_space(p, q)
+    hom = HomSpace.between(p, q)
     return Filtration("lunts_presented", side, _one_sided_terms(hom, side, r, True), hom)
 
 
@@ -292,7 +280,7 @@ def two_sided_filtration(p: Bimodule, q: Bimodule, r: int) -> Filtration:
     subspace containing both, and all higher terms are spans anyway).
     """
     _check_order(r)
-    hom = _hom_space(p, q)
+    hom = HomSpace.between(p, q)
     zero = Subspace.zero(hom.algebra.field, hom.dim)
     return _two_sided(hom, r, _step(hom, "left", zero, presented=False),
                       _step(hom, "right", zero, presented=False))
@@ -402,27 +390,23 @@ def compare_definitions(p: Bimodule, q: Bimodule, k: int) -> ComparisonReport:
     """All applicable definitions at order k with pairwise subspace relations."""
     _check_order(k)
     a = p.algebra
-    hom = HomSpace(p, q)
-    token = _shared_hom.set(hom)
-    try:
-        spaces = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g = grothendieck_diff(p, q, k)
-        spaces["grothendieck"] = g.space
-        if a.graded and p.parity is not None and q.parity is not None \
-                and a.field.char != 2:
-            spaces["graded"] = graded_diff(p, q, k).space
-        if k == 1:
-            spaces["dv_first_order"] = dv_first_order(p, q).space
-        left = lunts_filtration(p, q, k, "left")
-        right = lunts_filtration(p, q, k, "right")
-        spaces["lunts_left"] = left[k]
-        spaces["lunts_right"] = right[k]
-        # the two-sided base is the span of the order-0 terms just computed
-        spaces["two_sided"] = _two_sided(hom, k, left[0], right[0])[k]
-    finally:
-        _shared_hom.reset(token)
+    hom = HomSpace.between(p, q)
+    spaces = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = grothendieck_diff(p, q, k)
+    spaces["grothendieck"] = g.space
+    if a.graded and p.parity is not None and q.parity is not None \
+            and a.field.char != 2:
+        spaces["graded"] = graded_diff(p, q, k).space
+    if k == 1:
+        spaces["dv_first_order"] = dv_first_order(p, q).space
+    left = lunts_filtration(p, q, k, "left")
+    right = lunts_filtration(p, q, k, "right")
+    spaces["lunts_left"] = left[k]
+    spaces["lunts_right"] = right[k]
+    # the two-sided base is the span of the order-0 terms just computed
+    spaces["two_sided"] = _two_sided(hom, k, left[0], right[0])[k]
     names = sorted(spaces)
     relations = {}
     witnesses = {}

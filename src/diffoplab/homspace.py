@@ -18,12 +18,18 @@ Each action family is a Kronecker product with an identity (``kron``).  The
 Q_a ⊗ I − I ⊗ P_aᵀ from the small left action matrices of the target and
 the source, and δ̄ likewise from the right actions, so neither the two
 action families nor their difference are materialized for them.
-Families, and the common kernel ``common_kernel(*kinds)`` of the named
-families stacked, are built on first use and cached on the instance, so
-callers that need several definitions on one Hom space share one
-``HomSpace``.  Every module-map space is such a kernel: left A-linear maps
-("delta"), right A-linear maps ("bar_delta"), bimodule maps (both), and
-the one-sided duals of Q inside Hom_K(Q, A) (``right_dual``, ``left_dual``,
+Families, the common kernel ``common_kernel(*kinds)`` of the named
+families stacked, and the preimages ``preimage(kind, target)`` that every
+filtration is a chain of, are built on first use and cached on the
+instance: a preimage under the family and the target's value, so equal
+targets built as different objects share one solve.  A family equal to one
+built before (δ̄ = δ when both modules act alike on either side) becomes its
+alias and shares its kernels and preimages.  ``HomSpace.between(P, Q)``
+keeps one instance per module pair on P, so every builder on the same two
+module objects shares it, and the caches go with the modules.  Every
+module-map space is a common kernel: left A-linear maps ("delta"), right
+A-linear maps ("bar_delta"), bimodule maps (both), and the one-sided duals
+of Q inside Hom_K(Q, A) (``right_dual``, ``left_dual``,
 ``two_sided_dual_space``).
 """
 
@@ -40,6 +46,7 @@ from .linalg import (
     kernel,
     kron,
     kron_difference,
+    preimage,
     restrict_operator,
     vstack,
 )
@@ -107,8 +114,20 @@ class HomSpace:
         self.algebra = source.algebra
         self.dim = source.dim * target.dim
         self._ops = {}
+        self._alias = {}
         self._kernels = {}
+        self._preimages = {}
         self._sign = None
+
+    @classmethod
+    def between(cls, source: Bimodule, target: Bimodule) -> "HomSpace":
+        """The one HomSpace of (source, target), kept on ``source`` under the
+        identity of ``target`` (which it holds, so the id stays its own)."""
+        homs = source.hom_spaces
+        hom = homs.get(id(target))
+        if hom is None:
+            hom = homs[id(target)] = cls(source, target)
+        return hom
 
     # -- flat operators -------------------------------------------------------
 
@@ -144,17 +163,40 @@ class HomSpace:
                 ops.append(self._family("left")[i] - lb)
         else:
             raise ValueError(f"unknown operator family {kind!r}")
+        # the first equal family met is the first built, never an alias
+        for other, other_ops in self._ops.items():
+            if other_ops == ops:
+                self._alias[kind] = other
+                ops = other_ops
+                break
         self._ops[kind] = ops
         return ops
 
+    def _canonical(self, kind: str) -> str:
+        """The first-built family equal to ``kind``, under which its solves are kept."""
+        self._family(kind)
+        return self._alias.get(kind, kind)
+
     def common_kernel(self, *kinds: str) -> Subspace:
         """{Φ : mΦ = 0 for every m of the named families}, solved once per
-        tuple of names from one stacked system."""
+        set of distinct families from one stacked system."""
+        kinds = tuple(sorted({self._canonical(kind) for kind in kinds}))
         ker = self._kernels.get(kinds)
         if ker is None:
             ops = [m for kind in kinds for m in self._family(kind)]
             ker = self._kernels[kinds] = kernel(vstack(ops))
         return ker
+
+    def preimage(self, kind: str, target: Subspace) -> Subspace:
+        """{Φ : mΦ ∈ target for every m of the family}, solved once per family
+        and target value; a zero target gives ``common_kernel(kind)``."""
+        if target.dim == 0:
+            return self.common_kernel(kind)
+        key = (self._canonical(kind), target)
+        pre = self._preimages.get(key)
+        if pre is None:
+            pre = self._preimages[key] = preimage(self._family(kind), target)
+        return pre
 
     def delta_ops(self):
         return self._family("delta")

@@ -631,11 +631,12 @@ class Subspace:
     Each basis row is stored as its sorted non-zero ``(col, value)`` pairs
     (taken over, not copied), led by ``(pivot col, 1)``; ``basis`` is a dense
     view built when first read.  Equality is literal equality of pivots and
-    pairs: equal subspaces have identical representations.
+    pairs: equal subspaces have identical representations, and hash alike
+    however they were built.
     """
 
     __slots__ = ("field", "ambient_dim", "pivot_cols", "_rows", "_basis", "_constraints",
-                 "_pivot_index")
+                 "_pivot_index", "_hash")
 
     def __init__(self, field: Field, ambient_dim: int, rows, pivot_cols):
         self.field = field
@@ -645,6 +646,7 @@ class Subspace:
         self._basis = None
         self._constraints = None
         self._pivot_index = None
+        self._hash = None
 
     @staticmethod
     def from_spanning(field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -688,6 +690,11 @@ class Subspace:
             and self.pivot_cols == other.pivot_cols
             and self._rows == other._rows
         )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.ambient_dim, self.pivot_cols, tuple(map(tuple, self._rows))))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -802,6 +809,8 @@ class Subspace:
             return self
         if other.dim == 0 or self.is_full:
             return other
+        if other == self:
+            return self
         stacked = vstack([self.constraint_matrix(), other.constraint_matrix()])
         return kernel(stacked)
 

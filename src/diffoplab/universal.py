@@ -103,9 +103,6 @@ class UniversalCalculus:
                     out[j * n + i] = f.sub(out[j * n + i], f.mul(u, c))
         return out
 
-    def d0_coords(self, a_coords):
-        return self.d0.apply(list(a_coords))
-
     def multiplication_matrix(self) -> Matrix:
         """m: A⊗A → A, e_i⊗e_j ↦ e_i e_j."""
         sc = self.algebra.sc
@@ -207,24 +204,22 @@ class UniversalCalculus:
         if self.cap < 2:
             raise ValueError("needs degree 2")
         alg = self.algebra
-        f = alg.field
         n = alg.dim
-        des = [self.d0_coords(alg.basis_vector(i)) for i in range(n)]
         de_pairs = self.d0.column_entries()
         # a·db for basis elements a, b, as the pairs of its coordinates
-        a_db = [[_pairs(self._left1_coords(alg.basis_vector(a), des[b])) for b in range(n)]
-                for a in range(n)]
+        a_db = [[self.left1[a]._apply_pairs(de_pairs[b]) for b in range(n)] for a in range(n)]
         for a0, a1, b0 in product(range(n), repeat=3):
             # μ₁₁ is bilinear, so the right side is (a₀d(a₁b₀) − a₀a₁db₀)·db₁;
             # its negative is added to the left side, and the sum projected once
             a0a1 = alg.multiply(alg.basis_vector(a0), alg.basis_vector(a1))
-            minus_rhs = _pairs([f.sub(y, x) for x, y in zip(
-                self._left1_coords(alg.basis_vector(a0), self.d0.apply(alg.sc[a1][b0])),
-                self._left1_coords(a0a1, des[b0]))])
+            d_a1b0 = self.d0._apply_pairs(_pairs(alg.sc[a1][b0]))
+            minus_rhs = dict(Matrix.combination(self.left1, a0a1)._apply_pairs(de_pairs[b0]))
+            for i, x in self.left1[a0]._apply_pairs(d_a1b0):
+                minus_rhs[i] = minus_rhs.get(i, 0) - x
             for b1 in range(n):
                 diff = self._add_tensor({}, a_db[a0][a1], a_db[b0][b1])
                 if self.proj2._apply_pairs(
-                        self._add_tensor(diff, minus_rhs, de_pairs[b1]).items()):
+                        self._add_tensor(diff, minus_rhs.items(), de_pairs[b1]).items()):
                     return False
         return True
 

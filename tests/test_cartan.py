@@ -8,7 +8,6 @@ from diffoplab.cartan import (
     cartan_vs_definitions,
     first_order_violation_witness,
     mirror_pair_agrees,
-    two_sided_dual_space,
     two_sided_hats_are_first_order,
 )
 from diffoplab.bimodule import Bimodule

@@ -408,9 +408,47 @@ def test_compare_definitions_builds_one_hom_space(monkeypatch):
     reg = regular_bimodule(a)
     rep = compare_definitions(reg, reg, 1)
     assert built == [rep.hom]
-    # the sharing ends with the call: a builder on its own builds its own
-    assert lunts_filtration(reg, reg, 1).hom is not rep.hom
-    assert len(built) == 2
+    # every builder on the same module objects shares the one HomSpace
+    assert lunts_filtration(reg, reg, 1).hom is rep.hom
+    assert dv_first_order(reg, reg).hom is rep.hom
+    assert built == [rep.hom]
+    # new module objects get a new one, even for the same algebra
+    other = regular_bimodule(a)
+    assert lunts_filtration(other, other, 1).hom is not rep.hom
+    assert lunts_filtration(reg, other, 1).hom not in (rep.hom, built[1])
+    assert len(built) == 3
+
+
+def _commutative_collapse():
+    from diffoplab.scenarios import _check_commutative_collapse
+
+    ok, _ = _check_commutative_collapse("trunc_poly:3")()
+    assert ok
+
+
+def _compare_trunc_poly():
+    reg = regular_bimodule(catalog("trunc_poly:5"))
+    assert compare_definitions(reg, reg, 2).all_equal()
+
+
+@pytest.mark.parametrize("build", [_compare_trunc_poly, _commutative_collapse],
+                         ids=["compare-trunc_poly:5", "commutative-collapse"])
+def test_no_kernel_system_is_solved_twice(build, monkeypatch):
+    import diffoplab.homspace as homspace
+    import diffoplab.linalg as linalg
+
+    solved = []
+    original = linalg.kernel
+
+    def counting_kernel(m):
+        solved.append((m.cols, tuple(map(tuple, m.row_entries()))))
+        return original(m)
+
+    for module in (linalg, homspace):
+        monkeypatch.setattr(module, "kernel", counting_kernel)
+    build()
+    assert solved
+    assert len(set(solved)) == len(solved)
 
 
 OPPOSITE_CASES = ["matrix:2", "quaternion", "trunc_poly:3", "square_zero:2", "group_z:3",

@@ -9,7 +9,7 @@ from diffoplab.bimodule import free_module, regular_bimodule
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.fields import Field, QQ
 from diffoplab.homspace import HomSpace, LinMap, left_dual, right_dual, two_sided_dual_space
-from diffoplab.linalg import kernel
+from diffoplab.linalg import Subspace, kernel, preimage
 from diffoplab.universal import UniversalCalculus
 
 from oracles import dual_oracle, field_form, restricted_action
@@ -315,3 +315,47 @@ def test_common_kernel_of_several_families_is_solved_once(field, monkeypatch):
             assert h.common_kernel("delta", "bar_delta") is both
             assert h.common_kernel("delta") is h.common_kernel("delta")
             assert len(solved) == before
+
+
+PREIMAGE_CASES = [("matrix:2", ("delta", "bar_delta")),
+                  ("trunc_poly:3", ("delta", "bar_delta")),
+                  ("grassmann:2", ("delta", "bar_delta", "graded_delta"))]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec,kinds", PREIMAGE_CASES, ids=[c[0] for c in PREIMAGE_CASES])
+def test_cached_preimage_is_the_linalg_preimage(spec, kinds, field):
+    a = catalog(spec, field)
+    reg = regular_bimodule(a)
+    h = HomSpace.between(reg, reg)
+    ops = {"delta": h.delta_ops, "bar_delta": h.bar_delta_ops,
+           "graded_delta": h.graded_delta_ops}
+    rng = random.Random(5)
+    spanned = Subspace.from_spanning(
+        a.field, h.dim, [[a.field.coerce(rng.choice([0, 0, 1, -2])) for _ in range(h.dim)]
+                         for _ in range(3)])
+    for kind in kinds:
+        family = ops[kind]()
+        targets = [Subspace.zero(a.field, h.dim), h.common_kernel(kind), spanned]
+        targets.append(h.preimage(kind, targets[1]))
+        for target in targets:
+            assert h.preimage(kind, target) == preimage(family, target), (kind, target)
+            # an equal target built anew finds the solve of the first
+            again = Subspace.from_spanning(a.field, h.dim, target.basis)
+            assert again is not target
+            assert h.preimage(kind, again) is h.preimage(kind, target)
+    # δ̄ = δ on the regular bimodule of a commutative algebra: one family, one solve
+    shared = a.is_commutative()
+    assert (h.bar_delta_ops() is h.delta_ops()) == shared
+    assert (h.common_kernel("bar_delta") is h.common_kernel("delta")) == shared
+    assert (h.common_kernel("delta", "bar_delta") is h.common_kernel("delta")) == shared
+
+
+def test_fresh_modules_get_their_own_hom_space():
+    a = catalog("trunc_poly:3")
+    first, second = regular_bimodule(a), regular_bimodule(a)
+    h = HomSpace.between(first, first)
+    assert HomSpace.between(first, first) is h
+    assert HomSpace.between(second, second) is not h
+    assert HomSpace.between(first, second) not in (h, HomSpace.between(second, second))
+    assert HomSpace.between(first, second).target is second

@@ -162,6 +162,25 @@ def test_subspace_canonical_equality():
     assert a.basis == b.basis
 
 
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+def test_equal_subspaces_hash_alike(field):
+    rng = random.Random(11)
+    for _ in range(20):
+        vecs = [[field.coerce(rng.randint(-3, 3)) for _ in range(6)] for _ in range(3)]
+        a = Subspace.from_spanning(field, 6, vecs)
+        # another spanning set of the same span: mixed, scaled and repeated
+        mixed = [[field.add(x, field.mul(field.coerce(c), y)) for x, y in zip(vecs[0], v)]
+                 for c, v in ((2, vecs[1]), (-1, vecs[2]))]
+        b = Subspace.from_spanning(field, 6, mixed + vecs[1:] + [vecs[0]])
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a.intersect(b) is a
+    assert hash(Subspace.full(field, 4)) == hash(Subspace.from_spanning(
+        field, 4, [[1 if i == j else 0 for j in range(4)] for i in range(4)]))
+    assert Subspace.zero(field, 4) != Subspace.zero(field, 5)
+
+
 def test_contains_and_coords():
     s = Subspace.from_spanning(QQ, 3, [[1, 0, 2], [0, 1, -1]])
     v = [Fraction(2), Fraction(3), Fraction(1)]
