@@ -19,6 +19,13 @@ class AlgebraError(ValueError):
     pass
 
 
+def flat_parities(row_parity, col_parity):
+    """Parity of each row-major flat coordinate (r, c) of a map between graded
+    spaces: [r] + [c].  A map is homogeneous of parity π iff it is supported
+    on the coordinates of parity π."""
+    return [(r + c) % 2 for r in row_parity for c in col_parity]
+
+
 class ValidationReport:
     """Outcome of structural validation; failures carry witness indices."""
 

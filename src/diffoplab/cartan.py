@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import FiniteAlgebra
-from .bimodule import Bimodule, regular_bimodule
+from .bimodule import Bimodule
 from .derivations import derivations
 from .diffops import dv_first_order, lunts_filtration
 from .homspace import left_dual, right_dual
@@ -119,7 +119,7 @@ def cartan_vs_definitions(pair: CartanPair, lunts_order: int = 1) -> dict:
     first-order condition.
     """
     alg = pair.algebra
-    reg = regular_bimodule(alg)
+    reg = pair.dual.hom.target
     der = derivations(alg, reg)
     dv = dv_first_order(reg, reg)
     flt = lunts_filtration(reg, reg, lunts_order, "left")
@@ -150,8 +150,7 @@ def cartan_vs_definitions(pair: CartanPair, lunts_order: int = 1) -> dict:
 
 def two_sided_hats_are_first_order(pair: CartanPair) -> bool:
     """Hats of two-sided dual elements satisfy the bimodule condition."""
-    alg = pair.algebra
-    reg = regular_bimodule(alg)
+    reg = pair.dual.hom.target
     dv = dv_first_order(reg, reg).space
     if dv.is_full:
         return True

@@ -98,11 +98,10 @@ class FormSpace:
 
 
 def ce_forms(algebra: FiniteAlgebra, degree: int,
-             der: DerivationSpace = None, cap: int = DEGREE_CAP) -> FormSpace:
+             der: DerivationSpace = None) -> FormSpace:
     """Solve the alternating + center-linearity constraints at one degree."""
-    cap = min(cap, DEGREE_CAP)
-    if degree > cap:
-        raise DegreeCapError(f"degree {degree} exceeds cap {cap}")
+    if degree > DEGREE_CAP:
+        raise DegreeCapError(f"degree {degree} exceeds cap {DEGREE_CAP}")
     if der is None:
         der = derivations(algebra, regular_bimodule(algebra))
     n = algebra.dim
@@ -262,7 +261,7 @@ class CochainComplex:
         self.algebra = algebra
         self.der = der if der is not None else derivations(algebra, regular_bimodule(algebra))
         self.cap = cap
-        self.forms = [ce_forms(algebra, k, self.der, cap) for k in range(cap + 1)]
+        self.forms = [ce_forms(algebra, k, self.der) for k in range(cap + 1)]
         self.ambient_d = [ce_coboundary_matrix(algebra, self.der, k)
                           for k in range(cap)]
         # restrict_operator raises if d leaves the subcomplex

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import AlgebraError, FiniteAlgebra
+from .algebra import AlgebraError, FiniteAlgebra, flat_parities
 from .bimodule import Bimodule
-from .linalg import Matrix, Subspace, kernel, vstack
+from .linalg import Matrix, Subspace, kernel, kernel_on
 
 
 class DerivationSpace:
@@ -38,11 +38,10 @@ class DerivationSpace:
         """Parity of each canonical basis derivation (graded solver only)."""
         if not self.graded:
             raise AlgebraError("ungraded derivation space has no parities")
-        pq = self.target.parity
-        pa = self.algebra.parity
+        flat = flat_parities(self.target.parity, self.algebra.parity)
         out = []
-        for u in self.basis_maps():
-            pars = {(pq[i] + pa[j]) % 2 for i, r in enumerate(u.row_entries()) for j, _ in r}
+        for row in self.space.basis_matrix().row_entries():
+            pars = {flat[j] for j, _ in row}
             if len(pars) != 1:
                 raise AlgebraError("derivation basis vector is not homogeneous")
             out.append(pars.pop())
@@ -81,25 +80,20 @@ def derivations(algebra: FiniteAlgebra, target: Bimodule,
     """Solve the Leibniz system over all basis pairs."""
     if target.algebra is not algebra:
         raise AlgebraError("target module is over a different algebra")
-    n, mq = algebra.dim, target.dim
-    f = algebra.field
     if not graded:
         system = _leibniz_rows(algebra, target, lambda i: 1)
         return DerivationSpace(algebra, target, kernel(system), False)
     if not algebra.graded or target.parity is None:
         raise AlgebraError("graded derivations need a graded algebra and module")
-    if f.char == 2:
+    if algebra.field.char == 2:
         raise AlgebraError("graded operations refuse characteristic 2")
-    pa, pq = algebra.parity, target.parity
+    pa = algebra.parity
+    flat = flat_parities(target.parity, pa)
     spaces = []
     for par in (0, 1):
         sign = lambda i, par=par: -1 if (pa[i] and par) else 1
         system = _leibniz_rows(algebra, target, sign)
-        selector = [[(r * n + c, 1)] for r in range(mq) for c in range(n)
-                    if (pq[r] + pa[c]) % 2 != par]
-        if selector:
-            system = vstack([system, Matrix.from_pairs(f, selector, mq * n)])
-        spaces.append(kernel(system))
+        spaces.append(kernel_on(system, [j for j, p in enumerate(flat) if p == par]))
     total = spaces[0].sum(spaces[1])
     return DerivationSpace(algebra, target, total, True)
 

@@ -26,10 +26,10 @@ from itertools import product
 from .algebra import AlgebraError
 from .bimodule import Bimodule
 from .homspace import HomSpace, LinMap
-# ``kernel`` is not called here (HomSpace solves every kernel and preimage);
-# the name stays bound because perfbench/tests/test_tracer.py checks that the
-# tracer rebinds it in this module
-from .linalg import Matrix, Subspace, closure, image_span, kernel  # noqa: F401
+# ``kernel`` is not called here (HomSpace solves every kernel and preimage,
+# ``kernel_on`` the graded split); the name stays bound because
+# perfbench/tests/test_tracer.py checks that the tracer rebinds it in this module
+from .linalg import Matrix, Subspace, closure, image_span, kernel, kernel_on  # noqa: F401
 
 MAX_ORDER = 4
 
@@ -139,8 +139,8 @@ def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
         warnings.warn("algebra is not graded commutative", stacklevel=2)
     chain = vanishing_chain(hom, "graded_delta", k)
     space = chain[k]
-    even = space.intersect(hom.parity_subspace(0))
-    odd = space.intersect(hom.parity_subspace(1))
+    cons, flat = space.constraint_matrix(), hom.coordinate_parity()
+    even, odd = (kernel_on(cons, [j for j, p in enumerate(flat) if p == par]) for par in (0, 1))
     assembled = even.sum(odd)
     if assembled != space:
         raise AssertionError("graded solution space failed to split by parity")

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
 
-from .algebra import AlgebraError, FiniteAlgebra
+from .algebra import AlgebraError, FiniteAlgebra, flat_parities
 from .bimodule import regular_bimodule
 from .cecalc import DegreeCapError
 from .derivations import DerivationSpace, derivations, super_bracket
-from .linalg import Matrix, Subspace, kernel, restrict_operator, vstack
+from .linalg import Matrix, Subspace, kernel_on, restrict_operator
 
 GRADED_DEGREE_CAP = 2
 
@@ -215,8 +215,6 @@ class GradedCochainComplex:
         if k == 0:
             return Subspace.full(f, n)
         ext = self.ext
-        monos = ext.monomials(k)
-        flat = self.flat_dim(k)
         left_rows = [algebra.left_mult_basis(ai).row_entries() for ai in range(n)]
 
         def rows():
@@ -227,30 +225,29 @@ class GradedCochainComplex:
             for factors in product(range(self.der.dim), repeat=k):
                 factors = list(factors)
                 base = ext.normalize(factors)
+                lo0 = self._slice(k, base[1])[0] if base is not None else None
                 for t in range(k):
                     prefix_par = sum(ext.parities[x] for x in factors[:t]) % 2
+                    head, tail = factors[:t], factors[t + 1:]
                     for ai in range(n):
-                        apar = algebra.parity[ai]
                         # scaling slot t crosses the earlier factors only:
                         # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
-                        sign_neg = (apar * prefix_par) % 2 == 1
+                        sign_neg = (algebra.parity[ai] * prefix_par) % 2 == 1
                         la = left_rows[ai]
-                        scaled = self._scaled[(ai, factors[t])]
+                        # (slice start, signed coefficient) of each term a·v_t = Σ c_b v_b
+                        terms = []
+                        for b, c in enumerate(self._scaled[(ai, factors[t])]):
+                            norm = ext.normalize(head + [b] + tail) if c else None
+                            if norm is not None:
+                                sgn, mono2 = norm
+                                terms.append((self._slice(k, mono2)[0], c if sgn > 0 else -c))
+                        if base is not None:
+                            s = 1 if (base[0] < 0) != sign_neg else -1
                         for m in range(n):
                             row = {}
-                            for b, c in enumerate(scaled):
-                                if c == 0:
-                                    continue
-                                norm = ext.normalize(factors[:t] + [b] + factors[t + 1:])
-                                if norm is None:
-                                    continue
-                                sgn, mono2 = norm
-                                lo, _ = self._slice(k, mono2)
-                                row[lo + m] = row.get(lo + m, 0) + (c if sgn > 0 else -c)
+                            for lo, c in terms:
+                                row[lo + m] = row.get(lo + m, 0) + c
                             if base is not None:
-                                bsgn, bmono = base
-                                lo0, _ = self._slice(k, bmono)
-                                s = 1 if (bsgn < 0) != sign_neg else -1
                                 for m2, v in la[m]:
                                     row[lo0 + m2] = row.get(lo0 + m2, 0) + s * v
                             # a row that sums to zero, as each row for a = 1
@@ -258,19 +255,12 @@ class GradedCochainComplex:
                             if any(row.values()):
                                 yield row.items()
 
-        shared = Matrix.from_entries(f, rows(), flat)
-        total = None
-        for par in (0, 1):
-            # homogeneity selector: coords off the parity-π support vanish
-            selector = []
-            for monomial in monos:
-                mpar = ext.monomial_parity(monomial)
-                lo, _ = self._slice(k, monomial)
-                selector += [[(lo + m, 1)] for m in range(n)
-                             if (algebra.parity[m] + mpar) % 2 != par]
-            space = kernel(vstack([shared, Matrix.from_pairs(f, selector, flat)]))
-            total = space if total is None else total.sum(space)
-        return total
+        shared = Matrix.from_entries(f, rows(), self.flat_dim(k))
+        flat = flat_parities([ext.monomial_parity(mono) for mono in ext.monomials(k)],
+                             algebra.parity)
+        even, odd = (kernel_on(shared, [j for j, p in enumerate(flat) if p == par])
+                     for par in (0, 1))
+        return even.sum(odd)
 
     # -- reports -----------------------------------------------------------------
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, flat_parities
 from .bimodule import Bimodule, regular_bimodule
 from .linalg import (
     Matrix,
@@ -224,12 +224,9 @@ class HomSpace:
             raise AlgebraError("graded operations refuse characteristic 2")
 
     def coordinate_parity(self):
-        """Parity of each flat coordinate: a map is homogeneous of parity π
-        iff it is supported on coordinates of parity π."""
+        """Parity of each flat coordinate (see ``flat_parities``)."""
         self._require_graded()
-        pq, pp = self.target.parity, self.source.parity
-        return [(pq[r] + pp[c]) % 2
-                for r in range(self.target.dim) for c in range(self.source.dim)]
+        return flat_parities(self.target.parity, self.source.parity)
 
     def sign_matrix(self) -> Matrix:
         if self._sign is None:
@@ -238,11 +235,6 @@ class HomSpace:
             self._sign = Matrix.from_entries(f, [[(i, -1 if par else 1)]
                                                for i, par in enumerate(pars)], self.dim)
         return self._sign
-
-    def parity_subspace(self, par: int) -> Subspace:
-        """The maps supported on coordinates of parity ``par``."""
-        off = [[(i, 1)] for i, p in enumerate(self.coordinate_parity()) if p != par]
-        return kernel(Matrix.from_pairs(self.algebra.field, off, self.dim))
 
     def map_parity(self, phi: LinMap):
         """Parity of a homogeneous map, or raise if mixed."""

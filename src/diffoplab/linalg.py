@@ -35,7 +35,9 @@ operators of the higher layers are almost entirely zero, so this keeps both
 their storage and their arithmetic to a small fraction of the dense size.
 
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
-rest on four helpers: ``preimage`` (the vectors that a family of operators
+rest on five helpers: ``kernel_on`` (the kernel among the vectors supported
+on given columns, which is how every graded space takes its homogeneous
+part of one parity), ``preimage`` (the vectors that a family of operators
 sends into a subspace), ``restrict_operator`` (the matrix of m from a
 subspace S into a subspace T, in their basis coordinates; T is S itself
 unless given), ``quotient_projection`` (the free columns of K^n/S and the
@@ -53,8 +55,9 @@ their span reaches rank n, ``Echelon.subspace`` at full rank is
 ``Subspace.full`` without back-substitution, ``preimage`` of a full target
 is the whole domain, and ``Subspace.sum``, ``intersect``, ``contains`` and
 ``contains_space`` answer from the dimensions when an operand is full (or,
-for the first two, zero).  ``Subspace.full`` is the canonical basis that
-elimination would give, so no result changes.
+for the first two, zero); the ``constraint_matrix`` of a full subspace has
+no rows.  ``Subspace.full`` is the canonical basis that elimination would
+give, so no result changes.
 """
 
 from __future__ import annotations
@@ -796,7 +799,9 @@ class Subspace:
     def constraint_matrix(self) -> Matrix:
         """Rows span the annihilator: v ∈ self iff constraint_matrix @ v = 0."""
         if self._constraints is None:
-            if self.dim == 0:
+            if self.is_full:
+                self._constraints = Matrix.zeros(self.field, 0, self.ambient_dim)
+            elif self.dim == 0:
                 self._constraints = Matrix.identity(self.field, self.ambient_dim)
             else:
                 ker = kernel(self.basis_matrix())
@@ -833,6 +838,20 @@ def kernel(m) -> Subspace:
         seen.add(key)
         ech.add_entries(pairs)
     return _null_space(ech, ech.reduced_rows(), m.cols)
+
+
+def kernel_on(m, cols) -> Subspace:
+    """{v : m v = 0 and v_j = 0 for every j outside ``cols``}, canonical.
+
+    The kernel of m's columns ``cols`` alone, with each basis row put back at
+    those columns; the columns keep their order, so the basis stays reduced.
+    """
+    cols = sorted(cols)
+    at = {j: i for i, j in enumerate(cols)}
+    rows = [[(at[j], x) for j, x in pairs if j in at] for pairs in m.row_entries()]
+    ker = kernel(Matrix._from_pairs(m.field, rows, len(cols)))
+    return Subspace(m.field, m.cols, [[(cols[i], x) for i, x in pairs] for pairs in ker._rows],
+                    [cols[i] for i in ker.pivot_cols])
 
 
 def _null_space(ech: Echelon, reduced, n: int) -> Subspace:

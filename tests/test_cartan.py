@@ -1,5 +1,6 @@
 import pytest
 
+from diffoplab import homspace
 from diffoplab.algebra import catalog, trunc_poly
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.cartan import (
@@ -175,3 +176,26 @@ def test_relations_hold_checks_the_scaling_action(spec, side):
     pair.dual.__dict__["bimodule"] = Bimodule(a, dual.dim, left, right, name=dual.name)
     assert not pair.relations_hold()
     assert not cartan_relations_by_elements(pair)
+
+
+def test_cartan_report_solves_the_bimodule_first_order_space_once(monkeypatch):
+    """Both comparisons read the pair's own regular bimodule, so they share
+    one Hom_K(A, A) and its first-order preimage."""
+    homs, solves = [], []
+    init, solve = homspace.HomSpace.__init__, homspace.preimage
+
+    def counting_init(self, *args):
+        homs.append(self)
+        init(self, *args)
+
+    def counting_preimage(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(homspace.HomSpace, "__init__", counting_init)
+    monkeypatch.setattr(homspace, "preimage", counting_preimage)
+    a, pair = universal_pair("matrix:2")
+    cartan_vs_definitions(pair)
+    assert two_sided_hats_are_first_order(pair)
+    assert len(homs) == 2  # Hom_K(Ω¹, A) for the dual, Hom_K(A, A) for the definitions
+    assert len(solves) == 2

@@ -105,6 +105,21 @@ def test_graded_derivations_grassmann():
     assert sorted(d2.basis_parities()) == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+def test_basis_parities_match_a_scan_of_the_basis_maps(g, field):
+    a = grassmann(g, field)
+    reg = regular_bimodule(a)
+    d = derivations(a, reg, graded=True)
+    scanned = []
+    for u in d.basis_maps():
+        pars = {(reg.parity[i] + a.parity[j]) % 2
+                for i, row in enumerate(u.row_entries()) for j, _ in row}
+        assert len(pars) == 1
+        scanned.append(pars.pop())
+    assert d.basis_parities() == scanned
+
+
 def test_graded_ungraded_differ_on_grassmann():
     # ungraded Leibniz on Λ(θ) only sees even-type derivations
     g1 = grassmann(1)

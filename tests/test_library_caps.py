@@ -31,7 +31,7 @@ def test_form_degree_cap_is_3():
     with pytest.raises(DegreeCapError):
         CochainComplex(a, cap=DEGREE_CAP + 1)
     with pytest.raises(DegreeCapError):
-        ce_forms(a, DEGREE_CAP + 1, cap=DEGREE_CAP + 1)
+        ce_forms(a, DEGREE_CAP + 1)
 
 
 def test_graded_degree_cap_is_2():

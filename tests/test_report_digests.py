@@ -67,6 +67,18 @@ PINNED = {
         "86f61e299b915e98ef03bd7b221508b7786aecf07f6a21000979e074825df968",
     "cartan matrix:3":
         "37bea9fb0fcc851d6e6d26150387caefdeb4ce5fe047a8bd441615befeaecea4",
+    # recorded at 52e8006, while each graded split still stacked unit
+    # selector rows under its system (or intersected with a parity subspace)
+    "derivations grassmann:3 --graded":
+        "a1786c48d768c2101058e5d263a356219f8e92aa1e18a996c0a9abaa2f23c336",
+    "derivations grassmann:3 --graded --field p:32003":
+        "dd271a30c2298c4739080585c2dd5682c722267d1b7109cc38aa7cd3ab7ea76d",
+    "diff-space grassmann:2 --definition graded --order 2":
+        "789150742ac65ba583cc4005bba73d71ff8b400515782c725acc60ee0dd7531d",
+    "compare-defs grassmann:2 --order 2":
+        "8d2415ce5f0873cfd2e13b07f545faaefde9d17fee3f4ef29f5cc06c134c6359",
+    "graded-ce grassmann:3 --max-degree 1":
+        "379cd038ced4d816997f7df5821589cc77a14083b4c9839966b64b5524caef26",
 }
 
 

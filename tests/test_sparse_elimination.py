@@ -17,7 +17,8 @@ from diffoplab.algebra import catalog
 from diffoplab.cecalc import ce_forms
 from diffoplab.fields import QQ, Field
 from diffoplab.gradedce import GradedCochainComplex
-from diffoplab.linalg import Echelon, Matrix, Subspace, kernel
+from diffoplab import linalg
+from diffoplab.linalg import Echelon, Matrix, Subspace, kernel, kernel_on, vstack
 
 from oracles import gauss_nullspace, gauss_rref, random_rational
 
@@ -148,6 +149,36 @@ def test_fully_dense_rows(field):
     assert kernel(sparse_system(field, rows, cols)) == kernel(Matrix(field, rows, cols))
 
 
+def unit_rows_off(field, cols, n):
+    """The unit rows e_j for every column j < n outside ``cols``."""
+    keep = set(cols)
+    return Matrix.from_pairs(field, [[(j, 1)] for j in range(n) if j not in keep], n)
+
+
+@FIELDS
+def test_kernel_on_is_the_kernel_with_unit_rows_off_the_columns(field):
+    rng = random.Random(47)
+    for trial in range(60):
+        n = rng.randrange(1, 10)
+        rows = random_rows(rng, field, 0 if trial % 10 == 0 else rng.randrange(1, 8), n,
+                           rng.choice((0.15, 0.5, 1.0)))
+        m = sparse_system(field, rows, n)
+        for cols in ([], list(range(n)), sorted(rng.sample(range(n), rng.randrange(n + 1)))):
+            expected = kernel(vstack([m, unit_rows_off(field, cols, n)]))
+            got = kernel_on(m, cols)
+            assert got == expected
+            assert got.basis == expected.basis
+
+
+@FIELDS
+def test_full_subspace_constraints_are_read_off_without_a_kernel(monkeypatch, field):
+    calls = recorded_kernels(monkeypatch, linalg)
+    cons = Subspace.full(field, 5).constraint_matrix()
+    assert (cons.rows, cons.cols) == (0, 5)
+    assert calls == []
+    assert kernel(cons) == Subspace.full(field, 5)
+
+
 def recorded_kernels(monkeypatch, module):
     """Replace ``module.kernel`` by a wrapper that keeps every system it solves."""
     calls = []
@@ -189,9 +220,18 @@ def test_ce_forms_space_is_the_oracle_kernel(monkeypatch, spec, degrees, field):
 def test_graded_a_linear_subspace_is_the_oracle_kernel(monkeypatch, field):
     cx = GradedCochainComplex(catalog("grassmann:2", field), cap=1)
     for k in (1, 2):
-        calls = recorded_kernels(monkeypatch, gradedce)
+        calls = []
+
+        def recording(m, cols):
+            calls.append((m, cols))
+            return kernel_on(m, cols)
+
+        monkeypatch.setattr(gradedce, "kernel_on", recording)
         space = cx._a_linear_subspace(k)
         assert len(calls) == 2  # one homogeneous system per parity
-        vectors = [v for system in calls
+        # the oracle system: the A-linearity rows and a unit row for every
+        # coordinate off the parity's support
+        systems = [vstack([m, unit_rows_off(field, cols, m.cols)]) for m, cols in calls]
+        vectors = [v for system in systems
                    for v in oracle_kernel(field, dense_rows(system), system.cols)]
         assert as_lists(space.basis) == gauss_rref(vectors, field.char)
