@@ -14,7 +14,7 @@ bimodule-and-wedge closure of the exact one-forms.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .algebra import FiniteAlgebra
 from .bimodule import Bimodule, regular_bimodule
@@ -49,6 +49,103 @@ def _value_at(flat, t, n: int, d: int):
     """φ(u_{t_0}, …) as algebra coordinates, basis tuple arguments."""
     base = _tuple_index(t, d) * n
     return flat[base:base + n]
+
+
+class SuperExterior:
+    """Monomial bookkeeping for graded exterior powers of the derivations.
+
+    ``parities`` are those of the derivation basis; with all of them even
+    this is the plain exterior power, whose monomials are the increasing
+    tuples.
+    """
+
+    def __init__(self, parities):
+        self.parities = list(parities)
+        self.evens = [i for i, p in enumerate(self.parities) if p == 0]
+        self.odds = [i for i, p in enumerate(self.parities) if p == 1]
+        self._monomials = {}
+        self._index = {}
+
+    def monomials(self, k: int):
+        """All degree-k normal-form monomials as (evens, odds) index tuples."""
+        if k not in self._monomials:
+            out = []
+            for r in range(min(k, len(self.evens)), -1, -1):
+                s = k - r
+                for ev in combinations(self.evens, r):
+                    for od in combinations_with_replacement(self.odds, s):
+                        out.append((ev, od))
+            out.sort()
+            self._monomials[k] = out
+            self._index[k] = {m: i for i, m in enumerate(out)}
+        return self._monomials[k]
+
+    def index(self, k: int, monomial) -> int:
+        self.monomials(k)
+        return self._index[k][monomial]
+
+    def normalize(self, factors):
+        """Sort a factor list into normal form; returns (sign, monomial) or None.
+
+        Swapping adjacent factors costs −1 unless both are odd; a repeated
+        even factor kills the monomial.
+        """
+        fs = list(factors)
+        par = self.parities
+        sign = 1
+        for i in range(len(fs)):
+            for j in range(len(fs) - 1 - i):
+                a, b = fs[j], fs[j + 1]
+                swap = (par[a], a) > (par[b], b)
+                if swap:
+                    fs[j], fs[j + 1] = b, a
+                    if not (par[a] and par[b]):
+                        sign = -sign
+        for x, y in zip(fs, fs[1:]):
+            if x == y and par[x] == 0:
+                return None
+        ev = tuple(x for x in fs if par[x] == 0)
+        od = tuple(x for x in fs if par[x] == 1)
+        return sign, (ev, od)
+
+    def monomial_parity(self, monomial) -> int:
+        return len(monomial[1]) % 2
+
+
+def linearity_rows(ext: SuperExterior, degree: int, n: int, scalings):
+    """The rows φ(s·u_b ∧ u_R) − s·φ(u_b ∧ u_R) = 0 on normal-form coordinates.
+
+    The coordinates are (monomial of ``ext``, value coordinate), n to a
+    monomial.  There is one row per normal-form R of degree − 1, scalar s,
+    derivation b and value coordinate m, as ``{col: value}`` items with plain
+    sums; a row that sums to zero, as each row for s = 1 does, is left
+    empty.  ``scalings`` holds, per s, the row entries of its left
+    multiplication and the derivation coordinates of s·u_b for each b.
+    Linearity in the first slot is enough: moving any other slot to the
+    front and back costs the same sign on both sides.  A b that repeats an
+    even factor of R is kept, since φ(u_b ∧ u_R) vanishes there but the
+    terms of s·u_b need not.
+    """
+    for tail in ext.monomials(degree - 1):
+        tail = list(tail[0] + tail[1])
+        # (column start, sign) of u_r ∧ u_R for each derivation r, None where it vanishes
+        wedged = []
+        for r in range(len(ext.parities)):
+            norm = ext.normalize([r] + tail)
+            wedged.append(None if norm is None else (ext.index(degree, norm[1]) * n, norm[0]))
+        for lmul, coords in scalings:
+            for b, scaled in enumerate(coords):
+                terms = [(w[0], w[1] * c) for w, c in zip(wedged, scaled)
+                         if c and w is not None]
+                for m in range(n):
+                    row = {}
+                    for lo, c in terms:
+                        row[lo + m] = row.get(lo + m, 0) + c
+                    if wedged[b] is not None:
+                        lo, sign = wedged[b]
+                        for m2, v in lmul[m]:
+                            row[lo + m2] = row.get(lo + m2, 0) - sign * v
+                    yield row.items()
 
 
 class FormSpace:
@@ -99,7 +196,19 @@ class FormSpace:
 
 def ce_forms(algebra: FiniteAlgebra, degree: int,
              der: DerivationSpace = None) -> FormSpace:
-    """Solve the alternating + center-linearity constraints at one degree."""
+    """The alternating center-multilinear forms of one degree.
+
+    An alternating form is fixed by its values on increasing tuples, so the
+    system is solved in one unknown per (increasing tuple, value coordinate)
+    under the center-linearity rows of :func:`linearity_rows`, imposed in the
+    first slot only; alternation carries them to every other slot.  Rows
+    whose u_a repeats an argument of R are kept: φ(u_a, u_R) vanishes there,
+    but φ(z·u_a, u_R) need not.  The
+    kernel is then spread back over all n·d^k tuple coordinates, each
+    increasing tuple to its permutations with their signs.  An increasing
+    tuple comes first among its permutations, so the spread rows are already
+    the canonical reduced basis and need no second elimination.
+    """
     if degree > DEGREE_CAP:
         raise DegreeCapError(f"degree {degree} exceeds cap {DEGREE_CAP}")
     if der is None:
@@ -109,49 +218,21 @@ def ce_forms(algebra: FiniteAlgebra, degree: int,
     f = algebra.field
     if degree == 0:
         return FormSpace(algebra, der, 0, Subspace.full(f, n))
+    ext = SuperExterior([0] * d)
+    maps = der.basis_maps()
     z_mults = [algebra.left_mult(list(z)) for z in algebra.center().basis]
-    # coordinates of z·u_t in the derivation basis, per center basis z
-    z_coords = [[der.coords_of(lz @ u) for u in der.basis_maps()] for lz in z_mults]
-
-    def rows():
-        """The constraint rows one at a time, as ``(col, value)`` pairs with plain sums."""
-        # alternating: adjacent swaps negate; repeated adjacent arguments vanish
-        for t in product(range(d), repeat=degree):
-            ti = _tuple_index(t, d)
-            for s in range(degree - 1):
-                if t[s] == t[s + 1]:
-                    for m in range(n):
-                        yield [(ti * n + m, 1)]
-                elif t[s] < t[s + 1]:
-                    swapped = list(t)
-                    swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
-                    si = _tuple_index(swapped, d)
-                    for m in range(n):
-                        yield [(ti * n + m, 1), (si * n + m, 1)]
-        # center-multilinearity in every slot
-        for zrow, lz in zip(z_coords, z_mults):
-            lz = lz.row_entries()
-            for t in product(range(d), repeat=degree):
-                ti = _tuple_index(t, d)
-                for s in range(degree):
-                    for m in range(n):
-                        row = {}
-                        for r, c in enumerate(zrow[t[s]]):
-                            if c != 0:
-                                replaced = list(t)
-                                replaced[s] = r
-                                k = _tuple_index(replaced, d) * n + m
-                                row[k] = row.get(k, 0) + c
-                        for m2, v in lz[m]:
-                            k = ti * n + m2
-                            row[k] = row.get(k, 0) - v
-                        # a row that sums to zero, as each row for z = 1 does,
-                        # constrains nothing and is not stored
-                        if any(row.values()):
-                            yield row.items()
-
-    cons = Matrix.from_entries(f, rows(), n * (d ** degree))
-    return FormSpace(algebra, der, degree, kernel(cons))
+    scalings = [(lz.row_entries(), [der.coords_of(lz @ u) for u in maps]) for lz in z_mults]
+    monomials = ext.monomials(degree)
+    ker = kernel(Matrix.from_entries(f, linearity_rows(ext, degree, n, scalings),
+                                     n * len(monomials)))
+    # (tuple column start, sign) of each permutation, the increasing tuple first
+    spread = [[(_tuple_index(t, d) * n, ext.normalize(t)[0]) for t in permutations(ev)]
+              for ev, _ in monomials]
+    rows = [sorted((lo + j % n, x if sign > 0 else f.neg(x))
+                   for j, x in pairs for lo, sign in spread[j // n])
+            for pairs in ker.basis_matrix().row_entries()]
+    pivots = [spread[j // n][0][0] + j % n for j in ker.pivot_cols]
+    return FormSpace(algebra, der, degree, Subspace(f, n * d ** degree, rows, pivots))
 
 
 def ce_coboundary_matrix(algebra: FiniteAlgebra, der: DerivationSpace,
@@ -267,10 +348,14 @@ class CochainComplex:
         # restrict_operator raises if d leaves the subcomplex
         self.d = [restrict_operator(self.ambient_d[k], self.forms[k].space,
                                     self.forms[k + 1].space) for k in range(cap)]
+        self._d_squared = None
 
     def d_squared_is_zero(self) -> bool:
-        return all((self.d[k + 1] @ self.d[k]).is_zero()
-                   for k in range(len(self.d) - 1))
+        """Checked on the first call and kept."""
+        if self._d_squared is None:
+            self._d_squared = all((self.d[k + 1] @ self.d[k]).is_zero()
+                                  for k in range(len(self.d) - 1))
+        return self._d_squared
 
     def betti_data(self):
         from .linalg import rank

@@ -23,72 +23,13 @@ the Koszul-rule expansion where each argument crosses the ones before it.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, product
-
 from .algebra import AlgebraError, FiniteAlgebra, flat_parities
 from .bimodule import regular_bimodule
-from .cecalc import DegreeCapError
+from .cecalc import DegreeCapError, SuperExterior, linearity_rows
 from .derivations import DerivationSpace, derivations, super_bracket
 from .linalg import Matrix, Subspace, kernel_on, restrict_operator
 
 GRADED_DEGREE_CAP = 2
-
-
-class SuperExterior:
-    """Monomial bookkeeping for graded exterior powers of the derivations."""
-
-    def __init__(self, der: DerivationSpace):
-        self.der = der
-        self.parities = der.basis_parities()
-        self.evens = [i for i, p in enumerate(self.parities) if p == 0]
-        self.odds = [i for i, p in enumerate(self.parities) if p == 1]
-        self._monomials = {}
-        self._index = {}
-
-    def monomials(self, k: int):
-        """All degree-k normal-form monomials as (evens, odds) index tuples."""
-        if k not in self._monomials:
-            out = []
-            for r in range(min(k, len(self.evens)), -1, -1):
-                s = k - r
-                for ev in combinations(self.evens, r):
-                    for od in combinations_with_replacement(self.odds, s):
-                        out.append((ev, od))
-            out.sort()
-            self._monomials[k] = out
-            self._index[k] = {m: i for i, m in enumerate(out)}
-        return self._monomials[k]
-
-    def index(self, k: int, monomial) -> int:
-        self.monomials(k)
-        return self._index[k][monomial]
-
-    def normalize(self, factors):
-        """Sort a factor list into normal form; returns (sign, monomial) or None.
-
-        Swapping adjacent factors costs −1 unless both are odd; a repeated
-        even factor kills the monomial.
-        """
-        fs = list(factors)
-        par = self.parities
-        sign = 1
-        for i in range(len(fs)):
-            for j in range(len(fs) - 1 - i):
-                a, b = fs[j], fs[j + 1]
-                swap = (par[a], a) > (par[b], b)
-                if swap:
-                    fs[j], fs[j + 1] = b, a
-                    if not (par[a] and par[b]):
-                        sign = -sign
-        for x, y in zip(fs, fs[1:]):
-            if x == y and par[x] == 0:
-                return None
-        ev = tuple(x for x in fs if par[x] == 0)
-        od = tuple(x for x in fs if par[x] == 1)
-        return sign, (ev, od)
-
-    def monomial_parity(self, monomial) -> int:
-        return len(monomial[1]) % 2
 
 
 class GradedCochainComplex:
@@ -106,7 +47,7 @@ class GradedCochainComplex:
         self.cap = cap
         self.der = der if der is not None else derivations(
             algebra, regular_bimodule(algebra), graded=True)
-        self.ext = SuperExterior(self.der)
+        self.ext = SuperExterior(self.der.basis_parities())
         self.maps = self.der.basis_maps()
         d = self.der.dim
         self._bracket = {}
@@ -115,13 +56,15 @@ class GradedCochainComplex:
                 br = super_bracket(self.maps[i], self.ext.parities[i],
                                    self.maps[j], self.ext.parities[j])
                 self._bracket[(i, j)] = self.der.coords_of(br)
-        # (e_a · u_i) in derivation coordinates, read by the A-linearity rows
-        self._scaled = {(a, i): self.der.coords_of(algebra.left_mult_basis(a) @ self.maps[i])
-                        for a in range(algebra.dim) for i in range(d)}
+        # per basis element e_a, its left multiplication and the derivation
+        # coordinates of e_a·u_i, read by the A-linearity rows
+        self._scalings = [(la.row_entries(), [self.der.coords_of(la @ u) for u in self.maps])
+                          for la in map(algebra.left_mult_basis, range(algebra.dim))]
         self.ambient_delta = [self._delta_matrix(k) for k in range(cap + 1)]
         self.forms = [self._a_linear_subspace(k) for k in range(cap + 1)]
         self.d = [restrict_operator(self.ambient_delta[k], self.forms[k], self.forms[k + 1])
                   for k in range(cap)]
+        self._d_squared = None
 
     # -- flat spaces -----------------------------------------------------------
 
@@ -215,47 +158,13 @@ class GradedCochainComplex:
         if k == 0:
             return Subspace.full(f, n)
         ext = self.ext
-        left_rows = [algebra.left_mult_basis(ai).row_entries() for ai in range(n)]
-
-        def rows():
-            """The A-linearity rows one at a time, as ``{col: value}`` items with plain sums."""
-            # constraints come from every argument tuple, not only the
-            # normal-form ones: scaling one slot of a degenerate tuple
-            # still relates honest monomial values
-            for factors in product(range(self.der.dim), repeat=k):
-                factors = list(factors)
-                base = ext.normalize(factors)
-                lo0 = self._slice(k, base[1])[0] if base is not None else None
-                for t in range(k):
-                    prefix_par = sum(ext.parities[x] for x in factors[:t]) % 2
-                    head, tail = factors[:t], factors[t + 1:]
-                    for ai in range(n):
-                        # scaling slot t crosses the earlier factors only:
-                        # v_1∧…∧(a·v_t)∧… = (−1)^{[a]([v_1]+…+[v_{t−1}])} a·(v_1∧…)
-                        sign_neg = (algebra.parity[ai] * prefix_par) % 2 == 1
-                        la = left_rows[ai]
-                        # (slice start, signed coefficient) of each term a·v_t = Σ c_b v_b
-                        terms = []
-                        for b, c in enumerate(self._scaled[(ai, factors[t])]):
-                            norm = ext.normalize(head + [b] + tail) if c else None
-                            if norm is not None:
-                                sgn, mono2 = norm
-                                terms.append((self._slice(k, mono2)[0], c if sgn > 0 else -c))
-                        if base is not None:
-                            s = 1 if (base[0] < 0) != sign_neg else -1
-                        for m in range(n):
-                            row = {}
-                            for lo, c in terms:
-                                row[lo + m] = row.get(lo + m, 0) + c
-                            if base is not None:
-                                for m2, v in la[m]:
-                                    row[lo0 + m2] = row.get(lo0 + m2, 0) + s * v
-                            # a row that sums to zero, as each row for a = 1
-                            # does, constrains nothing and is not stored
-                            if any(row.values()):
-                                yield row.items()
-
-        shared = Matrix.from_entries(f, rows(), self.flat_dim(k))
+        # rows from the first slot and normal-form tails only: a·v_t in slot
+        # t crosses the earlier factors to the front with the sign
+        # (−1)^{[a]([v_1]+…+[v_{t−1}])} that A-linearity asks for there, so
+        # the rows of every other slot and every permuted tuple are ± these;
+        # tails that repeat an even b still give rows (see linearity_rows)
+        shared = Matrix.from_entries(f, linearity_rows(ext, k, n, self._scalings),
+                                     self.flat_dim(k))
         flat = flat_parities([ext.monomial_parity(mono) for mono in ext.monomials(k)],
                              algebra.parity)
         even, odd = (kernel_on(shared, [j for j, p in enumerate(flat) if p == par])
@@ -266,12 +175,14 @@ class GradedCochainComplex:
 
     def d_squared_is_zero(self) -> bool:
         """δ∘δ = 0 on the algebra-linear subcomplex, checked in ambient coords:
-        δ_{k+1}·(δ_k·Bᵀ) vanishes for the basis rows B of each degree k."""
-        for k in range(self.cap):
-            images = self.ambient_delta[k] @ self.forms[k].basis_matrix().transpose()
-            if not (self.ambient_delta[k + 1] @ images).is_zero():
-                return False
-        return True
+        δ_{k+1}·(δ_k·Bᵀ) vanishes for the basis rows B of each degree k.
+        Checked on the first call and kept."""
+        if self._d_squared is None:
+            delta = self.ambient_delta
+            self._d_squared = all(
+                (delta[k + 1] @ (delta[k] @ self.forms[k].basis_matrix().transpose())).is_zero()
+                for k in range(self.cap))
+        return self._d_squared
 
     def to_dict(self):
         return {

@@ -388,3 +388,106 @@ def cartan_relations_by_elements(pair):
             if lhs != want:
                 return False
     return True
+
+
+def _tuple_position(t, d):
+    """Position of the tuple ``t`` among all tuples over range(d), lexicographically."""
+    pos = 0
+    for x in t:
+        pos = pos * d + x
+    return pos
+
+
+def ce_form_rows(n, d, degree, center_mults, center_coords):
+    """Dense constraint rows of the alternating, center-multilinear degree-k
+    forms on all n·d^k (tuple, value coordinate) coordinates.
+
+    ``center_mults[z]`` is the dense left multiplication by the z-th center
+    basis element, ``center_coords[z][i]`` the coordinates of z·u_i in the
+    derivation basis.  Alternation: φ(t) + φ(t with slots s, s+1 swapped) = 0
+    for every tuple and adjacent pair (a repeated pair gives 2φ(t) = 0).
+    Center-linearity in every slot: φ(.., z·u_{t_s}, ..) − z·φ(t) = 0.
+    """
+    width = n * d ** degree
+    rows = []
+    for t in product(range(d), repeat=degree):
+        at = _tuple_position(t, d) * n
+        for s in range(degree - 1):
+            swapped = list(t)
+            swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
+            to = _tuple_position(swapped, d) * n
+            for m in range(n):
+                row = [0] * width
+                row[at + m] += 1
+                row[to + m] += 1
+                rows.append(row)
+        for lz, zc in zip(center_mults, center_coords):
+            for s in range(degree):
+                for m in range(n):
+                    row = [0] * width
+                    for r, c in enumerate(zc[t[s]]):
+                        replaced = list(t)
+                        replaced[s] = r
+                        row[_tuple_position(replaced, d) * n + m] += c
+                    for m2, v in enumerate(lz[m]):
+                        row[at + m2] -= v
+                    rows.append(row)
+    return rows
+
+
+def super_normal_form(factors, parity):
+    """A super wedge of derivation basis elements in normal form, by insertion sort.
+
+    Returns (sign, (evens, odds)) with the even indices strictly and the odd
+    ones weakly increasing, or None when a repeated even factor kills it.
+    Passing one factor over another costs −1 unless both are odd.
+    """
+    fs = list(factors)
+    sign = 1
+    for i in range(1, len(fs)):
+        j = i
+        while j > 0 and (parity[fs[j - 1]], fs[j - 1]) > (parity[fs[j]], fs[j]):
+            if not (parity[fs[j - 1]] and parity[fs[j]]):
+                sign = -sign
+            fs[j - 1], fs[j] = fs[j], fs[j - 1]
+            j -= 1
+    if any(x == y and not parity[x] for x, y in zip(fs, fs[1:])):
+        return None
+    return sign, (tuple(x for x in fs if not parity[x]), tuple(x for x in fs if parity[x]))
+
+
+def graded_a_linear_rows(n, der_parity, alg_parity, left_mults, scaled, degree):
+    """Dense A-linearity rows of the graded degree-k cochains, from every
+    argument tuple and every slot, and the parity of each flat coordinate.
+
+    The coordinates are (normal-form monomial, value coordinate), with the
+    monomials in sorted (evens, odds) order.  ``left_mults[a]`` is the dense
+    left multiplication by e_a and ``scaled[a][i]`` the coordinates of e_a·u_i.
+    Scaling slot t crosses the factors before it:
+    c(..a·u_{i_t}..) − (−1)^{[a]([u_{i_1}]+…+[u_{i_{t−1}}])} a·c(..u_{i_t}..) = 0.
+    """
+    d = len(der_parity)
+    tuples = list(product(range(d), repeat=degree))
+    monomials = sorted({nf[1] for t in tuples
+                        if (nf := super_normal_form(t, der_parity)) is not None})
+    at = {mono: i * n for i, mono in enumerate(monomials)}
+    width = n * len(monomials)
+    rows = []
+    for t in tuples:
+        base = super_normal_form(t, der_parity)
+        for s in range(degree):
+            prefix = sum(der_parity[x] for x in t[:s]) % 2
+            for a in range(n):
+                cross = -1 if alg_parity[a] and prefix else 1
+                for m in range(n):
+                    row = [0] * width
+                    for b, c in enumerate(scaled[a][t[s]]):
+                        nf = super_normal_form(t[:s] + (b,) + t[s + 1:], der_parity)
+                        if c and nf is not None:
+                            row[at[nf[1]] + m] += nf[0] * c
+                    if base is not None:
+                        for m2, v in enumerate(left_mults[a][m]):
+                            row[at[base[1]] + m2] -= cross * base[0] * v
+                    rows.append(row)
+    parities = [(len(mono[1]) + alg_parity[m]) % 2 for mono in monomials for m in range(n)]
+    return rows, parities

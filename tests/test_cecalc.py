@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import comb
 
+from diffoplab import cecalc
 from diffoplab.algebra import catalog, matrix_algebra, quaternion, trunc_poly
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.cecalc import (
@@ -17,6 +19,7 @@ from diffoplab.derivations import derivations
 from diffoplab.diffops import dv_first_order
 from diffoplab.fields import QQ
 from diffoplab.homspace import HomSpace, LinMap
+from diffoplab.linalg import kernel
 
 
 def der_of(a):
@@ -219,3 +222,20 @@ def test_complex_report_dict():
     assert d["d_squared_zero"] is True
     assert d["dims"][0] == 3
     assert len(d["betti"]) == 3
+
+
+def test_forms_are_solved_once_on_increasing_tuples(monkeypatch):
+    # Der(M_3) = sl_3 has dimension 8: one system in 9·C(8, 3) unknowns with
+    # one row per (derivation, increasing pair, value coordinate) for the one
+    # center basis element, not 9·8³ unknowns
+    systems = []
+
+    def recording(m):
+        systems.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(cecalc, "kernel", recording)
+    a = catalog("matrix:3")
+    fs = ce_forms(a, 3, der_of(a))
+    assert [(m.rows, m.cols) for m in systems] == [(8 * comb(8, 2) * 9, 9 * comb(8, 3))]
+    assert fs.space.ambient_dim == 9 * 8 ** 3

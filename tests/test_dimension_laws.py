@@ -1,0 +1,41 @@
+"""Form dimensions fixed by classical results, checked over GF(32003).
+
+These laws hold at sizes the brute-force oracles cannot reach, so they guard
+the normal-form solves where no oracle runs.
+"""
+
+from math import comb
+
+import pytest
+
+from diffoplab.algebra import catalog
+from diffoplab.bimodule import regular_bimodule
+from diffoplab.cecalc import ce_forms
+from diffoplab.derivations import derivations
+from diffoplab.fields import Field
+from diffoplab.gradedce import GradedCochainComplex
+
+GF32003 = Field(32003)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_matrix_algebra_forms_are_all_of_the_exterior_dual(size):
+    # Der(M_K) = sl_K and the center of M_K is K, so center-linearity is no
+    # condition: the k-forms are Hom_K(Λ^k sl_K, M_K), of dimension
+    # K²·C(K² − 1, k); matrix:3 gives [9, 72, 252, 504]
+    a = catalog(f"matrix:{size}", GF32003)
+    der = derivations(a, regular_bimodule(a))
+    n = size * size
+    assert [ce_forms(a, k, der).dim for k in range(4)] == [n * comb(n - 1, k)
+                                                            for k in range(4)]
+
+
+@pytest.mark.parametrize("generators", [1, 2, 3])
+def test_grassmann_graded_forms_are_free_on_super_monomials(generators):
+    # graded Der of grassmann:G is free of rank G over A, with G odd
+    # generators, so the A-linear k-cochains are A-valued functions on the
+    # degree-k super-monomials in G commuting letters: 2^G·C(G + k − 1, k);
+    # grassmann:3 gives [8, 24, 48]
+    cx = GradedCochainComplex(catalog(f"grassmann:{generators}", GF32003), cap=2)
+    assert [s.dim for s in cx.forms] == [2 ** generators * comb(generators + k - 1, k)
+                                         for k in range(3)]

@@ -1,17 +1,18 @@
 import pytest
 
+from diffoplab import gradedce
 from diffoplab.algebra import AlgebraError, direct_product, grassmann, trunc_poly
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.derivations import derivations
 from diffoplab.fields import Field
 from diffoplab.gradedce import GradedCochainComplex, SuperExterior
-from diffoplab.linalg import Matrix
+from diffoplab.linalg import Matrix, kernel_on
 
 
 def test_super_exterior_monomials():
     g2 = grassmann(2)
     der = derivations(g2, regular_bimodule(g2), graded=True)
-    ext = SuperExterior(der)
+    ext = SuperExterior(der.basis_parities())
     assert len(ext.evens) == 4 and len(ext.odds) == 4
     assert len(ext.monomials(1)) == 8
     # C(4,2) even pairs + 4·4 mixed + C(5,2) odd-with-repetition
@@ -21,7 +22,7 @@ def test_super_exterior_monomials():
 def test_normalize_signs():
     g2 = grassmann(2)
     der = derivations(g2, regular_bimodule(g2), graded=True)
-    ext = SuperExterior(der)
+    ext = SuperExterior(der.basis_parities())
     e = ext.evens
     o = ext.odds
     # even-even swap flips sign
@@ -115,3 +116,19 @@ def test_report_dict():
     d = cx.to_dict()
     assert d["d_squared_zero"] is True
     assert d["derivations"] == {"even": 1, "odd": 1}
+
+
+def test_a_linearity_rows_come_from_the_first_slot_on_normal_form_tails(monkeypatch):
+    # one row per (derivation b, tail monomial, algebra basis a, value
+    # coordinate), shared by both parities: d·#monomials(k − 1)·n² rows
+    systems = []
+
+    def recording(m, cols):
+        systems.append(m)
+        return kernel_on(m, cols)
+
+    monkeypatch.setattr(gradedce, "kernel_on", recording)
+    cx = GradedCochainComplex(grassmann(2), cap=2)
+    n, d = cx.algebra.dim, cx.der.dim
+    assert [m.rows for m in systems] == [d * len(cx.ext.monomials(k - 1)) * n * n
+                                         for k in (1, 1, 2, 2)]

@@ -79,6 +79,14 @@ PINNED = {
         "8d2415ce5f0873cfd2e13b07f545faaefde9d17fee3f4ef29f5cc06c134c6359",
     "graded-ce grassmann:3 --max-degree 1":
         "379cd038ced4d816997f7df5821589cc77a14083b4c9839966b64b5524caef26",
+    # recorded at 3dd0992, while the form spaces were still solved over
+    # every argument tuple with linearity imposed in every slot
+    "ce matrix:3":
+        "82ca2ba6bd2664cc480b713fba6f64f5b75db733d63c89b3214d195318b59e74",
+    "ce square_zero:3 --field p:32003":
+        "da98ba0ecb14b29491f47ae7979db3eb79b2bee8fc832ec7905958a4562a60d3",
+    "graded-ce grassmann:3":
+        "ceb196c77f2b9ff80abdedfb861681d1d047e1ffd4f719d4de3e20ebea0e010d",
 }
 
 

@@ -12,15 +12,22 @@ from fractions import Fraction
 
 import pytest
 
-from diffoplab import cecalc, gradedce
 from diffoplab.algebra import catalog
+from diffoplab.bimodule import regular_bimodule
 from diffoplab.cecalc import ce_forms
+from diffoplab.derivations import derivations
 from diffoplab.fields import QQ, Field
 from diffoplab.gradedce import GradedCochainComplex
 from diffoplab import linalg
 from diffoplab.linalg import Echelon, Matrix, Subspace, kernel, kernel_on, vstack
 
-from oracles import gauss_nullspace, gauss_rref, random_rational
+from oracles import (
+    ce_form_rows,
+    gauss_nullspace,
+    gauss_rref,
+    graded_a_linear_rows,
+    random_rational,
+)
 
 GF32003 = Field(32003)
 FIELDS = pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
@@ -191,47 +198,48 @@ def recorded_kernels(monkeypatch, module):
     return calls
 
 
-def dense_rows(system):
-    """The rows of a system written densely, repeated rows dropped."""
-    out = {}
-    for pairs in system.row_entries():
-        row = [0] * system.cols
-        for j, x in pairs:
-            row[j] = x
-        out[tuple(row)] = row
-    return list(out.values())
+def dense(m):
+    """A matrix's rows as dense lists of field scalars."""
+    return [list(r) for r in m.data]
 
 
-@pytest.mark.parametrize("spec,degrees", [("matrix:2", (1, 2)), ("trunc_poly:3", (1, 2, 3))])
+@pytest.mark.parametrize("spec,degrees", [("matrix:2", (1, 2, 3)), ("trunc_poly:3", (1, 2, 3))])
 @FIELDS
-def test_ce_forms_space_is_the_oracle_kernel(monkeypatch, spec, degrees, field):
+def test_ce_forms_space_is_the_oracle_kernel(spec, degrees, field):
+    # the oracle solves every tuple coordinate under alternation and
+    # center-linearity in every slot, built apart from ce_forms
     algebra = catalog(spec, field)
+    der = derivations(algebra, regular_bimodule(algebra))
+    lzs = [algebra.left_mult(list(z)) for z in algebra.center().basis]
+    mults = [dense(lz) for lz in lzs]
+    coords = [[der.coords_of(lz @ u) for u in der.basis_maps()] for lz in lzs]
     for k in degrees:
-        calls = recorded_kernels(monkeypatch, cecalc)
-        space = ce_forms(algebra, k).space
-        assert len(calls) == 1  # one system of alternating and center-linearity rows
-        system = calls[0]
-        assert system.cols == space.ambient_dim
-        rows = dense_rows(system)
-        assert as_lists(space.basis) == oracle_kernel(field, rows, system.cols)
+        space = ce_forms(algebra, k, der).space
+        rows = ce_form_rows(algebra.dim, der.dim, k, mults, coords)
+        assert len(rows[0]) == space.ambient_dim
+        assert as_lists(space.basis) == gauss_rref(gauss_nullspace(rows, field.char),
+                                                   field.char)
 
 
 @FIELDS
-def test_graded_a_linear_subspace_is_the_oracle_kernel(monkeypatch, field):
-    cx = GradedCochainComplex(catalog("grassmann:2", field), cap=1)
+def test_graded_a_linear_subspace_is_the_oracle_kernel(field):
+    # the oracle imposes A-linearity from every argument tuple and every
+    # slot, each parity apart, with its own normal form of the monomials
+    algebra = catalog("grassmann:2", field)
+    cx = GradedCochainComplex(algebra, cap=1)
+    n = algebra.dim
+    mults = [dense(algebra.left_mult_basis(a)) for a in range(n)]
+    scaled = [[cx.der.coords_of(algebra.left_mult_basis(a) @ u) for u in cx.maps]
+              for a in range(n)]
     for k in (1, 2):
-        calls = []
-
-        def recording(m, cols):
-            calls.append((m, cols))
-            return kernel_on(m, cols)
-
-        monkeypatch.setattr(gradedce, "kernel_on", recording)
+        rows, parities = graded_a_linear_rows(n, cx.der.basis_parities(), algebra.parity,
+                                              mults, scaled, k)
+        rows = list({tuple(r): r for r in rows if any(r)}.values())
+        vectors = []
+        for par in (0, 1):
+            units = [[int(i == j) for i in range(len(parities))]
+                     for j, p in enumerate(parities) if p != par]
+            vectors += gauss_nullspace(rows + units, field.char)
         space = cx._a_linear_subspace(k)
-        assert len(calls) == 2  # one homogeneous system per parity
-        # the oracle system: the A-linearity rows and a unit row for every
-        # coordinate off the parity's support
-        systems = [vstack([m, unit_rows_off(field, cols, m.cols)]) for m, cols in calls]
-        vectors = [v for system in systems
-                   for v in oracle_kernel(field, dense_rows(system), system.cols)]
+        assert space.ambient_dim == len(parities)
         assert as_lists(space.basis) == gauss_rref(vectors, field.char)
