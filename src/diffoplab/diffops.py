@@ -29,7 +29,7 @@ from .homspace import HomSpace, LinMap
 # ``kernel`` is not called here (HomSpace solves every kernel and preimage,
 # ``kernel_on`` the graded split); the name stays bound because
 # perfbench/tests/test_tracer.py checks that the tracer rebinds it in this module
-from .linalg import Matrix, Subspace, closure, image_span, kernel, kernel_on  # noqa: F401
+from .linalg import Matrix, Subspace, image_span, kernel, kernel_on  # noqa: F401
 
 MAX_ORDER = 4
 
@@ -233,11 +233,9 @@ def _step(hom: HomSpace, side: str, prev: Subspace, presented: bool) -> Subspace
     if side not in _SIDES:
         raise ValueError("side must be 'left' or 'right'")
     kind, mult, bullet = _SIDES[side]
-    pre = hom.preimage(kind, prev)
-    mults = hom.action_ops(mult)
     if not presented:
-        return closure(hom.algebra.field, hom.dim, pre.basis, mults + hom.action_ops(bullet))
-    return image_span(mults, pre).sum(prev)
+        return hom.action_closure(kind, prev, (mult, bullet))
+    return image_span(hom.action_ops(mult), hom.preimage(kind, prev)).sum(prev)
 
 
 def _one_sided_terms(hom: HomSpace, side: str, r: int, presented: bool):

@@ -19,18 +19,17 @@ Q_a ⊗ I − I ⊗ P_aᵀ from the small left action matrices of the target and
 the source, and δ̄ likewise from the right actions, so neither the two
 action families nor their difference are materialized for them.
 Families, the common kernel ``common_kernel(*kinds)`` of the named
-families stacked, and the preimages ``preimage(kind, target)`` that every
-filtration is a chain of, are built on first use and cached on the
-instance: a preimage under the family and the target's value, so equal
-targets built as different objects share one solve.  A family equal to one
+families stacked, the preimages ``preimage(kind, target)`` that every
+filtration is a chain of, and their ``action_closure`` are built on first
+use and cached on the instance, under the family and the target's value
+(so equal targets built apart share one solve).  A family equal to one
 built before (δ̄ = δ when both modules act alike on either side) becomes its
 alias and shares its kernels and preimages.  ``HomSpace.between(P, Q)``
 keeps one instance per module pair on P, so every builder on the same two
 module objects shares it, and the caches go with the modules.  Every
 module-map space is a common kernel: left A-linear maps ("delta"), right
 A-linear maps ("bar_delta"), bimodule maps (both), and the one-sided duals
-of Q inside Hom_K(Q, A) (``right_dual``, ``left_dual``,
-``two_sided_dual_space``).
+of Q inside Hom_K(Q, A) (``right_dual``, ``left_dual``).
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .bimodule import Bimodule, regular_bimodule
 from .linalg import (
     Matrix,
     Subspace,
+    closure,
     image_span,
     kernel,
     kron,
@@ -117,6 +117,7 @@ class HomSpace:
         self._alias = {}
         self._kernels = {}
         self._preimages = {}
+        self._closures = {}
         self._sign = None
 
     @classmethod
@@ -197,6 +198,18 @@ class HomSpace:
         if pre is None:
             pre = self._preimages[key] = preimage(self._family(kind), target)
         return pre
+
+    def action_closure(self, kind: str, target: Subspace, actions) -> Subspace:
+        """The closure of ``preimage(kind, target)`` under the named action families."""
+        key = (self._canonical(kind), target) + tuple(map(self._canonical, actions))
+        if key not in self._closures:
+            pre = self.preimage(kind, target)
+            ops = [m for name in actions for m in self._family(name)]
+            hull = closure(self.algebra.field, self.dim, pre.basis, ops)
+            # an invariant preimage is kept once: a HomSpace and its source
+            # module form a cycle, so its caches live until the cyclic collector runs
+            self._closures[key] = pre if hull == pre else hull
+        return self._closures[key]
 
     def delta_ops(self):
         return self._family("delta")
@@ -361,11 +374,6 @@ def left_dual(q: Bimodule) -> DualModule:
     """Left A-linear functionals u(aq) = a·u(q) with (ub)(x)=u(x)b, (bu)(x)=u(xb)."""
     return DualModule(HomSpace(q, regular_bimodule(q.algebra)), "delta",
                       ("right_bullet", "right"), f"{q.name}*L")
-
-
-def two_sided_dual_space(q: Bimodule) -> Subspace:
-    """Functionals that are simultaneously left and right A-linear (flat coords)."""
-    return HomSpace(q, regular_bimodule(q.algebra)).common_kernel("delta", "bar_delta")
 
 
 def _coords_parity(algebra, coords):

@@ -183,14 +183,6 @@ class Matrix:
                                   cols)
 
     @staticmethod
-    def from_flat(field: Field, flat, rows: int, cols: int) -> "Matrix":
-        """The rows×cols matrix whose row-major flattening is the dense vector
-        ``flat``, of scalars in the field's form."""
-        if len(flat) != rows * cols:
-            raise ValueError("flat vector length does not match the shape")
-        return Matrix._from_pairs(field, _unflatten(_nonzero_pairs(flat), rows, cols), cols)
-
-    @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
         return Matrix._from_pairs(field, [[] for _ in range(rows)], cols)
 

@@ -2,10 +2,11 @@
 
 Ω¹ is the sub-bimodule of A ⊗ A generated by the elements 1⊗a − a⊗1 (it
 coincides with the kernel of the multiplication map, which is verified,
-not assumed), with the derivation d(a) = 1⊗a − a⊗1.  Degree 2 is realized
-as the balanced tensor square Ω¹ ⊗_A Ω¹, a quotient by the middle-action
-relations.  Every derivation into a bimodule factors through d by a unique
-bimodule map; algebra maps extend to calculus morphisms degree by degree.
+not assumed), with the derivation d(a) = 1⊗a − a⊗1.  Degree 2, the balanced
+square Ω¹ ⊗_A Ω¹, is read off its image a⊗bc⊗d in A⊗A⊗A (Ω² ≅ A⊗Ā⊗Ā, for A
+unital and associative; others are refused).  Every derivation into a
+bimodule factors through d by a unique bimodule map; algebra maps extend to
+calculus morphisms degree by degree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .linalg import (
     factor_through,
     kernel,
     kron,
-    quotient_projection,
     restrict_operator,
 )
 
@@ -43,10 +43,7 @@ class Calculus:
         self.algebra = algebra
         self.dims = dims
         self.d = d_mats
-        self._mul = mul
-
-    def mul(self, r, s, x, y):
-        return self._mul(r, s, x, y)
+        self.mul = mul
 
 
 def zero_calculus(algebra: FiniteAlgebra) -> Calculus:
@@ -70,6 +67,8 @@ class UniversalCalculus:
         if cap < 1 or cap > UNIVERSAL_DEGREE_CAP:
             raise ValueError("universal calculus is materialized at degrees "
                              f"1..{UNIVERSAL_DEGREE_CAP}")
+        if cap >= 2:
+            _require_unital_associative(algebra)
         self.algebra = algebra
         self.cap = cap
         f = algebra.field
@@ -92,15 +91,10 @@ class UniversalCalculus:
         """1⊗a − a⊗1 as a flat A⊗A vector."""
         f = self.algebra.field
         n = self.algebra.dim
-        unit = self.algebra.unit
         out = [f.zero()] * (n * n)
-        for j, c in enumerate(a_coords):
-            if c == 0:
-                continue
-            for i, u in enumerate(unit):
-                if u != 0:
-                    out[i * n + j] = f.add(out[i * n + j], f.mul(u, c))
-                    out[j * n + i] = f.sub(out[j * n + i], f.mul(u, c))
+        for (j, c), (i, u) in product(_pairs(a_coords), _pairs(self.algebra.unit)):
+            out[i * n + j] = f.add(out[i * n + j], f.mul(u, c))
+            out[j * n + i] = f.sub(out[j * n + i], f.mul(u, c))
         return out
 
     def multiplication_matrix(self) -> Matrix:
@@ -137,20 +131,25 @@ class UniversalCalculus:
         f = self.algebra.field
         n = self.algebra.dim
         t = self.omega1.dim
-        # the relation (ω·a)⊗η − ω⊗(a·η) for ω = w_wi, η = w_ei, a = e_ai
-        relations = Echelon(f, t * t)
-        for a_i in range(n):
-            # the images of the unit vectors: the columns of the two actions
-            rws = self.right1[a_i].column_entries()
-            les = self.left1[a_i].column_entries()
-            for wi, rw in enumerate(rws):
-                for ei, le in enumerate(les):
-                    row = {x * t + ei: c for x, c in rw}
-                    for y, c in le:
-                        row[wi * t + y] = f.sub(row.get(wi * t + y, 0), c)
-                    relations.add_entries(row.items())
-        self.middle_relations = relations.subspace()
-        self.free2, self.proj2 = quotient_projection(self.middle_relations)
+        # Ω¹ ⊗_A Ω¹ embeds in A⊗A⊗A by (a⊗b)⊗(c⊗d) ↦ a⊗bc⊗d: the middle relations
+        # (ωa)⊗η − ω⊗(aη) span ker Φ.  rref(Φ) is 1 at its leading pivots, 0 at
+        # the others and kills ker Φ, so its pivots and rows are free2 and proj2
+        ws = self.omega1._basis_entries()
+        terms = [(x, *divmod(ij, n), a) for x, wx in enumerate(ws) for ij, a in wx]
+        phi = {}  # row (i·n + m)·n + l of Φ -> {column x·t + y: value}, plain sums
+        for y, wy in enumerate(ws):
+            # Φ(w_x ⊗ w_y) = Σ w_x[i·n + j]·e_i ⊗ (e_j·w_y)
+            e_w = [self.amb_left[j]._apply_pairs(wy) for j in range(n)]
+            for x, i, j, a in terms:
+                for ml, c in e_w[j]:
+                    row = phi.setdefault(i * n * n + ml, {})
+                    row[x * t + y] = row.get(x * t + y, 0) + a * c
+        ech = Echelon(f, t * t)
+        for key in sorted(phi):
+            ech.add_entries(phi[key].items())
+        reduced = ech.reduced_rows()
+        self.free2 = [c for c, _ in reduced]
+        self.proj2 = Matrix._from_pairs(f, [pairs for _, pairs in reduced], t * t)
         q2 = self.omega2_dim = len(self.free2)
         # d1 on basis vectors of Ω¹ via their ambient A⊗A coordinates:
         # Σ x_{ij} e_i d e_j  ↦  Σ x_{ij} d e_i · d e_j, with row i·n + j of
@@ -250,20 +249,13 @@ class UniversalCalculus:
         return None
 
     def as_calculus(self) -> Calculus:
-        f = self.algebra.field
+        products = {(0, 0): self.algebra.multiply, (0, 1): self._left1_coords,
+                    (1, 0): self._right1_coords, (1, 1): self.mu11, (0, 2): self.left2}
 
         def mul(r, s, x, y):
-            if r == 0 and s == 0:
-                return self.algebra.multiply(x, y)
-            if r == 0 and s == 1:
-                return self._left1_coords(x, y)
-            if r == 1 and s == 0:
-                return self._right1_coords(x, y)
-            if r == 1 and s == 1:
-                return self.mu11(x, y)
-            if r == 0 and s == 2:
-                return self.left2(x, y)
-            raise ValueError(f"product at degrees ({r},{s}) not materialized")
+            if (r, s) not in products:
+                raise ValueError(f"product at degrees ({r},{s}) not materialized")
+            return products[r, s](x, y)
 
         dims = [self.algebra.dim, self.omega1.dim]
         d_mats = [self.d0]
@@ -355,6 +347,16 @@ def _is_algebra_map(src: FiniteAlgebra, dst: FiniteAlgebra, rho: Matrix) -> bool
         return False
     return all(rho @ src.left_mult_basis(i) == dst.left_mult(rho.col(i)) @ rho
                for i in range(src.dim))
+
+
+def _require_unital_associative(alg: FiniteAlgebra):
+    """Raise unless L(1) = R(1) = I and L(e_i e_j) = L_i·L_j for all i, j: the
+    unit and associativity laws that embed Ω¹ ⊗_A Ω¹ in A⊗A⊗A."""
+    eye, lm = Matrix.identity(alg.field, alg.dim), alg.left_mult_basis
+    if (alg.left_mult(alg.unit) != eye or alg.right_mult(alg.unit) != eye
+            or any(alg.left_mult(alg.sc[i][j]) != lm(i) @ lm(j)
+                   for i, j in product(range(alg.dim), repeat=2))):
+        raise AlgebraError(f"{alg.name} is not unital and associative; degree 2 needs both")
 
 
 def _pairs(coords):

@@ -3,10 +3,16 @@
 Deliberately naive and separate from the package under test: plain
 Fraction Gauss elimination, hand-assembled constraint systems.  Anything
 asserted against package output was first computed here (or by hand).
+The last section holds the few helpers that only tests call, kept out of
+the package.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from diffoplab.bimodule import regular_bimodule
+from diffoplab.homspace import HomSpace
+from diffoplab.linalg import Matrix
 
 
 def frac_rows(rows):
@@ -491,3 +497,20 @@ def graded_a_linear_rows(n, der_parity, alg_parity, left_mults, scaled, degree):
                     rows.append(row)
     parities = [(len(mono[1]) + alg_parity[m]) % 2 for mono in monomials for m in range(n)]
     return rows, parities
+
+
+# -- helpers that only tests call ------------------------------------------------
+
+
+def from_flat(field, flat, rows, cols):
+    """The rows×cols ``Matrix`` whose row-major flattening is the dense vector
+    ``flat``, of scalars in the field's form."""
+    if len(flat) != rows * cols:
+        raise ValueError("flat vector length does not match the shape")
+    return Matrix(field, [list(flat[i * cols:(i + 1) * cols]) for i in range(rows)], cols)
+
+
+def two_sided_dual_space(q):
+    """Functionals on Q that are both left and right A-linear, in the flat
+    coordinates of Hom_K(Q, A): the bimodule maps Q → A."""
+    return HomSpace(q, regular_bimodule(q.algebra)).common_kernel("delta", "bar_delta")

@@ -451,6 +451,27 @@ def test_no_kernel_system_is_solved_twice(build, monkeypatch):
     assert len(set(solved)) == len(solved)
 
 
+def test_each_closure_is_taken_once(monkeypatch):
+    # over trunc_poly:5 the left and right filtrations have equal preimages
+    # and equal action families, so the closures of orders 0, 1 and 2 are
+    # taken once for both sides: three, not six
+    import diffoplab.diffops as diffops
+    import diffoplab.homspace as homspace
+    import diffoplab.linalg as linalg
+
+    seeds = []
+    original = linalg.closure
+
+    def counting_closure(field, ambient_dim, gens, operators):
+        seeds.append(tuple(map(tuple, gens)))
+        return original(field, ambient_dim, gens, operators)
+
+    for module in (linalg, homspace, diffops):
+        monkeypatch.setattr(module, "closure", counting_closure, raising=False)
+    _compare_trunc_poly()
+    assert len(seeds) == len(set(seeds)) == 3
+
+
 OPPOSITE_CASES = ["matrix:2", "quaternion", "trunc_poly:3", "square_zero:2", "group_z:3",
                   "grassmann:2"]
 

@@ -14,6 +14,7 @@ from diffoplab.cecalc import ce_forms
 from diffoplab.derivations import derivations
 from diffoplab.fields import Field
 from diffoplab.gradedce import GradedCochainComplex
+from diffoplab.universal import UniversalCalculus
 
 GF32003 = Field(32003)
 
@@ -39,3 +40,14 @@ def test_grassmann_graded_forms_are_free_on_super_monomials(generators):
     cx = GradedCochainComplex(catalog(f"grassmann:{generators}", GF32003), cap=2)
     assert [s.dim for s in cx.forms] == [2 ** generators * comb(generators + k - 1, k)
                                          for k in range(3)]
+
+
+@pytest.mark.parametrize("spec", ["matrix:2", "matrix:3", "matrix:4", "trunc_poly:3",
+                                  "trunc_poly:5", "trunc_poly:6", "square_zero:2",
+                                  "square_zero:3", "group_z:3"])
+def test_universal_forms_have_the_bar_dimensions(spec):
+    # μ: A⊗A → A is onto, so Ω¹ = ker μ has dimension n(n − 1), and
+    # Ω² = Ω¹ ⊗_A Ω¹ ≅ A ⊗ Ā ⊗ Ā with Ā = A/K·1 has dimension n(n − 1)²
+    uc = UniversalCalculus(catalog(spec, GF32003), cap=2)
+    n = uc.algebra.dim
+    assert (uc.omega1.dim, uc.omega2_dim) == (n * (n - 1), n * (n - 1) ** 2)

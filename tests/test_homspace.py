@@ -8,11 +8,11 @@ from diffoplab.algebra import catalog, grassmann, trunc_poly
 from diffoplab.bimodule import free_module, regular_bimodule
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.fields import Field, QQ
-from diffoplab.homspace import HomSpace, LinMap, left_dual, right_dual, two_sided_dual_space
+from diffoplab.homspace import HomSpace, LinMap, left_dual, right_dual
 from diffoplab.linalg import Subspace, kernel, preimage
 from diffoplab.universal import UniversalCalculus
 
-from oracles import dual_oracle, field_form, restricted_action
+from oracles import dual_oracle, field_form, restricted_action, two_sided_dual_space
 
 
 def hom_of(spec):

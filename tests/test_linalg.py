@@ -29,6 +29,7 @@ from diffoplab.linalg import (
 
 from oracles import (
     field_form,
+    from_flat,
     gauss_nullspace,
     gauss_rank,
     gauss_rref,
@@ -363,7 +364,7 @@ def check_against_lists(rng, field, data_a, b):
     entries = [[(j, Fraction(x)) for j, x in enumerate(r)][::-1] for r in data_a]
     assert Matrix.from_entries(field, entries, inner) == a
     flat = [x for r in data_a for x in r]
-    assert a.flatten() == flat and Matrix.from_flat(field, flat, rows, inner) == a
+    assert a.flatten() == flat and from_flat(field, flat, rows, inner) == a
     if rows:  # from_rows reads the width off the first row
         assert Matrix.from_rows(field, [[Fraction(x) for x in r] for r in data_a]) == a
     assert [a.row(i) for i in range(rows)] == data_a
@@ -737,10 +738,10 @@ def test_pair_native_subspaces_match_the_oracle(field):
         # the combination of a space of flattened matrices, as a matrix
         coords = [field.coerce(random_rational(rng)) for _ in range(a.dim)]
         shape = (2, n // 2) if n % 2 == 0 else (1, n)
-        assert a.combination_matrix(coords, *shape) == Matrix.from_flat(
+        assert a.combination_matrix(coords, *shape) == from_flat(
             field, a.linear_combination(coords), *shape)
         # and its basis, one matrix per stored row; a shape of another size is refused
-        assert a.basis_maps(*shape) == [Matrix.from_flat(field, r, *shape) for r in a.basis]
+        assert a.basis_maps(*shape) == [from_flat(field, r, *shape) for r in a.basis]
         with pytest.raises(ValueError):
             a.basis_maps(shape[0] + 1, shape[1])
         # closure of random seeds, and the operators restricted to it
@@ -762,4 +763,4 @@ def test_pair_native_subspaces_match_the_oracle(field):
         assert full.to_echelon().pivots == Subspace.from_spanning(field, n, eye).to_echelon().pivots
         assert [list(r) for r in full.basis] == eye
         for s in (full, Subspace.zero(field, n)):
-            assert s.basis_maps(1, n) == [Matrix.from_flat(field, r, 1, n) for r in s.basis]
+            assert s.basis_maps(1, n) == [from_flat(field, r, 1, n) for r in s.basis]

@@ -14,8 +14,10 @@ from diffoplab.bimodule import (
 )
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.fields import QQ
-from diffoplab.homspace import left_dual, right_dual, two_sided_dual_space
+from diffoplab.homspace import left_dual, right_dual
 from diffoplab.linalg import Matrix
+
+from oracles import two_sided_dual_space
 
 
 def test_regular_bimodule_shapes():

@@ -87,6 +87,20 @@ PINNED = {
         "da98ba0ecb14b29491f47ae7979db3eb79b2bee8fc832ec7905958a4562a60d3",
     "graded-ce grassmann:3":
         "ceb196c77f2b9ff80abdedfb861681d1d047e1ffd4f719d4de3e20ebea0e010d",
+    # recorded at 05ebb51, while Ω² was still the quotient of Ω¹ ⊗ Ω¹ by
+    # the middle-action relations, one relation per (a, ω, η)
+    "universal matrix:3 --field q":
+        "ace69e75a293a97730dc8581e7302bc0d39164d625a09ee533cd5c42ab2f9fa3",
+    "universal matrix:3 --field p:32003":
+        "ace69e75a293a97730dc8581e7302bc0d39164d625a09ee533cd5c42ab2f9fa3",
+    "universal quaternion --field q":
+        "5f9d38bd830150c2c1e41c042de01e47e9bf3a7ebbb4747d29ee69974655586b",
+    "universal quaternion --field p:32003":
+        "5f9d38bd830150c2c1e41c042de01e47e9bf3a7ebbb4747d29ee69974655586b",
+    "universal trunc_poly:2+matrix:2 --field q":
+        "8ccdaebfbcdce7be863d382ad6af78a56a02e363b8fcd7435112f2eefa80e69e",
+    "universal trunc_poly:2+matrix:2 --field p:32003":
+        "1eb11a5238018407131336b600da45f6d904f0cfe33eba829a865ec9c089f026",
 }
 
 

@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from diffoplab.algebra import catalog, matrix_algebra, trunc_poly
+from diffoplab.algebra import AlgebraError, FiniteAlgebra, catalog, matrix_algebra, trunc_poly
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.cecalc import MinimalCalculus
+from diffoplab.cli import main
 from diffoplab.derivations import derivations, inner_derivation
 from diffoplab.fields import QQ, Field
 from diffoplab.linalg import Matrix, Subspace, kernel, quotient_projection
@@ -58,6 +60,35 @@ def test_degree_two_and_juxtaposition():
     for spec in ["trunc_poly:2", "trunc_poly:3", "matrix:2"]:
         uc = UniversalCalculus(catalog(spec), cap=2)
         assert uc.juxtaposition_rule_holds(), spec
+
+
+# unit e0, x·x = y, x·y = x and every other product of x, y zero:
+# (x·x)·x = 0 but x·(x·x) = x
+NON_ASSOCIATIVE = {"dim": 3, "basis": ["e0", "x", "y"], "unit": ["1", "0", "0"],
+                   "name": "nonassoc",
+                   "sc": [[0, 0, 0, "1"], [0, 1, 1, "1"], [0, 2, 2, "1"], [1, 0, 1, "1"],
+                          [2, 0, 2, "1"], [1, 1, 2, "1"], [1, 2, 1, "1"]]}
+
+
+def test_non_associative_spec_stops_before_degree_two(tmp_path, capsys):
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps(NON_ASSOCIATIVE))
+    # degree 1 is still built, and the one-forms disagree with ker μ
+    assert main(["universal", str(path), "--max-degree", "1"]) == 1
+    assert "kernel of multiplication: False" in capsys.readouterr().out
+    # Ω¹ ⊗_A Ω¹ is read off A⊗A⊗A only for a unital associative algebra
+    assert main(["universal", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    a = FiniteAlgebra.from_json_dict(NON_ASSOCIATIVE)
+    with pytest.raises(AlgebraError):
+        UniversalCalculus(a, cap=2)
+    # an associative algebra whose stated unit is not one is refused as well
+    d = trunc_poly(2).to_json_dict()
+    d["unit"] = ["0", "1"]
+    with pytest.raises(AlgebraError):
+        UniversalCalculus(FiniteAlgebra.from_json_dict(d), cap=2)
 
 
 def test_d_squared_zero_into_degree_two():
