@@ -441,6 +441,39 @@ def ce_form_rows(n, d, degree, center_mults, center_coords):
     return rows
 
 
+def ce_coboundary_all_tuples(algebra, der, degree):
+    """The Chevalley–Eilenberg coboundary on every argument tuple, one term at
+    a time: the Matrix of
+
+        dφ(u_0..u_k) = Σ (−1)^i u_i(φ(..û_i..))
+                     + Σ_{i<j} (−1)^{i+j} φ([u_i,u_j], ..û_i..û_j..)
+
+    from all n·d^k (tuple, value coordinate) coordinates to all n·d^(k+1).
+    Exact on every multilinear cochain, alternating or not."""
+    n = algebra.dim
+    d = der.dim
+    maps = der.basis_maps()
+    bracket = [[der.coords_of(u @ v - v @ u) for v in maps] for u in maps]
+    map_rows = [u.row_entries() for u in maps]
+    out = [{} for _ in range(n * d ** (degree + 1))]  # {col: value} per row, plain sums
+    for t in product(range(d), repeat=degree + 1):
+        at = _tuple_position(t, d) * n
+        for i in range(degree + 1):
+            to = _tuple_position(t[:i] + t[i + 1:], d) * n
+            for m in range(n):
+                for m2, v in map_rows[t[i]][m]:
+                    out[at + m][to + m2] = out[at + m].get(to + m2, 0) + (-1) ** i * v
+        for i in range(degree + 1):
+            for j in range(i + 1, degree + 1):
+                rest = tuple(x for s, x in enumerate(t) if s not in (i, j))
+                for r, c in enumerate(bracket[t[i]][t[j]]):
+                    if c:
+                        to = _tuple_position((r,) + rest, d) * n
+                        for m in range(n):
+                            out[at + m][to + m] = out[at + m].get(to + m, 0) + (-1) ** (i + j) * c
+    return Matrix.from_entries(algebra.field, [row.items() for row in out], n * d ** degree)
+
+
 def super_normal_form(factors, parity):
     """A super wedge of derivation basis elements in normal form, by insertion sort.
 

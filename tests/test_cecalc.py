@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
+
+import pytest
 
 from diffoplab import cecalc
 from diffoplab.algebra import catalog, matrix_algebra, quaternion, trunc_poly
@@ -17,9 +20,10 @@ from diffoplab.cecalc import (
 )
 from diffoplab.derivations import derivations
 from diffoplab.diffops import dv_first_order
-from diffoplab.fields import QQ
+from diffoplab.fields import QQ, Field
 from diffoplab.homspace import HomSpace, LinMap
 from diffoplab.linalg import kernel
+from oracles import ce_coboundary_all_tuples
 
 
 def der_of(a):
@@ -123,26 +127,33 @@ def rand_form_element(rng, fs):
     return fs.space.linear_combination(coords)
 
 
-def test_wedge_leibniz_random_pairs():
-    a3 = trunc_poly(3)
-    d3 = der_of(a3)
-    forms = [ce_forms(a3, k, d3) for k in range(4)]
-    dmats = [ce_coboundary_matrix(a3, d3, k) for k in range(3)]
+@pytest.mark.parametrize("spec", ["trunc_poly:3", "matrix:2"])
+def test_wedge_leibniz_random_pairs(spec):
+    # with d = 2 derivations (trunc_poly:3) every degree-3 side vanishes, so
+    # only matrix:2 (d = 3) sees δ_2
+    a = catalog(spec)
+    der = der_of(a)
+    forms = [ce_forms(a, k, der) for k in range(4)]
+    dmats = [ce_coboundary_matrix(a, der, k) for k in range(3)]
     rng = random.Random(42)
+    degree3 = []
     for _ in range(25):
         r, s = rng.choice([(0, 0), (0, 1), (1, 0), (1, 1), (0, 2)])
         phi = rand_form_element(rng, forms[r])
         psi = rand_form_element(rng, forms[s])
-        w = wedge(a3, d3, phi, r, psi, s)
+        w = wedge(a, der, phi, r, psi, s)
         lhs = dmats[r + s].apply(w)
         dphi = dmats[r].apply(phi) if r < 3 else None
         dpsi = dmats[s].apply(psi)
-        term1 = wedge(a3, d3, dphi, r + 1, psi, s)
-        term2 = wedge(a3, d3, phi, r, dpsi, s + 1)
+        term1 = wedge(a, der, dphi, r + 1, psi, s)
+        term2 = wedge(a, der, phi, r, dpsi, s + 1)
         if r % 2 == 1:
             term2 = [QQ.neg(x) for x in term2]
         rhs = [QQ.add(x, y) for x, y in zip(term1, term2)]
         assert lhs == rhs
+        if r + s == 2:
+            degree3.append(lhs)
+    assert any(any(x) for x in degree3) == (der.dim >= 3)
 
 
 def test_wedge_graded_commutative_on_commutative_algebra():
@@ -239,3 +250,36 @@ def test_forms_are_solved_once_on_increasing_tuples(monkeypatch):
     fs = ce_forms(a, 3, der_of(a))
     assert [(m.rows, m.cols) for m in systems] == [(8 * comb(8, 2) * 9, 9 * comb(8, 3))]
     assert fs.space.ambient_dim == 9 * 8 ** 3
+
+
+def random_alternating(rng, field, n, d, k):
+    """A random alternating k-cochain on all n·d^k coordinates: random values
+    on the increasing tuples, spread over their permutations with the signs."""
+    flat = [field.zero()] * (n * d ** k)
+    for increasing in combinations(range(d), k):
+        values = [field.coerce(rng.randrange(-5, 6)) for _ in range(n)]
+        for t in permutations(increasing):
+            inversions = sum(1 for i in range(k) for j in range(i + 1, k) if t[i] > t[j])
+            at = sum(x * d ** (k - 1 - i) for i, x in enumerate(t)) * n
+            flat[at:at + n] = values if inversions % 2 == 0 else [field.neg(v) for v in values]
+    return flat
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", ["matrix:2", "quaternion", "trunc_poly:2+matrix:2"])
+def test_tuple_coboundary_is_the_all_tuple_coboundary_on_alternating_cochains(spec, field):
+    # spread · δ · select reads each alternating cochain once per increasing
+    # tuple; reading the sum over its permutations instead scales degree 2 by 2
+    a = catalog(spec, field)
+    der = der_of(a)
+    rng = random.Random(2024)
+    for k in range(3):
+        forms = ce_forms(a, k, der)
+        cochains = [random_alternating(rng, field, a.dim, der.dim, k) for _ in range(3)]
+        cochains += [forms.space.linear_combination(
+            [field.coerce(rng.randrange(-3, 4)) for _ in range(forms.dim)]) for _ in range(3)]
+        tuple_view = ce_coboundary_matrix(a, der, k)
+        oracle = ce_coboundary_all_tuples(a, der, k)
+        for phi in cochains:
+            assert tuple_view.apply(phi) == oracle.apply(phi)
+        assert any(any(oracle.apply(phi)) for phi in cochains)

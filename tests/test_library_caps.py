@@ -2,12 +2,12 @@
 
 Form degree 3, graded degree 2, operator order 4 and jet order 2: each is
 reached without error, and one past it raises from every constructor or
-builder that takes it.
+builder that takes it.  A negative degree raises too.
 """
 
 import pytest
 
-from diffoplab.algebra import AlgebraError, grassmann, trunc_poly
+from diffoplab.algebra import AlgebraError, grassmann, matrix_algebra, trunc_poly
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.cecalc import DEGREE_CAP, CochainComplex, DegreeCapError, ce_forms
 from diffoplab.diffops import (
@@ -32,6 +32,15 @@ def test_form_degree_cap_is_3():
         CochainComplex(a, cap=DEGREE_CAP + 1)
     with pytest.raises(DegreeCapError):
         ce_forms(a, DEGREE_CAP + 1)
+
+
+def test_negative_degrees_are_refused():
+    with pytest.raises(DegreeCapError):
+        ce_forms(matrix_algebra(2), -1)
+    with pytest.raises(DegreeCapError):
+        CochainComplex(trunc_poly(2), cap=-1)
+    with pytest.raises(DegreeCapError):
+        GradedCochainComplex(grassmann(1), cap=-1)
 
 
 def test_graded_degree_cap_is_2():

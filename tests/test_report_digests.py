@@ -101,6 +101,18 @@ PINNED = {
         "8ccdaebfbcdce7be863d382ad6af78a56a02e363b8fcd7435112f2eefa80e69e",
     "universal trunc_poly:2+matrix:2 --field p:32003":
         "1eb11a5238018407131336b600da45f6d904f0cfe33eba829a865ec9c089f026",
+    # recorded at 117172a, while the ungraded complex restricted an ambient
+    # coboundary built over every argument tuple
+    "ce quaternion":
+        "301fa50eec5b9f35f86e8d5a49403aa3da07a4d3d5d03bb9566d7b1a7bdfacb0",
+    "ce matrix:3 --field p:32003":
+        "3c4dccda4223692b225660a56e3018e5f30de3fe489aa5e14c851404037abaae",
+    "ce trunc_poly:2+trunc_poly:3 --field p:32003":
+        "43d298af32c48376f84a75437fc59d638e695efb3f0493be9a4e2d3685280b1a",
+    "ce matrix:2 --max-degree 2":
+        "91c31e1649cc36728cb772c55b1549d7d477c618458adca99e1517b429358ef8",
+    "graded-ce trunc_poly:2+grassmann:1":
+        "d926d7fe03ac7d96b4e6fbe7ef5ae5e2cd5ecc847ceb446adb5117fb27ac1199",
 }
 
 
