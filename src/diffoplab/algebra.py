@@ -12,7 +12,7 @@ import json
 from itertools import compress, count, product
 
 from .fields import Field, QQ
-from .linalg import Matrix, Subspace, kernel, vstack
+from .linalg import Matrix, Subspace, closure, kernel, vstack
 
 
 class AlgebraError(ValueError):
@@ -76,6 +76,7 @@ class FiniteAlgebra:
         self._left = [Matrix.from_pairs(field, rows, dim) for rows in left]
         self._right = [Matrix.from_pairs(field, rows, dim) for rows in right]
         self._center = None
+        self._generators = {}
 
     # -- basic structure ------------------------------------------------------
 
@@ -172,6 +173,41 @@ class FiniteAlgebra:
             ads = [self._left[i] - self._right[i] for i in range(self.dim)]
             self._center = kernel(vstack(ads))
         return self._center
+
+    def generators(self, vectors):
+        """The ``vectors``, in order, that are not yet in the unital subalgebra
+        generated by the ones kept before them.
+
+        That subalgebra is the closure of {1} under the kept vectors' left
+        multiplications, and every vector lies in the final one.  Linearity
+        under each kept g then gives linearity under all of it, since
+        (g·y)·u = g·(y·u), which needs L(1) = I and L(g·y) = L(g)·L(y) for
+        each basis vector y of the subalgebra.  Both are checked; an algebra
+        where either fails raises :class:`AlgebraError`.  The kept vectors come
+        back as a tuple of tuples, memoized per ``vectors``.
+        """
+        key = tuple(map(tuple, vectors))
+        if key not in self._generators:
+            self._generators[key] = self._checked_generators(key)
+        return self._generators[key]
+
+    def _checked_generators(self, vectors):
+        f, n = self.field, self.dim
+        if self.left_mult(self.unit) != Matrix.identity(f, n):
+            raise AlgebraError(f"{self.name}: the stated unit is not a left unit")
+        kept = []
+        span = closure(f, n, [self.unit], [])
+        for v in vectors:
+            if not span.contains(v):
+                kept.append(v)
+                span = closure(f, n, span.basis, [self.left_mult(g) for g in kept])
+        for g in kept:
+            lg = self.left_mult(g)
+            for y in map(list, span.basis):
+                if self.left_mult(self.multiply(g, y)) != lg @ self.left_mult(y):
+                    raise AlgebraError(f"{self.name} is not associative: "
+                                       f"L(g·y) ≠ L(g)·L(y) on its generated subalgebra")
+        return tuple(kept)
 
     def is_commutative(self) -> bool:
         n = self.dim

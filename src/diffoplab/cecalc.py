@@ -3,7 +3,9 @@ commutative) algebra.
 
 Degree-k forms are center-multilinear alternating maps from k-tuples of
 derivations to the algebra, stored as flat vectors indexed by (basis tuple,
-value coordinate).  The coboundary is the usual alternating sum
+value coordinate).  They are solved on increasing tuples with one block of
+linearity rows per generator of the center (:meth:`FiniteAlgebra.generators`),
+not per center basis element.  The coboundary is the usual alternating sum
 
     dφ(u_0..u_k) = Σ (−1)^i u_i(φ(..û_i..)) + Σ (−1)^{i+j} φ([u_i,u_j],..û_i..û_j..)
 
@@ -68,6 +70,7 @@ class SuperExterior:
         self.odds = [i for i, p in enumerate(self.parities) if p == 1]
         self._monomials = {}
         self._index = {}
+        self._inserted = {}
 
     def monomials(self, k: int):
         """All degree-k normal-form monomials as (evens, odds) index tuples."""
@@ -111,6 +114,18 @@ class SuperExterior:
         od = tuple(x for x in fs if par[x] == 1)
         return sign, (ev, od)
 
+    def insert(self, x: int, monomial):
+        """(sign, index) of u_x ∧ ``monomial`` in normal form, the index among
+        the monomials one degree up, or None where a repeated even factor
+        kills it.  Memoized per (x, monomial)."""
+        key = (x, monomial)
+        if key not in self._inserted:
+            ev, od = monomial
+            norm = self.normalize((x,) + ev + od)
+            self._inserted[key] = (None if norm is None else
+                                   (norm[0], self.index(len(ev) + len(od) + 1, norm[1])))
+        return self._inserted[key]
+
     def monomial_parity(self, monomial) -> int:
         return len(monomial[1]) % 2
 
@@ -119,23 +134,21 @@ def linearity_rows(ext: SuperExterior, degree: int, n: int, scalings):
     """The rows φ(s·u_b ∧ u_R) − s·φ(u_b ∧ u_R) = 0 on normal-form coordinates.
 
     The coordinates are (monomial of ``ext``, value coordinate), n to a
-    monomial.  There is one row per normal-form R of degree − 1, scalar s,
-    derivation b and value coordinate m, as ``{col: value}`` items with plain
-    sums; a row that sums to zero, as each row for s = 1 does, is left
-    empty.  ``scalings`` holds, per s, the row entries of its left
-    multiplication and the derivation coordinates of s·u_b for each b.
-    Linearity in the first slot is enough: moving any other slot to the
-    front and back costs the same sign on both sides.  A b that repeats an
-    even factor of R is kept, since φ(u_b ∧ u_R) vanishes there but the
-    terms of s·u_b need not.
+    monomial.  There is one row block per generator s, from
+    :meth:`FiniteAlgebra.generators`: one row per normal-form R of
+    degree − 1, generator s, derivation b and value coordinate m, as
+    ``{col: value}`` items with plain sums.  Linearity under the generators
+    gives linearity under the subalgebra they generate.  ``scalings``
+    holds, per s, the row entries of its left multiplication and the
+    derivation coordinates of s·u_b for each b.  Linearity in the first slot
+    is enough: moving any other slot to the front and back costs the same
+    sign on both sides.  A b that repeats an even factor of R is kept,
+    since φ(u_b ∧ u_R) vanishes there but the terms of s·u_b need not.
     """
     for tail in ext.monomials(degree - 1):
-        tail = list(tail[0] + tail[1])
         # (column start, sign) of u_r ∧ u_R for each derivation r, None where it vanishes
-        wedged = []
-        for r in range(len(ext.parities)):
-            norm = ext.normalize([r] + tail)
-            wedged.append(None if norm is None else (ext.index(degree, norm[1]) * n, norm[0]))
+        wedged = [None if w is None else (w[1] * n, w[0])
+                  for w in (ext.insert(r, tail) for r in range(len(ext.parities)))]
         for lmul, coords in scalings:
             for b, scaled in enumerate(coords):
                 terms = [(w[0], w[1] * c) for w, c in zip(wedged, scaled)
@@ -151,12 +164,30 @@ def linearity_rows(ext: SuperExterior, degree: int, n: int, scalings):
                     yield row.items()
 
 
+def form_scalings(der: DerivationSpace, generators):
+    """Per generator s, the row entries of its left multiplication and the
+    derivation coordinates of s·u_b for each basis derivation u_b: the
+    ``scalings`` of :func:`linearity_rows`."""
+    maps = der.basis_maps()
+    return [(ls.row_entries(), [der.coords_of(ls @ u) for u in maps])
+            for ls in map(der.algebra.left_mult, generators)]
+
+
 def bracket_table(der: DerivationSpace, parities):
     """[u_i, u_j] in derivation coordinates for every basis pair: the
-    superbracket, which is the Lie bracket when every parity is even."""
+    superbracket, which is the Lie bracket when every parity is even.  It is
+    taken once per unordered pair; [u_j, u_i] = −(−1)^{[u_i][u_j]} [u_i, u_j]
+    fills the other entry."""
     maps = der.basis_maps()
-    return [[der.coords_of(super_bracket(u, pu, v, pv)) for v, pv in zip(maps, parities)]
-            for u, pu in zip(maps, parities)]
+    neg = der.algebra.field.neg
+    table = [[None] * len(maps) for _ in maps]
+    for i, (u, pu) in enumerate(zip(maps, parities)):
+        for j in range(i, len(maps)):
+            table[i][j] = der.coords_of(super_bracket(u, pu, maps[j], parities[j]))
+            if j > i:
+                table[j][i] = (table[i][j] if pu and parities[j]
+                               else [neg(x) for x in table[i][j]])
+    return table
 
 
 def coboundary(der: DerivationSpace, ext: SuperExterior, bracket, k: int) -> Matrix:
@@ -172,8 +203,9 @@ def coboundary(der: DerivationSpace, ext: SuperExterior, bracket, k: int) -> Mat
           − Σ_{i<j}            c([ϵ_i,ϵ_j] ∧ ε.., ..ϵ̂_i..ϵ̂_j..)
           + Σ_{i,j} (−1)^{i+r+1} c([ε_i,ϵ_j] ∧ ..ε̂_i.., ..ϵ̂_j..)
 
-    with the superbracket throughout; each argument list is brought back to
-    normal form by :meth:`SuperExterior.normalize`.  With every parity even
+    with the superbracket throughout.  Dropping one factor leaves a
+    normal-form monomial as it is, with sign +1; each bracket is put back
+    in front of the rest by :meth:`SuperExterior.insert`.  With every parity even
     only the first and third sums remain: the Chevalley–Eilenberg
     coboundary on increasing tuples.  The odd-odd bracket sum carries an
     overall minus: that sign is forced, since with + the square of δ has a
@@ -183,37 +215,33 @@ def coboundary(der: DerivationSpace, ext: SuperExterior, bracket, k: int) -> Mat
     """
     n = der.algebra.dim
     map_rows = [u.row_entries() for u in der.basis_maps()]
-    unit_rows = [[(m, 1)] for m in range(n)]
+    start = {mono: i * n for i, mono in enumerate(ext.monomials(k))}
     out = []  # {col: value} per row, plain sums
-
-    def add(rows, coeff, factors, actor=None):
-        """rows += coeff · c(factors), acted on by u_actor unless it is None."""
-        norm = ext.normalize(factors)
-        if norm is None:
-            return
-        lo = ext.index(k, norm[1]) * n
-        v = norm[0] * coeff
-        for row, acted in zip(rows, unit_rows if actor is None else map_rows[actor]):
-            for m2, x in acted:
-                row[lo + m2] = row.get(lo + m2, 0) + v * x
 
     for ev, od in ext.monomials(k + 1):
         r, s = len(ev), len(od)
         rows = [{} for _ in range(n)]
-        for i in range(r):
-            add(rows, (-1) ** i, ev[:i] + ev[i + 1:] + od, ev[i])
-        for j in range(s):
-            add(rows, (-1) ** r, ev + od[:j] + od[j + 1:], od[j])
-        brackets = ([((-1) ** (i + j), ev[i], ev[j], ev[:i] + ev[i + 1:j] + ev[j + 1:] + od)
+        # u_actor · c(rest), each rest a normal-form monomial already
+        actors = ([((-1) ** i, ev[i], (ev[:i] + ev[i + 1:], od)) for i in range(r)]
+                  + [((-1) ** r, od[j], (ev, od[:j] + od[j + 1:])) for j in range(s)])
+        for sign, actor, rest in actors:
+            lo = start[rest]
+            for row, acted in zip(rows, map_rows[actor]):
+                for m2, x in acted:
+                    row[lo + m2] = row.get(lo + m2, 0) + sign * x
+        brackets = ([((-1) ** (i + j), ev[i], ev[j], (ev[:i] + ev[i + 1:j] + ev[j + 1:], od))
                      for i in range(r) for j in range(i + 1, r)]
-                    + [(-1, od[i], od[j], ev + od[:i] + od[i + 1:j] + od[j + 1:])
+                    + [(-1, od[i], od[j], (ev, od[:i] + od[i + 1:j] + od[j + 1:]))
                        for i in range(s) for j in range(i + 1, s)]
-                    + [((-1) ** (i + r), ev[i], od[j], ev[:i] + ev[i + 1:] + od[:j] + od[j + 1:])
+                    + [((-1) ** (i + r), ev[i], od[j], (ev[:i] + ev[i + 1:], od[:j] + od[j + 1:]))
                        for i in range(r) for j in range(s)])
         for sign, a, b, rest in brackets:
             for x, c in enumerate(bracket[a][b]):
-                if c:
-                    add(rows, sign * c, (x,) + rest)
+                if c and (wedged := ext.insert(x, rest)) is not None:
+                    v = wedged[0] * sign * c
+                    lo = wedged[1] * n
+                    for m, row in enumerate(rows):
+                        row[lo + m] = row.get(lo + m, 0) + v
         out.extend(row.items() for row in rows)
     return Matrix.from_entries(der.algebra.field, out, n * len(ext.monomials(k)))
 
@@ -239,33 +267,9 @@ class FormSpace:
     def dim(self):
         return self.space.dim
 
-    @property
-    def ambient_dim(self):
-        return self.algebra.dim * (self.der.dim ** self.degree)
-
     def value_at(self, flat, t):
         """φ(u_{t_0}, …) as algebra coordinates, basis tuple arguments."""
         return _value_at(flat, t, self.algebra.dim, self.der.dim)
-
-    def evaluate(self, flat, args):
-        """Multilinear evaluation at arbitrary derivation-coordinate tuples."""
-        n = self.algebra.dim
-        d = self.der.dim
-        f = self.algebra.field
-        out = [f.zero()] * n
-        for t in product(range(d), repeat=self.degree):
-            coeff = f.one()
-            for slot, arg in zip(t, args):
-                coeff = f.mul(coeff, arg[slot])
-                if coeff == 0:
-                    break
-            if coeff == 0:
-                continue
-            val = self.value_at(flat, t)
-            for m in range(n):
-                if val[m] != 0:
-                    out[m] = f.add(out[m], f.mul(coeff, val[m]))
-        return out
 
     def contains(self, flat) -> bool:
         return self.space.contains(flat)
@@ -285,8 +289,9 @@ def ce_forms(algebra: FiniteAlgebra, degree: int,
 
     An alternating form is fixed by its values on increasing tuples, so the
     system is solved in one unknown per (increasing tuple, value coordinate)
-    under the center-linearity rows of :func:`linearity_rows`, imposed in the
-    first slot only; alternation carries them to every other slot.  Rows
+    under the center-linearity rows of :func:`linearity_rows`, one block per
+    generator of the center, imposed in the first slot only; alternation
+    carries them to every other slot.  Rows
     whose u_a repeats an argument of R are kept: φ(u_a, u_R) vanishes there,
     but φ(z·u_a, u_R) need not.  The
     kernel is then spread back over all n·d^k tuple coordinates, each
@@ -304,9 +309,7 @@ def ce_forms(algebra: FiniteAlgebra, degree: int,
     if degree == 0:
         return FormSpace(algebra, der, 0, Subspace.full(f, n), Subspace.full(f, n))
     ext = SuperExterior([0] * d)
-    maps = der.basis_maps()
-    z_mults = [algebra.left_mult(list(z)) for z in algebra.center().basis]
-    scalings = [(lz.row_entries(), [der.coords_of(lz @ u) for u in maps]) for lz in z_mults]
+    scalings = form_scalings(der, algebra.generators(algebra.center().basis))
     monomials = ext.monomials(degree)
     ker = kernel(Matrix.from_entries(f, linearity_rows(ext, degree, n, scalings),
                                      n * len(monomials)))

@@ -30,7 +30,7 @@ from .diffops import (
 from .fields import field_from_name
 from .gradedce import GRADED_DEGREE_CAP, GradedCochainComplex
 from .jets import jet_module, jk_is_diffop, two_sided_jet, two_sided_representability
-from .scenarios import builtin_scenarios, canonical_json, run_all
+from .scenarios import JSON_LAYOUT, builtin_scenarios, run_all
 from .universal import UNIVERSAL_DEGREE_CAP, UniversalCalculus
 
 USAGE_ERROR = 2
@@ -94,8 +94,10 @@ def emit(report: dict, json_path: str = None, text_lines=None):
         for line in text_lines:
             print(line)
     if json_path:
+        # streamed: the bytes of canonical_json(report), never held whole
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report))
+            json.dump(report, fh, **JSON_LAYOUT)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

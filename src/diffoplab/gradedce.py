@@ -4,7 +4,11 @@ Cochains at degree k are K-linear maps from the graded exterior power of
 the derivation space to the algebra.  Monomial normal form: even-parity
 generators first with strictly increasing indices (they anticommute), then
 odd generators with weakly increasing indices (they commute); mixed swaps
-cost a sign of −1.  The coboundary is ``cecalc.coboundary``, the one
+cost a sign of −1.  A-linearity is imposed in the first slot by one block of
+rows per generator of A among its basis vectors
+(:meth:`FiniteAlgebra.generators`), not per basis vector; an algebra on
+which that reduction fails, a non-associative one, is refused.  The
+coboundary is ``cecalc.coboundary``, the one
 builder that the ungraded complex shares, with the superbracket; its
 docstring holds the normal-form sign expansion.
 """
@@ -13,7 +17,14 @@ from __future__ import annotations
 
 from .algebra import AlgebraError, FiniteAlgebra, flat_parities
 from .bimodule import regular_bimodule
-from .cecalc import DegreeCapError, SuperExterior, bracket_table, coboundary, linearity_rows
+from .cecalc import (
+    DegreeCapError,
+    SuperExterior,
+    bracket_table,
+    coboundary,
+    form_scalings,
+    linearity_rows,
+)
 from .derivations import DerivationSpace, derivations
 from .linalg import Matrix, Subspace, kernel_on, restrict_operator
 
@@ -37,10 +48,10 @@ class GradedCochainComplex:
             algebra, regular_bimodule(algebra), graded=True)
         self.ext = SuperExterior(self.der.basis_parities())
         self.maps = self.der.basis_maps()
-        # per basis element e_a, its left multiplication and the derivation
-        # coordinates of e_a·u_i, read by the A-linearity rows
-        self._scalings = [(la.row_entries(), [self.der.coords_of(la @ u) for u in self.maps])
-                          for la in map(algebra.left_mult_basis, range(algebra.dim))]
+        # per generator a of A, its left multiplication and the derivation
+        # coordinates of a·u_i, read by the A-linearity rows
+        self._scalings = form_scalings(self.der, algebra.generators(
+            map(algebra.basis_vector, range(algebra.dim))))
         bracket = bracket_table(self.der, self.ext.parities)
         self.ambient_delta = [coboundary(self.der, self.ext, bracket, k) for k in range(cap + 1)]
         self.forms = [self._a_linear_subspace(k) for k in range(cap + 1)]

@@ -582,5 +582,9 @@ def run_all(only=None) -> dict:
     }
 
 
+# the one layout of every canonical report, as a string or written to a file
+JSON_LAYOUT = {"sort_keys": True, "indent": 2, "ensure_ascii": False}
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, **JSON_LAYOUT) + "\n"

@@ -7,12 +7,15 @@ The last section holds the few helpers that only tests call, kept out of
 the package.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
+from diffoplab.algebra import flat_parities
 from diffoplab.bimodule import regular_bimodule
+from diffoplab.cecalc import SuperExterior, form_scalings, linearity_rows
 from diffoplab.homspace import HomSpace
-from diffoplab.linalg import Matrix
+from diffoplab.linalg import Matrix, kernel, kernel_on
 
 
 def frac_rows(rows):
@@ -532,7 +535,54 @@ def graded_a_linear_rows(n, der_parity, alg_parity, left_mults, scaled, degree):
     return rows, parities
 
 
+# The two systems below are the package's own linearity rows with one row
+# block per basis vector, not per generator: they differ from the builders
+# only in the reduction to generators, which is what they check.
+
+
+def all_basis_ce_forms(algebra, der, degree):
+    """The increasing-tuple kernel of the degree-k center-multilinear forms,
+    under one block of linearity rows per center basis element."""
+    n = algebra.dim
+    ext = SuperExterior([0] * der.dim)
+    rows = linearity_rows(ext, degree, n, form_scalings(der, algebra.center().basis))
+    return kernel(Matrix.from_entries(algebra.field, rows, n * len(ext.monomials(degree))))
+
+
+def all_basis_a_linear_forms(algebra, der, degree):
+    """The A-linear graded degree-k cochains, under one block of linearity
+    rows per basis vector of A, each parity apart."""
+    n = algebra.dim
+    ext = SuperExterior(der.basis_parities())
+    scalings = form_scalings(der, map(algebra.basis_vector, range(n)))
+    system = Matrix.from_entries(algebra.field, linearity_rows(ext, degree, n, scalings),
+                                 n * len(ext.monomials(degree)))
+    flat = flat_parities([ext.monomial_parity(mono) for mono in ext.monomials(degree)],
+                         algebra.parity)
+    even, odd = (kernel_on(system, [j for j, p in enumerate(flat) if p == par])
+                 for par in (0, 1))
+    return even.sum(odd)
+
+
 # -- helpers that only tests call ------------------------------------------------
+
+
+def permuted_spec(algebra, seed):
+    """The JSON spec of ``algebra`` with its basis relabelled by a seeded
+    permutation: structure constants, unit, names and parities move along."""
+    rng = random.Random(seed)
+    n = algebra.dim
+    new = list(range(n))
+    rng.shuffle(new)  # basis vector i becomes basis vector new[i]
+    old = sorted(range(n), key=new.__getitem__)
+    spec = algebra.to_json_dict()
+    spec["basis"] = [spec["basis"][i] for i in old]
+    spec["unit"] = [spec["unit"][i] for i in old]
+    spec["sc"] = [[new[i], new[j], new[k], v] for i, j, k, v in spec["sc"]]
+    if "parity" in spec:
+        spec["parity"] = [spec["parity"][i] for i in old]
+    spec["name"] += f"[perm{seed}]"
+    return spec
 
 
 def from_flat(field, flat, rows, cols):

@@ -1,12 +1,14 @@
 import pytest
 
 from diffoplab import gradedce
-from diffoplab.algebra import AlgebraError, direct_product, grassmann, trunc_poly
+from diffoplab.algebra import AlgebraError, catalog, direct_product, grassmann, trunc_poly
 from diffoplab.bimodule import regular_bimodule
-from diffoplab.derivations import derivations
-from diffoplab.fields import Field
+from diffoplab.cecalc import bracket_table
+from diffoplab.derivations import derivations, super_bracket
+from diffoplab.fields import QQ, Field
 from diffoplab.gradedce import GradedCochainComplex, SuperExterior
 from diffoplab.linalg import Matrix, kernel_on
+from oracles import super_normal_form
 
 
 def test_super_exterior_monomials():
@@ -39,6 +41,37 @@ def test_normalize_signs():
     # moving an even past an odd costs a sign
     s4, m4 = ext.normalize([o[0], e[0]])
     assert s4 == -1 and m4 == ((e[0],), (o[0],))
+
+
+def test_insert_is_normalize_with_the_factor_in_front():
+    parities = [0, 1, 0, 1, 1, 0]
+    ext = SuperExterior(parities)
+    killed = 0
+    for k in range(4):
+        for mono in ext.monomials(k):
+            for x in range(len(parities)):
+                factors = (x,) + mono[0] + mono[1]
+                norm = ext.normalize(factors)
+                assert norm == super_normal_form(factors, parities)
+                if norm is None:
+                    killed += 1
+                    assert ext.insert(x, mono) is None
+                else:
+                    assert ext.insert(x, mono) == (norm[0], ext.index(k + 1, norm[1]))
+    # u_x ∧ monomial vanishes exactly when x is an even factor of the monomial
+    assert killed == sum(len(mono[0]) for k in range(4) for mono in ext.monomials(k))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", ["grassmann:2", "trunc_poly:2+grassmann:1", "matrix:2"])
+def test_bracket_table_is_the_superbracket_of_every_pair(spec, field):
+    a = catalog(spec, field)
+    der = derivations(a, regular_bimodule(a), graded=a.graded)
+    parities = der.basis_parities() if a.graded else [0] * der.dim
+    maps = der.basis_maps()
+    assert bracket_table(der, parities) == [
+        [der.coords_of(super_bracket(u, pu, v, pv)) for v, pv in zip(maps, parities)]
+        for u, pu in zip(maps, parities)]
 
 
 def test_degree_zero_coboundary_is_evaluation():
@@ -118,8 +151,8 @@ def test_report_dict():
 
 
 def test_a_linearity_rows_come_from_the_first_slot_on_normal_form_tails(monkeypatch):
-    # one row per (derivation b, tail monomial, algebra basis a, value
-    # coordinate), shared by both parities: d·#monomials(k − 1)·n² rows
+    # one row per (derivation b, tail monomial, value coordinate, generator
+    # a of A), shared by both parities: d·#monomials(k − 1)·n·#generators rows
     systems = []
 
     def recording(m, cols):
@@ -129,5 +162,7 @@ def test_a_linearity_rows_come_from_the_first_slot_on_normal_form_tails(monkeypa
     monkeypatch.setattr(gradedce, "kernel_on", recording)
     cx = GradedCochainComplex(grassmann(2), cap=2)
     n, d = cx.algebra.dim, cx.der.dim
-    assert [m.rows for m in systems] == [d * len(cx.ext.monomials(k - 1)) * n * n
+    generators = cx.algebra.generators(map(cx.algebra.basis_vector, range(n)))
+    assert len(generators) == 2  # θ1, θ2
+    assert [m.rows for m in systems] == [d * len(cx.ext.monomials(k - 1)) * n * len(generators)
                                          for k in (1, 1, 2, 2)]

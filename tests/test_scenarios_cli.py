@@ -9,7 +9,7 @@ import pytest
 from diffoplab.algebra import catalog
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.cecalc import DEGREE_CAP
-from diffoplab.cli import main
+from diffoplab.cli import emit, main
 from diffoplab.gradedce import GRADED_DEGREE_CAP
 from diffoplab.scenarios import (
     REQUIRED_CLAIMS,
@@ -109,6 +109,15 @@ def test_cli_reports_are_deterministic(tmp_path):
     assert main(["compare-defs", "matrix:2", "--order", "1",
                  "--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_emit_streams_the_canonical_json(tmp_path):
+    # non-ASCII names, nested lists, a Fraction string and unsorted keys
+    report = {"zeta": [1, [2, []], {}], "algebra": "θ1θ2", "dims": [3, 0],
+              "nested": {"b": "-1/2", "a": True, "c": None}}
+    path = tmp_path / "report.json"
+    emit(report, str(path))
+    assert path.read_text(encoding="utf-8") == canonical_json(report)
 
 
 def test_cli_misc_commands(tmp_path):
