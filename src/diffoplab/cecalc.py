@@ -26,10 +26,10 @@ from .bimodule import Bimodule, regular_bimodule
 from .derivations import DerivationSpace, derivations, super_bracket
 from .homspace import HomSpace
 from .linalg import (
+    Echelon,
     Matrix,
     Subspace,
     closure,
-    factor_through,
     kernel,
     kron,
     restrict_operator,
@@ -517,6 +517,21 @@ class DualityReport:
                 "round_trip": self.round_trip_ok, "ok": self.ok}
 
 
+def duality_round_trip(hom: HomSpace, hom_space: Subspace, d0: Matrix,
+                       der: DerivationSpace) -> bool:
+    """Whether Φ: F ↦ F∘d0 maps ``hom_space`` one to one onto ``der.space``.
+
+    ``hom_space`` is a subspace of ``hom``, and d0 maps A into the source of
+    ``hom``.  Φ is linear, so this takes one elimination: the images of the
+    basis of ``hom_space`` must each add to the span (Φ is injective), and
+    their span must be the derivation space.  That is the round trip
+    u ↦ φ_u ↦ u and φ ↦ u_φ ↦ φ with φ_u∘d0 = u unique.
+    """
+    ech = Echelon(hom.algebra.field, der.space.ambient_dim)
+    return (all(ech.add((fmat @ d0).flatten()) for fmat in hom.basis_maps(hom_space))
+            and ech.subspace() == der.space)
+
+
 def ce_duality_check(algebra: FiniteAlgebra, minimal: MinimalCalculus = None) -> DualityReport:
     """Derivations ≅ bimodule maps O^1 → A via u ↦ (da ↦ u(a))."""
     if minimal is None:
@@ -525,21 +540,7 @@ def ce_duality_check(algebra: FiniteAlgebra, minimal: MinimalCalculus = None) ->
     # Hom_{A-A}(O^1, A): maps that commute with both actions
     hom = HomSpace(minimal.one_forms_bimodule(), regular_bimodule(algebra))
     hom_space = hom.common_kernel("delta", "bar_delta")
-    gen_coords = minimal.d0_matrix()  # columns: coords of d(e_i) in O^1 basis
-    round_trip = True
-    # u ↦ φ_u ↦ u (on the derivation basis): φ_u is the bimodule map with
-    # φ_u(d e_i) = u(e_i), unique because the d e_i generate O^1
-    for u in der.basis_maps():
-        if not factor_through(hom_space, gen_coords, u).ok:
-            round_trip = False
-    # φ ↦ u_φ ↦ φ (on the bimodule-dual basis): u_φ = φ∘d is a derivation,
-    # and factoring it back through d must return φ itself
-    for fmat in hom.basis_maps(hom_space):
-        u = fmat @ gen_coords
-        if not der.contains(u):
-            round_trip = False
-            continue
-        back = factor_through(hom_space, gen_coords, u)
-        if not back.ok or back.f_matrix != fmat:
-            round_trip = False
+    # columns of d0: the coordinates of d(e_i) in the O^1 basis; the d e_i
+    # generate O^1, so φ_u with φ_u(d e_i) = u(e_i) is unique if it exists
+    round_trip = duality_round_trip(hom, hom_space, minimal.d0_matrix(), der)
     return DualityReport(der.dim, hom_space.dim, round_trip)

@@ -23,6 +23,7 @@ class DerivationSpace:
         self.target = target
         self.space = space
         self.graded = graded
+        self._maps = None
 
     @property
     def dim(self) -> int:
@@ -32,7 +33,10 @@ class DerivationSpace:
         return self.space.combination_matrix(coords, self.target.dim, self.algebra.dim)
 
     def basis_maps(self):
-        return self.space.basis_maps(self.target.dim, self.algebra.dim)
+        """The canonical basis derivations as matrices, built on the first call."""
+        if self._maps is None:
+            self._maps = tuple(self.space.basis_maps(self.target.dim, self.algebra.dim))
+        return self._maps
 
     def basis_parities(self):
         """Parity of each canonical basis derivation (graded solver only)."""

@@ -324,15 +324,20 @@ def composition_order_check(p: Bimodule, d1: LinMap, n: int, d2: LinMap, m: int,
 
 
 def _relation(x: Subspace, y: Subspace):
-    x_in_y = y.contains_space(x)
-    y_in_x = x.contains_space(y)
-    if x_in_y and y_in_x:
+    """How x sits against y, read from their canonical bases.
+
+    Equal subspaces have equal bases.  A subspace inside another of the same
+    dimension is that other one, so unequal spaces of equal dimension are
+    incomparable; otherwise only the smaller can lie inside the larger, and
+    that one containment is solved.
+    """
+    if x == y:
         return "equal"
-    if x_in_y:
-        return "subset"
-    if y_in_x:
-        return "superset"
-    return "incomparable"
+    if x.dim == y.dim:
+        return "incomparable"
+    if x.dim < y.dim:
+        return "subset" if y.contains_space(x) else "incomparable"
+    return "superset" if x.contains_space(y) else "incomparable"
 
 
 def _difference_witness(x: Subspace, y: Subspace):

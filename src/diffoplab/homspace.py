@@ -22,11 +22,17 @@ Families, the common kernel ``common_kernel(*kinds)`` of the named
 families stacked, the preimages ``preimage(kind, target)`` that every
 filtration is a chain of, and their ``action_closure`` are built on first
 use and cached on the instance, under the family and the target's value
-(so equal targets built apart share one solve).  A family equal to one
-built before (δ̄ = δ when both modules act alike on either side) becomes its
-alias and shares its kernels and preimages.  ``HomSpace.between(P, Q)``
-keeps one instance per module pair on P, so every builder on the same two
-module objects shares it, and the caches go with the modules.  Every
+(so equal targets built apart share one solve).  A family whose factors
+equal those of another, basis element by basis element, is that family's
+alias and shares its operators, kernels, preimages and closures: δ̄ is δ
+when R_i = L_i on both modules, ``right`` is ``left`` when R_i = L_i on the
+target, ``right_bullet`` is ``left_bullet`` when R_i = L_i on the source,
+and the graded δ is δ when A has no odd basis element.  This is read off
+the modules, so no Kronecker family is built only to be compared; families
+equal for another reason are kept apart, with the same results.
+``HomSpace.between(P, Q)`` keeps one instance per module pair on P, so every
+builder on the same two module objects shares it, and the caches go with
+the modules.  Every
 module-map space is a common kernel: left A-linear maps ("delta"), right
 A-linear maps ("bar_delta"), bimodule maps (both), and the one-sided duals
 of Q inside Hom_K(Q, A) (``right_dual``, ``left_dual``).
@@ -133,6 +139,7 @@ class HomSpace:
     # -- flat operators -------------------------------------------------------
 
     def _family(self, kind: str):
+        kind = self._canonical(kind)
         ops = self._ops.get(kind)
         if ops is not None:
             return ops
@@ -164,19 +171,31 @@ class HomSpace:
                 ops.append(self._family("left")[i] - lb)
         else:
             raise ValueError(f"unknown operator family {kind!r}")
-        # the first equal family met is the first built, never an alias
-        for other, other_ops in self._ops.items():
-            if other_ops == ops:
-                self._alias[kind] = other
-                ops = other_ops
-                break
         self._ops[kind] = ops
         return ops
 
     def _canonical(self, kind: str) -> str:
-        """The first-built family equal to ``kind``, under which its solves are kept."""
-        self._family(kind)
-        return self._alias.get(kind, kind)
+        """The family under which the operators and solves of ``kind`` are kept:
+        itself, or the family it equals because their factors are equal for
+        every basis element (see the module docstring).  Only the module
+        and algebra data are read; no Kronecker family is built."""
+        alias = self._alias.get(kind)
+        if alias is None:
+            src, tgt = self.source, self.target
+            if kind == "bar_delta":
+                same = tgt.right == tgt.left and src.right == src.left
+                other = "delta"
+            elif kind == "right":
+                same, other = tgt.right == tgt.left, "left"
+            elif kind == "right_bullet":
+                same, other = src.right == src.left, "left_bullet"
+            elif kind == "graded_delta":
+                self._require_graded()
+                same, other = not any(self.algebra.parity), "delta"
+            else:
+                same = False
+            alias = self._alias[kind] = other if same else kind
+        return alias
 
     def common_kernel(self, *kinds: str) -> Subspace:
         """{Φ : mΦ = 0 for every m of the named families}, solved once per

@@ -499,21 +499,25 @@ class Echelon:
                             del row[c]
         return None
 
-    def _insert(self, row) -> bool:
-        """Reduce an elimination-form dict; store the residual as a pivot row."""
+    def _insert(self, row):
+        """Reduce an elimination-form dict; store the residual as a pivot row.
+
+        Returns the stored pivot row, or None if the row reduced to zero.
+        """
         lead = self._reduce(row)
         if lead is None:
-            return False
+            return None
         p = self.field.char
         if p:
             inv = pow(row[lead], p - 2, p)
-            self.pivots[lead] = sorted((j, (x * inv) % p) for j, x in row.items())
+            stored = sorted((j, (x * inv) % p) for j, x in row.items())
         else:
             g = gcd(*row.values())
             if row[lead] < 0:
                 g = -g
-            self.pivots[lead] = sorted((j, v // g) for j, v in row.items())
-        return True
+            stored = sorted((j, v // g) for j, v in row.items())
+        self.pivots[lead] = stored
+        return stored
 
     def add(self, vec) -> bool:
         """Reduce ``vec`` against the basis; insert the residual. True if rank grew."""
@@ -521,7 +525,7 @@ class Echelon:
 
     def add_entries(self, pairs) -> bool:
         """``add`` for a row given by its ``(col, value)`` pairs, each column once."""
-        return self._insert(self._entries(pairs))
+        return self._insert(self._entries(pairs)) is not None
 
     def contains(self, vec) -> bool:
         return self.contains_entries(_nonzero_pairs(vec))
@@ -1035,24 +1039,40 @@ def factor_through(maps: Subspace, j: Matrix, delta: Matrix) -> Factorization:
 def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
     """Smallest operator-invariant subspace containing ``seeds``.
 
-    Fixed-point generator loop: apply every operator to each newly added
-    vector, breadth first, until no vector adds to the span.  Terminates
-    because the ambient dimension is finite, and stops as soon as the span
-    is all of K^n: the result is then ``Subspace.full``.  The dense seeds
-    become ``(col, value)`` pairs once; every image stays in pairs.
+    Fixed-point generator loop over the pivot rows of one :class:`Echelon`:
+    each row it stores (a dense seed's residual, or an image's) is queued,
+    and every operator is applied to each queued row, breadth first, until no
+    image adds to the span.  The queued rows span what the seeds and images
+    span, so the result is the same canonical subspace.  They are in
+    elimination form (integers over Q, ``range(p)`` over GF(p)), and each
+    image is reduced straight from its ``{row: sum}`` products, with no sort
+    or scalar normalization in between.  Terminates because the ambient
+    dimension is finite, and stops as soon as the span is all of K^n: the
+    result is then ``Subspace.full``.
     """
     if any(op.rows != ambient_dim or op.cols != ambient_dim for op in operators):
         raise ValueError("operator/ambient dimension mismatch")
     ech = Echelon(field, ambient_dim)
-    added = [s for s in map(_nonzero_pairs, seeds)
-             if ech.rank < ambient_dim and ech.add_entries(s)]
-    for v in added:  # the list grows while it is walked
+    pivots = ech.pivots
+    queue = []
+    for s in seeds:
+        if len(pivots) == ambient_dim:
+            break
+        row = ech._insert(ech._entries(_nonzero_pairs(s)))
+        if row:
+            queue.append(row)
+    for v in queue:  # the list grows while it is walked
         for op in operators:
-            if ech.rank == ambient_dim:
+            if len(pivots) == ambient_dim:
                 return ech.subspace()
-            w = op._apply_pairs(v)
-            if ech.add_entries(w):
-                added.append(w)
+            cols = op.column_entries()
+            acc = {}
+            for j, x in v:
+                for i, a in cols[j]:
+                    acc[i] = acc.get(i, 0) + a * x
+            row = ech._insert(ech._entries(acc.items()))
+            if row:
+                queue.append(row)
     return ech.subspace()
 
 

@@ -15,7 +15,7 @@ from diffoplab.algebra import flat_parities
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.cecalc import SuperExterior, form_scalings, linearity_rows
 from diffoplab.homspace import HomSpace
-from diffoplab.linalg import Matrix, kernel, kernel_on
+from diffoplab.linalg import Echelon, Matrix, factor_through, kernel, kernel_on
 
 
 def frac_rows(rows):
@@ -597,3 +597,40 @@ def two_sided_dual_space(q):
     """Functionals on Q that are both left and right A-linear, in the flat
     coordinates of Hom_K(Q, A): the bimodule maps Q → A."""
     return HomSpace(q, regular_bimodule(q.algebra)).common_kernel("delta", "bar_delta")
+
+
+def closure_by_images(field, ambient_dim, seeds, operators):
+    """``linalg.closure`` as it was first written sparse: it queues each seed
+    and each image that adds to the span, as its sorted pairs in the field's
+    scalar form, and reduces every image from those pairs."""
+    ech = Echelon(field, ambient_dim)
+    added = [s for s in ([(j, x) for j, x in enumerate(v) if x] for v in seeds)
+             if ech.rank < ambient_dim and ech.add_entries(s)]
+    for v in added:  # the list grows while it is walked
+        for op in operators:
+            if ech.rank == ambient_dim:
+                return ech.subspace()
+            w = op._apply_pairs(v)
+            if ech.add_entries(w):
+                added.append(w)
+    return ech.subspace()
+
+
+def duality_round_trip_by_factoring(hom, hom_space, d0, der):
+    """The round trip of ``cecalc.ce_duality_check`` one map at a time: each
+    basis derivation u factors uniquely as φ_u∘d0 with φ_u in ``hom_space``,
+    and each basis map φ of ``hom_space`` gives a derivation φ∘d0 that
+    factors back to φ itself; 2·dim Der solves of ``factor_through``."""
+    ok = True
+    for u in der.basis_maps():
+        if not factor_through(hom_space, d0, u).ok:
+            ok = False
+    for fmat in hom.basis_maps(hom_space):
+        u = fmat @ d0
+        if not der.contains(u):
+            ok = False
+            continue
+        back = factor_through(hom_space, d0, u)
+        if not back.ok or back.f_matrix != fmat:
+            ok = False
+    return ok

@@ -14,16 +14,17 @@ from diffoplab.cecalc import (
     ce_coboundary_matrix,
     ce_duality_check,
     ce_forms,
+    duality_round_trip,
     exact_one_form,
     form_bimodule,
     wedge,
 )
-from diffoplab.derivations import derivations
+from diffoplab.derivations import DerivationSpace, derivations
 from diffoplab.diffops import dv_first_order
 from diffoplab.fields import QQ, Field
 from diffoplab.homspace import HomSpace, LinMap
-from diffoplab.linalg import kernel
-from oracles import ce_coboundary_all_tuples
+from diffoplab.linalg import Matrix, Subspace, kernel, kron
+from oracles import ce_coboundary_all_tuples, duality_round_trip_by_factoring
 
 
 def der_of(a):
@@ -283,3 +284,40 @@ def test_tuple_coboundary_is_the_all_tuple_coboundary_on_alternating_cochains(sp
         for phi in cochains:
             assert tuple_view.apply(phi) == oracle.apply(phi)
         assert any(any(oracle.apply(phi)) for phi in cochains)
+
+
+DUALITY_CASES = ["trunc_poly:1", "trunc_poly:3", "trunc_poly:4", "matrix:2", "quaternion",
+                 "square_zero:3", "group_z:3", "grassmann:2", "trunc_poly:2+matrix:2"]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", DUALITY_CASES)
+def test_duality_round_trip_is_the_factoring_loop(spec, field):
+    a = catalog(spec, field)
+    mc = MinimalCalculus(a)
+    der = mc.der
+    hom = HomSpace(mc.one_forms_bimodule(), regular_bimodule(a))
+    space = hom.common_kernel("delta", "bar_delta")
+    d0 = mc.d0_matrix()
+    # d0 with its last column doubled, and with it set to zero: the images of
+    # the Hom space then miss every derivation that is non-zero at that basis
+    # vector, so the round trip fails wherever there is a derivation
+    doubled, dropped = ([[field.mul(x, c) if j == d0.cols - 1 else x
+                          for j, x in enumerate(row)] for row in d0.data] for c in (2, 0))
+    zero_der = DerivationSpace(a, der.target, Subspace.zero(field, der.space.ambient_dim), False)
+    # the maps F with F∘d0 = 0, vec(F∘d0) = (I ⊗ d0ᵀ) vec(F): added to the Hom
+    # space they leave the images as they are but make F ↦ F∘d0 non-injective
+    # (where the d e_i do not span O^1 as a vector space: matrix:2, for one)
+    killed = kernel(kron(Matrix.identity(field, a.dim), d0.transpose()))
+    cases = [(space, d0, der, True),
+             (space, Matrix(field, doubled, d0.cols), der, None),
+             (space, Matrix(field, dropped, d0.cols), der, der.dim == 0),
+             # a Hom space of dimension 0 against Der, and H against Der = 0
+             (Subspace.zero(field, hom.dim), d0, der, der.dim == 0),
+             (space, d0, zero_der, space.dim == 0),
+             (space.sum(killed), d0, der, killed.dim == 0)]
+    for hs, d, ders, want in cases:
+        got = duality_round_trip(hom, hs, d, ders)
+        assert got == duality_round_trip_by_factoring(hom, hs, d, ders)
+        assert want is None or got == want
+    assert ce_duality_check(a, mc).round_trip_ok

@@ -175,3 +175,12 @@ def test_derivations_of_a_product_split(spec, dim, field):
         a = catalog(s, field)
         return derivations(a, regular_bimodule(a)).dim
     assert der_dim(spec) == sum(der_dim(part) for part in spec.split("+")) == dim
+
+
+def test_basis_maps_are_built_once():
+    for spec in ["matrix:2", "trunc_poly:3", "grassmann:2"]:
+        a = catalog(spec)
+        d = derivations(a, regular_bimodule(a))
+        maps = d.basis_maps()
+        assert type(maps) is tuple and d.basis_maps() is maps
+        assert list(maps) == d.space.basis_maps(a.dim, a.dim)

@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,7 @@ from diffoplab.bimodule import Bimodule, free_module, regular_bimodule
 from diffoplab.derivations import derivations, inner_derivation
 from diffoplab.diffops import (
     OrderCapError,
+    _relation,
     compare_definitions,
     composition_order_check,
     dv_first_order,
@@ -490,3 +492,47 @@ def test_opposite_algebra_swaps_lunts_sides(spec, field):
             for side, other in (("left", "right"), ("right", "left")):
                 assert (lunts_filtration(m, m, k, side).terms
                         == lunts_filtration(m_op, m_op, k, other).terms), (m.name, side, k)
+
+
+def _relation_by_both_containments(x, y):
+    x_in_y, y_in_x = y.contains_space(x), x.contains_space(y)
+    if x_in_y and y_in_x:
+        return "equal"
+    return "subset" if x_in_y else "superset" if y_in_x else "incomparable"
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+def test_relation_reads_the_canonical_bases(field, monkeypatch):
+    rng = random.Random(43)
+    n = 5
+    spaces = [Subspace.from_spanning(field, n, [[field.coerce(rng.choice([0, 0, 0, 1, -1, 3]))
+                                                  for _ in range(n)]
+                                                 for _ in range(rng.randrange(0, 4))])
+              for _ in range(12)]
+    spaces.append(spaces[0].sum(spaces[1]))
+    spaces.append(Subspace.from_spanning(field, n, spaces[2].basis))  # equal, built anew
+    expected = {(i, j): _relation_by_both_containments(x, y)
+                for i, x in enumerate(spaces) for j, y in enumerate(spaces)}
+    solved = []
+    original = Subspace.contains_space
+
+    def counting_contains_space(self, other):
+        solved.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "contains_space", counting_contains_space)
+    seen = set()
+    for (i, j), want in expected.items():
+        x, y = spaces[i], spaces[j]
+        before = len(solved)
+        assert _relation(x, y) == want, (i, j)
+        seen.add(want)
+        # equal bases and equal dimensions answer without a solve; otherwise
+        # only the smaller space is tested inside the larger
+        if x == y or x.dim == y.dim:
+            assert len(solved) == before
+        else:
+            small, large = (x, y) if x.dim < y.dim else (y, x)
+            assert solved[before:] == [(large, small)]
+    assert seen == {"equal", "subset", "superset", "incomparable"}
+    assert any(x != y and x.dim == y.dim for x in spaces for y in spaces)

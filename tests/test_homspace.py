@@ -9,7 +9,7 @@ from diffoplab.bimodule import free_module, regular_bimodule
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.fields import Field, QQ
 from diffoplab.homspace import HomSpace, LinMap, left_dual, right_dual
-from diffoplab.linalg import Subspace, kernel, preimage
+from diffoplab.linalg import Subspace, kernel, kron_difference, preimage, vstack
 from diffoplab.universal import UniversalCalculus
 
 from oracles import dual_oracle, field_form, restricted_action, two_sided_dual_space
@@ -359,3 +359,71 @@ def test_fresh_modules_get_their_own_hom_space():
     assert HomSpace.between(second, second) is not h
     assert HomSpace.between(first, second) not in (h, HomSpace.between(second, second))
     assert HomSpace.between(first, second).target is second
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", ["trunc_poly:3", "square_zero:2", "group_z:3", "matrix:2",
+                                  "quaternion"])
+def test_families_alias_by_their_factors(spec, field, monkeypatch):
+    import diffoplab.homspace as homspace
+
+    built = []
+
+    def counting_kron_difference(a, b):
+        built.append((a, b))
+        return kron_difference(a, b)
+
+    monkeypatch.setattr(homspace, "kron_difference", counting_kron_difference)
+    a = catalog(spec, field)
+    reg = regular_bimodule(a)
+    h = HomSpace(reg, reg)
+    both = h.common_kernel("delta", "bar_delta")
+    # δ̄ = δ on a commutative regular module is read off L_i = R_i: one
+    # family of n operators is built, not a second one to compare with it
+    shared = a.is_commutative()
+    assert len(built) == (a.dim if shared else 2 * a.dim)
+    assert (h.bar_delta_ops() is h.delta_ops()) == shared
+    assert (h.action_ops("right") is h.action_ops("left")) == shared
+    assert (h.action_ops("right_bullet") is h.action_ops("left_bullet")) == shared
+    # an alias is the family it stands for, element by element
+    assert h.bar_delta_ops() == [kron_difference(m, pm.transpose())
+                                 for m, pm in zip(reg.right, reg.right)]
+    assert both == h.common_kernel("delta").intersect(h.common_kernel("bar_delta"))
+    assert len(built) == (a.dim if shared else 2 * a.dim)
+
+
+def test_graded_delta_is_delta_without_odd_basis_elements():
+    a3 = trunc_poly(3)
+    even = type(a3)(a3.field, a3.dim, a3.basis_names, a3.sc, a3.unit, parity=[0, 0, 0],
+                    name="trunc3[even]")
+    reg = regular_bimodule(even)
+    h = HomSpace(reg, reg)
+    assert h.graded_delta_ops() is h.delta_ops()
+    assert h.common_kernel("graded_delta") is h.common_kernel("delta")
+    # with an odd basis element the Koszul sign makes them differ
+    g = grassmann(2)
+    greg = regular_bimodule(g)
+    gh = HomSpace(greg, greg)
+    assert gh.graded_delta_ops() is not gh.delta_ops()
+    assert gh.graded_delta_ops() != gh.delta_ops()
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+def test_each_module_aliases_only_its_own_side(field):
+    # over a commutative algebra, universal one-forms act differently on the
+    # two sides (a·db ≠ db·a) while the regular module does not
+    a = catalog("trunc_poly:3", field)
+    reg, omega = regular_bimodule(a), UniversalCalculus(a).omega1_bimodule()
+    assert omega.left != omega.right
+    for src, tgt in ((omega, reg), (reg, omega)):
+        h = HomSpace(src, tgt)
+        assert h.bar_delta_ops() is not h.delta_ops()
+        assert (h.action_ops("right") is h.action_ops("left")) == (tgt is reg)
+        assert (h.action_ops("right_bullet") is h.action_ops("left_bullet")) == (src is reg)
+        families = {kind: [kron_difference(q, p.transpose()) for q, p in zip(tq, sp)]
+                    for kind, tq, sp in (("delta", tgt.left, src.left),
+                                         ("bar_delta", tgt.right, src.right))}
+        for kind, ops in families.items():
+            assert h.common_kernel(kind) == kernel(vstack(ops))
+        assert h.common_kernel("delta", "bar_delta") == kernel(
+            vstack(families["delta"] + families["bar_delta"]))

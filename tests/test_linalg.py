@@ -28,6 +28,7 @@ from diffoplab.linalg import (
 )
 
 from oracles import (
+    closure_by_images,
     field_form,
     from_flat,
     gauss_nullspace,
@@ -764,3 +765,36 @@ def test_pair_native_subspaces_match_the_oracle(field):
         assert [list(r) for r in full.basis] == eye
         for s in (full, Subspace.zero(field, n)):
             assert s.basis_maps(1, n) == [from_flat(field, r, 1, n) for r in s.basis]
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_closure_is_the_closure_by_images(field):
+    rng = random.Random(47)
+    cases = []
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        ops = [random_matrix(rng, field, n, n, rng.choice((0.15, 0.3, 0.6)))
+               for _ in range(rng.randrange(0, 4))]
+        seeds = random_rows(rng, field, rng.randrange(0, 4), n, rng.choice((0.3, 0.7)))
+        cases.append((n, ops, seeds))
+    for n in (1, 4, 7):
+        shift = Matrix.from_pairs(field, [[((i - 1) % n, 1)] for i in range(n)], n)
+        e0 = [field.one()] + [field.zero()] * (n - 1)
+        eye = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+        cases += [
+            (n, [shift], []),                                   # no seeds
+            (n, [Matrix.zeros(field, n, n)], [e0]),             # a zero operator
+            (n, [Matrix.zeros(field, n, n), shift], [e0]),      # zero, then full rank
+            (n, [shift, random_matrix(rng, field, n, n, 0.5)], [e0]),
+            (n, [random_matrix(rng, field, n, n, 0.5)], eye + [e0]),  # full from the seeds
+        ]
+    full = rational = 0
+    for n, ops, seeds in cases:
+        got = closure(field, n, seeds, ops)
+        assert got == closure_by_images(field, n, seeds, ops)
+        full += got.is_full
+        rational += any(type(x) is Fraction for op in ops for r in op.row_entries()
+                        for _, x in r)
+    assert full >= 9
+    if not field.char:  # operators with Fraction entries, against integer pivot rows
+        assert rational >= 20

@@ -113,6 +113,17 @@ PINNED = {
         "91c31e1649cc36728cb772c55b1549d7d477c618458adca99e1517b429358ef8",
     "graded-ce trunc_poly:2+grassmann:1":
         "d926d7fe03ac7d96b4e6fbe7ef5ae5e2cd5ecc847ceb446adb5117fb27ac1199",
+    # recorded at 23e7d85, while closure still reduced dense images, every
+    # HomSpace family was compared by its Kronecker matrix and each relation
+    # solved both containments
+    "compare-defs matrix:4 --order 1":
+        "0d582b2267cecda51897aa0dabcf244daddad37f653a8bf3931f7f6a0ecc74cd",
+    "jets matrix:3 --two-sided":
+        "8f972b48d2f70e529758431277e8c2d3215473e7cdb336f53802c0efb10c1d48",
+    "compare-defs trunc_poly:5 --order 2 --field p:32003":
+        "7c78e887169dbbe1b2b1ee58cac71414341c7765f077a3c3dc8ea68728ed8e89",
+    "cartan quaternion --field p:32003":
+        "4d930cbe5e8bb8ca226dcbf87ea004ad92574bf5b34ee8739d043072afb0b4eb",
 }
 
 
