@@ -26,6 +26,16 @@ def flat_parities(row_parity, col_parity):
     return [(r + c) % 2 for r in row_parity for c in col_parity]
 
 
+def homogeneous_parity(parities, entries, what: str) -> int:
+    """The parity of a vector, given as ``(i, value)`` pairs, whose coordinate
+    i has parity ``parities[i]``: 0 if the vector is zero; raises
+    "<what> is not homogeneous" if it mixes both parities."""
+    pars = {parities[i] for i, x in entries if x != 0}
+    if len(pars) > 1:
+        raise AlgebraError(f"{what} is not homogeneous")
+    return pars.pop() if pars else 0
+
+
 class ValidationReport:
     """Outcome of structural validation; failures carry witness indices."""
 
@@ -344,12 +354,7 @@ class AlgebraElement:
         alg = self.algebra
         if not alg.graded:
             raise AlgebraError("algebra carries no grading")
-        pars = {alg.parity[i] for i, c in enumerate(self.coords) if c != 0}
-        if not pars:
-            return 0
-        if len(pars) > 1:
-            raise AlgebraError("element is not homogeneous")
-        return pars.pop()
+        return homogeneous_parity(alg.parity, enumerate(self.coords), "element")
 
     def __repr__(self):
         f = self.algebra.field

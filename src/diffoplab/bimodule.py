@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, ValidationReport
 from .fields import Field
 from .linalg import Matrix, kron
 
@@ -67,8 +67,8 @@ class Bimodule:
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self) -> "ModuleReport":
-        rep = ModuleReport()
+    def validate(self) -> ValidationReport:
+        rep = ValidationReport()
         alg = self.algebra
         n = alg.dim
         unit_left = self.left_action(alg.unit)
@@ -164,21 +164,6 @@ class Bimodule:
 
     def __repr__(self):
         return f"Bimodule({self.name}, dim {self.dim} over {self.algebra.name})"
-
-
-class ModuleReport:
-    def __init__(self):
-        self.failures = []
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def fail(self, kind, witness):
-        self.failures.append({"kind": kind, "witness": witness})
-
-    def to_dict(self):
-        return {"ok": self.ok, "failures": self.failures}
 
 
 # ---------------------------------------------------------------------------

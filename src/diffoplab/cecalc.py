@@ -26,10 +26,10 @@ from .bimodule import Bimodule, regular_bimodule
 from .derivations import DerivationSpace, derivations, super_bracket
 from .homspace import HomSpace
 from .linalg import (
-    Echelon,
     Matrix,
     Subspace,
     closure,
+    composition_image,
     kernel,
     kron,
     restrict_operator,
@@ -522,14 +522,12 @@ def duality_round_trip(hom: HomSpace, hom_space: Subspace, d0: Matrix,
     """Whether Φ: F ↦ F∘d0 maps ``hom_space`` one to one onto ``der.space``.
 
     ``hom_space`` is a subspace of ``hom``, and d0 maps A into the source of
-    ``hom``.  Φ is linear, so this takes one elimination: the images of the
-    basis of ``hom_space`` must each add to the span (Φ is injective), and
-    their span must be the derivation space.  That is the round trip
-    u ↦ φ_u ↦ u and φ ↦ u_φ ↦ φ with φ_u∘d0 = u unique.
+    ``hom``.  Φ must be injective, and its image must be the derivation
+    space.  That is the round trip u ↦ φ_u ↦ u and φ ↦ u_φ ↦ φ with
+    φ_u∘d0 = u unique.
     """
-    ech = Echelon(hom.algebra.field, der.space.ambient_dim)
-    return (all(ech.add((fmat @ d0).flatten()) for fmat in hom.basis_maps(hom_space))
-            and ech.subspace() == der.space)
+    injective, image = composition_image(hom_space, hom.target.dim, d0)
+    return injective and image == der.space
 
 
 def ce_duality_check(algebra: FiniteAlgebra, minimal: MinimalCalculus = None) -> DualityReport:

@@ -30,8 +30,8 @@ from .diffops import (
 from .fields import field_from_name
 from .gradedce import GRADED_DEGREE_CAP, GradedCochainComplex
 from .jets import jet_module, jk_is_diffop, two_sided_jet, two_sided_representability
-from .scenarios import JSON_LAYOUT, builtin_scenarios, run_all
-from .universal import UNIVERSAL_DEGREE_CAP, UniversalCalculus
+from .scenarios import JSON_LAYOUT, SCENARIO_IDS, run_all
+from .universal import UNIVERSAL_DEGREE_CAP, UniversalCalculus, formatted_witness
 
 USAGE_ERROR = 2
 EXPECTATION_ERROR = 1
@@ -253,11 +253,7 @@ def cmd_universal(args):
         lines.append("no central commutation failure (exhaustive over the center)")
     report = {"algebra": a.name, "omega1_dim": uc.omega1.dim,
               "kernel_match": ker_ok, "leibniz": leib,
-              "central_commutation_witness":
-                  None if witness is None else {
-                      "central": [a.field.fmt(x) for x in witness["central"]],
-                      "argument": [a.field.fmt(x) for x in witness["argument"]],
-                      "difference": [a.field.fmt(x) for x in witness["difference"]]}}
+              "central_commutation_witness": formatted_witness(a.field, witness)}
     if cap >= 2:
         report["omega2_dim"] = uc.omega2_dim
         report["juxtaposition_rule"] = uc.juxtaposition_rule_holds()
@@ -323,13 +319,9 @@ def cmd_compare_defs(args):
 
 
 def cmd_run_scenarios(args):
-    try:
-        report = run_all(only=args.only)
-    except ValueError:
-        # run_all checks the id before running anything; a check's own error propagates
-        if args.only in {s.scenario_id for s in builtin_scenarios()}:
-            raise
-        raise UsageError(f"--only: unknown scenario {args.only!r}") from None
+    if args.only is not None and args.only not in SCENARIO_IDS:
+        raise UsageError(f"--only: unknown scenario {args.only!r}")
+    report = run_all(only=args.only)
     lines = []
     for s in report["scenarios"]:
         for c in s["checks"]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import AlgebraError, FiniteAlgebra, flat_parities
+from .algebra import AlgebraError, FiniteAlgebra, flat_parities, homogeneous_parity
 from .bimodule import Bimodule
 from .linalg import Matrix, Subspace, kernel, kernel_on
 
@@ -43,13 +43,8 @@ class DerivationSpace:
         if not self.graded:
             raise AlgebraError("ungraded derivation space has no parities")
         flat = flat_parities(self.target.parity, self.algebra.parity)
-        out = []
-        for row in self.space.basis_matrix().row_entries():
-            pars = {flat[j] for j, _ in row}
-            if len(pars) != 1:
-                raise AlgebraError("derivation basis vector is not homogeneous")
-            out.append(pars.pop())
-        return out
+        return [homogeneous_parity(flat, row, "derivation basis vector")
+                for row in self.space.basis_matrix().row_entries()]
 
     def contains(self, m: Matrix) -> bool:
         return self.space.contains(m.flatten())

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import AlgebraError, flat_parities
+from .algebra import AlgebraError, flat_parities, homogeneous_parity
 from .bimodule import Bimodule, regular_bimodule
 from .linalg import (
     Matrix,
@@ -270,14 +270,7 @@ class HomSpace:
 
     def map_parity(self, phi: LinMap):
         """Parity of a homogeneous map, or raise if mixed."""
-        pars = self.coordinate_parity()
-        flat = phi.flatten()
-        seen = {pars[i] for i, x in enumerate(flat) if x != 0}
-        if not seen:
-            return 0
-        if len(seen) > 1:
-            raise AlgebraError("map is not homogeneous")
-        return seen.pop()
+        return homogeneous_parity(self.coordinate_parity(), enumerate(phi.flatten()), "map")
 
     # -- actions and deltas ------------------------------------------------------
 
@@ -318,7 +311,7 @@ class HomSpace:
         """δ_a with the Koszul sign; both arguments must be homogeneous."""
         self._require_graded()
         a_coords = a.coords if hasattr(a, "coords") else list(a)
-        apar = _coords_parity(self.algebra, a_coords)
+        apar = homogeneous_parity(self.algebra.parity, enumerate(a_coords), "element")
         ppar = phi.parity if phi.parity is not None else self.map_parity(phi)
         bullet = phi.matrix @ self.source.left_action(a_coords)
         if apar and ppar:
@@ -394,11 +387,3 @@ def left_dual(q: Bimodule) -> DualModule:
     return DualModule(HomSpace(q, regular_bimodule(q.algebra)), "delta",
                       ("right_bullet", "right"), f"{q.name}*L")
 
-
-def _coords_parity(algebra, coords):
-    pars = {algebra.parity[i] for i, c in enumerate(coords) if c != 0}
-    if not pars:
-        return 0
-    if len(pars) > 1:
-        raise AlgebraError("element is not homogeneous")
-    return pars.pop()

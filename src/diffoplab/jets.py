@@ -22,6 +22,7 @@ from .linalg import (
     Matrix,
     Subspace,
     closure,
+    composition_image,
     factor_through,
     image_span,
     quotient_projection,
@@ -163,15 +164,10 @@ def two_sided_representability(jm: JetModule, q: Bimodule) -> dict:
         raise ValueError("needs a two-sided jet")
     hom = hom_space_out_of_jet(jm, q)
     dv = dv_first_order(jm.source, q)
-    forward_ok = True
-    for fmat in hom.basis_maps(q.dim, jm.dim):
-        if not dv.space.contains((fmat @ jm.jk).flatten()):
-            forward_ok = False
-    backward_ok = True
-    for delta in dv.hom.basis_maps(dv.space):
-        fact = factorize(jm, q, delta, hom_space=hom)
-        if not fact.ok:
-            backward_ok = False
+    # F ↦ F∘J maps into the operators, and each operator is F∘J for one F
+    injective, image = composition_image(hom, q.dim, jm.jk)
+    forward_ok = dv.space.contains_space(image)
+    backward_ok = dv.dim == 0 or (injective and image.contains_space(dv.space))
     return {
         "hom_dim": hom.dim,
         "operator_dim": dv.dim,

@@ -35,14 +35,16 @@ operators of the higher layers are almost entirely zero, so this keeps both
 their storage and their arithmetic to a small fraction of the dense size.
 
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
-rest on five helpers: ``kernel_on`` (the kernel among the vectors supported
+rest on six helpers: ``kernel_on`` (the kernel among the vectors supported
 on given columns, which is how every graded space takes its homogeneous
 part of one parity), ``preimage`` (the vectors that a family of operators
 sends into a subspace), ``restrict_operator`` (the matrix of m from a
 subspace S into a subspace T, in their basis coordinates; T is S itself
 unless given), ``quotient_projection`` (the free columns of K^n/S and the
-projection onto their coordinates), and ``factor_through`` (write
-Δ = F∘J with F in a given space of maps).  ``quotient_projection``
+projection onto their coordinates), ``factor_through`` (write
+Δ = F∘J with F in a given space of maps), and ``composition_image``
+(whether F ↦ F∘J is one to one on a space of maps, and its image, from one
+elimination).  ``quotient_projection``
 reduces S with its columns reversed; its free columns are those that are
 not trailing pivots of S (the unit vectors there represent the cosets), and
 the projection is read off that echelon form; nothing is inverted.  How a
@@ -1034,6 +1036,19 @@ def factor_through(maps: Subspace, j: Matrix, delta: Matrix) -> Factorization:
         return Factorization(None, False, False)
     fmat = maps.combination_matrix(sol.point, rows, width)
     return Factorization(fmat, (fmat @ j - delta).is_zero(), sol.homogeneous.dim == 0)
+
+
+def composition_image(maps: Subspace, rows: int, j: Matrix):
+    """Whether F ↦ F∘j is one to one on ``maps``, and the span of its image.
+
+    ``maps`` holds rows×(j.rows) matrices, flattened row-major, and the image
+    is flattened the same way.  The map is linear, so one elimination takes
+    both: it is one to one iff the image of each basis map adds to the span.
+    """
+    ech = Echelon(j.field, rows * j.cols)
+    # a list, not a generator: every image goes into the span
+    injective = all([ech.add((fmap @ j).flatten()) for fmap in maps.basis_maps(rows, j.rows)])
+    return injective, ech.subspace()
 
 
 def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:

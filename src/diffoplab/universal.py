@@ -11,6 +11,7 @@ calculus morphisms degree by degree.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .algebra import AlgebraError, FiniteAlgebra
@@ -150,14 +151,22 @@ class UniversalCalculus:
         reduced = ech.reduced_rows()
         self.free2 = [c for c, _ in reduced]
         self.proj2 = Matrix._from_pairs(f, [pairs for _, pairs in reduced], t * t)
-        q2 = self.omega2_dim = len(self.free2)
-        # d1 on basis vectors of Ω¹ via their ambient A⊗A coordinates:
-        # Σ x_{ij} e_i d e_j  ↦  Σ x_{ij} d e_i · d e_j, with row i·n + j of
-        # ``de_de`` holding d e_i · d e_j
+        self.omega2_dim = len(self.free2)
+
+    @cached_property
+    def d1(self) -> Matrix:
+        """d: Ω¹ → Ω², built when first read.
+
+        On basis vectors of Ω¹ via their ambient A⊗A coordinates:
+        Σ x_{ij} e_i d e_j  ↦  Σ x_{ij} d e_i · d e_j, with row i·n + j of
+        ``de_de`` holding d e_i · d e_j.
+        """
+        n = self.algebra.dim
         des = self.d0.column_entries()
-        de_de = Matrix(f, [self._project2(self._add_tensor({}, des[i], des[j]))
-                           for i, j in product(range(n), repeat=2)], q2)
-        self.d1 = (self.omega1.basis_matrix() @ de_de).transpose()
+        de_de = Matrix(self.algebra.field,
+                       [self._project2(self._add_tensor({}, des[i], des[j]))
+                        for i, j in product(range(n), repeat=2)], self.omega2_dim)
+        return (self.omega1.basis_matrix() @ de_de).transpose()
 
     def mu11(self, w_coords, e_coords):
         """Product Ω¹ × Ω¹ → Ω² in quotient coordinates."""
@@ -263,6 +272,13 @@ class UniversalCalculus:
             dims.append(self.omega2_dim)
             d_mats.append(self.d1)
         return Calculus(self.algebra, dims, d_mats, mul)
+
+
+def formatted_witness(field, witness):
+    """A central commutation witness with each coordinate formatted, or None."""
+    if witness is None:
+        return None
+    return {key: [field.fmt(x) for x in vec] for key, vec in witness.items()}
 
 
 def bimodule_hom_space(uc: UniversalCalculus, target: Bimodule) -> Subspace:

@@ -634,3 +634,25 @@ def duality_round_trip_by_factoring(hom, hom_space, d0, der):
         if not back.ok or back.f_matrix != fmat:
             ok = False
     return ok
+
+
+def two_sided_representability_by_factoring(jm, q):
+    """``jets.two_sided_representability`` one map at a time: each basis map F
+    out of the jet must give an operator F∘J, and each basis operator must
+    factor as F∘J with F unique; one ``factor_through`` solve per operator."""
+    from diffoplab.diffops import dv_first_order
+    from diffoplab.jets import factorize, hom_space_out_of_jet
+
+    hom = hom_space_out_of_jet(jm, q)
+    dv = dv_first_order(jm.source, q)
+    forward_ok = True
+    for fmat in hom.basis_maps(q.dim, jm.dim):
+        if not dv.space.contains((fmat @ jm.jk).flatten()):
+            forward_ok = False
+    backward_ok = True
+    for delta in dv.hom.basis_maps(dv.space):
+        if not factorize(jm, q, delta, hom_space=hom).ok:
+            backward_ok = False
+    return {"hom_dim": hom.dim, "operator_dim": dv.dim, "dims_equal": hom.dim == dv.dim,
+            "forward_ok": forward_ok, "backward_ok": backward_ok,
+            "ok": hom.dim == dv.dim and forward_ok and backward_ok}

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from diffoplab.algebra import catalog, grassmann, matrix_algebra, trunc_poly
+from diffoplab.algebra import AlgebraError, catalog, grassmann, matrix_algebra, trunc_poly
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.derivations import (
     DerivationSpace,
@@ -118,6 +118,18 @@ def test_basis_parities_match_a_scan_of_the_basis_maps(g, field):
         assert len(pars) == 1
         scanned.append(pars.pop())
     assert d.basis_parities() == scanned
+
+
+def test_basis_parities_refuse_a_mixed_basis_and_an_ungraded_space():
+    g1 = grassmann(1)
+    reg = regular_bimodule(g1)
+    d = derivations(g1, reg, graded=True)
+    # the map 1 ↦ 1 + θ, θ ↦ 0 is the sum of the even 1 ↦ 1 and the odd 1 ↦ θ
+    mixed = Subspace.from_spanning(QQ, 4, [[1, 0, 1, 0]])
+    with pytest.raises(AlgebraError, match="^derivation basis vector is not homogeneous$"):
+        DerivationSpace(g1, reg, mixed, True).basis_parities()
+    with pytest.raises(AlgebraError, match="^ungraded derivation space has no parities$"):
+        DerivationSpace(g1, reg, d.space, False).basis_parities()
 
 
 def test_graded_ungraded_differ_on_grassmann():

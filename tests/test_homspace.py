@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from diffoplab.algebra import catalog, grassmann, trunc_poly
+from diffoplab.algebra import AlgebraError, catalog, grassmann, trunc_poly
 from diffoplab.bimodule import free_module, regular_bimodule
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.fields import Field, QQ
@@ -132,6 +132,22 @@ def test_graded_delta_signs():
     # multiplication by θ is even? no: it shifts parity by 1
     mul_theta = LinMap(reg, reg, g1.left_mult(theta), parity=1)
     assert h.map_parity(mul_theta) == 1
+
+
+def test_graded_parities_refuse_mixed_inputs():
+    g1 = grassmann(1)
+    reg = regular_bimodule(g1)
+    h = HomSpace(reg, reg)
+    # the identity is even, ∂/∂θ odd: their sum is neither
+    mixed = LinMap(reg, reg, h.linmap([[1, 1], [0, 1]]).matrix)
+    with pytest.raises(AlgebraError, match="^map is not homogeneous$"):
+        h.map_parity(mixed)
+    with pytest.raises(AlgebraError, match="^map is not homogeneous$"):
+        h.graded_delta(g1.unit, mixed)
+    dth = LinMap(reg, reg, h.linmap([[0, 1], [0, 0]]).matrix, parity=1)
+    with pytest.raises(AlgebraError, match="^element is not homogeneous$"):
+        h.graded_delta([1, 1], dth)
+    assert h.map_parity(LinMap(reg, reg, h.linmap([[0, 0], [0, 0]]).matrix)) == 0
 
 
 def iterated_condition_oracle(a, phi_table, k):

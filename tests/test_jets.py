@@ -1,3 +1,4 @@
+import copy
 from itertools import product
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from diffoplab.algebra import AlgebraError, catalog, matrix_algebra, trunc_poly
 from diffoplab.bimodule import free_module, regular_bimodule, tensor_algebra_module
 from diffoplab.diffops import dv_first_order, grothendieck_diff
-from diffoplab.fields import QQ
+from diffoplab.fields import QQ, Field
 from diffoplab.homspace import LinMap
 from diffoplab.jets import (
     factorize,
@@ -17,6 +18,7 @@ from diffoplab.jets import (
     two_sided_representability,
 )
 from diffoplab.linalg import Matrix, closure, quotient_projection
+from oracles import two_sided_representability_by_factoring
 
 
 def test_order_zero_jet_collapses_to_module():
@@ -197,3 +199,64 @@ def test_jet_module_matches_unreduced_level_expansion(spec, k):
     assert jm.proj == proj
     assert jm.free == free
     assert jm.jk == jk
+
+
+REPRESENTABILITY_CASES = ["trunc_poly:1", "trunc_poly:3", "matrix:2", "quaternion",
+                          "square_zero:2", "group_z:3", "grassmann:1"]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", REPRESENTABILITY_CASES)
+def test_two_sided_representability_is_the_factoring_loop(spec, field):
+    a = catalog(spec, field)
+    reg = regular_bimodule(a)
+    jm = two_sided_jet(a, reg)
+    # J as it is, with its last column doubled, and with it set to zero: the
+    # images of the maps may then leave the operator space, miss operators, or
+    # (with the column zero) collapse two maps, and the last case always fails
+    results = []
+    for c in (1, 2, 0):
+        moved = copy.copy(jm)
+        moved.jk = Matrix(field, [[field.mul(x, c) if j == jm.jk.cols - 1 else x
+                                   for j, x in enumerate(row)] for row in jm.jk.data],
+                          jm.jk.cols)
+        got = two_sided_representability(moved, reg)
+        assert got == two_sided_representability_by_factoring(moved, reg)
+        results.append(got["ok"])
+    assert results[0]
+    assert not results[2]
+    # the jet ⊕ A with J into the jet: the module maps on A make F ↦ F∘J not
+    # one to one, while its image, the operator space, stays as it is
+    padded = copy.copy(jm)
+    padded.free = jm.free + [None] * a.dim  # read only for the dimension
+    padded.left_ops = [block_diagonal(m, e) for m, e in zip(jm.left_ops, reg.left)]
+    padded.second_ops = [block_diagonal(m, e) for m, e in zip(jm.second_ops, reg.right)]
+    padded.jk = Matrix(field, jm.jk.data + [[0] * jm.jk.cols] * a.dim, jm.jk.cols)
+    got = two_sided_representability(padded, reg)
+    assert got == two_sided_representability_by_factoring(padded, reg)
+    assert got["forward_ok"] and not got["backward_ok"]
+
+
+def block_diagonal(m, e):
+    return Matrix(m.field, [row + [0] * e.cols for row in m.data]
+                  + [[0] * m.cols + row for row in e.data], m.cols + e.cols)
+
+
+def test_two_sided_representability_solves_no_factorization(monkeypatch):
+    import diffoplab.jets
+    import diffoplab.linalg
+
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (diffoplab.jets, diffoplab.linalg):
+        monkeypatch.setattr(module, "factor_through", counting(module.factor_through))
+    a = catalog("matrix:2")
+    reg = regular_bimodule(a)
+    assert two_sided_representability(two_sided_jet(a, reg), reg)["ok"]
+    assert calls == []

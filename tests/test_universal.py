@@ -271,6 +271,23 @@ def test_degree_two_matches_one_by_one_construction(spec, field):
     assert uc.juxtaposition_rule_holds()
 
 
+def test_cli_universal_leaves_d1_unbuilt(monkeypatch, tmp_path, capsys):
+    built = []
+    init = UniversalCalculus.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(UniversalCalculus, "__init__", recording_init)
+    assert main(["universal", "matrix:2", "--json", str(tmp_path / "u.json")]) == 0
+    [uc] = built
+    assert uc.cap == 2 and "d1" not in vars(uc)
+    # read now, d1 is the matrix of the one-by-one construction
+    assert uc.d1 == degree_two_one_by_one(uc)[2]
+    assert (uc.d1 @ uc.d0).is_zero()
+
+
 @pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
 def test_juxtaposition_rule_detects_a_mutated_calculus(field):
     uc = UniversalCalculus(catalog("matrix:2", field), cap=2)
