@@ -12,7 +12,7 @@ import json
 from itertools import compress, count, product
 
 from .fields import Field, QQ
-from .linalg import Matrix, Subspace, closure, kernel, vstack
+from .linalg import Closure, Matrix, Subspace, kernel, vstack
 
 
 class AlgebraError(ValueError):
@@ -34,6 +34,35 @@ def homogeneous_parity(parities, entries, what: str) -> int:
     if len(pars) > 1:
         raise AlgebraError(f"{what} is not homogeneous")
     return pars.pop() if pars else 0
+
+
+def generator_laws_hold(algebra, gens, left, right, parity, right_law=True) -> bool:
+    """Whether the action matrices ``left`` and ``right`` of a module (one per
+    basis element) carry a condition imposed for the basis elements ``gens``
+    over to all of A.
+
+    That takes L(1) = R(1) = I and, for each g in ``gens`` and every basis
+    element y, L(g·y) = L(g)L(y) and R(g·y) = R(y)R(g) (R(g)R(y) when the
+    second family is a left action, ``right_law`` false): with them the
+    action of every product of generators is the product of theirs, and the
+    generators' products span A.  On a graded module of a graded algebra,
+    L(g) and R(g) must also shift parity by [g].
+    """
+    eye = Matrix.identity(algebra.field, left[0].rows)
+    if Matrix.combination(left, algebra.unit) != eye \
+            or Matrix.combination(right, algebra.unit) != eye:
+        return False
+    for g, y in product(gens, range(algebra.dim)):
+        gy = algebra.sc[g][y]
+        second = right[y] @ right[g] if right_law else right[g] @ right[y]
+        if left[g] @ left[y] != Matrix.combination(left, gy) \
+                or second != Matrix.combination(right, gy):
+            return False
+    if parity is None or algebra.parity is None:
+        return True
+    return all(parity[r] == parity[c] ^ algebra.parity[g]
+               for g in gens for m in (left[g], right[g])
+               for r, pairs in enumerate(m.row_entries()) for c, _ in pairs)
 
 
 class ValidationReport:
@@ -87,6 +116,7 @@ class FiniteAlgebra:
         self._right = [Matrix.from_pairs(field, rows, dim) for rows in right]
         self._center = None
         self._generators = {}
+        self._generator_indices = None
 
     # -- basic structure ------------------------------------------------------
 
@@ -202,22 +232,58 @@ class FiniteAlgebra:
         return self._generators[key]
 
     def _checked_generators(self, vectors):
-        f, n = self.field, self.dim
-        if self.left_mult(self.unit) != Matrix.identity(f, n):
+        if self.left_mult(self.unit) != Matrix.identity(self.field, self.dim):
             raise AlgebraError(f"{self.name}: the stated unit is not a left unit")
-        kept = []
-        span = closure(f, n, [self.unit], [])
-        for v in vectors:
-            if not span.contains(v):
-                kept.append(v)
-                span = closure(f, n, span.basis, [self.left_mult(g) for g in kept])
+        kept, span = self._generated(vectors)
+        kept = [vectors[k] for k in kept]
         for g in kept:
             lg = self.left_mult(g)
-            for y in map(list, span.basis):
+            for y in map(list, span.subspace().basis):
                 if self.left_mult(self.multiply(g, y)) != lg @ self.left_mult(y):
                     raise AlgebraError(f"{self.name} is not associative: "
                                        f"L(g·y) ≠ L(g)·L(y) on its generated subalgebra")
         return tuple(kept)
+
+    def _generated(self, vectors):
+        """The positions of the ``vectors`` that are not yet in the unital
+        subalgebra the ones kept before them generate, and that subalgebra as
+        a :class:`Closure` of {1} under the kept vectors' left
+        multiplications, grown in place as each is kept."""
+        span = Closure(self.field, self.dim, [self.unit])
+        kept = []
+        for k, v in enumerate(vectors):
+            if not span.contains(v):
+                kept.append(k)
+                span.add_operator(self.left_mult(v))
+        return kept, span
+
+    def generator_indices(self):
+        """The basis indices on which a condition stated for every a in A is
+        imposed, memoized.
+
+        The basis vectors are walked in order of decreasing cyclic dimension,
+        dim span{1, g, g², …}, ties broken by index, and each one that is not
+        yet in the unital subalgebra generated by those kept before it is
+        kept (see ``generators``), so K[x]/(x^N) keeps x alone in any basis
+        order.  A condition that holds for every kept g then holds for all
+        of A on modules where ``generator_laws_hold``.  Every index is
+        returned where the laws fail on the regular module or a graded
+        algebra's unit is not even, and where the generators would save
+        little: none is kept (A = K·1), or more than half the basis is (the
+        rows saved then cost less than the checks, which are skipped).
+        """
+        if self._generator_indices is None:
+            n = self.dim
+            cyclic = [Closure(self.field, n, [self.unit], [m]).dim for m in self._left]
+            order = sorted(range(n), key=lambda i: (-cyclic[i], i))
+            kept, _ = self._generated([self.basis_vector(i) for i in order])
+            kept = tuple(sorted(order[k] for k in kept))
+            odd_unit = self.graded and any(self.parity[k] for k in compress(count(), self.unit))
+            if not kept or 2 * len(kept) > n or odd_unit \
+                    or not generator_laws_hold(self, kept, self._left, self._right, self.parity):
+                kept = tuple(range(n))
+            self._generator_indices = kept
+        return self._generator_indices
 
     def is_commutative(self) -> bool:
         n = self.dim

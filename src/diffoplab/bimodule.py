@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .algebra import FiniteAlgebra, ValidationReport
+from .algebra import FiniteAlgebra, ValidationReport, generator_laws_hold
 from .fields import Field
 from .linalg import Matrix, kron
 
@@ -24,7 +24,8 @@ class Bimodule:
     """Finite-dimensional two-sided module given by action matrices."""
 
     def __init__(self, algebra: FiniteAlgebra, dim: int, left, right,
-                 parity=None, second_kind: str = "right", name: str = "module"):
+                 parity=None, second_kind: str = "right", name: str = "module",
+                 derived_from=None):
         if second_kind not in ("right", "left_bullet"):
             raise ModuleError(f"unknown second action kind {second_kind!r}")
         self.algebra = algebra
@@ -36,6 +37,10 @@ class Bimodule:
         self.name = name
         # target id -> HomSpace(self, target), filled by HomSpace.between
         self.hom_spaces = {}
+        # the modules whose generator laws imply this one's (none: it is built
+        # from the algebra alone); None when they are checked on first use
+        self._derived_from = None if derived_from is None else tuple(derived_from)
+        self._follows = None
         n = algebra.dim
         if len(self.left) != n or len(self.right) != n:
             raise ModuleError("need one action matrix per algebra basis element")
@@ -95,6 +100,25 @@ class Bimodule:
             if len(self.parity) != self.dim:
                 rep.fail("parity_length", None)
         return rep
+
+    def follows_generators(self) -> bool:
+        """Whether a condition imposed for the algebra's generators holds for
+        all of A: whether ``algebra.generator_laws_hold`` on this module for
+        ``algebra.generator_indices()``.  A module built from the algebra and
+        from modules that follow them (``derived_from``) follows them too and
+        is not checked; any other one, such as a module read from JSON, is
+        checked once, when first asked."""
+        if self._follows is None:
+            if self._derived_from is not None:
+                self._follows = all(m.follows_generators() for m in self._derived_from)
+            else:
+                self._follows = self._check_generator_laws()
+        return self._follows
+
+    def _check_generator_laws(self) -> bool:
+        alg = self.algebra
+        return generator_laws_hold(alg, alg.generator_indices(), self.left, self.right,
+                                   self.parity, self.second_kind == "right")
 
     def is_central(self) -> bool:
         """Left and right actions agree on the center of the algebra."""
@@ -175,7 +199,7 @@ def regular_bimodule(a: FiniteAlgebra) -> Bimodule:
     """A acting on itself by multiplication on both sides."""
     left = [a.left_mult_basis(i) for i in range(a.dim)]
     right = [a.right_mult_basis(i) for i in range(a.dim)]
-    return Bimodule(a, a.dim, left, right, a.parity, name=f"{a.name}[reg]")
+    return Bimodule(a, a.dim, left, right, a.parity, name=f"{a.name}[reg]", derived_from=())
 
 
 def free_module(a: FiniteAlgebra, rank: int) -> Bimodule:
@@ -204,7 +228,7 @@ def direct_sum(p: Bimodule, q: Bimodule) -> Bimodule:
     if p.graded and q.graded:
         parity = list(p.parity) + list(q.parity)
     return Bimodule(p.algebra, dim, left, right, parity,
-                    name=f"{p.name}(+){q.name}")
+                    name=f"{p.name}(+){q.name}", derived_from=(p, q))
 
 
 def tensor_algebra_module(a: FiniteAlgebra, p: Bimodule) -> Bimodule:
@@ -224,7 +248,7 @@ def tensor_algebra_module(a: FiniteAlgebra, p: Bimodule) -> Bimodule:
     bullet = [kron(eye_a, p.left[i]) for i in range(a.dim)]
     kind = "right" if a.is_commutative() else "left_bullet"
     return Bimodule(a, a.dim * p.dim, left, bullet, None, second_kind=kind,
-                    name=f"{a.name}⊗{p.name}")
+                    name=f"{a.name}⊗{p.name}", derived_from=(p,))
 
 
 class SandwichModule:
@@ -244,6 +268,19 @@ class SandwichModule:
         outer_left = [kron(a.left_mult_basis(i), eye_pa) for i in range(n)]
         outer_right = [kron(eye_pa, a.right_mult_basis(i)) for i in range(n)]
         self.bimodule = Bimodule(a, self.dim, outer_left, outer_right,
-                                 name=f"{a.name}⊗{p.name}⊗{a.name}")
+                                 name=f"{a.name}⊗{p.name}⊗{a.name}", derived_from=())
         self.mid_left = [kron(eye_a, kron(p.left[i], eye_a)) for i in range(n)]
         self.mid_right = [kron(eye_a, kron(p.right[i], eye_a)) for i in range(n)]
+
+
+def condition_indices(*modules):
+    """The basis indices of A on which the operator layer imposes a condition
+    stated for every a ∈ A, over maps between these modules:
+    ``algebra.generator_indices()`` when every module follows the
+    generators' laws (``Bimodule.follows_generators``), every index otherwise.
+    """
+    a = modules[0].algebra
+    kept = a.generator_indices()
+    if len(kept) < a.dim and all(m.follows_generators() for m in modules):
+        return kept
+    return tuple(range(a.dim))

@@ -404,7 +404,7 @@ def form_bimodule(algebra: FiniteAlgebra, der: DerivationSpace, degree: int,
     return Bimodule(algebra, space.dim,
                     [restrict_operator(m, space) for m in left],
                     [restrict_operator(m, space) for m in right],
-                    name=name)
+                    name=name, derived_from=())
 
 
 class CochainComplex:

@@ -63,6 +63,10 @@ def load_algebra(ref: str, field_name: str = None) -> FiniteAlgebra:
 
 
 def pick_module(a: FiniteAlgebra, target: str) -> Bimodule:
+    """``regular``, ``free:K`` or a module JSON path.  A module read from JSON
+    is not validated here; the first solve over it checks its generator laws
+    once (``Bimodule.follows_generators``), and where they fail every system
+    is solved on all basis elements, so its reports read the same."""
     if target in (None, "regular"):
         return regular_bimodule(a)
     if target.startswith("free:"):

@@ -18,6 +18,18 @@ Each action family is a Kronecker product with an identity (``kron``).  The
 Q_a ⊗ I − I ⊗ P_aᵀ from the small left action matrices of the target and
 the source, and δ̄ likewise from the right actions, so neither the two
 action families nor their difference are materialized for them.
+
+Each family has one member per basis element of A, built when first asked
+for.  A condition stated for every a ∈ A is imposed only for the basis
+elements of ``bimodule.condition_indices``, the generators of A where the
+two modules follow their laws: a map commuting with the actions of g and h
+commutes with that of gh, so ``common_kernel`` and ``action_closure`` take
+the generators' members.  A preimage is solved on them only when its
+caller states that the target is stable under both actions of the
+family's side, because δ_{gh}Φ = g·(δ_hΦ) + (δ_gΦ)∙h and
+δ̄_{gh}Φ = (δ̄_gΦ)h + g∙(δ̄_hΦ) put the generators' conditions back
+inside such a target only; ``iterated_delta_vanishes`` does the same for
+the plain δ over a commutative A, where every level is a submodule.
 Families, the common kernel ``common_kernel(*kinds)`` of the named
 families stacked, the preimages ``preimage(kind, target)`` that every
 filtration is a chain of, and their ``action_closure`` are built on first
@@ -43,7 +55,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algebra import AlgebraError, flat_parities, homogeneous_parity
-from .bimodule import Bimodule, regular_bimodule
+from .bimodule import Bimodule, condition_indices, regular_bimodule
 from .linalg import (
     Matrix,
     Subspace,
@@ -120,6 +132,7 @@ class HomSpace:
         self.algebra = source.algebra
         self.dim = source.dim * target.dim
         self._ops = {}
+        self._families = {}
         self._alias = {}
         self._kernels = {}
         self._preimages = {}
@@ -138,41 +151,51 @@ class HomSpace:
 
     # -- flat operators -------------------------------------------------------
 
-    def _family(self, kind: str):
+    @cached_property
+    def _generators(self):
+        """The basis indices that the "for every a" systems are solved on."""
+        return condition_indices(self.source, self.target)
+
+    def _family(self, kind: str, indices=None):
+        """The operators of ``kind`` for the basis elements at ``indices``,
+        each built when first asked for; all of them, as one list kept for
+        the family, when ``indices`` is None."""
         kind = self._canonical(kind)
-        ops = self._ops.get(kind)
-        if ops is not None:
+        if indices is None:
+            ops = self._families.get(kind)
+            if ops is None:
+                ops = self._families[kind] = self._family(kind, range(self.algebra.dim))
             return ops
+        return [self._member(kind, i) for i in indices]
+
+    def _member(self, kind: str, i: int) -> Matrix:
+        ops = self._ops.setdefault(kind, {})
+        op = ops.get(i)
+        if op is None:
+            op = ops[i] = self._build(kind, i)
+        return op
+
+    def _build(self, kind: str, i: int) -> Matrix:
         f = self.algebra.field
-        n = self.algebra.dim
-        eye_p = Matrix.identity(f, self.source.dim)
-        eye_q = Matrix.identity(f, self.target.dim)
+        src, tgt = self.source, self.target
         if kind == "left":
-            ops = [kron(self.target.left[i], eye_p) for i in range(n)]
-        elif kind == "left_bullet":
-            ops = [kron(eye_q, self.source.left[i].transpose()) for i in range(n)]
-        elif kind == "right":
-            ops = [kron(self.target.right[i], eye_p) for i in range(n)]
-        elif kind == "right_bullet":
-            ops = [kron(eye_q, self.source.right[i].transpose()) for i in range(n)]
-        elif kind == "delta":
-            ops = [kron_difference(self.target.left[i], self.source.left[i].transpose())
-                   for i in range(n)]
-        elif kind == "bar_delta":
-            ops = [kron_difference(self.target.right[i], self.source.right[i].transpose())
-                   for i in range(n)]
-        elif kind == "graded_delta":
-            sign = self.sign_matrix()
-            ops = []
-            for i in range(n):
-                lb = self._family("left_bullet")[i]
-                if self.algebra.parity[i]:
-                    lb = lb @ sign
-                ops.append(self._family("left")[i] - lb)
-        else:
-            raise ValueError(f"unknown operator family {kind!r}")
-        self._ops[kind] = ops
-        return ops
+            return kron(tgt.left[i], Matrix.identity(f, src.dim))
+        if kind == "left_bullet":
+            return kron(Matrix.identity(f, tgt.dim), src.left[i].transpose())
+        if kind == "right":
+            return kron(tgt.right[i], Matrix.identity(f, src.dim))
+        if kind == "right_bullet":
+            return kron(Matrix.identity(f, tgt.dim), src.right[i].transpose())
+        if kind == "delta":
+            return kron_difference(tgt.left[i], src.left[i].transpose())
+        if kind == "bar_delta":
+            return kron_difference(tgt.right[i], src.right[i].transpose())
+        if kind == "graded_delta":
+            lb = self._member("left_bullet", i)
+            if self.algebra.parity[i]:
+                lb = lb @ self.sign_matrix()
+            return self._member("left", i) - lb
+        raise ValueError(f"unknown operator family {kind!r}")
 
     def _canonical(self, kind: str) -> str:
         """The family under which the operators and solves of ``kind`` are kept:
@@ -199,31 +222,42 @@ class HomSpace:
 
     def common_kernel(self, *kinds: str) -> Subspace:
         """{Φ : mΦ = 0 for every m of the named families}, solved once per
-        set of distinct families from one stacked system."""
+        set of distinct families from one stacked system of the generators'
+        members."""
         kinds = tuple(sorted({self._canonical(kind) for kind in kinds}))
         ker = self._kernels.get(kinds)
         if ker is None:
-            ops = [m for kind in kinds for m in self._family(kind)]
+            ops = [m for kind in kinds for m in self._family(kind, self._generators)]
             ker = self._kernels[kinds] = kernel(vstack(ops))
         return ker
 
-    def preimage(self, kind: str, target: Subspace) -> Subspace:
+    def preimage(self, kind: str, target: Subspace, stable: bool = False) -> Subspace:
         """{Φ : mΦ ∈ target for every m of the family}, solved once per family
-        and target value; a zero target gives ``common_kernel(kind)``."""
+        and target value; a zero target gives ``common_kernel(kind)``.
+
+        ``stable`` says that the target is invariant under both actions of
+        the family's side (``left`` and ``left_bullet`` for δ, ``right`` and
+        ``right_bullet`` for δ̄); the system is then solved on the
+        generators' members alone, with the same result.
+        """
         if target.dim == 0:
             return self.common_kernel(kind)
         key = (self._canonical(kind), target)
         pre = self._preimages.get(key)
         if pre is None:
-            pre = self._preimages[key] = preimage(self._family(kind), target)
+            ops = self._family(kind, self._generators if stable else None)
+            pre = self._preimages[key] = preimage(ops, target)
         return pre
 
     def action_closure(self, kind: str, target: Subspace, actions) -> Subspace:
-        """The closure of ``preimage(kind, target)`` under the named action families."""
+        """The closure of the preimage of ``target`` under the named action
+        families, all taken on the generators' members.  ``target`` must be
+        stable in the sense of ``preimage``, as each term of a filtration
+        built by these closures is."""
         key = (self._canonical(kind), target) + tuple(map(self._canonical, actions))
         if key not in self._closures:
-            pre = self.preimage(kind, target)
-            ops = [m for name in actions for m in self._family(name)]
+            pre = self.preimage(kind, target, stable=True)
+            ops = [m for name in actions for m in self._family(name, self._generators)]
             hull = closure(self.algebra.field, self.dim, pre.basis, ops)
             # an invariant preimage is kept once: a HomSpace and its source
             # module form a cycle, so its caches live until the cyclic collector runs
@@ -324,11 +358,15 @@ class HomSpace:
         """True iff every (k+1)-fold basis-indexed composite of deltas kills phi.
 
         Checking on basis elements suffices: δ is linear in its algebra slot.
-        Each level of images is cut down to the canonical basis of its span
+        For the plain δ over a commutative A the generators suffice (each δ
+        then commutes with both left actions, so φ is killed by every
+        composite exactly when it is by the generators' composites).  Each
+        level of images is cut down to the canonical basis of its span
         before the next δ is applied; the span is all the next level needs.
         """
         if flavor == "plain":
-            ops = self.delta_ops()
+            ops = self._family("delta", self._generators if self.algebra.is_commutative()
+                               else None)
         elif flavor == "bar":
             ops = self.bar_delta_ops()
         elif flavor == "graded":
@@ -361,7 +399,8 @@ class DualModule:
     def bimodule(self) -> Bimodule:
         left, right = ([restrict_operator(m, self.space) for m in self.hom.action_ops(kind)]
                        for kind in self._actions)
-        return Bimodule(self.hom.algebra, self.space.dim, left, right, name=self._name)
+        return Bimodule(self.hom.algebra, self.space.dim, left, right, name=self._name,
+                        derived_from=(self.hom.source, self.hom.target))
 
     @property
     def dim(self):

@@ -7,6 +7,12 @@ with module maps out of the quotient enumerates operators out of P.  The
 two-sided first jet does the same inside A ⊗ P ⊗ A with an outer action on
 each side.  Both builders find μ, and :class:`JetModule` realizes either
 quotient from μ, the two ambient action families and the unit tensors.
+
+Over a commutative algebra the one-sided μ is built from the generators of
+A alone (``bimodule.condition_indices``): the two actions and the δ's then
+commute and δ^{gh} = g·δ^h + δ^g∙h, so the generators' (k+1)-fold images,
+closed under the generators' actions, give the same submodule.  The
+two-sided jet seeds every pair of basis elements.
 """
 
 from __future__ import annotations
@@ -14,16 +20,20 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import AlgebraError, FiniteAlgebra
-from .bimodule import Bimodule, SandwichModule, regular_bimodule, tensor_algebra_module
+from .bimodule import (
+    Bimodule,
+    SandwichModule,
+    condition_indices,
+    regular_bimodule,
+    tensor_algebra_module,
+)
 from .diffops import dv_first_order
 from .homspace import HomSpace, LinMap
 from .linalg import (
-    Factorization,
     Matrix,
     Subspace,
     closure,
     composition_image,
-    factor_through,
     image_span,
     quotient_projection,
 )
@@ -63,7 +73,8 @@ class JetModule:
             else "left_bullet"
         return Bimodule(self.algebra, self.dim, self.left_ops, self.second_ops,
                         second_kind=kind,
-                        name=f"Jet{self.order}({self.source.name})")
+                        name=f"Jet{self.order}({self.source.name})",
+                        derived_from=(self.source,))
 
     def to_dict(self):
         return {
@@ -102,15 +113,17 @@ def jet_module(algebra: FiniteAlgebra, p: Bimodule, k: int,
         raise AlgebraError("one-sided jets need a commutative algebra "
                            "(pass allow_noncommutative=True to build anyway)")
     f = algebra.field
-    n = algebra.dim
     ambient = tensor_algebra_module(algebra, p)
-    deltas = [ambient.left[i] - ambient.right[i] for i in range(n)]
+    # the generators suffice over a commutative A (see the module docstring)
+    gens = condition_indices(p) if algebra.is_commutative() else range(algebra.dim)
+    deltas = [ambient.left[i] - ambient.right[i] for i in gens]
     # μ^{k+1} is generated by the span of the (k+1)-fold images, so each
     # level is cut down to the canonical basis of its span before the next δ
     level = Subspace.full(f, ambient.dim)
     for _ in range(k + 1):
         level = image_span(deltas, level)
-    mu = closure(f, ambient.dim, level.basis, ambient.left + ambient.right)
+    mu = closure(f, ambient.dim, level.basis,
+                 [ambient.left[i] for i in gens] + [ambient.right[i] for i in gens])
     return JetModule(algebra, p, k, mu, ambient.left, ambient.right, _unit_tensors(algebra, p))
 
 
@@ -128,14 +141,6 @@ def hom_space_out_of_jet(jm: JetModule, q: Bimodule) -> Subspace:
     """
     kinds = ("delta", "bar_delta") if jm.two_sided else ("delta",)
     return HomSpace(jm.quotient_bimodule(), q).common_kernel(*kinds)
-
-
-def factorize(jm: JetModule, q: Bimodule, delta: Matrix,
-              hom_space: Subspace = None) -> Factorization:
-    """Write an order-k operator as (module map out of the jet) ∘ J_k."""
-    if hom_space is None:
-        hom_space = hom_space_out_of_jet(jm, q)
-    return factor_through(hom_space, jm.jk, delta)
 
 
 def two_sided_jet(algebra: FiniteAlgebra, p: Bimodule) -> JetModule:

@@ -34,6 +34,9 @@ dense view for reports, built anew on each read.  The Kronecker-structured
 operators of the higher layers are almost entirely zero, so this keeps both
 their storage and their arithmetic to a small fraction of the dense size.
 
+``closure`` is read off a :class:`Closure`, which can also be kept up to
+date as operators are added, for a walk that asks between additions
+whether a vector is already in the span.
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
 rest on six helpers: ``kernel_on`` (the kernel among the vectors supported
 on given columns, which is how every graded space takes its homogeneous
@@ -1065,30 +1068,77 @@ def closure(field: Field, ambient_dim: int, seeds, operators) -> Subspace:
     dimension is finite, and stops as soon as the span is all of K^n: the
     result is then ``Subspace.full``.
     """
-    if any(op.rows != ambient_dim or op.cols != ambient_dim for op in operators):
-        raise ValueError("operator/ambient dimension mismatch")
-    ech = Echelon(field, ambient_dim)
-    pivots = ech.pivots
-    queue = []
-    for s in seeds:
-        if len(pivots) == ambient_dim:
-            break
-        row = ech._insert(ech._entries(_nonzero_pairs(s)))
-        if row:
-            queue.append(row)
-    for v in queue:  # the list grows while it is walked
+    return Closure(field, ambient_dim, seeds, operators).subspace()
+
+
+def _saturate(ech: Echelon, queue, operators, start: int = 0, stop: int = None):
+    """Apply each operator to the queued rows ``queue[start:stop]`` (to the end
+    of the growing queue when ``stop`` is None), queueing every image that
+    adds to the span of ``ech``; returns early once that span is full."""
+    pivots, width = ech.pivots, ech.width
+    i = start
+    while i < (len(queue) if stop is None else stop):
+        v = queue[i]
+        i += 1
         for op in operators:
-            if len(pivots) == ambient_dim:
-                return ech.subspace()
+            if len(pivots) == width:
+                return
             cols = op.column_entries()
             acc = {}
             for j, x in v:
-                for i, a in cols[j]:
-                    acc[i] = acc.get(i, 0) + a * x
+                for r, a in cols[j]:
+                    acc[r] = acc.get(r, 0) + a * x
             row = ech._insert(ech._entries(acc.items()))
             if row:
                 queue.append(row)
-    return ech.subspace()
+
+
+class Closure:
+    """The smallest subspace holding the seeds and invariant under the
+    operators (see ``closure``), kept up to date as operators are added.
+
+    It serves a walk that asks, between additions, whether a vector already
+    lies in the span.  Each stored pivot row is queued once; an added
+    operator is applied to the rows queued before it, and every row queued
+    after it meets every operator.
+    """
+
+    __slots__ = ("_ech", "_queue", "_ops")
+
+    def __init__(self, field: Field, ambient_dim: int, seeds, operators=()):
+        self._ech = ech = Echelon(field, ambient_dim)
+        self._ops = list(operators)
+        for op in self._ops:
+            self._check(op)
+        self._queue = []
+        for s in seeds:
+            if ech.rank == ambient_dim:
+                break
+            row = ech._insert(ech._entries(_nonzero_pairs(s)))
+            if row:
+                self._queue.append(row)
+        _saturate(ech, self._queue, self._ops)
+
+    def _check(self, op: Matrix):
+        if op.rows != self._ech.width or op.cols != self._ech.width:
+            raise ValueError("operator/ambient dimension mismatch")
+
+    @property
+    def dim(self) -> int:
+        return self._ech.rank
+
+    def add_operator(self, op: Matrix):
+        self._check(op)
+        old = len(self._queue)
+        self._ops.append(op)
+        _saturate(self._ech, self._queue, [op], 0, old)
+        _saturate(self._ech, self._queue, self._ops, old)
+
+    def contains(self, vec) -> bool:
+        return self._ech.contains(vec)
+
+    def subspace(self) -> Subspace:
+        return self._ech.subspace()
 
 
 def image_span(ops, space: Subspace) -> Subspace:

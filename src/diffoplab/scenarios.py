@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 from . import __version__
@@ -71,23 +71,21 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Checks: each is a function of the catalog spec of its algebra; an identity
+# Checks: each is a function of the catalog algebra it runs on; an identity
 # returns (holds, details), a witness check (witness or None, details)
 # ---------------------------------------------------------------------------
 
 
-def _check_delta_commutation(spec):
-    a = catalog(spec)
+def _check_delta_commutation(a):
     reg = regular_bimodule(a)
     h = HomSpace(reg, reg)
     d, b = h.delta_ops(), h.bar_delta_ops()
     ok = all(d[i] @ b[j] == b[j] @ d[i] for i, j in product(range(a.dim), repeat=2))
-    return ok, {"algebra": spec, "basis_pairs": a.dim * a.dim}
+    return ok, {"algebra": a.name, "basis_pairs": a.dim * a.dim}
 
 
-def _check_commutative_collapse(spec):
+def _check_commutative_collapse(a):
     max_order = 2
-    a = catalog(spec)
     reg = regular_bimodule(a)
     g = grothendieck_diff(reg, reg, max_order)
     left = lunts_filtration(reg, reg, max_order, "left")
@@ -95,24 +93,23 @@ def _check_commutative_collapse(spec):
     ts = two_sided_filtration(reg, reg, max_order)
     ok = all(left[k] == g.chain[k] and right[k] == g.chain[k] and ts[k] == g.chain[k]
              for k in range(max_order + 1))
-    return ok, {"algebra": spec, "dims": [s.dim for s in g.chain]}
+    return ok, {"algebra": a.name, "dims": [s.dim for s in g.chain]}
 
 
-def _check_dv_reduction(spec):
-    reg = regular_bimodule(catalog(spec))
+def _check_dv_reduction(a):
+    reg = regular_bimodule(a)
     return dv_first_order(reg, reg).space == grothendieck_diff(reg, reg, 1).space, \
-        {"algebra": spec}
+        {"algebra": a.name}
 
 
-def _check_all_definitions_coincide(spec):
-    reg = regular_bimodule(catalog(spec))
+def _check_all_definitions_coincide(a):
+    reg = regular_bimodule(a)
     rep = compare_definitions(reg, reg, 1)
-    return rep.all_equal(), {"algebra": spec,
+    return rep.all_equal(), {"algebra": a.name,
                              "dims": {k: v.dim for k, v in rep.definitions.items()}}
 
 
-def _check_exact_one_form_evaluation(spec):
-    a = catalog(spec)
+def _check_exact_one_form_evaluation(a):
     der = derivations(a, regular_bimodule(a))
     fs = ce_forms(a, 1, der)
     ok = True
@@ -120,72 +117,66 @@ def _check_exact_one_form_evaluation(spec):
         flat = exact_one_form(a, der, e)
         ok = ok and all(fs.value_at(flat, (t,)) == u.apply(e)
                         for t, u in enumerate(der.basis_maps()))
-    return ok, {"algebra": spec, "derivations": der.dim}
+    return ok, {"algebra": a.name, "derivations": der.dim}
 
 
-def _check_differential_kills_unit(spec):
-    a = catalog(spec)
+def _check_differential_kills_unit(a):
     der = derivations(a, regular_bimodule(a))
     ok = (not any(exact_one_form(a, der, a.unit))
           and not any(UniversalCalculus(a, cap=1).exact_form_ambient(a.unit)))
-    return ok, {"algebra": spec}
+    return ok, {"algebra": a.name}
 
 
-def _check_central_anticommutation(spec):
-    a = catalog(spec)
+def _check_central_anticommutation(a):
     der = derivations(a, regular_bimodule(a))
     center = a.center()
     ds = [exact_one_form(a, der, z) for z in center.basis]
     ok = all(wedge(a, der, d1, 1, d2, 1) == [a.field.neg(x) for x in wedge(a, der, d2, 1, d1, 1)]
              for d1, d2 in product(ds, repeat=2))
-    return ok, {"algebra": spec, "center_dim": center.dim}
+    return ok, {"algebra": a.name, "center_dim": center.dim}
 
 
-def _check_ce_central_commutation(spec):
+def _check_ce_central_commutation(a):
     """z·da' = da'·z for central z and z', compared on each derivation's segment."""
-    a = catalog(spec)
     der = derivations(a, regular_bimodule(a))
     n = a.dim
     center = a.center().basis
     segments = [da[t * n:(t + 1) * n] for da in (exact_one_form(a, der, z) for z in center)
                 for t in range(der.dim)]
     ok = all(a.multiply(z, s) == a.multiply(s, z) for z in center for s in segments)
-    return ok, {"algebra": spec}
+    return ok, {"algebra": a.name}
 
 
-def _check_ce_d_squared(spec):
-    cx = CochainComplex(catalog(spec), cap=3)
-    return cx.d_squared_is_zero(), {"algebra": spec, "dims": [fs.dim for fs in cx.forms]}
+def _check_ce_d_squared(a):
+    cx = CochainComplex(a, cap=3)
+    return cx.d_squared_is_zero(), {"algebra": a.name, "dims": [fs.dim for fs in cx.forms]}
 
 
-def _check_derivation_compositions(spec, two_sided):
+def _check_derivation_compositions(a, two_sided):
     """Derivations lie in F_1, and their compositions in F_2, of the left
     inductive filtration or of the two-sided one."""
-    a = catalog(spec)
     reg = regular_bimodule(a)
     maps = derivations(a, reg).basis_maps()
     flt = two_sided_filtration(reg, reg, 2) if two_sided \
         else lunts_filtration(reg, reg, 2, "left")
     ok = (all(flt[1].contains(u.flatten()) for u in maps)
           and all(flt[2].contains((u @ v).flatten()) for u, v in product(maps, repeat=2)))
-    return ok, {"algebra": spec, "filtration_dims": flt.dims}
+    return ok, {"algebra": a.name, "filtration_dims": flt.dims}
 
 
-def _cartan_pair(spec):
-    a = catalog(spec)
+def _cartan_pair(a):
     uc = UniversalCalculus(a, cap=1)
     return build_cartan_pair(a, uc.omega1_bimodule(), uc.d0)
 
 
-def _check_two_sided_dual_hats(spec):
-    pair = _cartan_pair(spec)
-    return two_sided_hats_are_first_order(pair), {"algebra": spec, "dual_dim": pair.dual.dim}
+def _check_two_sided_dual_hats(a):
+    pair = _cartan_pair(a)
+    return two_sided_hats_are_first_order(pair), {"algebra": a.name, "dual_dim": pair.dual.dim}
 
 
-def _check_first_jet_relation(spec):
+def _check_first_jet_relation(a):
     """δ_a δ_b (1⊗p) = 1⊗abp − a⊗bp − b⊗ap + ab⊗p, written out, lies in μ²
     for all basis elements a, b, p."""
-    a = catalog(spec)
     jm = jet_module(a, regular_bimodule(a), 1)
     f, e, mul = a.field, a.basis_vector, a.multiply
 
@@ -198,18 +189,17 @@ def _check_first_jet_relation(spec):
         plus = zip(tensor(a.unit, mul(ab, e(p))), tensor(ab, e(p)))
         minus = zip(tensor(e(i), mul(e(j), e(p))), tensor(e(j), mul(e(i), e(p))))
         ok = ok and jm.mu.contains([f.sub(f.add(*x), f.add(*y)) for x, y in zip(plus, minus)])
-    return ok, {"algebra": spec, "jet_dim": jm.dim}
+    return ok, {"algebra": a.name, "jet_dim": jm.dim}
 
 
-def _witness_derivation_fails_naive(spec):
-    a = catalog(spec)
+def _witness_derivation_fails_naive(a):
     reg = regular_bimodule(a)
     der = derivations(a, reg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         naive = grothendieck_diff(reg, reg, 1)
     flt = lunts_filtration(reg, reg, 1, "left")
-    details = {"algebra": spec, "derivation_dim": der.dim}
+    details = {"algebra": a.name, "derivation_dim": der.dim}
     for idx, u in enumerate(der.basis_maps()):
         fl = u.flatten()
         if not naive.space.contains(fl) and flt[1].contains(fl):
@@ -218,53 +208,48 @@ def _witness_derivation_fails_naive(spec):
     return None, details
 
 
-def _witness_cartan_hat_fails(spec):
-    rep = cartan_vs_definitions(_cartan_pair(spec))
-    return rep["violation_witness"], {"algebra": spec, "dual_dim": rep["dual_dim"]}
+def _witness_cartan_hat_fails(a):
+    rep = cartan_vs_definitions(_cartan_pair(a))
+    return rep["violation_witness"], {"algebra": a.name, "dual_dim": rep["dual_dim"]}
 
 
-def _witness_or_absence_dv_outside_lunts(spec):
-    a = catalog(spec)
+def _witness_or_absence_dv_outside_lunts(a):
     p, q = free_module(a, 2), regular_bimodule(a)
     dv = dv_first_order(p, q)
     flt = lunts_filtration(p, q, 1, "left")
-    details = {"algebra": spec, "dv_dim": dv.dim, "lunts_dims": flt.dims, "hom_dim": dv.hom.dim}
+    details = {"algebra": a.name, "dv_dim": dv.dim, "lunts_dims": flt.dims, "hom_dim": dv.hom.dim}
     for row in dv.space.basis:
         if not flt[1].contains(list(row)):
             return {"vector": [a.field.fmt(x) for x in row]}, details
     return None, dict(details, search="exhaustive over the operator basis")
 
 
-def _witness_left_jet_identity_failure(spec):
-    a = catalog(spec)
-    return left_jet_identity_witness(a, regular_bimodule(a)), {"algebra": spec}
+def _witness_left_jet_identity_failure(a):
+    return left_jet_identity_witness(a, regular_bimodule(a)), {"algebra": a.name}
 
 
-def _witness_universal_central_commutation(spec):
-    a = catalog(spec)
+def _witness_universal_central_commutation(a):
     uc = UniversalCalculus(a, cap=1)
     return formatted_witness(a.field, uc.central_commutation_witness()), \
-        {"algebra": spec, "omega1_dim": uc.omega1.dim}
+        {"algebra": a.name, "omega1_dim": uc.omega1.dim}
 
 
-def _check_two_sided_jet_representability(spec):
-    a = catalog(spec)
+def _check_two_sided_jet_representability(a):
     reg = regular_bimodule(a)
     rep = two_sided_representability(two_sided_jet(a, reg), reg)
-    return rep["ok"], {"algebra": spec, "hom_dim": rep["hom_dim"],
+    return rep["ok"], {"algebra": a.name, "hom_dim": rep["hom_dim"],
                        "operator_dim": rep["operator_dim"]}
 
 
-def _check_graded_first_order_decomposition(spec):
-    a = catalog(spec)
+def _check_graded_first_order_decomposition(a):
     reg = regular_bimodule(a)
     split = first_order_decomposition(a, reg, graded_diff(reg, reg, 1).space, graded=True)
-    return split.direct, {"algebra": spec, "dims": split.dims}
+    return split.direct, {"algebra": a.name, "dims": split.dims}
 
 
-def _check_graded_ce_squares_to_zero(spec):
-    cx = GradedCochainComplex(catalog(spec), cap=2)
-    return cx.d_squared_is_zero(), {"algebra": spec, "dims": [s.dim for s in cx.forms]}
+def _check_graded_ce_squares_to_zero(a):
+    cx = GradedCochainComplex(a, cap=2)
+    return cx.d_squared_is_zero(), {"algebra": a.name, "dims": [s.dim for s in cx.forms]}
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +335,19 @@ CATALOG = (
 SCENARIO_IDS = tuple(sid for sid, _, _ in CATALOG)
 
 
-def builtin_scenarios():
+def builtin_scenarios(algebra=catalog):
+    """The catalog as scenarios; each check runs on ``algebra(spec)``, built
+    when the check runs."""
     return [Scenario(sid, description,
-                     [Check(f"{name}[{spec}]", kind, partial(fn, spec), claim)
+                     [Check(f"{name}[{spec}]", kind, partial(_on_algebra, fn, algebra, spec),
+                            claim)
                       for specs, checks in groups for spec in specs
                       for name, kind, fn, claim in checks])
             for sid, description, groups in CATALOG]
+
+
+def _on_algebra(fn, algebra, spec):
+    return fn(algebra(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +384,9 @@ def run_scenario(scenario: Scenario) -> dict:
 
 
 def run_all(only=None) -> dict:
-    scenarios = builtin_scenarios()
+    """Run the catalog, or the one scenario ``only``.  Each spec's algebra is
+    built once per call and shared by its checks, with what it memoizes."""
+    scenarios = builtin_scenarios(cache(catalog))
     if only is not None:
         scenarios = [s for s in scenarios if s.scenario_id == only]
         if not scenarios:

@@ -109,7 +109,7 @@ class UniversalCalculus:
 
     def omega1_bimodule(self) -> Bimodule:
         return Bimodule(self.algebra, self.omega1.dim, self.left1, self.right1,
-                        name=f"Omega1({self.algebra.name})")
+                        name=f"Omega1({self.algebra.name})", derived_from=())
 
     def leibniz_holds(self) -> bool:
         """d(ab) = da·b + a·db on all basis pairs, in ambient coordinates."""

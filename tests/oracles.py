@@ -11,11 +11,23 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from diffoplab.algebra import flat_parities
-from diffoplab.bimodule import regular_bimodule
+from diffoplab.algebra import FiniteAlgebra, flat_parities
+from diffoplab.bimodule import regular_bimodule, tensor_algebra_module
 from diffoplab.cecalc import SuperExterior, form_scalings, linearity_rows
-from diffoplab.homspace import HomSpace
-from diffoplab.linalg import Echelon, Matrix, factor_through, kernel, kernel_on
+from diffoplab.homspace import ACTION_KINDS, HomSpace
+from diffoplab.jets import hom_space_out_of_jet
+from diffoplab.linalg import (
+    Echelon,
+    Matrix,
+    Subspace,
+    closure,
+    factor_through,
+    image_span,
+    kernel,
+    kernel_on,
+    preimage,
+    vstack,
+)
 
 
 def frac_rows(rows):
@@ -564,6 +576,114 @@ def all_basis_a_linear_forms(algebra, der, degree):
     return even.sum(odd)
 
 
+# The operator-layer systems below impose each "for all a in A" condition
+# once per basis element of A, with every family member: the package solves
+# them on the generators of A, which is what they check.
+
+
+def all_basis_family(hom, kind):
+    """Every member of the flat family ``kind`` of ``hom``, one per basis element."""
+    if kind in ACTION_KINDS:
+        return hom.action_ops(kind)
+    return {"delta": hom.delta_ops, "bar_delta": hom.bar_delta_ops,
+            "graded_delta": hom.graded_delta_ops}[kind]()
+
+
+def all_basis_common_kernel(hom, *kinds):
+    return kernel(vstack([m for kind in kinds for m in all_basis_family(hom, kind)]))
+
+
+def all_basis_preimage(hom, kind, target):
+    return preimage(all_basis_family(hom, kind), target)
+
+
+def all_basis_action_closure(hom, kind, target, actions):
+    ops = [m for name in actions for m in all_basis_family(hom, name)]
+    return closure(hom.algebra.field, hom.dim, all_basis_preimage(hom, kind, target).basis, ops)
+
+
+def all_basis_lunts(hom, side, r):
+    """The center-form inductive filtration I_0 ⊆ … ⊆ I_r of one side."""
+    kind, actions = {"left": ("delta", ("left", "left_bullet")),
+                     "right": ("bar_delta", ("right", "right_bullet"))}[side]
+    terms = [Subspace.zero(hom.algebra.field, hom.dim)]
+    for _ in range(r + 1):
+        terms.append(all_basis_action_closure(hom, kind, terms[-1], actions))
+    return terms[1:]
+
+
+def all_basis_vanishing_chain(hom, kind, k):
+    chain = [all_basis_preimage(hom, kind, Subspace.zero(hom.algebra.field, hom.dim))]
+    for _ in range(k):
+        chain.append(all_basis_preimage(hom, kind, chain[-1]))
+    return chain
+
+
+def all_basis_dv_first_order(hom):
+    return all_basis_preimage(hom, "bar_delta", all_basis_common_kernel(hom, "delta"))
+
+
+def all_basis_jet_relations(algebra, p, k):
+    """μ^{k+1} inside A ⊗ P: the closure of the (k+1)-fold δ images under
+    both actions of every basis element."""
+    ambient = tensor_algebra_module(algebra, p)
+    n = algebra.dim
+    deltas = [ambient.left[i] - ambient.right[i] for i in range(n)]
+    level = Subspace.full(algebra.field, ambient.dim)
+    for _ in range(k + 1):
+        level = image_span(deltas, level)
+    return closure(algebra.field, ambient.dim, level.basis, ambient.left + ambient.right)
+
+
+def all_basis_iterated_delta_vanishes(hom, phi, k):
+    level = Subspace.from_spanning(hom.algebra.field, hom.dim, [phi.flatten()])
+    for _ in range(k + 1):
+        level = image_span(hom.delta_ops(), level)
+    return level.dim == 0
+
+
+def truncated_free_algebra(letters, length, field):
+    """K⟨letters⟩ modulo the words of ``length`` letters or more: the words
+    shorter than that, multiplied by concatenation."""
+    words = [""] + ["".join(w) for m in range(1, length) for w in product(letters, repeat=m)]
+    at = {w: i for i, w in enumerate(words)}
+    n = len(words)
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for u, v in product(words, repeat=2):
+        if len(u + v) < length:
+            sc[at[u]][at[v]][at[u + v]] = 1
+    return FiniteAlgebra(field, n, [w or "1" for w in words], sc, [1] + [0] * (n - 1),
+                         name=f"free({letters})/{length}")
+
+
+def changed_basis(algebra, seed):
+    """``algebra`` in the basis f_i = Σ_k S[k][i] e_k, for a seeded integer S
+    of determinant ±1 (a permuted product of unitriangular factors), so the
+    new structure constants, unit and S⁻¹ stay integral over every field."""
+    rng = random.Random(seed)
+    n = algebra.dim
+    low = [[int(i == j) if i <= j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    up = [[int(i == j) if i >= j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    s = [mat_mul(low, up)[perm[i]] for i in range(n)]
+    inv = gauss_inverse(s)
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        prod_ij = [0] * n  # f_i f_j in the old basis
+        for a, b in product(range(n), repeat=2):
+            c = s[a][i] * s[b][j]
+            if c:
+                for k, x in enumerate(algebra.sc[a][b]):
+                    if x:
+                        prod_ij[k] += c * int(x)
+        for m in range(n):
+            sc[i][j][m] = sum(inv[m][k] * prod_ij[k] for k in range(n))
+    unit = [sum(inv[m][k] * int(algebra.unit[k]) for k in range(n)) for m in range(n)]
+    return FiniteAlgebra(algebra.field, n, [f"f{i}" for i in range(n)], sc, unit,
+                         name=f"{algebra.name}[basis{seed}]")
+
+
 # -- helpers that only tests call ------------------------------------------------
 
 
@@ -636,12 +756,19 @@ def duality_round_trip_by_factoring(hom, hom_space, d0, der):
     return ok
 
 
+def factorize(jm, q, delta, hom_space=None):
+    """Write an order-k operator as (module map out of the jet) ∘ J_k: one
+    ``factor_through`` solve over the module maps out of the jet."""
+    if hom_space is None:
+        hom_space = hom_space_out_of_jet(jm, q)
+    return factor_through(hom_space, jm.jk, delta)
+
+
 def two_sided_representability_by_factoring(jm, q):
     """``jets.two_sided_representability`` one map at a time: each basis map F
     out of the jet must give an operator F∘J, and each basis operator must
     factor as F∘J with F unique; one ``factor_through`` solve per operator."""
     from diffoplab.diffops import dv_first_order
-    from diffoplab.jets import factorize, hom_space_out_of_jet
 
     hom = hom_space_out_of_jet(jm, q)
     dv = dv_first_order(jm.source, q)

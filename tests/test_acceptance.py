@@ -31,7 +31,6 @@ from diffoplab.diffops import (
 from diffoplab.fields import QQ
 from diffoplab.gradedce import GradedCochainComplex
 from diffoplab.jets import (
-    factorize,
     hom_space_out_of_jet,
     jet_module,
     two_sided_jet,
@@ -41,7 +40,7 @@ from diffoplab.linalg import Matrix, Subspace
 from diffoplab.scenarios import canonical_json, run_all
 from diffoplab.universal import UniversalCalculus, bimodule_hom_space, universal_factorize
 
-from oracles import gauss_nullspace, leibniz_solution_dim
+from oracles import factorize, gauss_nullspace, leibniz_solution_dim
 
 COMMUTATIVE_CATALOG = ["trunc_poly:3", "square_zero:2", "group_z:3"]
 FULL_CATALOG = ["trunc_poly:2", "trunc_poly:3", "square_zero:2", "group_z:3",

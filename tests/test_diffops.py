@@ -424,7 +424,7 @@ def test_compare_definitions_builds_one_hom_space(monkeypatch):
 def _commutative_collapse():
     from diffoplab.scenarios import _check_commutative_collapse
 
-    ok, _ = _check_commutative_collapse("trunc_poly:3")
+    ok, _ = _check_commutative_collapse(catalog("trunc_poly:3"))
     assert ok
 
 

@@ -377,9 +377,14 @@ def test_fresh_modules_get_their_own_hom_space():
     assert HomSpace.between(first, second).target is second
 
 
+# the basis elements each common kernel is solved on: the generators x, g
+# and i, j, or every basis element where the generators exceed half of it
+SOLVED_ON = {"trunc_poly:3": 1, "square_zero:2": 3, "group_z:3": 1, "matrix:2": 4,
+             "quaternion": 2}
+
+
 @pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
-@pytest.mark.parametrize("spec", ["trunc_poly:3", "square_zero:2", "group_z:3", "matrix:2",
-                                  "quaternion"])
+@pytest.mark.parametrize("spec", list(SOLVED_ON))
 def test_families_alias_by_their_factors(spec, field, monkeypatch):
     import diffoplab.homspace as homspace
 
@@ -395,9 +400,10 @@ def test_families_alias_by_their_factors(spec, field, monkeypatch):
     h = HomSpace(reg, reg)
     both = h.common_kernel("delta", "bar_delta")
     # δ̄ = δ on a commutative regular module is read off L_i = R_i: one
-    # family of n operators is built, not a second one to compare with it
+    # family is built, not a second one to compare with it
     shared = a.is_commutative()
-    assert len(built) == (a.dim if shared else 2 * a.dim)
+    solved = SOLVED_ON[spec]
+    assert len(built) == (solved if shared else 2 * solved)
     assert (h.bar_delta_ops() is h.delta_ops()) == shared
     assert (h.action_ops("right") is h.action_ops("left")) == shared
     assert (h.action_ops("right_bullet") is h.action_ops("left_bullet")) == shared

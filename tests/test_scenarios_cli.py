@@ -65,6 +65,22 @@ def test_dilemma_scenario_records_witnesses():
     assert rep["all_expectations_met"]
 
 
+def test_each_spec_is_built_once_per_run(monkeypatch):
+    import diffoplab.scenarios as scenarios
+
+    built = []
+
+    def counting_catalog(spec):
+        built.append(spec)
+        return catalog(spec)
+
+    monkeypatch.setattr(scenarios, "catalog", counting_catalog)
+    for runs in (1, 2):
+        # three checks on each of the three specs share one algebra per run
+        assert run_all(only="commutative-collapse")["all_expectations_met"]
+        assert sorted(built) == sorted(["trunc_poly:3", "square_zero:2", "group_z:3"] * runs)
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         run_all(only="not-a-scenario")
