@@ -45,8 +45,9 @@ def generator_laws_hold(algebra, gens, left, right, parity, right_law=True) -> b
     element y, L(g·y) = L(g)L(y) and R(g·y) = R(y)R(g) (R(g)R(y) when the
     second family is a left action, ``right_law`` false): with them the
     action of every product of generators is the product of theirs, and the
-    generators' products span A.  On a graded module of a graded algebra,
-    L(g) and R(g) must also shift parity by [g].
+    generators' products span A.  L(g)R(h) = R(h)L(g) for g, h in ``gens``
+    then makes the two actions commute on all of A.  On a graded module of a
+    graded algebra, L(g) and R(g) must also shift parity by [g].
     """
     eye = Matrix.identity(algebra.field, left[0].rows)
     if Matrix.combination(left, algebra.unit) != eye \
@@ -58,6 +59,8 @@ def generator_laws_hold(algebra, gens, left, right, parity, right_law=True) -> b
         if left[g] @ left[y] != Matrix.combination(left, gy) \
                 or second != Matrix.combination(right, gy):
             return False
+    if any(left[g] @ right[h] != right[h] @ left[g] for g, h in product(gens, repeat=2)):
+        return False
     if parity is None or algebra.parity is None:
         return True
     return all(parity[r] == parity[c] ^ algebra.parity[g]
@@ -244,16 +247,19 @@ class FiniteAlgebra:
                                        f"L(g·y) ≠ L(g)·L(y) on its generated subalgebra")
         return tuple(kept)
 
-    def _generated(self, vectors):
+    def _generated(self, vectors, limit=None):
         """The positions of the ``vectors`` that are not yet in the unital
         subalgebra the ones kept before them generate, and that subalgebra as
         a :class:`Closure` of {1} under the kept vectors' left
-        multiplications, grown in place as each is kept."""
+        multiplications, grown in place as each is kept.  The walk stops
+        once more than ``limit`` positions are kept."""
         span = Closure(self.field, self.dim, [self.unit])
         kept = []
         for k, v in enumerate(vectors):
             if not span.contains(v):
                 kept.append(k)
+                if limit is not None and len(kept) > limit:
+                    break
                 span.add_operator(self.left_mult(v))
         return kept, span
 
@@ -270,13 +276,14 @@ class FiniteAlgebra:
         returned where the laws fail on the regular module or a graded
         algebra's unit is not even, and where the generators would save
         little: none is kept (A = K·1), or more than half the basis is (the
-        rows saved then cost less than the checks, which are skipped).
+        rows saved then cost less than the checks, which are skipped, and the
+        walk stops as soon as it has kept that many).
         """
         if self._generator_indices is None:
             n = self.dim
             cyclic = [Closure(self.field, n, [self.unit], [m]).dim for m in self._left]
             order = sorted(range(n), key=lambda i: (-cyclic[i], i))
-            kept, _ = self._generated([self.basis_vector(i) for i in order])
+            kept, _ = self._generated([self.basis_vector(i) for i in order], n // 2)
             kept = tuple(sorted(order[k] for k in kept))
             odd_unit = self.graded and any(self.parity[k] for k in compress(count(), self.unit))
             if not kept or 2 * len(kept) > n or odd_unit \

@@ -277,10 +277,14 @@ def condition_indices(*modules):
     """The basis indices of A on which the operator layer imposes a condition
     stated for every a ∈ A, over maps between these modules:
     ``algebra.generator_indices()`` when every module follows the
-    generators' laws (``Bimodule.follows_generators``), every index otherwise.
+    generators' laws (``Bimodule.follows_generators``) and their second
+    actions are of one kind, every index otherwise.  A map intertwining a
+    right action with a left one on the generators need not on their
+    products, which compose in opposite orders.
     """
     a = modules[0].algebra
     kept = a.generator_indices()
-    if len(kept) < a.dim and all(m.follows_generators() for m in modules):
+    if len(kept) < a.dim and len({m.second_kind for m in modules}) == 1 \
+            and all(m.follows_generators() for m in modules):
         return kept
     return tuple(range(a.dim))

@@ -100,18 +100,17 @@ class Filtration:
         return self.terms[r].contains(phi.flatten())
 
 
-def vanishing_chain(hom: HomSpace, kind: str, k, stable: bool = False):
+def vanishing_chain(hom: HomSpace, kind: str, k):
     """T_0 ⊆ … ⊆ T_k with T_j = {x : op x ∈ T_{j−1} for all ops}, T_{-1} = 0,
     for the ops of the family ``kind`` of ``hom``.
 
     Peeling the innermost application shows T_j equals the solution set of
     all (j+1)-fold op-composites, so the full tuple condition reduces to
-    this recursion.  ``stable`` says each T_j is invariant under the actions
-    of the family's side (see ``HomSpace.preimage``).
+    this recursion.
     """
     chain = [hom.common_kernel(kind)]
     for _ in range(k):
-        chain.append(hom.preimage(kind, chain[-1], stable))
+        chain.append(hom.preimage(kind, chain[-1]))
     return chain
 
 
@@ -125,9 +124,7 @@ def grothendieck_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
             "algebra is noncommutative: the iterated-delta condition is "
             "computed as stated (naive) and need not have its usual meaning",
             stacklevel=2)
-    # over a commutative A each δ_a commutes with both left actions, so
-    # every T_j is a submodule and its preimage is solved on generators
-    chain = vanishing_chain(hom, "delta", k, stable=not naive)
+    chain = vanishing_chain(hom, "delta", k)
     return DiffSpace("grothendieck", k, chain[k], hom, naive=naive, chain=chain)
 
 
@@ -157,8 +154,7 @@ def dv_first_order(p: Bimodule, q: Bimodule) -> DiffSpace:
     """First-order operators on bimodules: δ_a∘δ̄_b Δ = 0 for all a, b,
     i.e. every δ̄_b Δ lies in the common kernel of the δ_a."""
     hom = HomSpace.between(p, q)
-    # left-linear maps stay left-linear under both right actions
-    space = hom.preimage("bar_delta", hom.common_kernel("delta"), stable=True)
+    space = hom.preimage("bar_delta", hom.common_kernel("delta"))
     return DiffSpace("dv_first_order", 1, space, hom)
 
 
@@ -232,9 +228,7 @@ def _step(hom: HomSpace, side: str, prev: Subspace, presented: bool) -> Subspace
     Both forms start from the preimage {Φ : δ_aΦ ∈ prev for all a}, which
     for prev = 0 is the common δ kernel.  The center form takes its closure
     under both actions of the side; the presented form spans its images
-    under the multiplications, plus prev.  The center form's prev is 0 or
-    the previous center-form term, a closure under those actions, as
-    ``action_closure`` requires.
+    under the multiplications, plus prev.
     """
     if side not in _SIDES:
         raise ValueError("side must be 'left' or 'right'")

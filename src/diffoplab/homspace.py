@@ -24,12 +24,15 @@ for.  A condition stated for every a ∈ A is imposed only for the basis
 elements of ``bimodule.condition_indices``, the generators of A where the
 two modules follow their laws: a map commuting with the actions of g and h
 commutes with that of gh, so ``common_kernel`` and ``action_closure`` take
-the generators' members.  A preimage is solved on them only when its
-caller states that the target is stable under both actions of the
-family's side, because δ_{gh}Φ = g·(δ_hΦ) + (δ_gΦ)∙h and
-δ̄_{gh}Φ = (δ̄_gΦ)h + g∙(δ̄_hΦ) put the generators' conditions back
-inside such a target only; ``iterated_delta_vanishes`` does the same for
-the plain δ over a commutative A, where every level is a submodule.
+the generators' members.  A preimage is solved on them only when the
+target is invariant under both actions of the family's side, because
+δ_{gh}Φ = g·(δ_hΦ) + (δ_gΦ)∙h and δ̄_{gh}Φ = (δ̄_gΦ)h + g∙(δ̄_hΦ) put the
+generators' conditions back inside such a target only; that is checked on
+the target's basis, under the generators' members of those two actions
+(the center-form Lunts terms, the δ kernel under the right actions, and
+the Grothendieck chain over a commutative A pass it).
+``iterated_delta_vanishes`` takes the generators for the plain δ over a
+commutative A, where every level is a submodule.
 Families, the common kernel ``common_kernel(*kinds)`` of the named
 families stacked, the preimages ``preimage(kind, target)`` that every
 filtration is a chain of, and their ``action_closure`` are built on first
@@ -61,6 +64,7 @@ from .linalg import (
     Subspace,
     closure,
     image_span,
+    is_invariant,
     kernel,
     kron,
     kron_difference,
@@ -119,6 +123,8 @@ class LinMap:
 
 
 ACTION_KINDS = ("left", "left_bullet", "right", "right_bullet")
+# the two actions of each δ family's side
+SIDE_ACTIONS = {"delta": ("left", "left_bullet"), "bar_delta": ("right", "right_bullet")}
 
 
 class HomSpace:
@@ -231,32 +237,41 @@ class HomSpace:
             ker = self._kernels[kinds] = kernel(vstack(ops))
         return ker
 
-    def preimage(self, kind: str, target: Subspace, stable: bool = False) -> Subspace:
+    def preimage(self, kind: str, target: Subspace) -> Subspace:
         """{Φ : mΦ ∈ target for every m of the family}, solved once per family
-        and target value; a zero target gives ``common_kernel(kind)``.
-
-        ``stable`` says that the target is invariant under both actions of
-        the family's side (``left`` and ``left_bullet`` for δ, ``right`` and
-        ``right_bullet`` for δ̄); the system is then solved on the
-        generators' members alone, with the same result.
+        and target value; a zero target gives ``common_kernel(kind)``.  It is
+        solved on the generators' members alone when the target is stable
+        (``_stable``), with the same result, and on every member otherwise.
         """
         if target.dim == 0:
             return self.common_kernel(kind)
-        key = (self._canonical(kind), target)
+        kind = self._canonical(kind)
+        key = (kind, target)
         pre = self._preimages.get(key)
         if pre is None:
-            ops = self._family(kind, self._generators if stable else None)
+            ops = self._family(kind, self._generators if self._stable(kind, target) else None)
             pre = self._preimages[key] = preimage(ops, target)
         return pre
 
+    def _stable(self, kind: str, target: Subspace) -> bool:
+        """Whether ``target`` is invariant under both actions of the side of
+        the δ family ``kind`` (``SIDE_ACTIONS``; never for the graded δ),
+        and there are fewer generators than basis elements.  The generators'
+        members are checked: where the modules follow their laws every
+        action of A is a sum of products of theirs."""
+        gens = self._generators
+        actions = SIDE_ACTIONS.get(kind)
+        return actions is not None and len(gens) < self.algebra.dim and is_invariant(
+            target, [m for name in actions for m in self._family(name, gens)])
+
     def action_closure(self, kind: str, target: Subspace, actions) -> Subspace:
         """The closure of the preimage of ``target`` under the named action
-        families, all taken on the generators' members.  ``target`` must be
-        stable in the sense of ``preimage``, as each term of a filtration
-        built by these closures is."""
+        families, taken on the generators' members: where the modules follow
+        their laws, a space invariant under those is invariant under every
+        member."""
         key = (self._canonical(kind), target) + tuple(map(self._canonical, actions))
         if key not in self._closures:
-            pre = self.preimage(kind, target, stable=True)
+            pre = self.preimage(kind, target)
             ops = [m for name in actions for m in self._family(name, self._generators)]
             hull = closure(self.algebra.field, self.dim, pre.basis, ops)
             # an invariant preimage is kept once: a HomSpace and its source

@@ -38,10 +38,11 @@ their storage and their arithmetic to a small fraction of the dense size.
 date as operators are added, for a walk that asks between additions
 whether a vector is already in the span.
 Besides ``kernel`` and ``closure``, the constructions of the higher layers
-rest on six helpers: ``kernel_on`` (the kernel among the vectors supported
+rest on seven helpers: ``kernel_on`` (the kernel among the vectors supported
 on given columns, which is how every graded space takes its homogeneous
 part of one parity), ``preimage`` (the vectors that a family of operators
-sends into a subspace), ``restrict_operator`` (the matrix of m from a
+sends into a subspace), ``is_invariant`` (whether they send the subspace
+into itself), ``restrict_operator`` (the matrix of m from a
 subspace S into a subspace T, in their basis coordinates; T is S itself
 unless given), ``quotient_projection`` (the free columns of K^n/S and the
 projection onto their coordinates), ``factor_through`` (write
@@ -1139,6 +1140,25 @@ class Closure:
 
     def subspace(self) -> Subspace:
         return self._ech.subspace()
+
+
+def is_invariant(space: Subspace, ops) -> bool:
+    """Whether every operator in ``ops`` maps ``space`` into itself.  The image
+    of each basis row is reduced against the space's echelon form straight
+    from its ``{row: sum}`` products, and the first one left over answers."""
+    if space.is_full or space.dim == 0:
+        return True
+    ech = space.to_echelon()
+    for op in ops:
+        cols = op.column_entries()
+        for v in space._basis_entries():
+            acc = {}
+            for j, x in v:
+                for r, a in cols[j]:
+                    acc[r] = acc.get(r, 0) + a * x
+            if ech._reduce(ech._entries(acc.items())) is not None:
+                return False
+    return True
 
 
 def image_span(ops, space: Subspace) -> Subspace:

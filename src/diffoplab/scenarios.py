@@ -335,19 +335,17 @@ CATALOG = (
 SCENARIO_IDS = tuple(sid for sid, _, _ in CATALOG)
 
 
-def builtin_scenarios(algebra=catalog):
-    """The catalog as scenarios; each check runs on ``algebra(spec)``, built
-    when the check runs."""
+def builtin_scenarios():
+    """The catalog as scenarios.  Each check runs on the algebra of its spec,
+    built when the first check of that spec runs and shared by the rest of
+    this catalog's checks, with what it memoizes."""
+    algebra = cache(catalog)
     return [Scenario(sid, description,
-                     [Check(f"{name}[{spec}]", kind, partial(_on_algebra, fn, algebra, spec),
+                     [Check(f"{name}[{spec}]", kind, lambda fn=fn, spec=spec: fn(algebra(spec)),
                             claim)
                       for specs, checks in groups for spec in specs
                       for name, kind, fn, claim in checks])
             for sid, description, groups in CATALOG]
-
-
-def _on_algebra(fn, algebra, spec):
-    return fn(algebra(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +384,7 @@ def run_scenario(scenario: Scenario) -> dict:
 def run_all(only=None) -> dict:
     """Run the catalog, or the one scenario ``only``.  Each spec's algebra is
     built once per call and shared by its checks, with what it memoizes."""
-    scenarios = builtin_scenarios(cache(catalog))
+    scenarios = builtin_scenarios()
     if only is not None:
         scenarios = [s for s in scenarios if s.scenario_id == only]
         if not scenarios:

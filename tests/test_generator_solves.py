@@ -19,7 +19,13 @@ import pytest
 import diffoplab.homspace as homspace
 import diffoplab.jets as jets
 from diffoplab.algebra import FiniteAlgebra, catalog, trunc_poly
-from diffoplab.bimodule import Bimodule, condition_indices, free_module, regular_bimodule
+from diffoplab.bimodule import (
+    Bimodule,
+    condition_indices,
+    free_module,
+    regular_bimodule,
+    tensor_algebra_module,
+)
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.cli import main
 from diffoplab.diffops import dv_first_order, grothendieck_diff, lunts_filtration
@@ -244,7 +250,14 @@ def test_the_trunc_poly_kernel_builds_one_delta_operator(monkeypatch):
     monkeypatch.setattr(jets, "image_span", recording_image_span)
     a = catalog("trunc_poly:5")
     reg = regular_bimodule(a)
-    HomSpace(reg, reg).common_kernel("delta")
+    HomSpace.between(reg, reg).common_kernel("delta")
+    assert len(built) == 1
+    # the targets of these chains are found stable: their preimages are
+    # solved on x alone too
+    lunts_filtration(reg, reg, 2, "left")
+    lunts_filtration(reg, reg, 2, "right")
+    grothendieck_diff(reg, reg, 2)
+    dv_first_order(reg, reg)
     assert len(built) == 1
     jet_module(a, reg, 2)
     assert widths == [1, 1, 1]
@@ -286,6 +299,82 @@ def test_a_module_breaking_a_law_is_solved_on_every_basis_element(tmp_path, monk
     with monkeypatch.context() as m:
         m.setattr(Bimodule, "follows_generators", lambda self: True)
         assert report(argv, tmp_path / "forced.json") != got
+
+
+def noncommuting_module_spec(tmp_path):
+    # x acts on K^3 by the shift N on the left and by Nᵀ on the right, x^k by
+    # their k-th powers: each action follows its laws, but N Nᵀ ≠ Nᵀ N
+    d = {"name": "noncommuting", "algebra": "trunc_poly:5", "dim": 3,
+         "second_kind": "right", "left": [], "right": []}
+    for k in range(5):
+        for i in range(3 - k):
+            d["left"].append([k, i, i + k, "1"])
+            d["right"].append([k, i + k, i, "1"])
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize("flag", ["--module", "--target"])
+@pytest.mark.parametrize("argv", [["compare-defs", "trunc_poly:5", "--order", "1"],
+                                  ["compare-defs", "trunc_poly:5", "--order", "2"],
+                                  ["diff-space", "trunc_poly:5", "--definition", "dv"]],
+                         ids=["compare-defs-1", "compare-defs-2", "diff-space-dv"])
+def test_a_module_whose_actions_do_not_commute_is_solved_on_every_basis_element(
+        tmp_path, monkeypatch, flag, argv):
+    spec = noncommuting_module_spec(tmp_path)
+    module = Bimodule.load(spec, trunc_poly(5))
+    assert {f["kind"] for f in module.validate().failures} == {"actions_commute"}
+    assert not module.follows_generators()
+    argv = argv + [flag, str(spec)]
+    got = report(argv, tmp_path / "got.json")
+    with monkeypatch.context() as m:
+        m.setattr(FiniteAlgebra, "generator_indices", lambda self: tuple(range(self.dim)))
+        assert report(argv, tmp_path / "oracle.json") == got
+    # trusted, its δ kernel is not stable under the right actions, and the
+    # preimage that dv_first_order takes of it is still solved on every member
+    with monkeypatch.context() as m:
+        m.setattr(Bimodule, "follows_generators", lambda self: True)
+        assert report(argv, tmp_path / "trusted.json") == got
+
+
+@pytest.mark.parametrize("argv", [["compare-defs", "quaternion", "--order", "1"],
+                                  ["lunts", "quaternion", "--order", "2", "--side", "right"]],
+                         ids=["compare-defs", "lunts-right"])
+def test_second_actions_of_two_kinds_are_solved_on_every_basis_element(tmp_path, monkeypatch,
+                                                                       argv):
+    # in A⊗A over the quaternions the second action is a left one: the
+    # intertwiners of it with the regular right action on i and j alone are
+    # not those on every basis element
+    a = catalog("quaternion")
+    reg = regular_bimodule(a)
+    mixed = tensor_algebra_module(a, reg)
+    assert mixed.second_kind == "left_bullet" and mixed.follows_generators()
+    assert condition_indices(mixed) == a.generator_indices() == (1, 2)
+    assert condition_indices(mixed, reg) == (0, 1, 2, 3)
+    hom = HomSpace(mixed, reg)
+    assert preimage([hom.bar_delta_ops()[g] for g in (1, 2)], Subspace.zero(a.field, hom.dim)) \
+        != all_basis_common_kernel(hom, "bar_delta")
+    path = tmp_path / "mixed.json"
+    mixed.save(path)
+    argv = argv + ["--module", str(path)]
+    got = report(argv, tmp_path / "got.json")
+    with monkeypatch.context() as m:
+        m.setattr(FiniteAlgebra, "generator_indices", lambda self: tuple(range(self.dim)))
+        assert report(argv, tmp_path / "oracle.json") == got
+
+
+def test_the_walk_stops_once_more_than_half_the_basis_is_kept(monkeypatch):
+    import diffoplab.algebra as algebra
+
+    added = []
+    add_operator = algebra.Closure.add_operator
+    monkeypatch.setattr(algebra.Closure, "add_operator",
+                        lambda self, op: added.append(op) or add_operator(self, op))
+    a = catalog("trunc_poly:2+matrix:2")
+    assert a.generator_indices() == tuple(range(6))
+    # the fourth vector kept is more than half of six: it is not added
+    assert len(added) == 3
 
 
 def test_a_module_law_check_runs_once(monkeypatch):

@@ -14,6 +14,7 @@ from diffoplab.linalg import (
     factor_through,
     hstack,
     image_span,
+    is_invariant,
     kernel,
     kron,
     kron_difference,
@@ -798,3 +799,21 @@ def test_closure_is_the_closure_by_images(field):
     assert full >= 9
     if not field.char:  # operators with Fraction entries, against integer pivot rows
         assert rational >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["q", "gf32003"])
+def test_a_space_is_invariant_iff_it_is_its_own_closure(field):
+    rng = random.Random(53)
+    invariant = 0
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        ops = [random_matrix(rng, field, n, n, rng.choice((0.15, 0.3, 0.6)))
+               for _ in range(rng.randrange(0, 3))]
+        seeds = random_rows(rng, field, rng.randrange(0, 4), n, rng.choice((0.3, 0.7)))
+        space = Subspace.from_spanning(field, n, seeds)
+        # closures are invariant; a random span mostly is not
+        for s in (space, closure(field, n, seeds, ops)):
+            got = is_invariant(s, ops)
+            assert got == (closure(field, n, s.basis, ops) == s)
+            invariant += got
+    assert 0 < invariant < 120
