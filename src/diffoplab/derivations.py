@@ -2,7 +2,10 @@
 
 A Q-valued derivation is a linear map u: A → Q with u(ab) = u(a)b + a·u(b);
 the graded variant inserts (−1)^{[a][u]} before a·u(b).  Maps are matrices
-of shape (dim Q) × (dim A), flattened row-major for subspace work.
+of shape (dim Q) × (dim A), flattened row-major for subspace work.  The
+rule is imposed with a generator of A as the first factor, plus u(1) = 0,
+where the target follows its laws, and on every pair of basis elements
+otherwise (``_leibniz_rows``).
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import AlgebraError, FiniteAlgebra, flat_parities, homogeneous_parity
-from .bimodule import Bimodule
+from .bimodule import Bimodule, condition_indices, regular_bimodule
 from .linalg import Matrix, Subspace, kernel, kernel_on
 
 
@@ -53,14 +56,22 @@ class DerivationSpace:
         return self.space.coords_of(m.flatten())
 
 
-def _leibniz_rows(algebra, target, sign_of_pair):
-    """Constraint blocks U·(e_i e_j) − R_Q(e_j)(U e_i) − s(i)·L_Q(e_i)(U e_j) = 0."""
+def _leibniz_rows(algebra, target, sign_of_pair, gens):
+    """Constraint blocks U·(e_g e_j) − R_Q(e_j)(U e_g) − s(g)·L_Q(e_g)(U e_j) = 0
+    for each g in ``gens`` and every basis index j, and U(1) = 0 unless
+    ``gens`` is every index.
+
+    Where the target follows its laws, the x with U(xy) = U(x)y + s(x)·x·U(y)
+    for every y form a subalgebra (the signs multiply in the graded case),
+    which holds 1 once U(1) = 0; holding for the generators of A, the rule
+    then holds for all of A.  On every pair, x = y = 1 gives U(1) = 0 already.
+    """
     n = algebra.dim
     mq = target.dim
     right = [m.row_entries() for m in target.right]
     left = [m.row_entries() for m in target.left]
     rows = []
-    for i, j in product(range(n), repeat=2):
+    for i, j in product(gens, range(n)):
         mcol = [(m, x) for m, x in enumerate(algebra.sc[i][j]) if x]
         sgn = sign_of_pair(i)
         rq, lq = right[j], left[i]
@@ -71,27 +82,34 @@ def _leibniz_rows(algebra, target, sign_of_pair):
             for s, x in lq[r]:
                 row[s * n + j] = row.get(s * n + j, 0) - sgn * x
             rows.append(row.items())
+    if len(gens) < n:
+        unit = [(m, x) for m, x in enumerate(algebra.unit) if x]
+        rows.extend([(r * n + m, x) for m, x in unit] for r in range(mq))
     return Matrix.from_entries(algebra.field, rows, mq * n)
 
 
 def derivations(algebra: FiniteAlgebra, target: Bimodule,
                 graded: bool = False) -> DerivationSpace:
-    """Solve the Leibniz system over all basis pairs."""
+    """Solve the Leibniz system, as maps A → Q on the basis indices of
+    ``condition_indices`` for Hom_K(A, Q): the generators of A where the
+    target follows its laws with a right action, every index otherwise."""
     if target.algebra is not algebra:
         raise AlgebraError("target module is over a different algebra")
+    if graded:
+        if not algebra.graded or target.parity is None:
+            raise AlgebraError("graded derivations need a graded algebra and module")
+        if algebra.field.char == 2:
+            raise AlgebraError("graded operations refuse characteristic 2")
+    gens = condition_indices(regular_bimodule(algebra), target)
     if not graded:
-        system = _leibniz_rows(algebra, target, lambda i: 1)
+        system = _leibniz_rows(algebra, target, lambda i: 1, gens)
         return DerivationSpace(algebra, target, kernel(system), False)
-    if not algebra.graded or target.parity is None:
-        raise AlgebraError("graded derivations need a graded algebra and module")
-    if algebra.field.char == 2:
-        raise AlgebraError("graded operations refuse characteristic 2")
     pa = algebra.parity
     flat = flat_parities(target.parity, pa)
     spaces = []
     for par in (0, 1):
         sign = lambda i, par=par: -1 if (pa[i] and par) else 1
-        system = _leibniz_rows(algebra, target, sign)
+        system = _leibniz_rows(algebra, target, sign, gens)
         spaces.append(kernel_on(system, [j for j, p in enumerate(flat) if p == par]))
     total = spaces[0].sum(spaces[1])
     return DerivationSpace(algebra, target, total, True)

@@ -29,7 +29,7 @@ from .homspace import HomSpace, LinMap
 # ``kernel`` is not called here (HomSpace solves every kernel and preimage,
 # ``kernel_on`` the graded split); the name stays bound because
 # perfbench/tests/test_tracer.py checks that the tracer rebinds it in this module
-from .linalg import Matrix, Subspace, image_span, kernel, kernel_on  # noqa: F401
+from .linalg import Matrix, Subspace, kernel, kernel_on  # noqa: F401
 
 MAX_ORDER = 4
 
@@ -228,14 +228,17 @@ def _step(hom: HomSpace, side: str, prev: Subspace, presented: bool) -> Subspace
     Both forms start from the preimage {Φ : δ_aΦ ∈ prev for all a}, which
     for prev = 0 is the common δ kernel.  The center form takes its closure
     under both actions of the side; the presented form spans its images
-    under the multiplications, plus prev.
+    under the multiplications, plus prev (``HomSpace.action_span``: the
+    closure under the generators' multiplications where the modules follow
+    their laws).  Both are cached on the HomSpace, so where the two sides'
+    families are aliases, as over a commutative algebra, each is taken once.
     """
     if side not in _SIDES:
         raise ValueError("side must be 'left' or 'right'")
     kind, mult, bullet = _SIDES[side]
     if not presented:
         return hom.action_closure(kind, prev, (mult, bullet))
-    return image_span(hom.action_ops(mult), hom.preimage(kind, prev)).sum(prev)
+    return hom.action_span(kind, prev, mult).sum(prev)
 
 
 def _one_sided_terms(hom: HomSpace, side: str, r: int, presented: bool):

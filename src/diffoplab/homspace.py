@@ -35,7 +35,10 @@ the Grothendieck chain over a commutative A pass it).
 commutative A, where every level is a submodule.
 Families, the common kernel ``common_kernel(*kinds)`` of the named
 families stacked, the preimages ``preimage(kind, target)`` that every
-filtration is a chain of, and their ``action_closure`` are built on first
+filtration is a chain of, their ``action_closure`` and their
+``action_span`` (the span of their images under one action family, which
+is their closure under the generators' members where the modules follow
+their laws, since L(1) = I and L(gh) = L(g)L(h)) are built on first
 use and cached on the instance, under the family and the target's value
 (so equal targets built apart share one solve).  A family whose factors
 equal those of another, basis element by basis element, is that family's
@@ -143,6 +146,7 @@ class HomSpace:
         self._kernels = {}
         self._preimages = {}
         self._closures = {}
+        self._spans = {}
         self._sign = None
 
     @classmethod
@@ -278,6 +282,25 @@ class HomSpace:
             # module form a cycle, so its caches live until the cyclic collector runs
             self._closures[key] = pre if hull == pre else hull
         return self._closures[key]
+
+    def action_span(self, kind: str, target: Subspace, action: str) -> Subspace:
+        """span{mΦ : m in the action family ``action``, Φ in the preimage of
+        ``target``}, taken once per family, target value and action family.
+
+        Where there are fewer generators than basis elements the modules
+        follow their laws: L(1) = I puts the preimage inside the span and
+        L(gh) = L(g)L(h) makes the span its ``action_closure`` under the
+        generators' members of ``action``.  Otherwise the images under every
+        member are spanned.
+        """
+        if len(self._generators) < self.algebra.dim:
+            return self.action_closure(kind, target, (action,))
+        key = (self._canonical(kind), target, self._canonical(action))
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = image_span(self._family(action),
+                                                 self.preimage(kind, target))
+        return span
 
     def delta_ops(self):
         return self._family("delta")

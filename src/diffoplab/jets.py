@@ -12,7 +12,11 @@ Over a commutative algebra the one-sided μ is built from the generators of
 A alone (``bimodule.condition_indices``): the two actions and the δ's then
 commute and δ^{gh} = g·δ^h + δ^g∙h, so the generators' (k+1)-fold images,
 closed under the generators' actions, give the same submodule.  The
-two-sided jet seeds every pair of basis elements.
+two-sided μ¹ is seeded on pairs of generators and closed under their outer
+actions, over any algebra, where P follows its laws: with L^out and L^mid
+the outer and middle left actions, δ_{gh} = L^out_g·δ_h + δ_g·L^mid_h, and
+L^mid_h commutes with every δ̄_c and sends 1⊗p⊗1 to 1⊗hp⊗1, again a unit
+tensor; δ̄_{hg} = R^out_g·δ̄_h + δ̄_g·R^mid_h likewise on the right.
 """
 
 from __future__ import annotations
@@ -144,20 +148,25 @@ def hom_space_out_of_jet(jm: JetModule, q: Bimodule) -> Subspace:
 
 
 def two_sided_jet(algebra: FiniteAlgebra, p: Bimodule) -> JetModule:
-    """First-order two-sided jet: (A ⊗ P ⊗ A)/μ¹ with outer actions."""
+    """First-order two-sided jet: (A ⊗ P ⊗ A)/μ¹ with outer actions.
+
+    μ¹ is the closure of the seeds δ_bδ̄_c(1⊗p⊗1) under the outer actions,
+    for b and c on the basis indices of ``condition_indices`` (see the module
+    docstring): the generators where P follows its laws.
+    """
     f = algebra.field
-    n = algebra.dim
     sw = SandwichModule(algebra, p)
-    deltas = [sw.bimodule.left[i] - sw.mid_left[i] for i in range(n)]
-    bar_deltas = [sw.bimodule.right[i] - sw.mid_right[i] for i in range(n)]
+    gens = condition_indices(p, sw.bimodule)
+    deltas = [sw.bimodule.left[i] - sw.mid_left[i] for i in gens]
+    bar_deltas = [sw.bimodule.right[i] - sw.mid_right[i] for i in gens]
     units = _unit_tensors(algebra, p, sandwich=True)
-    gens = []
+    seeds = []
     for vec in units:
-        for b in range(n):
-            inner = deltas[b].apply(vec)
-            for c in range(n):
-                gens.append(bar_deltas[c].apply(inner))
-    mu = closure(f, sw.dim, gens, sw.bimodule.left + sw.bimodule.right)
+        for delta in deltas:
+            inner = delta.apply(vec)
+            seeds.extend(bar.apply(inner) for bar in bar_deltas)
+    outer = [sw.bimodule.left[i] for i in gens] + [sw.bimodule.right[i] for i in gens]
+    mu = closure(f, sw.dim, seeds, outer)
     return JetModule(algebra, p, 1, mu, sw.bimodule.left, sw.bimodule.right, units,
                      two_sided=True)
 

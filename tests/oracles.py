@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from diffoplab.algebra import FiniteAlgebra, flat_parities
-from diffoplab.bimodule import regular_bimodule, tensor_algebra_module
+from diffoplab.bimodule import SandwichModule, regular_bimodule, tensor_algebra_module
 from diffoplab.cecalc import SuperExterior, form_scalings, linearity_rows
 from diffoplab.homspace import ACTION_KINDS, HomSpace
 from diffoplab.jets import hom_space_out_of_jet
@@ -621,6 +621,83 @@ def all_basis_vanishing_chain(hom, kind, k):
 
 def all_basis_dv_first_order(hom):
     return all_basis_preimage(hom, "bar_delta", all_basis_common_kernel(hom, "delta"))
+
+
+def all_basis_action_span(hom, kind, target, action):
+    """The span of mΦ for every member m of the action family ``action`` and
+    every Φ in the all-basis preimage of ``target``."""
+    return image_span(all_basis_family(hom, action), all_basis_preimage(hom, kind, target))
+
+
+def _all_basis_presented_step(hom, side, prev):
+    kind, action = {"left": ("delta", "left"), "right": ("bar_delta", "right")}[side]
+    return all_basis_action_span(hom, kind, prev, action).sum(prev)
+
+
+def all_basis_lunts_presented(hom, side, r):
+    """The presented inductive filtration I_0 ⊆ … ⊆ I_r of one side:
+    I_r = span{b·Φ : δ_aΦ ∈ I_{r−1} for all a} + I_{r−1}."""
+    terms = [Subspace.zero(hom.algebra.field, hom.dim)]
+    for _ in range(r + 1):
+        terms.append(_all_basis_presented_step(hom, side, terms[-1]))
+    return terms[1:]
+
+
+def all_basis_two_sided(hom, r):
+    """The two-sided filtration: the span of the center-form order-0 terms of
+    both sides, then the meet of the two presented steps."""
+    terms = [all_basis_lunts(hom, "left", 0)[0].sum(all_basis_lunts(hom, "right", 0)[0])]
+    for _ in range(r):
+        prev = terms[-1]
+        terms.append(_all_basis_presented_step(hom, "left", prev)
+                     .intersect(_all_basis_presented_step(hom, "right", prev)))
+    return terms
+
+
+def all_pairs_derivations(algebra, target, graded=False):
+    """The Q-valued derivations of A, or the graded ones, from the Leibniz rule
+    on every pair of basis elements: one dense row per pair (i, j) and
+    coordinate r of Q, of U(e_i e_j) − U(e_i)e_j − s·e_i U(e_j) = 0."""
+    n, mq = algebra.dim, target.dim
+
+    def system(odd):
+        rows = []
+        for i, j, r in product(range(n), range(n), range(mq)):
+            sign = -1 if odd and algebra.parity[i] else 1
+            row = [0] * (mq * n)
+            for m, x in enumerate(algebra.sc[i][j]):
+                row[r * n + m] += x
+            right, left = target.right[j].row(r), target.left[i].row(r)
+            for s in range(mq):
+                row[s * n + i] -= right[s]
+                row[s * n + j] -= sign * left[s]
+            rows.append(row)
+        return Matrix.from_rows(algebra.field, rows)
+
+    if not graded:
+        return kernel(system(False))
+    flat = flat_parities(target.parity, algebra.parity)
+    even, odd = (kernel_on(system(par), [c for c, p in enumerate(flat) if p == par])
+                 for par in (0, 1))
+    return even.sum(odd)
+
+
+def all_pairs_two_sided_jet_relations(algebra, p):
+    """μ¹ inside A ⊗ P ⊗ A: the closure of δ_bδ̄_c(1⊗e_l⊗1) for every pair
+    (b, c) of basis elements and every basis vector e_l of P, under all 2n
+    outer actions."""
+    f, n, m = algebra.field, algebra.dim, p.dim
+    sw = SandwichModule(algebra, p)
+    units = []
+    for l in range(m):
+        vec = [0] * sw.dim
+        for x, y in product(range(n), repeat=2):
+            vec[(x * m + l) * n + y] = f.mul(algebra.unit[x], algebra.unit[y])
+        units.append(vec)
+    seeds = [(sw.bimodule.right[c] - sw.mid_right[c]).apply(
+                 (sw.bimodule.left[b] - sw.mid_left[b]).apply(vec))
+             for vec in units for b, c in product(range(n), repeat=2)]
+    return closure(f, sw.dim, seeds, sw.bimodule.left + sw.bimodule.right)
 
 
 def all_basis_jet_relations(algebra, p, k):

@@ -456,7 +456,11 @@ def test_no_kernel_system_is_solved_twice(build, monkeypatch):
 def test_each_closure_is_taken_once(monkeypatch):
     # over trunc_poly:5 the left and right filtrations have equal preimages
     # and equal action families, so the closures of orders 0, 1 and 2 are
-    # taken once for both sides: three, not six
+    # taken once for both sides: three, not six.  The two-sided terms of
+    # orders 1 and 2 span the same preimages under the multiplications alone,
+    # as their closures under x (``HomSpace.action_span``), once for both
+    # sides too: two more, on the seeds of the center-form closures of orders
+    # 1 and 2 but under other operators
     import diffoplab.diffops as diffops
     import diffoplab.homspace as homspace
     import diffoplab.linalg as linalg
@@ -465,13 +469,14 @@ def test_each_closure_is_taken_once(monkeypatch):
     original = linalg.closure
 
     def counting_closure(field, ambient_dim, gens, operators):
-        seeds.append(tuple(map(tuple, gens)))
+        seeds.append((tuple(map(tuple, gens)), tuple(map(id, operators))))
         return original(field, ambient_dim, gens, operators)
 
     for module in (linalg, homspace, diffops):
         monkeypatch.setattr(module, "closure", counting_closure, raising=False)
     _compare_trunc_poly()
-    assert len(seeds) == len(set(seeds)) == 3
+    assert len(seeds) == len(set(seeds)) == 5
+    assert len({seed for seed, _ in seeds}) == 3
 
 
 OPPOSITE_CASES = ["matrix:2", "quaternion", "trunc_poly:3", "square_zero:2", "group_z:3",

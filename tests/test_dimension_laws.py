@@ -1,7 +1,8 @@
-"""Form dimensions fixed by classical results, checked over GF(32003).
+"""Derivation and form dimensions fixed by classical results, checked over
+GF(32003).
 
 These laws hold at sizes the brute-force oracles cannot reach, so they guard
-the normal-form solves where no oracle runs.
+the generator and normal-form solves where no oracle runs.
 """
 
 from math import comb
@@ -17,6 +18,27 @@ from diffoplab.gradedce import GradedCochainComplex
 from diffoplab.universal import UniversalCalculus
 
 GF32003 = Field(32003)
+
+
+# spec -> dim Der(A): sl_K for M_K, d/dx times x^0, …, x^(N−2) for
+# K[x]/(x^N), gl(V) for K ⊕ V with V² = 0, and none for K[Z/3] with 3 ∤ p
+DERIVATION_DIMS = {"matrix:2": 3, "matrix:3": 8, "matrix:4": 15, "trunc_poly:3": 2,
+                   "trunc_poly:5": 4, "trunc_poly:6": 5, "square_zero:2": 4,
+                   "square_zero:3": 9, "group_z:3": 0}
+
+
+@pytest.mark.parametrize("spec,dim", list(DERIVATION_DIMS.items()))
+def test_derivation_dimensions(spec, dim):
+    a = catalog(spec, GF32003)
+    assert derivations(a, regular_bimodule(a)).dim == dim
+
+
+@pytest.mark.parametrize("generators", [3, 4])
+def test_grassmann_graded_derivations_are_free_of_rank_g(generators):
+    # the graded derivations of grassmann:G are A-linear combinations of the
+    # G odd derivations ∂/∂θ_i, freely: G·2^G
+    a = catalog(f"grassmann:{generators}", GF32003)
+    assert derivations(a, regular_bimodule(a), graded=True).dim == generators * 2 ** generators
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])

@@ -4,9 +4,10 @@
 elements of ``condition_indices``: the generators of A when the modules
 follow their laws and they are at most half the basis.  The oracles of
 ``oracles.py`` impose it for every basis element.  Kernels, preimages of
-stable targets, action closures, jet relations and iterated deltas must come
-out the same, in catalog bases and in seeded changes of basis; a preimage of
-a target that is not stable must still be solved on every member.
+stable targets, action closures, presented spans, Leibniz systems, one- and
+two-sided jet relations and iterated deltas must come out the same, in
+catalog bases and in seeded changes of basis; a preimage of a target that is
+not stable must still be solved on every member.
 """
 
 import io
@@ -28,21 +29,33 @@ from diffoplab.bimodule import (
 )
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.cli import main
-from diffoplab.diffops import dv_first_order, grothendieck_diff, lunts_filtration
+from diffoplab.derivations import derivations
+from diffoplab.diffops import (
+    dv_first_order,
+    grothendieck_diff,
+    lunts_filtration,
+    lunts_filtration_presented,
+    two_sided_filtration,
+)
 from diffoplab.fields import QQ, Field
 from diffoplab.homspace import HomSpace, LinMap
-from diffoplab.jets import jet_module, jk_is_diffop
+from diffoplab.jets import jet_module, jk_is_diffop, two_sided_jet
 from diffoplab.linalg import Subspace, closure, kron_difference, preimage
 from oracles import (
     all_basis_action_closure,
+    all_basis_action_span,
     all_basis_common_kernel,
     all_basis_dv_first_order,
     all_basis_family,
     all_basis_iterated_delta_vanishes,
     all_basis_jet_relations,
     all_basis_lunts,
+    all_basis_lunts_presented,
     all_basis_preimage,
+    all_basis_two_sided,
     all_basis_vanishing_chain,
+    all_pairs_derivations,
+    all_pairs_two_sided_jet_relations,
     changed_basis,
     permuted_spec,
     truncated_free_algebra,
@@ -61,7 +74,13 @@ CHANGED = [("trunc_poly:4", 1), ("group_z:3", 2), ("quaternion", 3), ("matrix:2"
            ("trunc_poly:2+trunc_poly:2", 5)]
 
 
+# a noncommutative algebra solved on its two generators x and y
+FREE = "free(xy)/3"
+
+
 def algebra_of(spec, field):
+    if spec == FREE:
+        return truncated_free_algebra("xy", 3, field)
     if isinstance(spec, tuple):
         return changed_basis(catalog(spec[0], field), spec[1])
     return catalog(spec, field)
@@ -186,6 +205,57 @@ def test_jet_relations_are_the_all_basis_relations(spec, field):
 
 
 @FIELDS
+@pytest.mark.parametrize("spec", REDUCED + CHANGED + [FREE], ids=spec_id)
+def test_presented_spans_are_the_all_basis_spans(spec, field):
+    a = algebra_of(spec, field)
+    for p, q in module_pairs(a):
+        hom = HomSpace.between(p, q)
+        for side in ("left", "right"):
+            assert lunts_filtration_presented(p, q, 2, side).terms == \
+                all_basis_lunts_presented(hom, side, 2), (p, q, side)
+        assert two_sided_filtration(p, q, 2).terms == all_basis_two_sided(hom, 2), (p, q)
+
+
+@FIELDS
+def test_a_span_of_a_target_that_is_not_stable_is_the_all_basis_span(field):
+    a = catalog("trunc_poly:5", field)
+    reg = regular_bimodule(a)
+    hom = HomSpace(reg, reg)
+    rng = random.Random(5)
+    for _ in range(10):
+        target = random_target(hom, rng, rng.randrange(2, 13))
+        for kind, action in (("delta", "left"), ("bar_delta", "right")):
+            assert hom.action_span(kind, target, action) == \
+                all_basis_action_span(hom, kind, target, action)
+
+
+@FIELDS
+@pytest.mark.parametrize("spec", REDUCED + CHANGED + [FREE], ids=spec_id)
+def test_leibniz_systems_are_the_all_pairs_systems(spec, field):
+    a = algebra_of(spec, field)
+    # the regular and free modules, and Ω¹ over a commutative algebra
+    targets = [p for p, _ in module_pairs(a)]
+    if not a.is_commutative():
+        # A ⊗ A with its second action a left one: every pair is imposed
+        targets.append(tensor_algebra_module(a, targets[0]))
+    for q in targets:
+        assert derivations(a, q).space == all_pairs_derivations(a, q), q
+        if q.graded:
+            assert derivations(a, q, graded=True).space == \
+                all_pairs_derivations(a, q, graded=True), q
+
+
+@FIELDS
+@pytest.mark.parametrize("spec", REDUCED + CHANGED + [FREE], ids=spec_id)
+def test_two_sided_jet_relations_are_the_all_pairs_relations(spec, field):
+    a = algebra_of(spec, field)
+    # the all-pairs oracle is slow on the larger sandwiches: free:2 only in catalog bases
+    modules = [regular_bimodule(a)] + ([free_module(a, 2)] if spec in REDUCED else [])
+    for p in modules:
+        assert two_sided_jet(a, p).mu == all_pairs_two_sided_jet_relations(a, p), p
+
+
+@FIELDS
 def test_noncommutative_chains_and_jets_use_every_basis_element(field):
     # over K<x, y>/(words of length 4) the preimage of the δ kernel on x and
     # y alone is larger than the true one: the naive Grothendieck chain and
@@ -263,6 +333,67 @@ def test_the_trunc_poly_kernel_builds_one_delta_operator(monkeypatch):
     assert widths == [1, 1, 1]
 
 
+def test_the_trunc_poly_leibniz_system_has_one_generator_block(monkeypatch):
+    import diffoplab.derivations as derivations_module
+
+    heights = []
+    kernel_ = derivations_module.kernel
+    monkeypatch.setattr(derivations_module, "kernel",
+                        lambda system: heights.append(system.rows) or kernel_(system))
+    a = catalog("trunc_poly:5")
+    q = regular_bimodule(a)
+    derivations(a, q)
+    # pairs (x, j) for the five j, and U(1) = 0: not the 25 pairs (i, j)
+    assert heights == [(1 * 5 + 1) * q.dim]
+
+
+def test_the_quaternion_two_sided_jet_seeds_pairs_of_generators(monkeypatch):
+    calls = []
+    closure_ = jets.closure
+    monkeypatch.setattr(jets, "closure", lambda field, dim, seeds, ops: calls.append(
+        (len(seeds), len(ops))) or closure_(field, dim, seeds, ops))
+    a = catalog("quaternion")
+    p = regular_bimodule(a)
+    two_sided_jet(a, p)
+    # (b, c) over the generators i and j, for each unit tensor, closed under
+    # their outer left and right actions
+    assert calls == [(2 * 2 * p.dim, 2 * 2)]
+
+
+def counting_image_span(monkeypatch):
+    import diffoplab.diffops as diffops
+    import diffoplab.linalg as linalg
+
+    calls = []
+    image_span = linalg.image_span
+
+    def counting(ops, space):
+        calls.append(len(ops))
+        return image_span(ops, space)
+
+    for module in (linalg, homspace, diffops, jets):
+        monkeypatch.setattr(module, "image_span", counting, raising=False)
+    return calls
+
+
+def test_presented_spans_on_trunc_poly_take_no_image_span(monkeypatch):
+    calls = counting_image_span(monkeypatch)
+    with redirect_stdout(io.StringIO()):
+        assert main(["compare-defs", "trunc_poly:5", "--order", "2"]) == 0
+    # the two-sided steps of orders 1 and 2 are closures under x
+    assert calls == []
+
+
+def test_presented_spans_on_every_index_take_image_span(monkeypatch):
+    calls = counting_image_span(monkeypatch)
+    with redirect_stdout(io.StringIO()):
+        assert main(["compare-defs", "matrix:2", "--order", "1"]) == 0
+    # matrix:2 keeps 3 of its 4 basis vectors, so every index is solved on,
+    # and the one two-sided step spans its images under all four members of
+    # each side's multiplications
+    assert calls == [4, 4]
+
+
 BROKEN_AT = (2, 4, 2)  # drop x^2·x^2 = x^4 from the left action of x^2
 
 
@@ -338,6 +469,14 @@ def test_a_module_whose_actions_do_not_commute_is_solved_on_every_basis_element(
         assert report(argv, tmp_path / "trusted.json") == got
 
 
+def mixed_module_spec(tmp_path):
+    # A⊗A over the quaternions, whose second action is a left one
+    a = catalog("quaternion")
+    path = tmp_path / "mixed.json"
+    tensor_algebra_module(a, regular_bimodule(a)).save(path)
+    return path
+
+
 @pytest.mark.parametrize("argv", [["compare-defs", "quaternion", "--order", "1"],
                                   ["lunts", "quaternion", "--order", "2", "--side", "right"]],
                          ids=["compare-defs", "lunts-right"])
@@ -355,13 +494,49 @@ def test_second_actions_of_two_kinds_are_solved_on_every_basis_element(tmp_path,
     hom = HomSpace(mixed, reg)
     assert preimage([hom.bar_delta_ops()[g] for g in (1, 2)], Subspace.zero(a.field, hom.dim)) \
         != all_basis_common_kernel(hom, "bar_delta")
-    path = tmp_path / "mixed.json"
-    mixed.save(path)
-    argv = argv + ["--module", str(path)]
+    argv = argv + ["--module", str(mixed_module_spec(tmp_path))]
     got = report(argv, tmp_path / "got.json")
     with monkeypatch.context() as m:
         m.setattr(FiniteAlgebra, "generator_indices", lambda self: tuple(range(self.dim)))
         assert report(argv, tmp_path / "oracle.json") == got
+
+
+# module -> (its algebra, the writer of its JSON spec)
+JSON_MODULES = {"broken": ("trunc_poly:5", broken_module_spec),
+                "noncommuting": ("trunc_poly:5", noncommuting_module_spec),
+                "mixed": ("quaternion", mixed_module_spec)}
+
+
+@pytest.mark.parametrize("module", list(JSON_MODULES))
+@pytest.mark.parametrize("argv", [["derivations", "--target"],
+                                  ["two-sided", "--order", "2", "--module"],
+                                  ["two-sided", "--order", "2", "--target"],
+                                  ["jets", "--two-sided", "--module"],
+                                  ["compare-defs", "--order", "2", "--target"]],
+                         ids=["derivations", "two-sided-module", "two-sided-target",
+                              "jets-two-sided", "compare-defs-2"])
+def test_leibniz_rows_spans_and_jet_seeds_over_json_modules_read_as_on_every_basis_element(
+        tmp_path, monkeypatch, module, argv):
+    # Leibniz rows, presented spans and two-sided jet seeds over a module that
+    # breaks a law, whose actions do not commute, or whose second action is
+    # a left one are imposed for every basis element
+    algebra, write = JSON_MODULES[module]
+    command = argv[0]
+    argv = [command, algebra] + argv[1:] + [str(write(tmp_path))]
+    got = report(argv, tmp_path / "got.json")
+    with monkeypatch.context() as m:
+        m.setattr(FiniteAlgebra, "generator_indices", lambda self: tuple(range(self.dim)))
+        assert report(argv, tmp_path / "oracle.json") == got
+    # where the generators alone would give another report, the guard is what keeps it
+    with monkeypatch.context() as m:
+        if module == "mixed":
+            m.setattr(jets, "condition_indices",
+                      lambda *modules: modules[0].algebra.generator_indices())
+        else:
+            m.setattr(Bimodule, "follows_generators", lambda self: True)
+        trusted = report(argv, tmp_path / "trusted.json")
+    assert (trusted != got) == (module == "broken" or command == "jets"
+                                or (module == "noncommuting" and command == "derivations"))
 
 
 def test_the_walk_stops_once_more_than_half_the_basis_is_kept(monkeypatch):
