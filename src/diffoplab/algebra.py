@@ -120,6 +120,8 @@ class FiniteAlgebra:
         self._center = None
         self._generators = {}
         self._generator_indices = None
+        # the regular bimodule, kept here by bimodule.regular_bimodule
+        self.regular_module = None
 
     # -- basic structure ------------------------------------------------------
 

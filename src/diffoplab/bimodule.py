@@ -37,6 +37,8 @@ class Bimodule:
         self.name = name
         # target id -> HomSpace(self, target), filled by HomSpace.between
         self.hom_spaces = {}
+        # graded -> the derivations into this module, filled by derivations.derivations
+        self.derivation_spaces = {}
         # the modules whose generator laws imply this one's (none: it is built
         # from the algebra alone); None when they are checked on first use
         self._derived_from = None if derived_from is None else tuple(derived_from)
@@ -196,16 +198,20 @@ class Bimodule:
 
 
 def regular_bimodule(a: FiniteAlgebra) -> Bimodule:
-    """A acting on itself by multiplication on both sides."""
-    left = [a.left_mult_basis(i) for i in range(a.dim)]
-    right = [a.right_mult_basis(i) for i in range(a.dim)]
-    return Bimodule(a, a.dim, left, right, a.parity, name=f"{a.name}[reg]", derived_from=())
+    """A acting on itself by multiplication on both sides: one module per
+    algebra, kept on it, so builders over it share its solves."""
+    if a.regular_module is None:
+        left = [a.left_mult_basis(i) for i in range(a.dim)]
+        right = [a.right_mult_basis(i) for i in range(a.dim)]
+        a.regular_module = Bimodule(a, a.dim, left, right, a.parity, name=f"{a.name}[reg]",
+                                    derived_from=())
+    return a.regular_module
 
 
 def free_module(a: FiniteAlgebra, rank: int) -> Bimodule:
-    """Direct sum of ``rank`` copies of the regular bimodule."""
+    """Direct sum of ``rank`` copies of the regular bimodule, as a new module."""
     reg = regular_bimodule(a)
-    out = reg
+    out = Bimodule(a, reg.dim, reg.left, reg.right, reg.parity, derived_from=(reg,))
     for _ in range(rank - 1):
         out = direct_sum(out, reg)
     out.name = f"{a.name}^{rank}"
@@ -252,25 +258,31 @@ def tensor_algebra_module(a: FiniteAlgebra, p: Bimodule) -> Bimodule:
 
 
 class SandwichModule:
-    """A ⊗ P ⊗ A with outer bimodule actions and the two middle actions."""
+    """A ⊗ P ⊗ A with outer bimodule actions and the two middle actions,
+    each middle action built when first read."""
 
     def __init__(self, a: FiniteAlgebra, p: Bimodule):
         if p.algebra is not a:
             raise ModuleError("module is not over the given algebra")
         f = a.field
         n, m = a.dim, p.dim
-        eye_a = Matrix.identity(f, n)
-        eye_p = Matrix.identity(f, m)
         eye_pa = Matrix.identity(f, m * n)
-        self.algebra = a
         self.module = p
         self.dim = n * m * n
         outer_left = [kron(a.left_mult_basis(i), eye_pa) for i in range(n)]
         outer_right = [kron(eye_pa, a.right_mult_basis(i)) for i in range(n)]
         self.bimodule = Bimodule(a, self.dim, outer_left, outer_right,
                                  name=f"{a.name}⊗{p.name}⊗{a.name}", derived_from=())
-        self.mid_left = [kron(eye_a, kron(p.left[i], eye_a)) for i in range(n)]
-        self.mid_right = [kron(eye_a, kron(p.right[i], eye_a)) for i in range(n)]
+        self._eye_a = Matrix.identity(f, n)
+        self._middle = {}
+
+    def middle(self, side: str, i: int) -> Matrix:
+        """The middle action x⊗q⊗y ↦ x⊗(e_i q)⊗y (side "left") or x⊗(q e_i)⊗y
+        (side "right"), built when first read and kept."""
+        if (side, i) not in self._middle:
+            act = getattr(self.module, side)[i]
+            self._middle[side, i] = kron(self._eye_a, kron(act, self._eye_a))
+        return self._middle[side, i]
 
 
 def condition_indices(*modules):

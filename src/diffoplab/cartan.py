@@ -17,7 +17,7 @@ from itertools import product
 
 from .algebra import FiniteAlgebra
 from .bimodule import Bimodule
-from .derivations import derivations
+from .derivations import derivations, is_derivation
 from .diffops import dv_first_order, lunts_filtration
 from .homspace import left_dual, right_dual
 from .linalg import Matrix, kron
@@ -84,8 +84,7 @@ class CartanPair:
 def build_cartan_pair(algebra: FiniteAlgebra, q: Bimodule, d_matrix: Matrix,
                       side: str = "right") -> CartanPair:
     """Check d is a Q-valued derivation, then assemble the pair."""
-    der = derivations(algebra, q)
-    if not der.contains(d_matrix):
+    if not is_derivation(algebra, q, d_matrix):
         raise ValueError("the supplied map is not a derivation into Q")
     pair = CartanPair(algebra, q, d_matrix, side)
     if not pair.relations_hold():

@@ -283,9 +283,9 @@ def _spread(ext: SuperExterior, degree: int, n: int):
             for ev, _ in ext.monomials(degree)]
 
 
-def ce_forms(algebra: FiniteAlgebra, degree: int,
-             der: DerivationSpace = None) -> FormSpace:
-    """The alternating center-multilinear forms of one degree.
+def ce_forms(algebra: FiniteAlgebra, degree: int) -> FormSpace:
+    """The alternating center-multilinear forms of one degree, on the
+    derivations of A into its regular module.
 
     An alternating form is fixed by its values on increasing tuples, so the
     system is solved in one unknown per (increasing tuple, value coordinate)
@@ -301,8 +301,7 @@ def ce_forms(algebra: FiniteAlgebra, degree: int,
     """
     if not 0 <= degree <= DEGREE_CAP:
         raise DegreeCapError(f"degree {degree} outside 0..{DEGREE_CAP}")
-    if der is None:
-        der = derivations(algebra, regular_bimodule(algebra))
+    der = derivations(algebra, regular_bimodule(algebra))
     n = algebra.dim
     d = der.dim
     f = algebra.field
@@ -410,14 +409,13 @@ def form_bimodule(algebra: FiniteAlgebra, der: DerivationSpace, degree: int,
 class CochainComplex:
     """O^0 → O^1 → … with restricted coboundaries; d∘d = 0 exactly."""
 
-    def __init__(self, algebra: FiniteAlgebra, cap: int = DEGREE_CAP,
-                 der: DerivationSpace = None):
+    def __init__(self, algebra: FiniteAlgebra, cap: int = DEGREE_CAP):
         if not 0 <= cap <= DEGREE_CAP:
             raise DegreeCapError(f"degree {cap} outside 0..{DEGREE_CAP}")
         self.algebra = algebra
-        self.der = der if der is not None else derivations(algebra, regular_bimodule(algebra))
+        self.der = derivations(algebra, regular_bimodule(algebra))
         self.cap = cap
-        self.forms = [ce_forms(algebra, k, self.der) for k in range(cap + 1)]
+        self.forms = [ce_forms(algebra, k) for k in range(cap + 1)]
         # δ on increasing tuples, between the forms' increasing-tuple kernels,
         # whose bases are those of the forms; restrict_operator raises if d
         # leaves the subcomplex
@@ -465,9 +463,9 @@ class MinimalCalculus:
     is only built when first read.
     """
 
-    def __init__(self, algebra: FiniteAlgebra, der: DerivationSpace = None):
+    def __init__(self, algebra: FiniteAlgebra):
         self.algebra = algebra
-        self.der = der if der is not None else derivations(algebra, regular_bimodule(algebra))
+        self.der = derivations(algebra, regular_bimodule(algebra))
         f = algebra.field
         n = algebra.dim
         d = self.der.dim
@@ -530,15 +528,13 @@ def duality_round_trip(hom: HomSpace, hom_space: Subspace, d0: Matrix,
     return injective and image == der.space
 
 
-def ce_duality_check(algebra: FiniteAlgebra, minimal: MinimalCalculus = None) -> DualityReport:
+def ce_duality_check(algebra: FiniteAlgebra) -> DualityReport:
     """Derivations ≅ bimodule maps O^1 → A via u ↦ (da ↦ u(a))."""
-    if minimal is None:
-        minimal = MinimalCalculus(algebra)
-    der = minimal.der
+    minimal = MinimalCalculus(algebra)
     # Hom_{A-A}(O^1, A): maps that commute with both actions
     hom = HomSpace(minimal.one_forms_bimodule(), regular_bimodule(algebra))
     hom_space = hom.common_kernel("delta", "bar_delta")
     # columns of d0: the coordinates of d(e_i) in the O^1 basis; the d e_i
     # generate O^1, so φ_u with φ_u(d e_i) = u(e_i) is unique if it exists
-    round_trip = duality_round_trip(hom, hom_space, minimal.d0_matrix(), der)
-    return DualityReport(der.dim, hom_space.dim, round_trip)
+    round_trip = duality_round_trip(hom, hom_space, minimal.d0_matrix(), minimal.der)
+    return DualityReport(minimal.der.dim, hom_space.dim, round_trip)

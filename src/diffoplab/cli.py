@@ -16,7 +16,7 @@ from . import __version__
 from .algebra import AlgebraError, FiniteAlgebra, catalog, catalog_names
 from .bimodule import Bimodule, ModuleError, free_module, regular_bimodule
 from .cartan import build_cartan_pair, cartan_vs_definitions, two_sided_hats_are_first_order
-from .cecalc import DEGREE_CAP, CochainComplex, MinimalCalculus, ce_duality_check
+from .cecalc import DEGREE_CAP, CochainComplex, ce_duality_check
 from .derivations import derivations
 from .diffops import (
     OrderCapError,
@@ -221,7 +221,7 @@ def cmd_ce(args):
     a = load_algebra(args.algebra, args.field)
     cx = CochainComplex(a, cap=checked_degree(args.max_degree, DEGREE_CAP))
     ok = cx.d_squared_is_zero()
-    duality = ce_duality_check(a, MinimalCalculus(a, cx.der))
+    duality = ce_duality_check(a)
     lines = [f"center-multilinear complex over {a.name}: "
              f"dims {[fs.dim for fs in cx.forms]}",
              f"d∘d = 0: {ok}",
@@ -311,7 +311,7 @@ def cmd_compare_defs(args):
     p = pick_module(a, args.module)
     q = pick_module(a, args.target)
     rep = compare_definitions(p, q, args.order)
-    d = rep.to_dict(rep.hom)
+    d = rep.to_dict()
     lines = [f"definitions at order {args.order} on {p.name} -> {q.name}:"]
     for name, dim in sorted(d["dims"].items()):
         lines.append(f"  {name}: dim {dim}")

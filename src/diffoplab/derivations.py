@@ -5,7 +5,8 @@ the graded variant inserts (−1)^{[a][u]} before a·u(b).  Maps are matrices
 of shape (dim Q) × (dim A), flattened row-major for subspace work.  The
 rule is imposed with a generator of A as the first factor, plus u(1) = 0,
 where the target follows its laws, and on every pair of basis elements
-otherwise (``_leibniz_rows``).
+otherwise (``_leibniz_rows``).  ``derivations`` solves it once per target and
+grading, kept on the target; ``is_derivation`` applies the rows to one map.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ class DerivationSpace:
         return self.space.coords_of(m.flatten())
 
 
-def _leibniz_rows(algebra, target, sign_of_pair, gens):
+def _leibniz_rows(algebra, target, parity=0):
     """Constraint blocks U·(e_g e_j) − R_Q(e_j)(U e_g) − s(g)·L_Q(e_g)(U e_j) = 0
-    for each g in ``gens`` and every basis index j, and U(1) = 0 unless
-    ``gens`` is every index.
+    for each g in ``condition_indices`` for Hom_K(A, Q) and every basis index
+    j, with s(g) = −1 where g and ``parity`` are odd and 1 otherwise, and
+    U(1) = 0 unless those g are every index.
 
     Where the target follows its laws, the x with U(xy) = U(x)y + s(x)·x·U(y)
     for every y form a subalgebra (the signs multiply in the graded case),
@@ -68,12 +70,13 @@ def _leibniz_rows(algebra, target, sign_of_pair, gens):
     """
     n = algebra.dim
     mq = target.dim
+    gens = condition_indices(regular_bimodule(algebra), target)
     right = [m.row_entries() for m in target.right]
     left = [m.row_entries() for m in target.left]
     rows = []
     for i, j in product(gens, range(n)):
         mcol = [(m, x) for m, x in enumerate(algebra.sc[i][j]) if x]
-        sgn = sign_of_pair(i)
+        sgn = -1 if parity and algebra.parity[i] else 1
         rq, lq = right[j], left[i]
         for r in range(mq):
             row = {r * n + m: x for m, x in mcol}
@@ -88,31 +91,36 @@ def _leibniz_rows(algebra, target, sign_of_pair, gens):
     return Matrix.from_entries(algebra.field, rows, mq * n)
 
 
-def derivations(algebra: FiniteAlgebra, target: Bimodule,
-                graded: bool = False) -> DerivationSpace:
-    """Solve the Leibniz system, as maps A → Q on the basis indices of
-    ``condition_indices`` for Hom_K(A, Q): the generators of A where the
-    target follows its laws with a right action, every index otherwise."""
+def is_derivation(algebra: FiniteAlgebra, target: Bimodule, m: Matrix) -> bool:
+    """Whether the (dim Q)×(dim A) matrix m is a Q-valued derivation, read
+    off the Leibniz rows applied to it: no system is solved."""
     if target.algebra is not algebra:
         raise AlgebraError("target module is over a different algebra")
-    if graded:
+    return ((m.rows, m.cols) == (target.dim, algebra.dim)
+            and not any(_leibniz_rows(algebra, target).apply(m.flatten())))
+
+
+def derivations(algebra: FiniteAlgebra, target: Bimodule,
+                graded: bool = False) -> DerivationSpace:
+    """The solutions of the Leibniz system, as maps A → Q, solved once per
+    target and grading and kept on the target."""
+    if target.algebra is not algebra:
+        raise AlgebraError("target module is over a different algebra")
+    if graded in target.derivation_spaces:
+        return target.derivation_spaces[graded]
+    if not graded:
+        space = kernel(_leibniz_rows(algebra, target))
+    else:
         if not algebra.graded or target.parity is None:
             raise AlgebraError("graded derivations need a graded algebra and module")
         if algebra.field.char == 2:
             raise AlgebraError("graded operations refuse characteristic 2")
-    gens = condition_indices(regular_bimodule(algebra), target)
-    if not graded:
-        system = _leibniz_rows(algebra, target, lambda i: 1, gens)
-        return DerivationSpace(algebra, target, kernel(system), False)
-    pa = algebra.parity
-    flat = flat_parities(target.parity, pa)
-    spaces = []
-    for par in (0, 1):
-        sign = lambda i, par=par: -1 if (pa[i] and par) else 1
-        system = _leibniz_rows(algebra, target, sign, gens)
-        spaces.append(kernel_on(system, [j for j, p in enumerate(flat) if p == par]))
-    total = spaces[0].sum(spaces[1])
-    return DerivationSpace(algebra, target, total, True)
+        flat = flat_parities(target.parity, algebra.parity)
+        even, odd = (kernel_on(_leibniz_rows(algebra, target, par),
+                               [j for j, p in enumerate(flat) if p == par]) for par in (0, 1))
+        space = even.sum(odd)
+    target.derivation_spaces[graded] = DerivationSpace(algebra, target, space, graded)
+    return target.derivation_spaces[graded]
 
 
 def lie_bracket(u: Matrix, v: Matrix) -> Matrix:
@@ -164,8 +172,7 @@ def first_order_decomposition(algebra: FiniteAlgebra, target: Bimodule,
     vecs = [_zero_order(target, target.basis_vector(qi), side).flatten()
             for qi in range(target.dim)]
     zero_part = Subspace.from_spanning(algebra.field, target.dim * algebra.dim, vecs)
-    der = derivations(algebra, target, graded)
-    return FirstOrderSplit(zero_part, der.space, diff1)
+    return FirstOrderSplit(zero_part, derivations(algebra, target, graded).space, diff1)
 
 
 def split_operator(algebra: FiniteAlgebra, target: Bimodule, delta: Matrix,

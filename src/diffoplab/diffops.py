@@ -283,13 +283,8 @@ def two_sided_filtration(p: Bimodule, q: Bimodule, r: int) -> Filtration:
     _check_order(r)
     hom = HomSpace.between(p, q)
     zero = Subspace.zero(hom.algebra.field, hom.dim)
-    return _two_sided(hom, r, _step(hom, "left", zero, presented=False),
-                      _step(hom, "right", zero, presented=False))
-
-
-def _two_sided(hom: HomSpace, r: int, left_zero: Subspace,
-               right_zero: Subspace) -> Filtration:
-    """The two-sided filtration on the span of the order-0 Lunts terms."""
+    left_zero = _step(hom, "left", zero, presented=False)
+    right_zero = _step(hom, "right", zero, presented=False)
     ts = left_zero.sum(right_zero)
     # the set-theoretic "either left or right" base is the plain union; when
     # neither side contains the other, the union is not a subspace and the
@@ -308,12 +303,10 @@ def _two_sided(hom: HomSpace, r: int, left_zero: Subspace,
     return out
 
 
-def composition_order_check(p: Bimodule, d1: LinMap, n: int, d2: LinMap, m: int,
-                            filtration: Filtration = None) -> bool:
+def composition_order_check(p: Bimodule, d1: LinMap, n: int, d2: LinMap, m: int) -> bool:
     """Δ1 ∈ I_n and Δ2 ∈ I_m (left, regular) imply Δ1∘Δ2 ∈ I_{n+m}."""
     _check_order(n + m)
-    if filtration is None or len(filtration) <= n + m:
-        filtration = lunts_filtration(p, p, n + m, "left")
+    filtration = lunts_filtration(p, p, n + m, "left")
     if not filtration.contains(d1, n):
         raise ValueError("first operator is not in the stated filtration term")
     if not filtration.contains(d2, m):
@@ -353,7 +346,8 @@ def _difference_witness(x: Subspace, y: Subspace):
 
 
 class ComparisonReport:
-    def __init__(self, order, definitions, relations, witnesses, naive_grothendieck):
+    def __init__(self, hom, order, definitions, relations, witnesses, naive_grothendieck):
+        self.hom = hom                      # the HomSpace the definitions live in
         self.order = order
         self.definitions = definitions      # name -> DiffSpace/Subspace dims
         self.relations = relations          # (name1, name2) -> relation
@@ -363,20 +357,19 @@ class ComparisonReport:
     def all_equal(self) -> bool:
         return all(rel == "equal" for rel in self.relations.values())
 
-    def to_dict(self, hom: HomSpace = None):
-        fmt = None
-        if hom is not None:
-            f = hom.algebra.field
-            mp = hom.source.dim
+    def to_dict(self):
+        hom = self.hom
+        f = hom.algebra.field
+        mp = hom.source.dim
 
-            def fmt(flat):
-                return [[f.fmt(x) for x in flat[r * mp:(r + 1) * mp]]
-                        for r in range(hom.target.dim)]
-        out = {
+        def fmt(flat):
+            return [[f.fmt(x) for x in flat[r * mp:(r + 1) * mp]]
+                    for r in range(hom.target.dim)]
+        return {
             "order": self.order,
-            "algebra": hom.algebra.name if hom is not None else None,
-            "source": hom.source.name if hom is not None else None,
-            "target": hom.target.name if hom is not None else None,
+            "algebra": hom.algebra.name,
+            "source": hom.source.name,
+            "target": hom.target.name,
             "dims": {k: v.dim for k, v in self.definitions.items()},
             "naive_grothendieck": self.naive_grothendieck,
             "relations": [
@@ -384,12 +377,10 @@ class ComparisonReport:
                 for pair, rel in sorted(self.relations.items())
             ],
             "witnesses": [
-                {"pair": list(pair),
-                 "vector": fmt(w) if fmt else [str(x) for x in w]}
+                {"pair": list(pair), "vector": fmt(w)}
                 for pair, w in sorted(self.witnesses.items()) if w is not None
             ],
         }
-        return out
 
 
 def compare_definitions(p: Bimodule, q: Bimodule, k: int) -> ComparisonReport:
@@ -407,12 +398,9 @@ def compare_definitions(p: Bimodule, q: Bimodule, k: int) -> ComparisonReport:
         spaces["graded"] = graded_diff(p, q, k).space
     if k == 1:
         spaces["dv_first_order"] = dv_first_order(p, q).space
-    left = lunts_filtration(p, q, k, "left")
-    right = lunts_filtration(p, q, k, "right")
-    spaces["lunts_left"] = left[k]
-    spaces["lunts_right"] = right[k]
-    # the two-sided base is the span of the order-0 terms just computed
-    spaces["two_sided"] = _two_sided(hom, k, left[0], right[0])[k]
+    spaces["lunts_left"] = lunts_filtration(p, q, k, "left")[k]
+    spaces["lunts_right"] = lunts_filtration(p, q, k, "right")[k]
+    spaces["two_sided"] = two_sided_filtration(p, q, k)[k]
     names = sorted(spaces)
     relations = {}
     witnesses = {}
@@ -424,7 +412,5 @@ def compare_definitions(p: Bimodule, q: Bimodule, k: int) -> ComparisonReport:
                 witnesses[(x, y)] = _difference_witness(spaces[x], spaces[y])
             if rel in ("subset", "incomparable"):
                 witnesses[(y, x)] = _difference_witness(spaces[y], spaces[x])
-    report = ComparisonReport(k, spaces, relations, witnesses,
-                              naive_grothendieck=not a.is_commutative())
-    report.hom = hom
-    return report
+    return ComparisonReport(hom, k, spaces, relations, witnesses,
+                            naive_grothendieck=not a.is_commutative())

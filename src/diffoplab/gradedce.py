@@ -25,7 +25,7 @@ from .cecalc import (
     form_scalings,
     linearity_rows,
 )
-from .derivations import DerivationSpace, derivations
+from .derivations import derivations
 from .linalg import Matrix, Subspace, kernel_on, restrict_operator
 
 GRADED_DEGREE_CAP = 2
@@ -34,8 +34,7 @@ GRADED_DEGREE_CAP = 2
 class GradedCochainComplex:
     """A → C^1 → C^2 → … restricted to the algebra-linear subcomplex."""
 
-    def __init__(self, algebra: FiniteAlgebra, cap: int = GRADED_DEGREE_CAP,
-                 der: DerivationSpace = None):
+    def __init__(self, algebra: FiniteAlgebra, cap: int = GRADED_DEGREE_CAP):
         if not algebra.graded:
             raise AlgebraError("graded complex needs a graded algebra")
         if algebra.field.char == 2:
@@ -44,8 +43,7 @@ class GradedCochainComplex:
             raise DegreeCapError(f"degree {cap} outside 0..{GRADED_DEGREE_CAP}")
         self.algebra = algebra
         self.cap = cap
-        self.der = der if der is not None else derivations(
-            algebra, regular_bimodule(algebra), graded=True)
+        self.der = derivations(algebra, regular_bimodule(algebra), graded=True)
         self.ext = SuperExterior(self.der.basis_parities())
         self.maps = self.der.basis_maps()
         # per generator a of A, its left multiplication and the derivation

@@ -157,8 +157,8 @@ def two_sided_jet(algebra: FiniteAlgebra, p: Bimodule) -> JetModule:
     f = algebra.field
     sw = SandwichModule(algebra, p)
     gens = condition_indices(p, sw.bimodule)
-    deltas = [sw.bimodule.left[i] - sw.mid_left[i] for i in gens]
-    bar_deltas = [sw.bimodule.right[i] - sw.mid_right[i] for i in gens]
+    deltas = [sw.bimodule.left[i] - sw.middle("left", i) for i in gens]
+    bar_deltas = [sw.bimodule.right[i] - sw.middle("right", i) for i in gens]
     units = _unit_tensors(algebra, p, sandwich=True)
     seeds = []
     for vec in units:

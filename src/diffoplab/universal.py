@@ -77,26 +77,17 @@ class UniversalCalculus:
         eye = Matrix.identity(f, n)
         self.amb_left = [kron(algebra.left_mult_basis(i), eye) for i in range(n)]
         self.amb_right = [kron(eye, algebra.right_mult_basis(i)) for i in range(n)]
-        gens = [self.exact_form_ambient(algebra.basis_vector(i)) for i in range(n)]
+        gens = [exact_form_ambient(algebra, algebra.basis_vector(i)) for i in range(n)]
         self.omega1 = closure(f, n * n, gens, self.amb_left + self.amb_right)
         self.left1 = [restrict_operator(m, self.omega1) for m in self.amb_left]
         self.right1 = [restrict_operator(m, self.omega1) for m in self.amb_right]
         d0_cols = [self.omega1.coords_of(g) for g in gens]
         self.d0 = Matrix(f, d0_cols, self.omega1.dim).transpose()
+        self._omega1_module = None
         if cap >= 2:
             self._build_degree2()
 
     # -- degree 1 ---------------------------------------------------------------
-
-    def exact_form_ambient(self, a_coords):
-        """1⊗a − a⊗1 as a flat A⊗A vector."""
-        f = self.algebra.field
-        n = self.algebra.dim
-        out = [f.zero()] * (n * n)
-        for (j, c), (i, u) in product(_pairs(a_coords), _pairs(self.algebra.unit)):
-            out[i * n + j] = f.add(out[i * n + j], f.mul(u, c))
-            out[j * n + i] = f.sub(out[j * n + i], f.mul(u, c))
-        return out
 
     def multiplication_matrix(self) -> Matrix:
         """m: A⊗A → A, e_i⊗e_j ↦ e_i e_j."""
@@ -108,16 +99,21 @@ class UniversalCalculus:
         return self.omega1 == kernel(self.multiplication_matrix())
 
     def omega1_bimodule(self) -> Bimodule:
-        return Bimodule(self.algebra, self.omega1.dim, self.left1, self.right1,
-                        name=f"Omega1({self.algebra.name})", derived_from=())
+        """Ω¹ as a bimodule in its own coordinates: one module per calculus,
+        built on the first call and kept."""
+        if self._omega1_module is None:
+            self._omega1_module = Bimodule(self.algebra, self.omega1.dim, self.left1,
+                                           self.right1, name=f"Omega1({self.algebra.name})",
+                                           derived_from=())
+        return self._omega1_module
 
     def leibniz_holds(self) -> bool:
         """d(ab) = da·b + a·db on all basis pairs, in ambient coordinates."""
         n = self.algebra.dim
         for i, j in product(range(n), repeat=2):
-            dab = self.exact_form_ambient(self.algebra.sc[i][j])
-            da = self.exact_form_ambient(self.algebra.basis_vector(i))
-            db = self.exact_form_ambient(self.algebra.basis_vector(j))
+            dab = exact_form_ambient(self.algebra, self.algebra.sc[i][j])
+            da = exact_form_ambient(self.algebra, self.algebra.basis_vector(i))
+            db = exact_form_ambient(self.algebra, self.algebra.basis_vector(j))
             rhs_da_b = self.amb_right[j].apply(da)
             rhs_a_db = self.amb_left[i].apply(db)
             f = self.algebra.field
@@ -249,7 +245,7 @@ class UniversalCalculus:
             left = Matrix.combination(self.amb_left, z)
             right = Matrix.combination(self.amb_right, z)
             for zp in center.basis:
-                da = self.exact_form_ambient(list(zp))
+                da = exact_form_ambient(alg, list(zp))
                 diff = [f.sub(x, y) for x, y in
                         zip(left.apply(da), right.apply(da))]
                 if any(x != 0 for x in diff):
@@ -274,6 +270,17 @@ class UniversalCalculus:
         return Calculus(self.algebra, dims, d_mats, mul)
 
 
+def exact_form_ambient(algebra: FiniteAlgebra, a_coords):
+    """da = 1⊗a − a⊗1 as a flat A⊗A vector."""
+    f = algebra.field
+    n = algebra.dim
+    out = [f.zero()] * (n * n)
+    for (j, c), (i, u) in product(_pairs(a_coords), _pairs(algebra.unit)):
+        out[i * n + j] = f.add(out[i * n + j], f.mul(u, c))
+        out[j * n + i] = f.sub(out[j * n + i], f.mul(u, c))
+    return out
+
+
 def formatted_witness(field, witness):
     """A central commutation witness with each coordinate formatted, or None."""
     if witness is None:
@@ -281,25 +288,17 @@ def formatted_witness(field, witness):
     return {key: [field.fmt(x) for x in vec] for key, vec in witness.items()}
 
 
-def bimodule_hom_space(uc: UniversalCalculus, target: Bimodule) -> Subspace:
-    """Hom_{A-A}(Ω¹, target) in flat (dim target)×(dim Ω¹) coordinates."""
-    hom = HomSpace(uc.omega1_bimodule(), target)
-    return hom.common_kernel("delta", "bar_delta")
-
-
 def universal_factorize(uc: UniversalCalculus, target: Bimodule,
-                        derivation: Matrix,
-                        hom_space: Subspace = None) -> Factorization:
+                        derivation: Matrix) -> Factorization:
     """Factor a target-valued derivation through d as a bimodule map on Ω¹.
 
-    Solves f(d a) = Δ(a) inside Hom_{A-A}(Ω¹, target); the system must be
+    Solves f(d a) = Δ(a) inside Hom_{A-A}(Ω¹, target), which is solved once
+    per calculus and target (``HomSpace.between``); the system must be
     consistent (universality) with a unique solution (Ω¹ is generated by
-    the exact forms).  Pass a precomputed ``hom_space`` when factoring many
-    derivations into one target.
+    the exact forms).
     """
-    if hom_space is None:
-        hom_space = bimodule_hom_space(uc, target)
-    return factor_through(hom_space, uc.d0, derivation)
+    hom = HomSpace.between(uc.omega1_bimodule(), target)
+    return factor_through(hom.common_kernel("delta", "bar_delta"), uc.d0, derivation)
 
 
 class ExtensionResult:

@@ -694,8 +694,8 @@ def all_pairs_two_sided_jet_relations(algebra, p):
         for x, y in product(range(n), repeat=2):
             vec[(x * m + l) * n + y] = f.mul(algebra.unit[x], algebra.unit[y])
         units.append(vec)
-    seeds = [(sw.bimodule.right[c] - sw.mid_right[c]).apply(
-                 (sw.bimodule.left[b] - sw.mid_left[b]).apply(vec))
+    seeds = [(sw.bimodule.right[c] - sw.middle("right", c)).apply(
+                 (sw.bimodule.left[b] - sw.middle("left", b)).apply(vec))
              for vec in units for b, c in product(range(n), repeat=2)]
     return closure(f, sw.dim, seeds, sw.bimodule.left + sw.bimodule.right)
 

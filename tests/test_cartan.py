@@ -136,6 +136,22 @@ def test_relations_hold_rejects_a_perturbed_derivation(spec, side):
     assert not CartanPair(a, q, uc.d0 + e00(a.field, q.dim, a.dim), side).relations_hold()
 
 
+@pytest.mark.parametrize("spec", ["matrix:2", "trunc_poly:3"])
+def test_build_cartan_pair_checks_d_without_a_solve(spec, monkeypatch):
+    import diffoplab.derivations as derivations_module
+
+    solved = []
+    kernel = derivations_module.kernel
+    monkeypatch.setattr(derivations_module, "kernel", lambda m: solved.append(m) or kernel(m))
+    a = catalog(spec)
+    uc = UniversalCalculus(a, cap=1)
+    q = uc.omega1_bimodule()
+    build_cartan_pair(a, q, uc.d0)
+    with pytest.raises(ValueError):
+        build_cartan_pair(a, q, uc.d0 + e00(a.field, q.dim, a.dim))
+    assert solved == []
+
+
 def calculus_of(spec, field_name):
     """(algebra, Q, d) for the universal one-forms of a catalog algebra, or for
     the minimal (center-multilinear) one-forms when the spec starts with ``minimal/``."""

@@ -45,7 +45,7 @@ def test_compare_definitions_includes_graded_on_grassmann():
     # ungraded iterated condition carves out something smaller
     assert dims["graded"] == 4
     assert dims["grothendieck"] < 4
-    d = rep.to_dict(rep.hom)
+    d = rep.to_dict()
     assert d["algebra"] == "grassmann:1"
 
 

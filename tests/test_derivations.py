@@ -4,12 +4,13 @@ from itertools import product
 import pytest
 
 from diffoplab.algebra import AlgebraError, catalog, grassmann, matrix_algebra, trunc_poly
-from diffoplab.bimodule import regular_bimodule
+from diffoplab.bimodule import free_module, regular_bimodule
 from diffoplab.derivations import (
     DerivationSpace,
     derivations,
     first_order_decomposition,
     inner_derivation,
+    is_derivation,
     lie_bracket,
     split_operator,
     super_bracket,
@@ -196,3 +197,32 @@ def test_basis_maps_are_built_once():
         maps = d.basis_maps()
         assert type(maps) is tuple and d.basis_maps() is maps
         assert list(maps) == d.space.basis_maps(a.dim, a.dim)
+
+
+def test_derivations_are_solved_once_per_target_and_grading():
+    g = grassmann(2)
+    reg = regular_bimodule(g)
+    plain, graded = derivations(g, reg), derivations(g, reg, graded=True)
+    assert derivations(g, reg) is plain and derivations(g, reg, graded=True) is graded
+    # the graded and the ungraded spaces are kept apart: here they differ
+    assert (plain.graded, graded.graded, plain.dim, graded.dim) == (False, True, 6, 8)
+    assert reg.derivation_spaces == {False: plain, True: graded}
+    assert derivations(g, free_module(g, 1)) is not plain
+    # a refused solve keeps nothing and is refused again
+    a = trunc_poly(3)
+    for _ in range(2):
+        with pytest.raises(AlgebraError):
+            derivations(a, regular_bimodule(a), graded=True)
+    assert regular_bimodule(a).derivation_spaces == {}
+
+
+@pytest.mark.parametrize("spec", ["trunc_poly:3", "matrix:2", "quaternion", "square_zero:2"])
+def test_is_derivation_is_membership_in_the_solved_space(spec):
+    a = catalog(spec)
+    for q in (regular_bimodule(a), free_module(a, 2)):
+        der = derivations(a, q)
+        e00 = Matrix.from_entries(a.field, [[(0, 1)]] + [[]] * (q.dim - 1), a.dim)
+        candidates = list(der.basis_maps()) + [u + e00 for u in der.basis_maps()] + [e00]
+        for m in candidates:
+            assert is_derivation(a, q, m) == der.contains(m)
+        assert not is_derivation(a, q, Matrix.zeros(a.field, q.dim, a.dim + 1))

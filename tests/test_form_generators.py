@@ -66,7 +66,7 @@ def test_ce_forms_from_generators_are_the_all_basis_forms(spec, field):
     a = algebra_of(spec, field)
     der = derivations(a, regular_bimodule(a))
     for k in (1, 2, 3):
-        assert ce_forms(a, k, der).normal == all_basis_ce_forms(a, der, k)
+        assert ce_forms(a, k).normal == all_basis_ce_forms(a, der, k)
 
 
 @FIELDS

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from diffoplab.algebra import AlgebraError, catalog, grassmann, trunc_poly
-from diffoplab.bimodule import free_module, regular_bimodule
+from diffoplab.bimodule import Bimodule, free_module, regular_bimodule
 from diffoplab.cecalc import MinimalCalculus
 from diffoplab.fields import Field, QQ
 from diffoplab.homspace import HomSpace, LinMap, left_dual, right_dual
@@ -369,7 +369,8 @@ def test_cached_preimage_is_the_linalg_preimage(spec, kinds, field):
 
 def test_fresh_modules_get_their_own_hom_space():
     a = catalog("trunc_poly:3")
-    first, second = regular_bimodule(a), regular_bimodule(a)
+    first = regular_bimodule(a)
+    second = Bimodule.from_json_dict(first.to_json_dict(), a)
     h = HomSpace.between(first, first)
     assert HomSpace.between(first, first) is h
     assert HomSpace.between(second, second) is not h

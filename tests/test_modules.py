@@ -72,6 +72,38 @@ def test_sandwich_module_dims():
     sw = SandwichModule(m2, regular_bimodule(m2))
     assert sw.dim == 64
     assert sw.bimodule.validate().ok
+    assert sw.middle("left", 1) is sw.middle("left", 1) is not sw.middle("right", 1)
+
+
+def test_two_sided_jet_builds_the_generators_middle_actions_only(monkeypatch):
+    import diffoplab.bimodule as bimodule
+    from diffoplab.jets import two_sided_jet
+
+    calls = []
+    kron = bimodule.kron
+    monkeypatch.setattr(bimodule, "kron", lambda x, y: calls.append(1) or kron(x, y))
+    a = catalog("quaternion")
+    two_sided_jet(a, regular_bimodule(a))
+    # one kron per outer action of the four basis elements on each side, and
+    # two per middle action of the generators i and j on each side
+    assert len(calls) == 2 * 4 + 2 * 2 * 2
+
+
+def test_regular_bimodule_is_kept_on_its_algebra():
+    a = catalog("matrix:2")
+    reg = regular_bimodule(a)
+    assert regular_bimodule(a) is reg
+    assert regular_bimodule(catalog("matrix:2")) is not reg
+
+
+def test_free_module_of_rank_one_leaves_the_regular_module_its_name():
+    a = trunc_poly(3)
+    reg = regular_bimodule(a)
+    free = free_module(a, 1)
+    assert free is not reg
+    assert (free.name, reg.name) == ("trunc_poly:3^1", "trunc_poly:3[reg]")
+    assert (free.left, free.right, free.parity) == (reg.left, reg.right, reg.parity)
+    assert free.follows_generators()
 
 
 def test_right_dual_of_regular_is_regular():

@@ -312,3 +312,28 @@ def test_cli_entry_point_runs_as_module():
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+def test_run_scenarios_solves_each_leibniz_system_and_hom_space_once(monkeypatch):
+    # the regular module and its derivations are kept on each algebra, so each
+    # Leibniz system (algebra, parity) and each Hom space (module pair) is
+    # built once; the Cartan checks apply the rows to d and solve none
+    import diffoplab.derivations as derivations_module
+    import diffoplab.homspace as homspace
+
+    systems, pairs = [], []
+    for name in ("kernel", "kernel_on"):
+        solve = getattr(derivations_module, name)
+        monkeypatch.setattr(derivations_module, name,
+                            lambda *args, solve=solve: systems.append(args) or solve(*args))
+    init = homspace.HomSpace.__init__
+
+    def counting_init(self, source, target):
+        pairs.append((source, target))
+        init(self, source, target)
+
+    monkeypatch.setattr(homspace.HomSpace, "__init__", counting_init)
+    assert run_all()["all_expectations_met"]
+    assert len({(id(p), id(q)) for p, q in pairs}) == len(pairs)
+    # 30 systems and 29 Hom spaces when each builder solved its own
+    assert (len(systems), len(pairs)) == (8, 13)
