@@ -36,36 +36,51 @@ def homogeneous_parity(parities, entries, what: str) -> int:
     return pars.pop() if pars else 0
 
 
-def generator_laws_hold(algebra, gens, left, right, parity, right_law=True) -> bool:
-    """Whether the action matrices ``left`` and ``right`` of a module (one per
-    basis element) carry a condition imposed for the basis elements ``gens``
-    over to all of A.
-
-    That takes L(1) = R(1) = I and, for each g in ``gens`` and every basis
-    element y, L(g·y) = L(g)L(y) and R(g·y) = R(y)R(g) (R(g)R(y) when the
-    second family is a left action, ``right_law`` false): with them the
-    action of every product of generators is the product of theirs, and the
-    generators' products span A.  L(g)R(h) = R(h)L(g) for g, h in ``gens``
-    then makes the two actions commute on all of A.  On a graded module of a
-    graded algebra, L(g) and R(g) must also shift parity by [g].
+def action_law_failures(algebra, left, right, indices, second_kind, parity):
+    """The module laws that the action matrices ``left`` and ``right`` (one
+    per basis element) break, as ``(kind, witness)`` pairs, walked lazily:
+    L(1) = R(1) = I; then, for each i in ``indices`` and every basis element
+    j, L(e_i e_j) = L(e_i)L(e_j), the second action's law R(e_i e_j) =
+    R(e_j)R(e_i) (R(e_i)R(e_j) for a second left one, ``second_kind``
+    "left_bullet") and, for j in ``indices`` too, L(e_i)R(e_j) = R(e_j)L(e_i);
+    then, on a graded module of a graded algebra, that L(e_i) and R(e_i)
+    shift ``parity`` by [e_i] for each i in ``indices``.
     """
     eye = Matrix.identity(algebra.field, left[0].rows)
-    if Matrix.combination(left, algebra.unit) != eye \
-            or Matrix.combination(right, algebra.unit) != eye:
-        return False
-    for g, y in product(gens, range(algebra.dim)):
-        gy = algebra.sc[g][y]
-        second = right[y] @ right[g] if right_law else right[g] @ right[y]
-        if left[g] @ left[y] != Matrix.combination(left, gy) \
-                or second != Matrix.combination(right, gy):
-            return False
-    if any(left[g] @ right[h] != right[h] @ left[g] for g, h in product(gens, repeat=2)):
-        return False
+    if Matrix.combination(left, algebra.unit) != eye:
+        yield "left_unit", None
+    if Matrix.combination(right, algebra.unit) != eye:
+        yield "second_unit", None
+    right_law = second_kind == "right"
+    inside = set(indices)
+    for i, j in product(indices, range(algebra.dim)):
+        ij = algebra.sc[i][j]
+        if left[i] @ left[j] != Matrix.combination(left, ij):
+            yield "left_action_law", {"i": i, "j": j}
+        second = right[j] @ right[i] if right_law else right[i] @ right[j]
+        if second != Matrix.combination(right, ij):
+            yield "right_action_law" if right_law else "bullet_action_law", {"i": i, "j": j}
+        if j in inside and left[i] @ right[j] != right[j] @ left[i]:
+            yield "actions_commute", {"i": i, "j": j}
     if parity is None or algebra.parity is None:
-        return True
-    return all(parity[r] == parity[c] ^ algebra.parity[g]
-               for g in gens for m in (left[g], right[g])
-               for r, pairs in enumerate(m.row_entries()) for c, _ in pairs)
+        return
+    for i, (side, m) in product(indices, (("left", left), ("second", right))):
+        if any(parity[r] != parity[c] ^ algebra.parity[i]
+               for r, pairs in enumerate(m[i].row_entries()) for c, _ in pairs):
+            yield f"{side}_parity", {"i": i}
+
+
+def generator_laws_hold(algebra, gens, left, right, parity, right_law=True) -> bool:
+    """Whether the action matrices ``left`` and ``right`` of a module carry a
+    condition imposed for the basis elements ``gens`` over to all of A: no
+    law of ``action_law_failures`` over ``gens`` fails (the second action a
+    right one unless ``right_law`` is false).  Then the action of every
+    product of generators is the product of theirs, the two actions commute
+    and shift parity as A's products do, and the generators' products span A.
+    """
+    failures = action_law_failures(algebra, left, right, gens,
+                                   "right" if right_law else "left_bullet", parity)
+    return next(failures, None) is None
 
 
 class ValidationReport:
@@ -295,24 +310,22 @@ class FiniteAlgebra:
         return self._generator_indices
 
     def is_commutative(self) -> bool:
-        n = self.dim
-        return all(self.sc[i][j] == self.sc[j][i]
-                   for i in range(n) for j in range(i + 1, n))
+        return self._commutes_with_signs(())
 
     def is_graded_commutative(self) -> bool:
         if not self.graded:
             raise AlgebraError("algebra carries no grading")
-        f = self.field
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                sign = -1 if (self.parity[i] and self.parity[j]) else 1
-                lhs = self.sc[i][j]
-                rhs = self.sc[j][i]
-                for k in range(n):
-                    want = rhs[k] if sign == 1 else f.neg(rhs[k])
-                    if lhs[k] != want:
-                        return False
+        return self._commutes_with_signs({i for i, p in enumerate(self.parity) if p})
+
+    def _commutes_with_signs(self, odd) -> bool:
+        """Whether e_i e_j = (-1)^([i][j]) e_j e_i for every i ≤ j, the indices
+        in ``odd`` being the odd ones; the diagonal holds by itself for an
+        even e_i and is read for an odd one."""
+        sc, neg = self.sc, self.field.neg
+        for i, row in enumerate(sc):
+            for j in range(i if i in odd else i + 1, self.dim):
+                if row[j] != (list(map(neg, sc[j][i])) if i in odd and j in odd else sc[j][i]):
+                    return False
         return True
 
     def opposite(self) -> "FiniteAlgebra":

@@ -9,9 +9,8 @@ A ⊗ P carry two commuting *left* structures instead, which is recorded in
 from __future__ import annotations
 
 import json
-from itertools import product
 
-from .algebra import FiniteAlgebra, ValidationReport, generator_laws_hold
+from .algebra import FiniteAlgebra, ValidationReport, action_law_failures, generator_laws_hold
 from .fields import Field
 from .linalg import Matrix, kron
 
@@ -75,32 +74,16 @@ class Bimodule:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Every module law of ``algebra.action_law_failures`` that fails, over
+        every basis index, and a parity list of the wrong length."""
         rep = ValidationReport()
-        alg = self.algebra
-        n = alg.dim
-        unit_left = self.left_action(alg.unit)
-        if unit_left != Matrix.identity(self.field, self.dim):
-            rep.fail("left_unit", None)
-        unit_right = self.right_action(alg.unit)
-        if unit_right != Matrix.identity(self.field, self.dim):
-            rep.fail("second_unit", None)
-        for i, j in product(range(n), repeat=2):
-            prod_ij = self.left_action(alg.sc[i][j])
-            if self.left[i] @ self.left[j] != prod_ij:
-                rep.fail("left_action_law", {"i": i, "j": j})
-            prod2 = self.right_action(alg.sc[i][j])
-            if self.second_kind == "right":
-                # (p a) b = p (ab)  ⇒  R(e_i) R(e_j) = R(e_j e_i)
-                if self.right[j] @ self.right[i] != prod2:
-                    rep.fail("right_action_law", {"i": i, "j": j})
-            else:
-                if self.right[i] @ self.right[j] != prod2:
-                    rep.fail("bullet_action_law", {"i": i, "j": j})
-            if self.left[i] @ self.right[j] != self.right[j] @ self.left[i]:
-                rep.fail("actions_commute", {"i": i, "j": j})
-        if self.graded:
-            if len(self.parity) != self.dim:
-                rep.fail("parity_length", None)
+        length_ok = not self.graded or len(self.parity) == self.dim
+        for kind, witness in action_law_failures(
+                self.algebra, self.left, self.right, range(self.algebra.dim),
+                self.second_kind, self.parity if length_ok else None):
+            rep.fail(kind, witness)
+        if not length_ok:
+            rep.fail("parity_length", None)
         return rep
 
     def follows_generators(self) -> bool:

@@ -102,6 +102,27 @@ def test_commutativity_flags():
     assert lhs == [QQ.neg(x) for x in rhs]
     with pytest.raises(AlgebraError):
         trunc_poly(2).is_graded_commutative()
+    # x odd in K[x]/(x^3): the grading is consistent and A is commutative, but
+    # x·x = −x·x fails, and only the diagonal shows it
+    spec = trunc_poly(3).to_json_dict()
+    spec["parity"] = [0, 1, 0]
+    odd_x = FiniteAlgebra.from_json_dict(spec)
+    assert odd_x.validate().ok and odd_x.is_commutative()
+    assert not odd_x.is_graded_commutative()
+
+
+@pytest.mark.parametrize("spec", ["trunc_poly:3", "matrix:2", "quaternion", "grassmann:2",
+                                  "grassmann:3", "group_z:3", "trunc_poly:2+grassmann:1"])
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+def test_commutation_flags_are_the_all_pairs_comparison(spec, field):
+    a = catalog(spec, field)
+    pairs = [(i, j) for i in range(a.dim) for j in range(a.dim)]
+    assert a.is_commutative() == all(a.sc[i][j] == a.sc[j][i] for i, j in pairs)
+    if a.graded:
+        def signed(i, j):
+            odd = a.parity[i] and a.parity[j]
+            return [field.neg(x) if odd else x for x in a.sc[j][i]]
+        assert a.is_graded_commutative() == all(a.sc[i][j] == signed(i, j) for i, j in pairs)
 
 
 def test_grassmann_structure():

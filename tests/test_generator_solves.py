@@ -19,10 +19,12 @@ import pytest
 
 import diffoplab.homspace as homspace
 import diffoplab.jets as jets
-from diffoplab.algebra import FiniteAlgebra, catalog, trunc_poly
+from diffoplab.algebra import FiniteAlgebra, catalog, generator_laws_hold, trunc_poly
 from diffoplab.bimodule import (
     Bimodule,
+    SandwichModule,
     condition_indices,
+    direct_sum,
     free_module,
     regular_bimodule,
     tensor_algebra_module,
@@ -31,6 +33,7 @@ from diffoplab.cecalc import MinimalCalculus
 from diffoplab.cli import main
 from diffoplab.derivations import derivations
 from diffoplab.diffops import (
+    compare_definitions,
     dv_first_order,
     grothendieck_diff,
     lunts_filtration,
@@ -38,9 +41,10 @@ from diffoplab.diffops import (
     two_sided_filtration,
 )
 from diffoplab.fields import QQ, Field
-from diffoplab.homspace import HomSpace, LinMap
+from diffoplab.homspace import HomSpace, LinMap, left_dual, right_dual
 from diffoplab.jets import jet_module, jk_is_diffop, two_sided_jet
 from diffoplab.linalg import Subspace, closure, kron_difference, preimage
+from diffoplab.universal import UniversalCalculus
 from oracles import (
     all_basis_action_closure,
     all_basis_action_span,
@@ -572,5 +576,74 @@ def test_a_graded_module_shifting_parity_wrongly_is_not_trusted():
     reg = regular_bimodule(a)
     spec = reg.to_json_dict()
     spec["parity"] = [0, 0, 1, 1]
-    assert not Bimodule.from_json_dict(spec, a).follows_generators()
+    wrong = Bimodule.from_json_dict(spec, a)
+    assert not wrong.follows_generators()
+    # read with these parities, θ1 and θ1θ2 act with the wrong shift on both
+    # sides; θ2 still shifts 1 to θ2 and θ1 to θ1θ2
+    assert wrong.validate().failures == [{"kind": f"{side}_parity", "witness": {"i": i}}
+                                         for i in (1, 3) for side in ("left", "second")]
     assert Bimodule.from_json_dict(reg.to_json_dict(), a).follows_generators()
+
+
+def wrong_parity_module_spec(tmp_path):
+    # the regular module of grassmann:1 with θ read as even: θ then acts
+    # without shifting parity
+    d = regular_bimodule(catalog("grassmann:1")).to_json_dict()
+    d["parity"] = [0, 0]
+    path = tmp_path / "wrong_parity.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+def test_check_module_reports_a_wrong_parity_shift(tmp_path):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["check-module", "grassmann:1", "--module",
+                     str(wrong_parity_module_spec(tmp_path))])
+    assert code == 1
+    assert out.getvalue().splitlines()[1] == (
+        "INVALID: [{'kind': 'left_parity', 'witness': {'i': 1}}, "
+        "{'kind': 'second_parity', 'witness': {'i': 1}}]")
+
+
+@pytest.mark.parametrize("module", list(JSON_MODULES) + ["wrong_parity"])
+def test_a_module_not_trusted_on_generators_fails_validation(tmp_path, module):
+    # the generator laws are the validation laws over fewer indices: a module
+    # failing them must fail validation too
+    modules = {**JSON_MODULES, "wrong_parity": ("grassmann:1", wrong_parity_module_spec)}
+    algebra, write = modules[module]
+    m = Bimodule.load(write(tmp_path), catalog(algebra))
+    assert m.follows_generators() == (module == "mixed")
+    assert m.follows_generators() or not m.validate().ok
+
+
+@pytest.mark.parametrize("spec", ["trunc_poly:3", "matrix:2", "quaternion", "grassmann:2"])
+def test_every_built_in_module_follows_the_module_laws(spec):
+    a = catalog(spec)
+    reg = regular_bimodule(a)
+    free = free_module(a, 2)
+    modules = [reg, free, direct_sum(reg, free), tensor_algebra_module(a, reg),
+               SandwichModule(a, reg).bimodule, right_dual(reg).bimodule,
+               left_dual(reg).bimodule, UniversalCalculus(a).omega1_bimodule()]
+    if not a.graded:
+        modules.append(MinimalCalculus(a).one_forms_bimodule())
+    for m in modules:
+        assert m.validate().ok, m
+        assert generator_laws_hold(a, a.generator_indices(), m.left, m.right, m.parity,
+                                   m.second_kind == "right"), m
+
+
+@FIELDS
+@pytest.mark.parametrize("spec", CHANGED, ids=spec_id)
+def test_a_change_of_basis_keeps_every_dimension_and_relation(spec, field):
+    def invariants(a):
+        reg = regular_bimodule(a)
+        out = [derivations(a, reg).dim]
+        for k in (1, 2):
+            rep = compare_definitions(reg, reg, k).to_dict()
+            out.append((rep["dims"], rep["relations"], rep["naive_grothendieck"]))
+        if a.is_commutative():
+            out.append([jet_module(a, reg, k).dim for k in (0, 1, 2)])
+        return out
+
+    assert invariants(algebra_of(spec, field)) == invariants(catalog(spec[0], field))
