@@ -48,6 +48,8 @@ class Bimodule:
         for m in self.left + self.right:
             if m.rows != dim or m.cols != dim:
                 raise ModuleError("action matrix shape mismatch")
+        if self.graded and len(self.parity) != dim:
+            raise ModuleError(f"parity must be a list of {dim} entries, got {parity!r}")
 
     @property
     def field(self) -> Field:
@@ -75,15 +77,12 @@ class Bimodule:
 
     def validate(self) -> ValidationReport:
         """Every module law of ``algebra.action_law_failures`` that fails, over
-        every basis index, and a parity list of the wrong length."""
+        every basis index."""
         rep = ValidationReport()
-        length_ok = not self.graded or len(self.parity) == self.dim
         for kind, witness in action_law_failures(
                 self.algebra, self.left, self.right, range(self.algebra.dim),
-                self.second_kind, self.parity if length_ok else None):
+                self.second_kind, self.parity):
             rep.fail(kind, witness)
-        if not length_ok:
-            rep.fail("parity_length", None)
         return rep
 
     def follows_generators(self) -> bool:

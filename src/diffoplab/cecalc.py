@@ -2,18 +2,20 @@
 commutative) algebra.
 
 Degree-k forms are center-multilinear alternating maps from k-tuples of
-derivations to the algebra, stored as flat vectors indexed by (basis tuple,
-value coordinate).  They are solved on increasing tuples with one block of
-linearity rows per generator of the center (:meth:`FiniteAlgebra.generators`),
-not per center basis element.  The coboundary is the usual alternating sum
+derivations to the algebra.  They are solved on the normal-form monomials
+of a :class:`SuperExterior` by one solver, :func:`form_kernel`: the
+increasing tuples here, the super-monomials in ``gradedce``, with one block
+of linearity rows per generator (:meth:`FiniteAlgebra.generators`) of the
+center here and of A there.  The coboundary is the usual alternating sum
 
     dφ(u_0..u_k) = Σ (−1)^i u_i(φ(..û_i..)) + Σ (−1)^{i+j} φ([u_i,u_j],..û_i..û_j..)
 
-built by one function, :func:`coboundary`, on the normal-form monomials
-of a :class:`SuperExterior`: the increasing tuples here, the
-super-monomials in ``gradedce``.  Its docstring holds the graded sign
-expansion.  The product is the shuffle wedge.  The minimal calculus is the
-bimodule-and-wedge closure of the exact one-forms.
+built by one function, :func:`coboundary`, on the same monomials; its
+docstring holds the graded sign expansion.  Both complexes are built by
+:func:`form_complex`.  :func:`ce_forms` spreads a form space over all
+(basis tuple, value coordinate) coordinates, where the shuffle wedge is
+taken.  The minimal calculus is the bimodule-and-wedge closure of the exact
+one-forms.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, flat_parities
 from .bimodule import Bimodule, regular_bimodule
 from .derivations import DerivationSpace, derivations, super_bracket
 from .homspace import HomSpace
@@ -31,6 +33,7 @@ from .linalg import (
     closure,
     composition_image,
     kernel,
+    kernel_on,
     kron,
     restrict_operator,
 )
@@ -283,17 +286,48 @@ def _spread(ext: SuperExterior, degree: int, n: int):
             for ev, _ in ext.monomials(degree)]
 
 
+def form_kernel(der: DerivationSpace, ext: SuperExterior, degree: int, scalings) -> Subspace:
+    """The forms of one degree on the normal-form monomials of ``ext``, n
+    value coordinates to a monomial: the kernel of :func:`linearity_rows`,
+    or for graded derivations the sum of one ``kernel_on`` solve of those
+    rows per parity.  Degree 0 is all of A."""
+    algebra = der.algebra
+    f, n = algebra.field, algebra.dim
+    if degree == 0:
+        return Subspace.full(f, n)
+    monomials = ext.monomials(degree)
+    system = Matrix.from_entries(f, linearity_rows(ext, degree, n, scalings), n * len(monomials))
+    if not der.graded:
+        return kernel(system)
+    flat = flat_parities([ext.monomial_parity(mono) for mono in monomials], algebra.parity)
+    even, odd = (kernel_on(system, [j for j, p in enumerate(flat) if p == par]) for par in (0, 1))
+    return even.sum(odd)
+
+
+def form_complex(der: DerivationSpace, scalars, cap: int, top: int):
+    """The construction both form complexes share, on the derivations ``der``
+    of A into its regular module: the exterior on their parities (all even
+    if ``der`` is ungraded), the forms of degrees 0..cap linear under the
+    generators among ``scalars``, the coboundaries δ of degrees below
+    ``top``, and d_k, δ_k restricted between the forms (restrict_operator
+    raises if d leaves them).  Returns (ext, δ, forms, d)."""
+    algebra = der.algebra
+    ext = SuperExterior(der.basis_parities() if der.graded else [0] * der.dim)
+    scalings = form_scalings(der, algebra.generators(scalars))
+    forms = [form_kernel(der, ext, k, scalings) for k in range(cap + 1)]
+    bracket = bracket_table(der, ext.parities)
+    delta = [coboundary(der, ext, bracket, k) for k in range(top)]
+    d = [restrict_operator(delta[k], forms[k], forms[k + 1]) for k in range(cap)]
+    return ext, delta, forms, d
+
+
 def ce_forms(algebra: FiniteAlgebra, degree: int) -> FormSpace:
     """The alternating center-multilinear forms of one degree, on the
     derivations of A into its regular module.
 
-    An alternating form is fixed by its values on increasing tuples, so the
-    system is solved in one unknown per (increasing tuple, value coordinate)
-    under the center-linearity rows of :func:`linearity_rows`, one block per
-    generator of the center, imposed in the first slot only; alternation
-    carries them to every other slot.  Rows
-    whose u_a repeats an argument of R are kept: φ(u_a, u_R) vanishes there,
-    but φ(z·u_a, u_R) need not.  The
+    An alternating form is fixed by its values on increasing tuples, so
+    :func:`form_kernel` solves it in one unknown per (increasing tuple,
+    value coordinate), one block of rows per generator of the center.  The
     kernel is then spread back over all n·d^k tuple coordinates, each
     increasing tuple to its permutations with their signs.  An increasing
     tuple comes first among its permutations, so the spread rows are already
@@ -308,10 +342,8 @@ def ce_forms(algebra: FiniteAlgebra, degree: int) -> FormSpace:
     if degree == 0:
         return FormSpace(algebra, der, 0, Subspace.full(f, n), Subspace.full(f, n))
     ext = SuperExterior([0] * d)
-    scalings = form_scalings(der, algebra.generators(algebra.center().basis))
-    monomials = ext.monomials(degree)
-    ker = kernel(Matrix.from_entries(f, linearity_rows(ext, degree, n, scalings),
-                                     n * len(monomials)))
+    ker = form_kernel(der, ext, degree,
+                      form_scalings(der, algebra.generators(algebra.center().basis)))
     spread = _spread(ext, degree, n)
     rows = [sorted((lo + j % n, x if sign > 0 else f.neg(x))
                    for j, x in pairs for lo, sign in spread[j // n])
@@ -396,10 +428,11 @@ def form_multiplication_ops(algebra: FiniteAlgebra, der: DerivationSpace, degree
     return left, right
 
 
-def form_bimodule(algebra: FiniteAlgebra, der: DerivationSpace, degree: int,
-                  space: Subspace, name: str) -> Bimodule:
-    """A form subspace as a bimodule in its own coordinates."""
-    left, right = form_multiplication_ops(algebra, der, degree)
+def form_bimodule(algebra: FiniteAlgebra, space: Subspace, left, right,
+                  name: str) -> Bimodule:
+    """A form subspace as a bimodule in its own coordinates, under the flat
+    multiplication operators ``left`` and ``right`` of its degree
+    (:func:`form_multiplication_ops`)."""
     return Bimodule(algebra, space.dim,
                     [restrict_operator(m, space) for m in left],
                     [restrict_operator(m, space) for m in right],
@@ -407,7 +440,8 @@ def form_bimodule(algebra: FiniteAlgebra, der: DerivationSpace, degree: int,
 
 
 class CochainComplex:
-    """O^0 → O^1 → … with restricted coboundaries; d∘d = 0 exactly."""
+    """O^0 → O^1 → … with restricted coboundaries; d∘d = 0 exactly.  Its
+    ``forms[k]`` live on increasing tuples (:func:`form_complex`)."""
 
     def __init__(self, algebra: FiniteAlgebra, cap: int = DEGREE_CAP):
         if not 0 <= cap <= DEGREE_CAP:
@@ -415,14 +449,7 @@ class CochainComplex:
         self.algebra = algebra
         self.der = derivations(algebra, regular_bimodule(algebra))
         self.cap = cap
-        self.forms = [ce_forms(algebra, k) for k in range(cap + 1)]
-        # δ on increasing tuples, between the forms' increasing-tuple kernels,
-        # whose bases are those of the forms; restrict_operator raises if d
-        # leaves the subcomplex
-        ext = SuperExterior([0] * self.der.dim)
-        bracket = bracket_table(self.der, ext.parities)
-        self.d = [restrict_operator(coboundary(self.der, ext, bracket, k), self.forms[k].normal,
-                                    self.forms[k + 1].normal) for k in range(cap)]
+        _, _, self.forms, self.d = form_complex(self.der, algebra.center().basis, cap, cap)
         self._d_squared = None
 
     def d_squared_is_zero(self) -> bool:
@@ -469,10 +496,12 @@ class MinimalCalculus:
         f = algebra.field
         n = algebra.dim
         d = self.der.dim
-        left1, right1 = form_multiplication_ops(algebra, self.der, 1)
-        gens = [exact_one_form(algebra, self.der, algebra.basis_vector(i))
-                for i in range(n)]
-        self.one_forms = closure(f, n * d, gens, left1 + right1)
+        # the flat multiplications of degree 1 and the exact one-forms d(e_i),
+        # kept for one_forms_bimodule and d0_matrix
+        self.amb_left, self.amb_right = form_multiplication_ops(algebra, self.der, 1)
+        self.exact = [exact_one_form(algebra, self.der, algebra.basis_vector(i))
+                      for i in range(n)]
+        self.one_forms = closure(f, n * d, self.exact, self.amb_left + self.amb_right)
 
     @cached_property
     def two_forms(self) -> Subspace:
@@ -484,14 +513,12 @@ class MinimalCalculus:
                        left2 + right2)
 
     def one_forms_bimodule(self) -> Bimodule:
-        return form_bimodule(self.algebra, self.der, 1, self.one_forms,
+        return form_bimodule(self.algebra, self.one_forms, self.amb_left, self.amb_right,
                              f"O1({self.algebra.name})")
 
     def d0_matrix(self) -> Matrix:
         """d: A → O^1 in minimal-calculus coordinates."""
-        cols = [self.one_forms.coords_of(
-            exact_one_form(self.algebra, self.der, self.algebra.basis_vector(i)))
-            for i in range(self.algebra.dim)]
+        cols = [self.one_forms.coords_of(g) for g in self.exact]
         return Matrix(self.algebra.field, cols, self.one_forms.dim).transpose()
 
     def d1_matrix(self) -> Matrix:

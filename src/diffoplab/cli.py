@@ -2,7 +2,7 @@
 
 Exit codes: 0 = ran and every expectation was met; 1 = some mathematical
 expectation was violated; 2 = unusable input (bad spec file, unknown name,
-flag misuse).
+flag misuse); 3 = an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .universal import UNIVERSAL_DEGREE_CAP, UniversalCalculus, formatted_witnes
 
 USAGE_ERROR = 2
 EXPECTATION_ERROR = 1
+INTERNAL_ERROR = 3
 
 
 class UsageError(Exception):
@@ -441,6 +442,10 @@ def main(argv=None) -> int:
     except (UsageError, AlgebraError, ModuleError, OrderCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # a crash must not read as exit 1, "the math disagrees"
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -4,29 +4,22 @@ Cochains at degree k are K-linear maps from the graded exterior power of
 the derivation space to the algebra.  Monomial normal form: even-parity
 generators first with strictly increasing indices (they anticommute), then
 odd generators with weakly increasing indices (they commute); mixed swaps
-cost a sign of −1.  A-linearity is imposed in the first slot by one block of
-rows per generator of A among its basis vectors
-(:meth:`FiniteAlgebra.generators`), not per basis vector; an algebra on
-which that reduction fails, a non-associative one, is refused.  The
-coboundary is ``cecalc.coboundary``, the one
-builder that the ungraded complex shares, with the superbracket; its
-docstring holds the normal-form sign expansion.
+cost a sign of −1.  The complex is ``cecalc.form_complex``, the one
+construction the ungraded complex shares, on the graded derivations and the
+basis of A: A-linearity is imposed in the first slot by one block of rows
+per generator of A among its basis vectors
+(:meth:`FiniteAlgebra.generators`); an algebra on which that reduction
+fails, a non-associative one, is refused.  The coboundary is
+``cecalc.coboundary`` with the superbracket; its docstring holds the
+normal-form sign expansion.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, FiniteAlgebra, flat_parities
+from .algebra import AlgebraError, FiniteAlgebra
 from .bimodule import regular_bimodule
-from .cecalc import (
-    DegreeCapError,
-    SuperExterior,
-    bracket_table,
-    coboundary,
-    form_scalings,
-    linearity_rows,
-)
+from .cecalc import DegreeCapError, form_complex
 from .derivations import derivations
-from .linalg import Matrix, Subspace, kernel_on, restrict_operator
 
 GRADED_DEGREE_CAP = 2
 
@@ -44,45 +37,10 @@ class GradedCochainComplex:
         self.algebra = algebra
         self.cap = cap
         self.der = derivations(algebra, regular_bimodule(algebra), graded=True)
-        self.ext = SuperExterior(self.der.basis_parities())
-        self.maps = self.der.basis_maps()
-        # per generator a of A, its left multiplication and the derivation
-        # coordinates of a·u_i, read by the A-linearity rows
-        self._scalings = form_scalings(self.der, algebra.generators(
-            map(algebra.basis_vector, range(algebra.dim))))
-        bracket = bracket_table(self.der, self.ext.parities)
-        self.ambient_delta = [coboundary(self.der, self.ext, bracket, k) for k in range(cap + 1)]
-        self.forms = [self._a_linear_subspace(k) for k in range(cap + 1)]
-        self.d = [restrict_operator(self.ambient_delta[k], self.forms[k], self.forms[k + 1])
-                  for k in range(cap)]
+        # δ_0..δ_cap in ambient coordinates: d_squared_is_zero reads δ_cap too
+        self.ext, self.ambient_delta, self.forms, self.d = form_complex(
+            self.der, map(algebra.basis_vector, range(algebra.dim)), cap, cap + 1)
         self._d_squared = None
-
-    # -- flat spaces -----------------------------------------------------------
-
-    def flat_dim(self, k: int) -> int:
-        return self.algebra.dim * len(self.ext.monomials(k))
-
-    # -- algebra-linear subcomplex ---------------------------------------------------
-
-    def _a_linear_subspace(self, k: int) -> Subspace:
-        algebra = self.algebra
-        f = algebra.field
-        n = algebra.dim
-        if k == 0:
-            return Subspace.full(f, n)
-        ext = self.ext
-        # rows from the first slot and normal-form tails only: a·v_t in slot
-        # t crosses the earlier factors to the front with the sign
-        # (−1)^{[a]([v_1]+…+[v_{t−1}])} that A-linearity asks for there, so
-        # the rows of every other slot and every permuted tuple are ± these;
-        # tails that repeat an even b still give rows (see linearity_rows)
-        shared = Matrix.from_entries(f, linearity_rows(ext, k, n, self._scalings),
-                                     self.flat_dim(k))
-        flat = flat_parities([ext.monomial_parity(mono) for mono in ext.monomials(k)],
-                             algebra.parity)
-        even, odd = (kernel_on(shared, [j for j, p in enumerate(flat) if p == par])
-                     for par in (0, 1))
-        return even.sum(odd)
 
     # -- reports -----------------------------------------------------------------
 

@@ -392,25 +392,18 @@ class HomSpace:
             out = self.target.left_action(a_coords) @ phi.matrix - bullet
         return LinMap(self.source, self.target, out, (apar + ppar) % 2)
 
-    def iterated_delta_vanishes(self, phi: LinMap, k: int, flavor: str = "plain") -> bool:
-        """True iff every (k+1)-fold basis-indexed composite of deltas kills phi.
+    def iterated_delta_vanishes(self, phi: LinMap, k: int) -> bool:
+        """True iff every (k+1)-fold basis-indexed composite of the plain
+        deltas kills phi.
 
         Checking on basis elements suffices: δ is linear in its algebra slot.
-        For the plain δ over a commutative A the generators suffice (each δ
+        Over a commutative A the generators suffice (each δ
         then commutes with both left actions, so φ is killed by every
         composite exactly when it is by the generators' composites).  Each
         level of images is cut down to the canonical basis of its span
         before the next δ is applied; the span is all the next level needs.
         """
-        if flavor == "plain":
-            ops = self._family("delta", self._generators if self.algebra.is_commutative()
-                               else None)
-        elif flavor == "bar":
-            ops = self.bar_delta_ops()
-        elif flavor == "graded":
-            ops = self.graded_delta_ops()
-        else:
-            raise ValueError(f"unknown delta flavor {flavor!r}")
+        ops = self._family("delta", self._generators if self.algebra.is_commutative() else None)
         f = self.algebra.field
         level = Subspace.from_spanning(f, self.dim, [phi.flatten()])
         for _ in range(k + 1):

@@ -17,6 +17,7 @@ from diffoplab.cecalc import (
     duality_round_trip,
     exact_one_form,
     form_bimodule,
+    form_multiplication_ops,
     wedge,
 )
 from diffoplab.derivations import DerivationSpace, derivations
@@ -199,9 +200,13 @@ def test_duality_dims():
 def test_d_is_first_order_commutative():
     a3 = trunc_poly(3)
     cx = CochainComplex(a3, cap=2)
+    # the complex's forms are the increasing-tuple kernels; the modules act
+    # on the same forms spread over all tuples, with the same bases
+    modules = [form_bimodule(a3, ce_forms(a3, k).space,
+                             *form_multiplication_ops(a3, cx.der, k), f"O{k}")
+               for k in range(3)]
     for k in range(2):
-        src = form_bimodule(a3, cx.der, k, cx.forms[k].space, f"O{k}")
-        dst = form_bimodule(a3, cx.der, k + 1, cx.forms[k + 1].space, f"O{k+1}")
+        src, dst = modules[k], modules[k + 1]
         hom = HomSpace(src, dst)
         dmap = LinMap(src, dst, cx.d[k])
         assert hom.iterated_delta_vanishes(dmap, 1)
@@ -251,6 +256,21 @@ def test_forms_are_solved_once_on_increasing_tuples(monkeypatch):
     fs = ce_forms(a, 3)
     assert [(m.rows, m.cols) for m in systems] == [(0, 9 * comb(8, 3))]
     assert fs.space.ambient_dim == 9 * 8 ** 3
+
+
+def test_complex_takes_the_scalings_once_and_spreads_no_tuple_space(monkeypatch):
+    # the complex solves each degree on increasing tuples with one set of
+    # scalings; only ce_forms spreads a form space over all n·d^k tuples
+    calls = {"form_scalings": 0, "_spread": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(cecalc, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cecalc, name, counting)
+    a = catalog("trunc_poly:2+matrix:2")
+    cx = CochainComplex(a, cap=3)
+    assert calls == {"form_scalings": 1, "_spread": 0}
+    assert cx.forms == [ce_forms(a, k).normal for k in range(4)]
 
 
 def random_alternating(rng, field, n, d, k):

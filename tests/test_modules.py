@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,19 @@ def test_module_validation_catches_broken_action():
     assert not rep.ok
     kinds = {f["kind"] for f in rep.failures}
     assert "left_action_law" in kinds or "actions_commute" in kinds
+
+
+def test_parity_of_the_wrong_length_is_refused_at_construction(tmp_path):
+    # one parity per basis vector, checked before any solve reads it; a JSON
+    # spec is refused with the same message
+    a = catalog("grassmann:2")
+    reg = regular_bimodule(a)
+    with pytest.raises(ModuleError) as built:
+        Bimodule(a, reg.dim, reg.left, reg.right, parity=[0, 1])
+    assert str(built.value) == "parity must be a list of 4 entries, got [0, 1]"
+    spec = dict(reg.to_json_dict(), parity=[0, 1])
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ModuleError) as loaded:
+        Bimodule.load(path, a)
+    assert str(loaded.value) == str(built.value)

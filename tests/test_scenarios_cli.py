@@ -9,6 +9,7 @@ import pytest
 from diffoplab.algebra import catalog
 from diffoplab.bimodule import regular_bimodule
 from diffoplab.cecalc import DEGREE_CAP
+from diffoplab import cli
 from diffoplab.cli import emit, main
 from diffoplab.gradedce import GRADED_DEGREE_CAP
 from diffoplab.scenarios import (
@@ -227,6 +228,16 @@ def test_cli_bad_rank_or_degree_is_a_usage_error(argv, tmp_path, monkeypatch, ca
     assert err.startswith("error: ") and err.count("\n") == 1
     for fragment in MESSAGE_NAMES.get(" ".join(argv), ()):
         assert fragment in err, (fragment, err)
+
+
+def test_cli_unexpected_exception_is_exit_3(monkeypatch, capsys):
+    # a crash must not read as exit 1, which means "the math disagrees"
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_check_algebra", broken)
+    assert main(["check-algebra", "trunc_poly:2"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom second line\n"
 
 
 @pytest.mark.parametrize("entry", [[0, 5, 0, "1"], [0, -1, 0, "1"], [0, 0, 1, "1/0"]])
