@@ -12,16 +12,18 @@ center here and of A there.  The coboundary is the usual alternating sum
 
 built by one function, :func:`coboundary`, on the same monomials; its
 docstring holds the graded sign expansion.  Both complexes are built by
-:func:`form_complex`.  :func:`ce_forms` spreads a form space over all
-(basis tuple, value coordinate) coordinates, where the shuffle wedge is
-taken.  The minimal calculus is the bimodule-and-wedge closure of the exact
-one-forms.
+:func:`form_complex`.  The monomials are the only coordinates a form has:
+:func:`ce_forms`, :func:`ce_coboundary_matrix`, the shuffle :func:`wedge`
+and the minimal calculus, the bimodule-and-wedge closure of the exact
+one-forms, all work on n·C(d, k) (increasing tuple, value coordinate)
+coordinates.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .algebra import FiniteAlgebra, flat_parities
 from .bimodule import Bimodule, regular_bimodule
@@ -43,20 +45,6 @@ DEGREE_CAP = 3
 
 class DegreeCapError(ValueError):
     pass
-
-
-def _tuple_index(t, d: int) -> int:
-    """Position of the basis tuple ``t`` among all k-tuples of range(d)."""
-    idx = 0
-    for x in t:
-        idx = idx * d + x
-    return idx
-
-
-def _value_at(flat, t, n: int, d: int):
-    """φ(u_{t_0}, …) as algebra coordinates, basis tuple arguments."""
-    base = _tuple_index(t, d) * n
-    return flat[base:base + n]
 
 
 class SuperExterior:
@@ -249,43 +237,6 @@ def coboundary(der: DerivationSpace, ext: SuperExterior, bracket, k: int) -> Mat
     return Matrix.from_entries(der.algebra.field, out, n * len(ext.monomials(k)))
 
 
-class FormSpace:
-    """Alternating center-multilinear k-forms on the derivation module.
-
-    ``space`` lives on all n·d^k (tuple, value coordinate) coordinates and
-    ``normal`` on the n·C(d, k) increasing-tuple ones; spreading each
-    increasing tuple over its permutations maps the canonical basis of
-    ``normal`` onto that of ``space``, row for row.
-    """
-
-    def __init__(self, algebra: FiniteAlgebra, der: DerivationSpace, degree: int,
-                 space: Subspace, normal: Subspace):
-        self.algebra = algebra
-        self.der = der
-        self.degree = degree
-        self.space = space
-        self.normal = normal
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def value_at(self, flat, t):
-        """φ(u_{t_0}, …) as algebra coordinates, basis tuple arguments."""
-        return _value_at(flat, t, self.algebra.dim, self.der.dim)
-
-    def contains(self, flat) -> bool:
-        return self.space.contains(flat)
-
-
-def _spread(ext: SuperExterior, degree: int, n: int):
-    """Per increasing tuple of ``degree``, the (tuple column start, sign) of each
-    of its permutations, the increasing tuple itself first."""
-    d = len(ext.parities)
-    return [[(_tuple_index(t, d) * n, ext.normalize(t)[0]) for t in permutations(ev)]
-            for ev, _ in ext.monomials(degree)]
-
-
 def form_kernel(der: DerivationSpace, ext: SuperExterior, degree: int, scalings) -> Subspace:
     """The forms of one degree on the normal-form monomials of ``ext``, n
     value coordinates to a monomial: the kernel of :func:`linearity_rows`,
@@ -321,63 +272,28 @@ def form_complex(der: DerivationSpace, scalars, cap: int, top: int):
     return ext, delta, forms, d
 
 
-def ce_forms(algebra: FiniteAlgebra, degree: int) -> FormSpace:
+def ce_forms(algebra: FiniteAlgebra, degree: int) -> Subspace:
     """The alternating center-multilinear forms of one degree, on the
-    derivations of A into its regular module.
-
-    An alternating form is fixed by its values on increasing tuples, so
-    :func:`form_kernel` solves it in one unknown per (increasing tuple,
-    value coordinate), one block of rows per generator of the center.  The
-    kernel is then spread back over all n·d^k tuple coordinates, each
-    increasing tuple to its permutations with their signs.  An increasing
-    tuple comes first among its permutations, so the spread rows are already
-    the canonical reduced basis and need no second elimination.
+    derivations of A into its regular module: :func:`form_kernel` on the
+    increasing tuples, one block of rows per generator of the center.  This
+    is ``CochainComplex(algebra, cap).forms[degree]`` for any cap ≥ degree.
     """
     if not 0 <= degree <= DEGREE_CAP:
         raise DegreeCapError(f"degree {degree} outside 0..{DEGREE_CAP}")
     der = derivations(algebra, regular_bimodule(algebra))
-    n = algebra.dim
-    d = der.dim
-    f = algebra.field
-    if degree == 0:
-        return FormSpace(algebra, der, 0, Subspace.full(f, n), Subspace.full(f, n))
-    ext = SuperExterior([0] * d)
-    ker = form_kernel(der, ext, degree,
-                      form_scalings(der, algebra.generators(algebra.center().basis)))
-    spread = _spread(ext, degree, n)
-    rows = [sorted((lo + j % n, x if sign > 0 else f.neg(x))
-                   for j, x in pairs for lo, sign in spread[j // n])
-            for pairs in ker.basis_matrix().row_entries()]
-    pivots = [spread[j // n][0][0] + j % n for j in ker.pivot_cols]
-    return FormSpace(algebra, der, degree, Subspace(f, n * d ** degree, rows, pivots), ker)
+    scalings = form_scalings(der, algebra.generators(algebra.center().basis))
+    return form_kernel(der, SuperExterior([0] * der.dim), degree, scalings)
 
 
 def ce_coboundary_matrix(algebra: FiniteAlgebra, der: DerivationSpace,
                          degree: int) -> Matrix:
-    """The coboundary on all n·d^k tuple coordinates: spread_{k+1} · δ · select_k.
-
-    select_k reads a cochain's values on the increasing k-tuples, δ is
-    :func:`coboundary` there, and spread_{k+1} puts the value of each
-    increasing (k+1)-tuple on its permutations with their signs (a tuple
-    with a repeated argument gets zero).  On alternating cochains, the forms
-    and their wedges, which are all it is applied to, this is the
-    coboundary exactly; any other cochain is read on its increasing tuples
-    only.
-    """
-    n = algebra.dim
-    d = der.dim
-    f = algebra.field
-    ext = SuperExterior([0] * d)
-    delta = coboundary(der, ext, bracket_table(der, ext.parities), degree).row_entries()
-    # tuple column of each increasing tuple's block; both orders are lexicographic
-    start = [_tuple_index(ev, d) * n for ev, _ in ext.monomials(degree)]
-    rows = [[] for _ in range(n * d ** (degree + 1))]
-    for i, perms in enumerate(_spread(ext, degree + 1, n)):
-        for m in range(n):
-            pairs = [(start[j // n] + j % n, x) for j, x in delta[i * n + m]]
-            for lo, sign in perms:
-                rows[lo + m] = pairs if sign > 0 else [(j, f.neg(x)) for j, x in pairs]
-    return Matrix.from_pairs(f, rows, n * d ** degree)
+    """δ: C^k → C^{k+1} on increasing tuples, for k in 0..DEGREE_CAP − 1:
+    :func:`coboundary` on the plain exterior of the derivations ``der`` of A
+    into its regular module."""
+    if not 0 <= degree < DEGREE_CAP:
+        raise DegreeCapError(f"coboundary degree {degree} outside 0..{DEGREE_CAP - 1}")
+    ext = SuperExterior([0] * der.dim)
+    return coboundary(der, ext, bracket_table(der, ext.parities), degree)
 
 
 def exact_one_form(algebra: FiniteAlgebra, der: DerivationSpace, a_coords):
@@ -387,42 +303,35 @@ def exact_one_form(algebra: FiniteAlgebra, der: DerivationSpace, a_coords):
 
 def wedge(algebra: FiniteAlgebra, der: DerivationSpace,
           phi_flat, r: int, psi_flat, s: int):
-    """Shuffle product of an r-form and an s-form (degree r+s flat vector)."""
+    """The shuffle product φ∧ψ of an r-form and an s-form on increasing tuples.
+
+    Each pair of increasing tuples I, J with no common argument is one
+    shuffle of I ∪ J, whose sign is that of sorting I + J
+    (:meth:`SuperExterior.normalize`): φ(u_I)·ψ(u_J) goes to I ∪ J with it.
+    """
+    if r < 0 or s < 0 or r + s > DEGREE_CAP:
+        raise DegreeCapError(f"wedge degrees {r} + {s} outside 0..{DEGREE_CAP}")
     n = algebra.dim
-    d = der.dim
     f = algebra.field
-    if r == 0:
-        out = []
-        for t in product(range(d), repeat=s):
-            out.extend(algebra.multiply(phi_flat, _value_at(psi_flat, t, n, d)))
-        return out
-    if s == 0:
-        out = []
-        for t in product(range(d), repeat=r):
-            out.extend(algebra.multiply(_value_at(phi_flat, t, n, d), psi_flat))
-        return out
-    total = r + s
-    out = []
-    for t in product(range(d), repeat=total):
-        acc = [f.zero()] * n
-        for subset in combinations(range(total), r):
-            comp = [x for x in range(total) if x not in subset]
-            inversions = sum(1 for a in subset for b in comp if a > b)
-            sign = 1 if inversions % 2 == 0 else -1
-            val = algebra.multiply(_value_at(phi_flat, [t[x] for x in subset], n, d),
-                                   _value_at(psi_flat, [t[x] for x in comp], n, d))
-            for m in range(n):
-                if val[m] != 0:
-                    acc[m] = f.add(acc[m], val[m] if sign > 0 else f.neg(val[m]))
-        out.extend(acc)
+    ext = SuperExterior([0] * der.dim)
+    out = [f.zero()] * (n * len(ext.monomials(r + s)))
+    for i, (left, _) in enumerate(ext.monomials(r)):
+        for j, (right, _) in enumerate(ext.monomials(s)):
+            if (norm := ext.normalize(left + right)) is None:
+                continue
+            sign, union = norm
+            lo = ext.index(r + s, union) * n
+            val = algebra.multiply(phi_flat[i * n:(i + 1) * n], psi_flat[j * n:(j + 1) * n])
+            for m, x in enumerate(val):
+                if x != 0:
+                    out[lo + m] = f.add(out[lo + m], x if sign > 0 else f.neg(x))
     return out
 
 
 def form_multiplication_ops(algebra: FiniteAlgebra, der: DerivationSpace, degree: int):
-    """Flat left/right algebra-multiplication operators on k-cochains."""
-    f = algebra.field
-    d = der.dim
-    eye = Matrix.identity(f, d ** degree)
+    """Flat left/right algebra-multiplication operators on k-cochains:
+    I_{C(d,k)} ⊗ L_i and I_{C(d,k)} ⊗ R_i on increasing tuples."""
+    eye = Matrix.identity(algebra.field, comb(der.dim, degree))
     left = [kron(eye, algebra.left_mult_basis(i)) for i in range(algebra.dim)]
     right = [kron(eye, algebra.right_mult_basis(i)) for i in range(algebra.dim)]
     return left, right
@@ -487,7 +396,8 @@ class MinimalCalculus:
 
     Degree 1 is the bimodule closure of {da}; degree 2 is spanned by wedges
     of degree-1 elements (already closed under both multiplications), and
-    is only built when first read.
+    is only built when first read.  Both live on increasing tuples, as the
+    forms of :class:`CochainComplex` do.
     """
 
     def __init__(self, algebra: FiniteAlgebra):
@@ -506,10 +416,10 @@ class MinimalCalculus:
     @cached_property
     def two_forms(self) -> Subspace:
         algebra, der = self.algebra, self.der
-        pair_wedges = [wedge(algebra, der, list(w1), 1, list(w2), 1)
+        pair_wedges = [wedge(algebra, der, w1, 1, w2, 1)
                        for w1 in self.one_forms.basis for w2 in self.one_forms.basis]
         left2, right2 = form_multiplication_ops(algebra, der, 2)
-        return closure(algebra.field, algebra.dim * der.dim ** 2, pair_wedges,
+        return closure(algebra.field, algebra.dim * comb(der.dim, 2), pair_wedges,
                        left2 + right2)
 
     def one_forms_bimodule(self) -> Bimodule:

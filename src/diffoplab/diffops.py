@@ -24,7 +24,7 @@ import warnings
 from itertools import product
 
 from .algebra import AlgebraError
-from .bimodule import Bimodule
+from .bimodule import Bimodule, ModuleError
 from .homspace import HomSpace, LinMap
 # ``kernel`` is not called here (HomSpace solves every kernel and preimage,
 # ``kernel_on`` the graded split); the name stays bound because
@@ -143,6 +143,12 @@ def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
     even, odd = (kernel_on(cons, [j for j, p in enumerate(flat) if p == par]) for par in (0, 1))
     assembled = even.sum(odd)
     if assembled != space:
+        for m in (p, q):
+            broken = [f["kind"] for f in m.validate().failures if f["kind"].endswith("_parity")]
+            if broken:
+                raise ModuleError(f"module {m.name} does not follow the grading "
+                                  f"({', '.join(dict.fromkeys(broken))}), so the graded "
+                                  "operators do not split by parity")
         raise AssertionError("graded solution space failed to split by parity")
     out = DiffSpace("graded", k, assembled, hom, chain=chain)
     out.even = even

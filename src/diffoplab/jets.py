@@ -111,6 +111,8 @@ def jet_module(algebra: FiniteAlgebra, p: Bimodule, k: int,
     the representation property is expected to fail; building it requires
     the explicit flag.
     """
+    if k < 0:
+        raise AlgebraError(f"jet order {k} is negative")
     if k > JET_ORDER_CAP:
         raise AlgebraError(f"jet order {k} exceeds cap {JET_ORDER_CAP}")
     if not algebra.is_commutative() and not allow_noncommutative:

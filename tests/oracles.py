@@ -9,7 +9,7 @@ the package.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 from diffoplab.algebra import FiniteAlgebra, flat_parities
 from diffoplab.bimodule import SandwichModule, regular_bimodule, tensor_algebra_module
@@ -487,6 +487,55 @@ def ce_coboundary_all_tuples(algebra, der, degree):
                         for m in range(n):
                             out[at + m][to + m] = out[at + m].get(to + m, 0) + (-1) ** (i + j) * c
     return Matrix.from_entries(algebra.field, [row.items() for row in out], n * d ** degree)
+
+
+def spread_alternating(field, normal, n, d, k):
+    """An alternating k-cochain given on the n·C(d, k) increasing-tuple
+    coordinates, spread over all n·d^k: each tuple takes the values of its
+    sorted tuple with the sign of the sorting, zero where an argument repeats."""
+    flat = [field.zero()] * (n * d ** k)
+    for at, increasing in enumerate(combinations(range(d), k)):
+        values = list(normal[at * n:(at + 1) * n])
+        for t in permutations(increasing):
+            inversions = sum(1 for i in range(k) for j in range(i + 1, k) if t[i] > t[j])
+            lo = _tuple_position(t, d) * n
+            flat[lo:lo + n] = values if inversions % 2 == 0 else [field.neg(v) for v in values]
+    return flat
+
+
+def increasing_values(flat, n, d, k):
+    """A k-cochain on all n·d^k coordinates read at the increasing tuples only."""
+    return [x for t in combinations(range(d), k)
+            for x in flat[_tuple_position(t, d) * n:(_tuple_position(t, d) + 1) * n]]
+
+
+def all_tuple_wedge(algebra, d, phi_flat, r, psi_flat, s):
+    """The shuffle product of an r-cochain and an s-cochain on all tuples:
+
+        (φ∧ψ)(t) = Σ_S sign(S) φ(t_S)·ψ(t_{S^c})
+
+    over every r-subset S of the positions, the sign that of the shuffle
+    S, S^c; a degree-0 factor multiplies every value."""
+    n = algebra.dim
+    f = algebra.field
+
+    def value(flat, t):
+        at = _tuple_position(t, d) * n
+        return flat[at:at + n]
+
+    out = []
+    for t in product(range(d), repeat=r + s):
+        acc = [f.zero()] * n
+        for subset in combinations(range(r + s), r):
+            comp = [x for x in range(r + s) if x not in subset]
+            inversions = sum(1 for a in subset for b in comp if a > b)
+            val = algebra.multiply(value(phi_flat, [t[x] for x in subset]),
+                                   value(psi_flat, [t[x] for x in comp]))
+            for m in range(n):
+                if val[m] != 0:
+                    acc[m] = f.add(acc[m], val[m] if inversions % 2 == 0 else f.neg(val[m]))
+        out.extend(acc)
+    return out
 
 
 def super_normal_form(factors, parity):

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -25,7 +24,13 @@ from diffoplab.diffops import dv_first_order
 from diffoplab.fields import QQ, Field
 from diffoplab.homspace import HomSpace, LinMap
 from diffoplab.linalg import Matrix, Subspace, kernel, kron
-from oracles import ce_coboundary_all_tuples, duality_round_trip_by_factoring
+from oracles import (
+    all_tuple_wedge,
+    ce_coboundary_all_tuples,
+    duality_round_trip_by_factoring,
+    increasing_values,
+    spread_alternating,
+)
 
 
 def der_of(a):
@@ -62,7 +67,7 @@ def test_exact_one_form_is_evaluation():
         flat = exact_one_form(a3, d3, a3.basis_vector(i))
         fs = ce_forms(a3, 1)
         for t, u in enumerate(d3.basis_maps()):
-            assert fs.value_at(flat, (t,)) == u.apply(a3.basis_vector(i))
+            assert flat[3 * t:3 * (t + 1)] == u.apply(a3.basis_vector(i))
         assert fs.contains(flat)
     # d(1) = 0
     assert all(x == 0 for x in exact_one_form(a3, d3, a3.unit))
@@ -126,7 +131,7 @@ def test_ce_central_one_forms_commute_with_algebra():
 
 def rand_form_element(rng, fs):
     coords = [Fraction(rng.randrange(-3, 4)) for _ in range(fs.dim)]
-    return fs.space.linear_combination(coords)
+    return fs.linear_combination(coords)
 
 
 @pytest.mark.parametrize("spec", ["trunc_poly:3", "matrix:2"])
@@ -200,10 +205,7 @@ def test_duality_dims():
 def test_d_is_first_order_commutative():
     a3 = trunc_poly(3)
     cx = CochainComplex(a3, cap=2)
-    # the complex's forms are the increasing-tuple kernels; the modules act
-    # on the same forms spread over all tuples, with the same bases
-    modules = [form_bimodule(a3, ce_forms(a3, k).space,
-                             *form_multiplication_ops(a3, cx.der, k), f"O{k}")
+    modules = [form_bimodule(a3, cx.forms[k], *form_multiplication_ops(a3, cx.der, k), f"O{k}")
                for k in range(3)]
     for k in range(2):
         src, dst = modules[k], modules[k + 1]
@@ -255,55 +257,70 @@ def test_forms_are_solved_once_on_increasing_tuples(monkeypatch):
     a = catalog("matrix:3")
     fs = ce_forms(a, 3)
     assert [(m.rows, m.cols) for m in systems] == [(0, 9 * comb(8, 3))]
-    assert fs.space.ambient_dim == 9 * 8 ** 3
+    assert fs.ambient_dim == 9 * comb(8, 3)
 
 
-def test_complex_takes_the_scalings_once_and_spreads_no_tuple_space(monkeypatch):
-    # the complex solves each degree on increasing tuples with one set of
-    # scalings; only ce_forms spreads a form space over all n·d^k tuples
-    calls = {"form_scalings": 0, "_spread": 0}
-    for name in calls:
-        def counting(*args, _name=name, _real=getattr(cecalc, name)):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(cecalc, name, counting)
+def test_complex_takes_the_scalings_once(monkeypatch):
+    # the complex solves each degree on increasing tuples with one set of scalings
+    calls = []
+    real = cecalc.form_scalings
+    monkeypatch.setattr(cecalc, "form_scalings",
+                        lambda *args: calls.append(args) or real(*args))
     a = catalog("trunc_poly:2+matrix:2")
     cx = CochainComplex(a, cap=3)
-    assert calls == {"form_scalings": 1, "_spread": 0}
-    assert cx.forms == [ce_forms(a, k).normal for k in range(4)]
+    assert len(calls) == 1
+    assert cx.forms == [ce_forms(a, k) for k in range(4)]
 
 
 def random_alternating(rng, field, n, d, k):
-    """A random alternating k-cochain on all n·d^k coordinates: random values
-    on the increasing tuples, spread over their permutations with the signs."""
-    flat = [field.zero()] * (n * d ** k)
-    for increasing in combinations(range(d), k):
-        values = [field.coerce(rng.randrange(-5, 6)) for _ in range(n)]
-        for t in permutations(increasing):
-            inversions = sum(1 for i in range(k) for j in range(i + 1, k) if t[i] > t[j])
-            at = sum(x * d ** (k - 1 - i) for i, x in enumerate(t)) * n
-            flat[at:at + n] = values if inversions % 2 == 0 else [field.neg(v) for v in values]
-    return flat
+    """A random alternating k-cochain, given by its n·C(d, k) values on the
+    increasing tuples."""
+    return [field.coerce(rng.randrange(-5, 6)) for _ in range(n * comb(d, k))]
 
 
 @pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
 @pytest.mark.parametrize("spec", ["matrix:2", "quaternion", "trunc_poly:2+matrix:2"])
 def test_tuple_coboundary_is_the_all_tuple_coboundary_on_alternating_cochains(spec, field):
-    # spread · δ · select reads each alternating cochain once per increasing
-    # tuple; reading the sum over its permutations instead scales degree 2 by 2
+    # δ on increasing tuples is the all-tuple coboundary of the spread
+    # cochain, read at the increasing tuples
     a = catalog(spec, field)
     der = der_of(a)
+    n, d = a.dim, der.dim
     rng = random.Random(2024)
     for k in range(3):
         forms = ce_forms(a, k)
-        cochains = [random_alternating(rng, field, a.dim, der.dim, k) for _ in range(3)]
-        cochains += [forms.space.linear_combination(
+        cochains = [random_alternating(rng, field, n, d, k) for _ in range(3)]
+        cochains += [forms.linear_combination(
             [field.coerce(rng.randrange(-3, 4)) for _ in range(forms.dim)]) for _ in range(3)]
-        tuple_view = ce_coboundary_matrix(a, der, k)
+        delta = ce_coboundary_matrix(a, der, k)
         oracle = ce_coboundary_all_tuples(a, der, k)
         for phi in cochains:
-            assert tuple_view.apply(phi) == oracle.apply(phi)
-        assert any(any(oracle.apply(phi)) for phi in cochains)
+            image = oracle.apply(spread_alternating(field, phi, n, d, k))
+            assert delta.apply(phi) == increasing_values(image, n, d, k + 1)
+            # the image is alternating too: it is the spread of its own reading
+            assert image == spread_alternating(field, delta.apply(phi), n, d, k + 1)
+        assert any(any(delta.apply(phi)) for phi in cochains)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["q", "gf32003"])
+@pytest.mark.parametrize("spec", ["trunc_poly:3", "matrix:2", "quaternion"])
+def test_wedge_is_the_all_tuple_shuffle_product_after_spreading(spec, field):
+    a = catalog(spec, field)
+    der = der_of(a)
+    n, d = a.dim, der.dim
+    rng = random.Random(11)
+    forms = [ce_forms(a, k) for k in range(3)]
+    for r, s in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1)]:
+        pairs = [(random_alternating(rng, field, n, d, r),
+                  random_alternating(rng, field, n, d, s))]
+        pairs += [tuple(fs.linear_combination([field.coerce(rng.randrange(-3, 4))
+                                               for _ in range(fs.dim)])
+                        for fs in (forms[r], forms[s]))]
+        for phi, psi in pairs:
+            w = wedge(a, der, phi, r, psi, s)
+            assert spread_alternating(field, w, n, d, r + s) == all_tuple_wedge(
+                a, d, spread_alternating(field, phi, n, d, r), r,
+                spread_alternating(field, psi, n, d, s), s)
 
 
 DUALITY_CASES = ["trunc_poly:1", "trunc_poly:3", "trunc_poly:4", "matrix:2", "quaternion",

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from diffoplab.algebra import catalog, grassmann, matrix_algebra, trunc_poly
-from diffoplab.bimodule import Bimodule, free_module, regular_bimodule
+from diffoplab.bimodule import Bimodule, ModuleError, free_module, regular_bimodule
 from diffoplab.derivations import derivations, inner_derivation
 from diffoplab.diffops import (
     OrderCapError,
@@ -293,6 +293,30 @@ def test_graded_diff_partial_theta_on_grassmann2():
     m[0][1] = 1
     m[2][3] = 1
     assert d1.space.contains([Fraction(x) for row in m for x in row])
+
+
+def test_graded_split_failure_on_a_graded_module_stays_an_assertion(monkeypatch):
+    # the regular module follows the grading, so a failed parity split is a
+    # fault of the solver, not of the input: here an odd part solved as zero
+    from diffoplab import diffops
+
+    reg = regular_bimodule(grassmann(1))
+    real = diffops.kernel_on
+    monkeypatch.setattr(diffops, "kernel_on", lambda m, cols: (
+        Subspace.zero(m.field, m.cols) if cols and cols[0] % 2 else real(m, cols)))
+    with pytest.raises(AssertionError, match="failed to split by parity"):
+        graded_diff(reg, reg, 1)
+
+
+def test_graded_split_failure_on_a_wrongly_graded_module_is_a_module_error():
+    g2 = grassmann(2)
+    reg = regular_bimodule(g2)
+    even = Bimodule(g2, reg.dim, reg.left, reg.right, parity=[0] * reg.dim, name="even")
+    with pytest.raises(ModuleError, match="even does not follow the grading"):
+        graded_diff(even, reg, 1)
+    # a solve that splits keeps its result, whatever the modules' parities
+    assert graded_diff(reg, even, 1).dim == 7
+    assert graded_diff(even, even, 1).dim == 7
 
 
 def test_order_cap_enforced():

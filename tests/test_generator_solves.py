@@ -516,14 +516,23 @@ JSON_MODULES = {"broken": ("trunc_poly:5", broken_module_spec),
                                   ["two-sided", "--order", "2", "--module"],
                                   ["two-sided", "--order", "2", "--target"],
                                   ["jets", "--two-sided", "--module"],
-                                  ["compare-defs", "--order", "2", "--target"]],
+                                  ["compare-defs", "--order", "2", "--target"],
+                                  ["diff-space", "--definition", "grothendieck", "--order", "2",
+                                   "--module"],
+                                  ["diff-space", "--definition", "grothendieck", "--order", "2",
+                                   "--target"],
+                                  ["lunts", "--order", "2", "--side", "left", "--module"],
+                                  ["lunts", "--order", "2", "--side", "left", "--target"],
+                                  ["jets", "--order", "2", "--allow-noncommutative", "--module"]],
                          ids=["derivations", "two-sided-module", "two-sided-target",
-                              "jets-two-sided", "compare-defs-2"])
+                              "jets-two-sided", "compare-defs-2", "grothendieck-2-module",
+                              "grothendieck-2-target", "lunts-left-module", "lunts-left-target",
+                              "jets-2"])
 def test_leibniz_rows_spans_and_jet_seeds_over_json_modules_read_as_on_every_basis_element(
         tmp_path, monkeypatch, module, argv):
-    # Leibniz rows, presented spans and two-sided jet seeds over a module that
-    # breaks a law, whose actions do not commute, or whose second action is
-    # a left one are imposed for every basis element
+    # Leibniz rows, presented spans, vanishing chains, action closures and jet
+    # seeds over a module that breaks a law, whose actions do not commute, or
+    # whose second action is a left one are imposed for every basis element
     algebra, write = JSON_MODULES[module]
     command = argv[0]
     argv = [command, algebra] + argv[1:] + [str(write(tmp_path))]
@@ -539,7 +548,7 @@ def test_leibniz_rows_spans_and_jet_seeds_over_json_modules_read_as_on_every_bas
         else:
             m.setattr(Bimodule, "follows_generators", lambda self: True)
         trusted = report(argv, tmp_path / "trusted.json")
-    assert (trusted != got) == (module == "broken" or command == "jets"
+    assert (trusted != got) == (module == "broken" or "--two-sided" in argv
                                 or (module == "noncommuting" and command == "derivations"))
 
 

@@ -2,14 +2,23 @@
 
 Form degree 3, graded degree 2, operator order 4 and jet order 2: each is
 reached without error, and one past it raises from every constructor or
-builder that takes it.  A negative degree raises too.
+builder that takes it.  A negative degree or order raises too.
 """
 
 import pytest
 
 from diffoplab.algebra import AlgebraError, grassmann, matrix_algebra, trunc_poly
 from diffoplab.bimodule import regular_bimodule
-from diffoplab.cecalc import DEGREE_CAP, CochainComplex, DegreeCapError, ce_forms
+from diffoplab.cecalc import (
+    DEGREE_CAP,
+    CochainComplex,
+    DegreeCapError,
+    ce_coboundary_matrix,
+    ce_forms,
+    exact_one_form,
+    wedge,
+)
+from diffoplab.derivations import derivations
 from diffoplab.diffops import (
     MAX_ORDER,
     OrderCapError,
@@ -34,6 +43,28 @@ def test_form_degree_cap_is_3():
         ce_forms(a, DEGREE_CAP + 1)
 
 
+def test_coboundary_degrees_stop_below_the_form_cap():
+    # δ_k maps degree k to k + 1, so the last one lands on the cap
+    a = matrix_algebra(2)
+    der = derivations(a, regular_bimodule(a))
+    top = ce_coboundary_matrix(a, der, DEGREE_CAP - 1)
+    assert top.cols == a.dim * 3 and top.rows == a.dim
+    for degree in (DEGREE_CAP, -1):
+        with pytest.raises(DegreeCapError):
+            ce_coboundary_matrix(a, der, degree)
+
+
+def test_wedge_degrees_stay_within_the_form_cap():
+    a = matrix_algebra(2)
+    der = derivations(a, regular_bimodule(a))
+    one = exact_one_form(a, der, a.basis_vector(1))
+    two = wedge(a, der, one, 1, one, 1)
+    assert len(wedge(a, der, one, 1, two, 2)) == a.dim
+    for r, s in [(-1, 1), (1, -1), (2, 2), (DEGREE_CAP, 1)]:
+        with pytest.raises(DegreeCapError):
+            wedge(a, der, one, r, one, s)
+
+
 def test_negative_degrees_are_refused():
     with pytest.raises(DegreeCapError):
         ce_forms(matrix_algebra(2), -1)
@@ -41,6 +72,9 @@ def test_negative_degrees_are_refused():
         CochainComplex(trunc_poly(2), cap=-1)
     with pytest.raises(DegreeCapError):
         GradedCochainComplex(grassmann(1), cap=-1)
+    a = trunc_poly(2)
+    with pytest.raises(AlgebraError, match="negative"):
+        jet_module(a, regular_bimodule(a), -1)
 
 
 def test_graded_degree_cap_is_2():

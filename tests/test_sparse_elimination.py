@@ -26,6 +26,7 @@ from oracles import (
     gauss_nullspace,
     gauss_rref,
     graded_a_linear_rows,
+    increasing_values,
     random_rational,
 )
 
@@ -207,18 +208,22 @@ def dense(m):
 @FIELDS
 def test_ce_forms_space_is_the_oracle_kernel(spec, degrees, field):
     # the oracle solves every tuple coordinate under alternation and
-    # center-linearity in every slot, built apart from ce_forms
+    # center-linearity in every slot, built apart from ce_forms; an
+    # alternating form is fixed by its values at the increasing tuples
     algebra = catalog(spec, field)
     der = derivations(algebra, regular_bimodule(algebra))
+    n, d = algebra.dim, der.dim
     lzs = [algebra.left_mult(list(z)) for z in algebra.center().basis]
     mults = [dense(lz) for lz in lzs]
     coords = [[der.coords_of(lz @ u) for u in der.basis_maps()] for lz in lzs]
     for k in degrees:
-        space = ce_forms(algebra, k).space
-        rows = ce_form_rows(algebra.dim, der.dim, k, mults, coords)
-        assert len(rows[0]) == space.ambient_dim
-        assert as_lists(space.basis) == gauss_rref(gauss_nullspace(rows, field.char),
-                                                   field.char)
+        space = ce_forms(algebra, k)
+        rows = ce_form_rows(n, d, k, mults, coords)
+        assert len(rows[0]) == n * d ** k
+        oracle = gauss_nullspace(rows, field.char)
+        assert len(oracle) == space.dim
+        assert as_lists(space.basis) == gauss_rref(
+            [increasing_values(v, n, d, k) for v in oracle], field.char)
 
 
 @FIELDS
