@@ -3,7 +3,9 @@
 A bimodule stores one m×m action matrix per algebra basis element on each
 side.  The second family normally obeys the right-action law; ambients like
 A ⊗ P carry two commuting *left* structures instead, which is recorded in
-``second_kind`` so validation checks the law actually promised.
+``second_kind`` so validation checks the law actually promised.  A
+sub-bimodule is taken with ``Bimodule.generated`` and put in its own
+coordinates with ``Bimodule.restrict``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 
 from .algebra import FiniteAlgebra, ValidationReport, action_law_failures, generator_laws_hold
 from .fields import Field
-from .linalg import Matrix, kron
+from .linalg import Matrix, Subspace, closure, kron, restrict_operator
 
 
 class ModuleError(ValueError):
@@ -103,6 +105,27 @@ class Bimodule:
         alg = self.algebra
         return generator_laws_hold(alg, alg.generator_indices(), self.left, self.right,
                                    self.parity, self.second_kind == "right")
+
+    # -- sub-bimodules --------------------------------------------------------
+
+    def generated(self, seeds) -> Subspace:
+        """The sub-bimodule that ``seeds`` generate: their closure under both
+        actions of the basis elements of ``condition_indices(self)``.  Where
+        the module follows its laws on the generators, the actions of every
+        product of generators are products of theirs, so this is the closure
+        under every action; every index is taken where it does not."""
+        kept = condition_indices(self)
+        return closure(self.field, self.dim, seeds,
+                       [self.left[i] for i in kept] + [self.right[i] for i in kept])
+
+    def restrict(self, space: Subspace, name: str) -> "Bimodule":
+        """The invariant subspace ``space`` as a module in its own coordinates:
+        every action restricted to it (``restrict_operator`` raises if one
+        leaves it), with the same second action kind and no parity."""
+        return Bimodule(self.algebra, space.dim,
+                        [restrict_operator(m, space) for m in self.left],
+                        [restrict_operator(m, space) for m in self.right],
+                        second_kind=self.second_kind, name=name, derived_from=(self,))
 
     def is_central(self) -> bool:
         """Left and right actions agree on the center of the algebra."""

@@ -109,11 +109,11 @@ def first_order_violation_witness(algebra: FiniteAlgebra, op: Matrix):
     return None
 
 
-def cartan_vs_definitions(pair: CartanPair, lunts_order: int = 1) -> dict:
+def cartan_vs_definitions(pair: CartanPair) -> dict:
     """Membership of every hat operator in the competing definitions.
 
     Reports, per dual basis element: derivation? bimodule-first-order?
-    inside the left inductive filtration at the stated order?  Includes a
+    inside the left inductive filtration at order 1?  Includes a
     concrete failing triple whenever some hat violates the bimodule
     first-order condition.
     """
@@ -121,19 +121,19 @@ def cartan_vs_definitions(pair: CartanPair, lunts_order: int = 1) -> dict:
     reg = pair.dual.hom.target
     der = derivations(alg, reg)
     dv = dv_first_order(reg, reg)
-    flt = lunts_filtration(reg, reg, lunts_order, "left")
+    lunts_1 = lunts_filtration(reg, reg, 1, "left")[1]
     entries = []
     witness = None
     for idx, u_hat in enumerate(pair.hat_basis()):
         flat = u_hat.flatten()
         is_der = der.space.contains(flat)
         is_dv = dv.space.contains(flat)
-        in_lunts = flt[lunts_order].contains(flat)
+        in_lunts = lunts_1.contains(flat)
         entries.append({
             "dual_index": idx,
             "derivation": is_der,
             "dv_first_order": is_dv,
-            f"lunts_left_{lunts_order}": in_lunts,
+            "lunts_left_1": in_lunts,
         })
         if not is_dv and witness is None:
             witness = first_order_violation_witness(alg, u_hat)

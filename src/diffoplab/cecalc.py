@@ -32,11 +32,11 @@ from .homspace import HomSpace
 from .linalg import (
     Matrix,
     Subspace,
-    closure,
     composition_image,
     kernel,
     kernel_on,
     kron,
+    rank,
     restrict_operator,
 )
 
@@ -328,24 +328,15 @@ def wedge(algebra: FiniteAlgebra, der: DerivationSpace,
     return out
 
 
-def form_multiplication_ops(algebra: FiniteAlgebra, der: DerivationSpace, degree: int):
-    """Flat left/right algebra-multiplication operators on k-cochains:
-    I_{C(d,k)} ⊗ L_i and I_{C(d,k)} ⊗ R_i on increasing tuples."""
+def form_ambient(algebra: FiniteAlgebra, der: DerivationSpace, degree: int) -> Bimodule:
+    """The k-cochains on increasing tuples as a bimodule, under the algebra
+    multiplications I_{C(d,k)} ⊗ L_i and I_{C(d,k)} ⊗ R_i: the ambient that
+    the minimal calculus is generated in, degree by degree."""
     eye = Matrix.identity(algebra.field, comb(der.dim, degree))
-    left = [kron(eye, algebra.left_mult_basis(i)) for i in range(algebra.dim)]
-    right = [kron(eye, algebra.right_mult_basis(i)) for i in range(algebra.dim)]
-    return left, right
-
-
-def form_bimodule(algebra: FiniteAlgebra, space: Subspace, left, right,
-                  name: str) -> Bimodule:
-    """A form subspace as a bimodule in its own coordinates, under the flat
-    multiplication operators ``left`` and ``right`` of its degree
-    (:func:`form_multiplication_ops`)."""
-    return Bimodule(algebra, space.dim,
-                    [restrict_operator(m, space) for m in left],
-                    [restrict_operator(m, space) for m in right],
-                    name=name, derived_from=())
+    return Bimodule(algebra, eye.rows * algebra.dim,
+                    [kron(eye, algebra.left_mult_basis(i)) for i in range(algebra.dim)],
+                    [kron(eye, algebra.right_mult_basis(i)) for i in range(algebra.dim)],
+                    name=f"C{degree}({algebra.name})", derived_from=())
 
 
 class CochainComplex:
@@ -369,7 +360,6 @@ class CochainComplex:
         return self._d_squared
 
     def betti_data(self):
-        from .linalg import rank
         ranks = [rank(m) for m in self.d]
         out = []
         for k in range(self.cap + 1):
@@ -394,37 +384,31 @@ class CochainComplex:
 class MinimalCalculus:
     """The differential subalgebra generated by the exact one-forms.
 
-    Degree 1 is the bimodule closure of {da}; degree 2 is spanned by wedges
-    of degree-1 elements (already closed under both multiplications), and
-    is only built when first read.  Both live on increasing tuples, as the
-    forms of :class:`CochainComplex` do.
+    Degree 1 is the sub-bimodule of the one-cochains (:func:`form_ambient`)
+    that the da generate; degree 2 is the one that the wedges of degree-1
+    elements generate, and is only built when first read.  Both live on
+    increasing tuples, as the forms of :class:`CochainComplex` do.
     """
 
     def __init__(self, algebra: FiniteAlgebra):
         self.algebra = algebra
         self.der = derivations(algebra, regular_bimodule(algebra))
-        f = algebra.field
-        n = algebra.dim
-        d = self.der.dim
-        # the flat multiplications of degree 1 and the exact one-forms d(e_i),
-        # kept for one_forms_bimodule and d0_matrix
-        self.amb_left, self.amb_right = form_multiplication_ops(algebra, self.der, 1)
+        # the one-cochains and the exact one-forms d(e_i), kept for
+        # one_forms_bimodule and d0_matrix
+        self.ambient = form_ambient(algebra, self.der, 1)
         self.exact = [exact_one_form(algebra, self.der, algebra.basis_vector(i))
-                      for i in range(n)]
-        self.one_forms = closure(f, n * d, self.exact, self.amb_left + self.amb_right)
+                      for i in range(algebra.dim)]
+        self.one_forms = self.ambient.generated(self.exact)
 
     @cached_property
     def two_forms(self) -> Subspace:
         algebra, der = self.algebra, self.der
         pair_wedges = [wedge(algebra, der, w1, 1, w2, 1)
                        for w1 in self.one_forms.basis for w2 in self.one_forms.basis]
-        left2, right2 = form_multiplication_ops(algebra, der, 2)
-        return closure(algebra.field, algebra.dim * comb(der.dim, 2), pair_wedges,
-                       left2 + right2)
+        return form_ambient(algebra, der, 2).generated(pair_wedges)
 
     def one_forms_bimodule(self) -> Bimodule:
-        return form_bimodule(self.algebra, self.one_forms, self.amb_left, self.amb_right,
-                             f"O1({self.algebra.name})")
+        return self.ambient.restrict(self.one_forms, f"O1({self.algebra.name})")
 
     def d0_matrix(self) -> Matrix:
         """d: A → O^1 in minimal-calculus coordinates."""

@@ -129,7 +129,8 @@ def grothendieck_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
 
 
 def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
-    """Koszul-signed variant for graded commutative algebras."""
+    """Koszul-signed variant for graded commutative algebras, on modules whose
+    actions shift parity as A's products do (``ModuleError`` otherwise)."""
     _check_order(k)
     hom = HomSpace.between(p, q)
     a = p.algebra
@@ -137,18 +138,18 @@ def graded_diff(p: Bimodule, q: Bimodule, k: int) -> DiffSpace:
         raise AlgebraError("graded differential operators need a graded algebra")
     if not a.is_graded_commutative():
         warnings.warn("algebra is not graded commutative", stacklevel=2)
+    for m in (p, q):
+        broken = [f["kind"] for f in m.validate().failures if f["kind"].endswith("_parity")]
+        if broken:
+            raise ModuleError(f"module {m.name} does not follow the grading "
+                              f"({', '.join(dict.fromkeys(broken))}), so the graded "
+                              "operators do not split by parity")
     chain = vanishing_chain(hom, "graded_delta", k)
     space = chain[k]
     cons, flat = space.constraint_matrix(), hom.coordinate_parity()
     even, odd = (kernel_on(cons, [j for j, p in enumerate(flat) if p == par]) for par in (0, 1))
     assembled = even.sum(odd)
     if assembled != space:
-        for m in (p, q):
-            broken = [f["kind"] for f in m.validate().failures if f["kind"].endswith("_parity")]
-            if broken:
-                raise ModuleError(f"module {m.name} does not follow the grading "
-                                  f"({', '.join(dict.fromkeys(broken))}), so the graded "
-                                  "operators do not split by parity")
         raise AssertionError("graded solution space failed to split by parity")
     out = DiffSpace("graded", k, assembled, hom, chain=chain)
     out.even = even

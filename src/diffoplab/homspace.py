@@ -72,7 +72,6 @@ from .linalg import (
     kron,
     kron_difference,
     preimage,
-    restrict_operator,
     vstack,
 )
 
@@ -416,8 +415,8 @@ class DualModule:
 
     ``space`` is the common kernel of the family ``kind`` of ``hom``,
     in the flat coordinates of (dim A)×(dim Q) matrices (row-major);
-    ``bimodule`` carries the actions ``actions`` restricted to it, and is
-    built when first read.
+    ``bimodule`` is Hom_K(Q, A) under the two action families ``actions``,
+    restricted to it, and is built when first read.
     """
 
     def __init__(self, hom: HomSpace, kind: str, actions, name: str):
@@ -428,10 +427,12 @@ class DualModule:
 
     @cached_property
     def bimodule(self) -> Bimodule:
-        left, right = ([restrict_operator(m, self.space) for m in self.hom.action_ops(kind)]
-                       for kind in self._actions)
-        return Bimodule(self.hom.algebra, self.space.dim, left, right, name=self._name,
-                        derived_from=(self.hom.source, self.hom.target))
+        hom = self.hom
+        left, right = (hom.action_ops(kind) for kind in self._actions)
+        ambient = Bimodule(hom.algebra, hom.dim, left, right,
+                           name=f"Hom({hom.source.name}, {hom.target.name})",
+                           derived_from=(hom.source, hom.target))
+        return ambient.restrict(self.space, self._name)
 
     @property
     def dim(self):

@@ -5,8 +5,9 @@ generated by all (k+1)-fold images of δ^b(x⊗p) = (bx)⊗p − x⊗(bp); the m
 J_k(p) = class(1 ⊗ p) is then itself an order-k operator, and composing
 with module maps out of the quotient enumerates operators out of P.  The
 two-sided first jet does the same inside A ⊗ P ⊗ A with an outer action on
-each side.  Both builders find μ, and :class:`JetModule` realizes either
-quotient from μ, the two ambient action families and the unit tensors.
+each side.  Both builders find μ with ``Bimodule.generated`` on the
+ambient, and :class:`JetModule` realizes either quotient from μ, the
+ambient and the unit tensors.
 
 Over a commutative algebra the one-sided μ is built from the generators of
 A alone (``bimodule.condition_indices``): the two actions and the δ's then
@@ -36,7 +37,6 @@ from .homspace import HomSpace, LinMap
 from .linalg import (
     Matrix,
     Subspace,
-    closure,
     composition_image,
     image_span,
     quotient_projection,
@@ -48,23 +48,26 @@ JET_ORDER_CAP = 2
 class JetModule:
     """A realized jet quotient with its module structures and J map.
 
-    Its coordinates sit at the free columns ``free`` of ``mu``; an ambient
-    operator m of ``left`` or ``second`` acts as proj∘m∘lift, where the lift
-    is the selection matrix of ``free``; J sends e_l to the class of units[l].
+    Its coordinates sit at the free columns ``free`` of ``mu``, a
+    sub-bimodule of the ``ambient`` module; an action m of the ambient acts
+    as proj∘m∘lift, where the lift is the selection matrix of ``free``, and
+    keeps the ambient's second action kind; J sends e_l to the class of
+    units[l].
     """
 
-    def __init__(self, algebra, source, order, mu, left, second, units, two_sided=False):
-        f = algebra.field
+    def __init__(self, source, order, mu, ambient: Bimodule, units, two_sided=False):
+        f = ambient.field
         n = mu.ambient_dim
-        self.algebra = algebra
+        self.algebra = ambient.algebra
         self.source = source
         self.order = order
         self.ambient_dim = n
         self.mu = mu
+        self.second_kind = ambient.second_kind
         self.free, self.proj = quotient_projection(mu)
         lift = Matrix.from_pairs(f, [[(c, 1)] for c in self.free], n).transpose()
-        self.left_ops = [self.proj @ m @ lift for m in left]
-        self.second_ops = [self.proj @ m @ lift for m in second]
+        self.left_ops = [self.proj @ m @ lift for m in ambient.left]
+        self.second_ops = [self.proj @ m @ lift for m in ambient.right]
         self.jk = self.proj @ Matrix(f, units, n).transpose()
         self.two_sided = two_sided
 
@@ -73,10 +76,8 @@ class JetModule:
         return len(self.free)
 
     def quotient_bimodule(self) -> Bimodule:
-        kind = "right" if (self.two_sided or self.algebra.is_commutative()) \
-            else "left_bullet"
         return Bimodule(self.algebra, self.dim, self.left_ops, self.second_ops,
-                        second_kind=kind,
+                        second_kind=self.second_kind,
                         name=f"Jet{self.order}({self.source.name})",
                         derived_from=(self.source,))
 
@@ -128,9 +129,7 @@ def jet_module(algebra: FiniteAlgebra, p: Bimodule, k: int,
     level = Subspace.full(f, ambient.dim)
     for _ in range(k + 1):
         level = image_span(deltas, level)
-    mu = closure(f, ambient.dim, level.basis,
-                 [ambient.left[i] for i in gens] + [ambient.right[i] for i in gens])
-    return JetModule(algebra, p, k, mu, ambient.left, ambient.right, _unit_tensors(algebra, p))
+    return JetModule(p, k, ambient.generated(level.basis), ambient, _unit_tensors(algebra, p))
 
 
 def jk_is_diffop(jm: JetModule) -> bool:
@@ -152,11 +151,10 @@ def hom_space_out_of_jet(jm: JetModule, q: Bimodule) -> Subspace:
 def two_sided_jet(algebra: FiniteAlgebra, p: Bimodule) -> JetModule:
     """First-order two-sided jet: (A ⊗ P ⊗ A)/μ¹ with outer actions.
 
-    μ¹ is the closure of the seeds δ_bδ̄_c(1⊗p⊗1) under the outer actions,
-    for b and c on the basis indices of ``condition_indices`` (see the module
-    docstring): the generators where P follows its laws.
+    μ¹ is the sub-bimodule that the seeds δ_bδ̄_c(1⊗p⊗1) generate under the
+    outer actions, for b and c on the basis indices of ``condition_indices``
+    (see the module docstring): the generators where P follows its laws.
     """
-    f = algebra.field
     sw = SandwichModule(algebra, p)
     gens = condition_indices(p, sw.bimodule)
     deltas = [sw.bimodule.left[i] - sw.middle("left", i) for i in gens]
@@ -167,10 +165,7 @@ def two_sided_jet(algebra: FiniteAlgebra, p: Bimodule) -> JetModule:
         for delta in deltas:
             inner = delta.apply(vec)
             seeds.extend(bar.apply(inner) for bar in bar_deltas)
-    outer = [sw.bimodule.left[i] for i in gens] + [sw.bimodule.right[i] for i in gens]
-    mu = closure(f, sw.dim, seeds, outer)
-    return JetModule(algebra, p, 1, mu, sw.bimodule.left, sw.bimodule.right, units,
-                     two_sided=True)
+    return JetModule(p, 1, sw.bimodule.generated(seeds), sw.bimodule, units, two_sided=True)
 
 
 def two_sided_representability(jm: JetModule, q: Bimodule) -> dict:
@@ -194,16 +189,15 @@ def two_sided_representability(jm: JetModule, q: Bimodule) -> dict:
     }
 
 
-def left_jet_identity_witness(algebra: FiniteAlgebra, p: Bimodule, k: int = 1):
+def left_jet_identity_witness(algebra: FiniteAlgebra, p: Bimodule):
     """A module map f out of A ⊗ P together with (b_0, b_1, p) where the
-    iterated-delta compatibility of f∘J with f∘(the ambient deltas) breaks.
+    order-1 iterated-delta compatibility of f∘J with f∘(the ambient deltas)
+    breaks.
 
     Over a commutative algebra the two sides agree identically; over a
     noncommutative one the mismatch is f(1 ⊗ (b_1 b_0 − b_0 b_1)p), and the
     first nonzero instance over a basis of left-linear maps is returned.
     """
-    if k != 1:
-        raise ValueError("the identity check is materialized at order 1")
     f = algebra.field
     n = algebra.dim
     ambient = tensor_algebra_module(algebra, p)

@@ -22,11 +22,9 @@ from .linalg import (
     Factorization,
     Matrix,
     Subspace,
-    closure,
     factor_through,
     kernel,
     kron,
-    restrict_operator,
 )
 
 # Forms are materialized up to this degree.
@@ -75,15 +73,17 @@ class UniversalCalculus:
         f = algebra.field
         n = algebra.dim
         eye = Matrix.identity(f, n)
-        self.amb_left = [kron(algebra.left_mult_basis(i), eye) for i in range(n)]
-        self.amb_right = [kron(eye, algebra.right_mult_basis(i)) for i in range(n)]
+        # A⊗A under a(x⊗y)b = ax⊗yb
+        self.ambient = Bimodule(algebra, n * n,
+                                [kron(algebra.left_mult_basis(i), eye) for i in range(n)],
+                                [kron(eye, algebra.right_mult_basis(i)) for i in range(n)],
+                                name=f"{algebra.name}⊗{algebra.name}", derived_from=())
         gens = [exact_form_ambient(algebra, algebra.basis_vector(i)) for i in range(n)]
-        self.omega1 = closure(f, n * n, gens, self.amb_left + self.amb_right)
-        self.left1 = [restrict_operator(m, self.omega1) for m in self.amb_left]
-        self.right1 = [restrict_operator(m, self.omega1) for m in self.amb_right]
+        self.omega1 = self.ambient.generated(gens)
+        self._omega1_module = self.ambient.restrict(self.omega1, f"Omega1({algebra.name})")
+        self.left1, self.right1 = self._omega1_module.left, self._omega1_module.right
         d0_cols = [self.omega1.coords_of(g) for g in gens]
         self.d0 = Matrix(f, d0_cols, self.omega1.dim).transpose()
-        self._omega1_module = None
         if cap >= 2:
             self._build_degree2()
 
@@ -99,12 +99,7 @@ class UniversalCalculus:
         return self.omega1 == kernel(self.multiplication_matrix())
 
     def omega1_bimodule(self) -> Bimodule:
-        """Ω¹ as a bimodule in its own coordinates: one module per calculus,
-        built on the first call and kept."""
-        if self._omega1_module is None:
-            self._omega1_module = Bimodule(self.algebra, self.omega1.dim, self.left1,
-                                           self.right1, name=f"Omega1({self.algebra.name})",
-                                           derived_from=())
+        """Ω¹ as a bimodule in its own coordinates: one module per calculus."""
         return self._omega1_module
 
     def leibniz_holds(self) -> bool:
@@ -114,8 +109,8 @@ class UniversalCalculus:
             dab = exact_form_ambient(self.algebra, self.algebra.sc[i][j])
             da = exact_form_ambient(self.algebra, self.algebra.basis_vector(i))
             db = exact_form_ambient(self.algebra, self.algebra.basis_vector(j))
-            rhs_da_b = self.amb_right[j].apply(da)
-            rhs_a_db = self.amb_left[i].apply(db)
+            rhs_da_b = self.ambient.right[j].apply(da)
+            rhs_a_db = self.ambient.left[i].apply(db)
             f = self.algebra.field
             rhs = [f.add(x, y) for x, y in zip(rhs_da_b, rhs_a_db)]
             if dab != rhs:
@@ -136,7 +131,7 @@ class UniversalCalculus:
         phi = {}  # row (i·n + m)·n + l of Φ -> {column x·t + y: value}, plain sums
         for y, wy in enumerate(ws):
             # Φ(w_x ⊗ w_y) = Σ w_x[i·n + j]·e_i ⊗ (e_j·w_y)
-            e_w = [self.amb_left[j]._apply_pairs(wy) for j in range(n)]
+            e_w = [self.ambient.left[j]._apply_pairs(wy) for j in range(n)]
             for x, i, j, a in terms:
                 for ml, c in e_w[j]:
                     row = phi.setdefault(i * n * n + ml, {})
@@ -242,8 +237,8 @@ class UniversalCalculus:
         f = alg.field
         center = alg.center()
         for z in center.basis:
-            left = Matrix.combination(self.amb_left, z)
-            right = Matrix.combination(self.amb_right, z)
+            left = self.ambient.left_action(z)
+            right = self.ambient.right_action(z)
             for zp in center.basis:
                 da = exact_form_ambient(alg, list(zp))
                 diff = [f.sub(x, y) for x, y in

@@ -15,8 +15,7 @@ from diffoplab.cecalc import (
     ce_forms,
     duality_round_trip,
     exact_one_form,
-    form_bimodule,
-    form_multiplication_ops,
+    form_ambient,
     wedge,
 )
 from diffoplab.derivations import DerivationSpace, derivations
@@ -205,8 +204,7 @@ def test_duality_dims():
 def test_d_is_first_order_commutative():
     a3 = trunc_poly(3)
     cx = CochainComplex(a3, cap=2)
-    modules = [form_bimodule(a3, cx.forms[k], *form_multiplication_ops(a3, cx.der, k), f"O{k}")
-               for k in range(3)]
+    modules = [form_ambient(a3, cx.der, k).restrict(cx.forms[k], f"O{k}") for k in range(3)]
     for k in range(2):
         src, dst = modules[k], modules[k + 1]
         hom = HomSpace(src, dst)

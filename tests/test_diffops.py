@@ -308,15 +308,22 @@ def test_graded_split_failure_on_a_graded_module_stays_an_assertion(monkeypatch)
         graded_diff(reg, reg, 1)
 
 
-def test_graded_split_failure_on_a_wrongly_graded_module_is_a_module_error():
+def test_a_wrongly_graded_module_is_refused_before_the_graded_solve(monkeypatch):
+    from diffoplab import diffops
+
     g2 = grassmann(2)
     reg = regular_bimodule(g2)
     even = Bimodule(g2, reg.dim, reg.left, reg.right, parity=[0] * reg.dim, name="even")
-    with pytest.raises(ModuleError, match="even does not follow the grading"):
-        graded_diff(even, reg, 1)
-    # a solve that splits keeps its result, whatever the modules' parities
-    assert graded_diff(reg, even, 1).dim == 7
-    assert graded_diff(even, even, 1).dim == 7
+    solves = []
+    chain = diffops.vanishing_chain
+    monkeypatch.setattr(diffops, "vanishing_chain",
+                        lambda *args: solves.append(args) or chain(*args))
+    # (reg, even) and (even, even) would split by parity, to dim 7, if solved
+    for p, q in ((even, reg), (reg, even), (even, even)):
+        with pytest.raises(ModuleError, match="even does not follow the grading"):
+            graded_diff(p, q, 1)
+    assert solves == []
+    assert graded_diff(reg, reg, 1).dim == 12
 
 
 def test_order_cap_enforced():

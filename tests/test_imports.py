@@ -12,6 +12,9 @@ PACKAGE = Path(diffoplab.__file__).resolve().parent
 # it because perfbench/tests/test_tracer.py checks that the tracer rebinds it there
 KEPT = {("diffops.py", "kernel")}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# a sub-bimodule is built with Bimodule.generated, the one closure under
+# module actions; HomSpace.action_closure closes preimages under its families
+CLOSURE_IMPORTERS = {"bimodule.py", "homspace.py"}
 
 
 def unused_imports(source: str):
@@ -39,3 +42,16 @@ def test_no_unused_imports(path):
     unused = [name for name in unused_imports(path.read_text(encoding="utf-8"))
               if (path.name, name) not in KEPT]
     assert unused == []
+
+
+def linalg_imports(source: str):
+    """The names that ``source`` imports from the package's ``linalg``."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "diffoplab.linalg")
+            for a in node.names}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_bimodule_and_homspace_import_closure(path):
+    imported = "closure" in linalg_imports(path.read_text(encoding="utf-8"))
+    assert not imported or path.name in CLOSURE_IMPORTERS
